@@ -8,7 +8,6 @@ import io
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .adversaries import ADVERSARIES, Dynamism, get_adversary
@@ -25,6 +24,7 @@ from .ring import (
     random_configuration,
     resolve_moves,
     ring_from_multiplicities,
+    ring_from_slots,
 )
 from .scheduler import initial_robots, run_simulation
 from .verifier import default_verification_roots, verify_impossibility, verify_worst_case
@@ -48,12 +48,20 @@ class ExperimentSpec:
     seed: int | None = None
     max_rounds: int | None = None
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.n, int) or self.n < 1:
+            raise ScenarioError(f"ring size n must be a positive integer, got {self.n!r}")
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
-        return cls(**json.loads(text))
+        data = json.loads(text)
+        try:
+            return cls(**data)
+        except TypeError as exc:
+            raise ScenarioError(f"bad experiment spec: {exc}") from None
 
 
 def parse_int_range(text: str) -> list[int]:
@@ -75,9 +83,15 @@ def build_config(spec: ExperimentSpec, rng: random.Random) -> RingConfiguration:
         return all_on_one(spec.n)
     if spec.config == "random":
         return random_configuration(spec.n, rng)
-    counts = [int(x) for x in spec.config.split(",")]
+    try:
+        counts = [int(x) for x in spec.config.split(",")]
+    except ValueError:
+        raise ScenarioError(f"--config must be 'all-on-one', 'random' or per-node counts, "
+                            f"got {spec.config!r}") from None
     if len(counts) != spec.n:
         raise ScenarioError(f"--config lists {len(counts)} nodes but --n is {spec.n}")
+    if min(counts) < 0 or sum(counts) != spec.n:
+        raise ScenarioError(f"--config counts must be non-negative and sum to {spec.n}")
     return ring_from_multiplicities(counts)
 
 
@@ -95,7 +109,10 @@ def build_orientations(spec: ExperimentSpec, rng: random.Random) -> dict[int, Or
 
 
 def execute(spec: ExperimentSpec, record_views: bool = False):
-    mode = Mode.from_string(spec.mode)
+    try:
+        mode = Mode.from_string(spec.mode)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
     policy = get_policy(spec.policy)
     adversary = get_adversary(spec.adversary)
     rng = random.Random(spec.seed)
@@ -204,14 +221,19 @@ def _sweep_cell(task) -> tuple:
 
 
 def cmd_sweep(args) -> int:
-    sizes = parse_int_range(args.n)
+    try:
+        sizes = parse_int_range(args.n)
+    except ValueError as exc:
+        raise ScenarioError(f"--n {args.n!r} is not a list of sizes: {exc}") from None
     tasks = [
         (n, args.policy, args.adversary, args.mode, args.config, seed, args.max_rounds)
         for n in sizes
         for seed in range(args.trials)
     ]
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        rows = sorted(pool.map(_sweep_cell, tasks))
+    if not tasks:
+        raise ScenarioError(
+            f"sweep has no cells: --n {args.n!r} with --trials {args.trials}")
+    rows = sorted(_sweep_cell(task) for task in tasks)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["n", "policy", "adversary", "seed", "rounds", "bound", "pass"])
@@ -257,25 +279,54 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.all_blocked else EXIT_FAIL
 
 
-def cmd_replay(args) -> int:
-    with open(args.trace, encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines or lines[0].get("round") != 0:
-        print("error: trace must start with a round 0 record", file=sys.stderr)
-        return EXIT_ERROR
-    records = [line for line in lines if not line.get("summary")]
-    summary = next((line for line in lines if line.get("summary")), None)
+_ROUND_FIELDS = ("round", "perm", "edge", "intents", "config", "holes", "multinodes")
 
-    cfg = RingConfiguration(
-        len(records[0]["config"]), tuple(tuple(c) for c in records[0]["config"]))
-    checked = 0
-    for record in records[1:]:
+
+def _read_trace(path: str) -> tuple[list[dict], dict | None]:
+    """The round records and the summary of a JSONL trace, each checked for
+    its fields; the first record must be round 0."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [json.loads(line) for line in fh if line.strip()]
+    if not lines or not isinstance(lines[0], dict) or lines[0].get("round") != 0:
+        raise ScenarioError("trace must start with a round 0 record")
+    records, summary = [], None
+    for number, line in enumerate(lines, start=1):
+        if not isinstance(line, dict):
+            raise ScenarioError(f"trace line {number} is not a JSON object")
+        if line.get("summary"):
+            summary = summary or line
+            continue
+        missing = [name for name in _ROUND_FIELDS if name not in line]
+        if missing:
+            raise ScenarioError(f"trace line {number} lacks {', '.join(missing)}")
+        records.append(line)
+    if summary is not None and "outcome" not in summary:
+        raise ScenarioError("trace summary lacks outcome")
+    return records, summary
+
+
+def _replay_round(cfg: RingConfiguration, record: dict):
+    """The configuration a record's dynamism and intents lead to from ``cfg``,
+    and the slots the record says they lead to."""
+    try:
         perm = record["perm"]
         shaped = Dynamism(None if perm is None else tuple(perm), record["edge"]).apply(cfg)
         intents = [MoveIntent(int(label), ACTION_FROM_SHORT[action])
                    for label, action in record["intents"].items()]
-        landed = resolve_moves(shaped, intents)
-        expected = tuple(tuple(c) for c in record["config"])
+        return resolve_moves(shaped, intents), tuple(tuple(c) for c in record["config"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"round {record['round']} cannot be replayed: {exc!r}") from None
+
+
+def cmd_replay(args) -> int:
+    records, summary = _read_trace(args.trace)
+    try:
+        cfg = ring_from_slots(records[0]["config"])
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"round 0 config is not a valid ring: {exc}") from None
+    checked = 0
+    for record in records[1:]:
+        landed, expected = _replay_round(cfg, record)
         metrics = classify(landed)
         if (landed.slots != expected or metrics.holes != record["holes"]
                 or metrics.multinodes != record["multinodes"]):
@@ -335,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", default="random")
     sweep.add_argument("--trials", type=int, default=10)
     sweep.add_argument("--max-rounds", type=int, default=None)
-    sweep.add_argument("--jobs", type=int, default=None)
     sweep.add_argument("--out", default=None)
     sweep.add_argument("--format", default="csv", choices=["csv"])
     sweep.set_defaults(func=cmd_sweep)

@@ -96,7 +96,14 @@ def convert_frame(action: Action, orientation: Orientation) -> Action:
     The mapping is an involution, so the same function translates both
     ways. STAY is frame independent.
     """
-    return Action(action.value * orientation.sign)
+    if orientation is Orientation.ALIGNED:
+        return action
+    return _MIRRORED[action]
+
+
+# A reversed robot's action in the other frame, indexed by the action's
+# value (-1 picks the last entry).
+_MIRRORED = (Action.STAY, Action.ANTICLOCKWISE, Action.CLOCKWISE)
 
 
 @dataclass(frozen=True)
@@ -146,8 +153,18 @@ class RingConfiguration:
         if self.missing_edge is not None and not 0 <= self.missing_edge < self.n:
             raise ValueError(f"edge index {self.missing_edge} out of range for n={self.n}")
 
+    @classmethod
+    def _trusted(cls, n: int, slots, missing_edge: int | None = None) -> "RingConfiguration":
+        """A configuration derived from a valid one by moving whole slots or
+        robots. It sorts each slot but skips the label, count and edge checks."""
+        cfg = object.__new__(cls)
+        object.__setattr__(cfg, "n", n)
+        object.__setattr__(cfg, "slots", tuple(map(tuple, map(sorted, slots))))
+        object.__setattr__(cfg, "missing_edge", missing_edge)
+        return cfg
+
     def multiplicities(self) -> tuple[int, ...]:
-        return tuple(len(slot) for slot in self.slots)
+        return tuple(map(len, self.slots))
 
     def positions(self) -> dict[int, int]:
         return {lab: pos for pos, slot in enumerate(self.slots) for lab in slot}
@@ -213,7 +230,7 @@ def apply_vertex_permutation(cfg: RingConfiguration, perm) -> RingConfiguration:
     slots = [()] * cfg.n
     for old, new in enumerate(perm):
         slots[new] = cfg.slots[old]
-    return RingConfiguration(cfg.n, tuple(slots), None)
+    return RingConfiguration._trusted(cfg.n, slots, None)
 
 
 def apply_edge_removal(cfg: RingConfiguration, edge: int | None) -> RingConfiguration:
@@ -224,7 +241,7 @@ def apply_edge_removal(cfg: RingConfiguration, edge: int | None) -> RingConfigur
         raise ValueError("an edge is already removed this round")
     if not 0 <= edge < cfg.n:
         raise ValueError(f"edge index {edge} out of range for n={cfg.n}")
-    return RingConfiguration(cfg.n, cfg.slots, edge)
+    return RingConfiguration._trusted(cfg.n, cfg.slots, edge)
 
 
 def resolve_moves(cfg: RingConfiguration, intents) -> RingConfiguration:
@@ -250,9 +267,9 @@ def resolve_moves(cfg: RingConfiguration, intents) -> RingConfiguration:
         if intent.action is not Action.STAY:
             edge = crossing_edge(pos, intent.action, cfg.n)
             if edge != cfg.missing_edge:
-                target = (pos + intent.action.value) % cfg.n
+                target = (pos + intent.action) % cfg.n
         slots[target].append(intent.label)
-    return RingConfiguration(cfg.n, tuple(tuple(s) for s in slots), cfg.missing_edge)
+    return RingConfiguration._trusted(cfg.n, slots, cfg.missing_edge)
 
 
 @dataclass(frozen=True)
@@ -277,9 +294,9 @@ FOUR_NODE_STATES = {
 
 def classify(cfg: RingConfiguration) -> Metrics:
     mult = cfg.multiplicities()
-    holes = sum(1 for m in mult if m == 0)
-    singles = sum(1 for m in mult if m == 1)
-    multis = sum(1 for m in mult if m >= 2)
+    holes = mult.count(0)
+    singles = mult.count(1)
+    multis = cfg.n - holes - singles
     dispersed = singles == cfg.n
     state = None
     if cfg.n == 4 and not dispersed:
@@ -532,7 +549,7 @@ def rotate(cfg: RingConfiguration, shift: int) -> RingConfiguration:
     for old in range(n):
         slots[(old + shift) % n] = cfg.slots[old]
     edge = None if cfg.missing_edge is None else (cfg.missing_edge + shift) % n
-    return RingConfiguration(n, tuple(slots), edge)
+    return RingConfiguration._trusted(n, slots, edge)
 
 
 def reflect(cfg: RingConfiguration, pivot: int = 0) -> RingConfiguration:
@@ -544,7 +561,7 @@ def reflect(cfg: RingConfiguration, pivot: int = 0) -> RingConfiguration:
     edge = None
     if cfg.missing_edge is not None:
         edge = (2 * pivot - cfg.missing_edge - 1) % n
-    return RingConfiguration(n, tuple(slots), edge)
+    return RingConfiguration._trusted(n, slots, edge)
 
 
 def canonical_rotation(cfg: RingConfiguration) -> RingConfiguration:

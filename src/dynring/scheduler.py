@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .adversaries import Adversary, AdversaryContext, Dynamism
 from .policies import LemmaViolation, Policy, check_round_lemmas, holes_filled_count
@@ -108,17 +108,25 @@ def step(
     record_views: bool = False,
     predicted: dict[int, Action] | None = None,
 ) -> tuple[RingConfiguration, tuple[RobotState, ...], RoundTrace]:
-    """Run one round and return the intact next configuration."""
+    """Run one round and return the intact next configuration.
+
+    Robot states are rebuilt when the permutation carries them and when they
+    settle. Only a rule that overrides ``Policy.after_move`` gets the
+    post-move chain index; under any other rule a robot keeps its hand and
+    the memory it decided with.
+    """
     if cfg.missing_edge is not None:
         raise ValueError("a round must start from an intact ring")
     cfg_seen = dynamism.apply(cfg)
-    if dynamism.permutation is not None:
-        robots = tuple(replace(r, node=dynamism.permutation[r.node]) for r in robots)
+    perm = dynamism.permutation
+    if perm is not None:
+        robots = tuple(RobotState(r.label, perm[r.node], r.orientation, r.memory)
+                       for r in robots)
     phase = policy.phase_of_round(robots, cfg_seen)
 
     analysis = ChainAnalysis(cfg_seen)
     intents = []
-    decided = []
+    memories = []
     for robot in robots:
         own_action, memory = policy.decide(analysis.snapshot_for(robot), robot)
         action = convert_frame(own_action, robot.orientation)
@@ -127,7 +135,7 @@ def step(
                 f"predicted intent for robot {robot.label} was {predicted[robot.label].short}, "
                 f"but it chose {action.short}")
         intents.append(MoveIntent(robot.label, action))
-        decided.append(replace(robot, memory=memory))
+        memories.append(memory)
 
     digests = None
     if record_views:
@@ -136,13 +144,20 @@ def step(
 
     cfg_after = resolve_moves(cfg_seen, intents)
     landed = cfg_after.positions()
-    moved = tuple(replace(r, node=landed[r.label]) for r in decided)
-
-    post_analysis = ChainAnalysis(cfg_after)
     settled = []
-    for robot in moved:
-        orientation, memory = policy.after_move(robot, post_analysis.snapshot_for(robot))
-        settled.append(replace(robot, orientation=orientation, memory=memory))
+    if type(policy).after_move is Policy.after_move:
+        metrics_after = classify(cfg_after)
+        for robot, memory in zip(robots, memories):
+            settled.append(
+                RobotState(robot.label, landed[robot.label], robot.orientation, memory))
+    else:
+        post_analysis = ChainAnalysis(cfg_after)
+        metrics_after = post_analysis.metrics
+        for robot, memory in zip(robots, memories):
+            node = landed[robot.label]
+            moved = RobotState(robot.label, node, robot.orientation, memory)
+            orientation, memory = policy.after_move(moved, post_analysis.snapshot_for(moved))
+            settled.append(RobotState(robot.label, node, orientation, memory))
 
     trace = RoundTrace(
         index=index,
@@ -152,12 +167,12 @@ def step(
         config_seen=cfg_seen,
         config_after=cfg_after,
         metrics_seen=analysis.metrics,
-        metrics_after=post_analysis.metrics,
+        metrics_after=metrics_after,
         holes_filled=holes_filled_count(cfg_seen, cfg_after),
         violations=tuple(check_round_lemmas(policy, phase, cfg_seen, cfg_after)),
         view_digests=digests,
     )
-    next_cfg = RingConfiguration(cfg.n, cfg_after.slots, None)
+    next_cfg = RingConfiguration._trusted(cfg.n, cfg_after.slots, None)
     return next_cfg, tuple(settled), trace
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .adversaries import (
     Adversary,
@@ -155,7 +155,12 @@ class BoundReport:
 
 
 class WorstCaseSearcher:
-    """Depth-first game evaluation with memoization up to rotation."""
+    """Depth-first game evaluation with memoization up to rotation.
+
+    The memo holds only values. A best branch found in one rotation of a
+    state need not be best in another, so ``witness`` picks its branch
+    afresh in the frame it is replaying.
+    """
 
     def __init__(self, policy: Policy, mode: Mode, k: int | None = None,
                  oracle=None):
@@ -177,8 +182,10 @@ class WorstCaseSearcher:
         # it is consulted once per distinct decision point.
         if self.oracle is None:
             return
-        if dynamism.permutation is not None:
-            robots = tuple(replace(r, node=dynamism.permutation[r.node]) for r in robots)
+        perm = dynamism.permutation
+        if perm is not None:
+            robots = tuple(RobotState(r.label, perm[r.node], r.orientation, r.memory)
+                           for r in robots)
         key = (trace.config_seen.slots, trace.config_seen.missing_edge, _aux(robots))
         if key in self.decision_cache:
             return
@@ -198,31 +205,42 @@ class WorstCaseSearcher:
             self.cycle_hit = True
             return math.inf
         if entry is not None:
-            return entry[0]
+            return entry
         self.memo[key] = _PENDING
         best = -1.0
-        best_dynamism = None
         for dynamism in exhaustive_branches(cfg, self.mode):
             next_cfg, next_robots, trace = step(self.policy, cfg, robots, dynamism, k=self.k)
             for violation in trace.violations:
                 self.lemma_violations.append((key, dynamism, violation))
             self._check_decisions(dynamism, trace, robots)
-            total = 1 + self.value(next_cfg, next_robots)
-            if total > best:
-                best = total
-                best_dynamism = dynamism
-        self.memo[key] = (best, best_dynamism)
+            best = max(best, 1 + self.value(next_cfg, next_robots))
+        self.memo[key] = best
         return best
 
+    def _settled_value(self, cfg: RingConfiguration, robots) -> float:
+        """The memoized value of an explored state; 0 once dispersed."""
+        if classify(cfg).dispersed:
+            return 0
+        return self.memo[self._key(cfg, robots)]
+
     def witness(self, cfg: RingConfiguration, robots) -> tuple[RoundTrace, ...]:
-        """One adversary line realising the memoized value of this state."""
+        """One adversary line realising the memoized value of this state.
+
+        Each round takes the first branch whose successor's value is one
+        less than the current value, so every round is on an optimal line
+        whatever rotation of the memoized state ``cfg`` is.
+        """
         traces = []
-        while not classify(cfg).dispersed:
-            value, dynamism = self.memo[self._key(cfg, robots)]
-            if dynamism is None or value == math.inf:
-                break
-            cfg, robots, trace = step(self.policy, cfg, robots, dynamism,
-                                      index=len(traces), k=self.k)
+        value = self._settled_value(cfg, robots)
+        while value not in (0, math.inf):
+            for dynamism in exhaustive_branches(cfg, self.mode):
+                next_cfg, next_robots, trace = step(self.policy, cfg, robots, dynamism,
+                                                    index=len(traces), k=self.k)
+                if self._settled_value(next_cfg, next_robots) == value - 1:
+                    break
+            else:
+                raise RuntimeError(f"no branch from {cfg} lowers the value {value}")
+            cfg, robots, value = next_cfg, next_robots, value - 1
             traces.append(trace)
         return tuple(traces)
 

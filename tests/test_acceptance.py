@@ -8,6 +8,7 @@ comparison (10).
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 import time
@@ -443,19 +444,24 @@ def test_criterion_08_zero_visibility_impossibility(impossibility_sweep,
 
 
 def test_criterion_09_byte_identical_reruns(tmp_path, capsys):
+    # Each trace's sha256 is pinned as well, so a change to the round core
+    # that alters any trace fails here even though its reruns agree.
     cases = [
-        ["run", "--n", "16", "--policy", "vp-1i", "--adversary", "random",
-         "--mode", "combined", "--config", "random", "--seed", "4242",
-         "--max-rounds", "15"],
-        ["run", "--n", "9", "--policy", "achiral-odd", "--adversary", "random",
-         "--mode", "combined", "--config", "random", "--orientations", "random",
-         "--seed", "99", "--max-rounds", "21"],
-        ["run", "--n", "8", "--policy", "no-chir-1i", "--adversary", "random",
-         "--mode", "combined", "--orientations", "random", "--seed", "7",
-         "--max-rounds", "8"],
+        (["run", "--n", "16", "--policy", "vp-1i", "--adversary", "random",
+          "--mode", "combined", "--config", "random", "--seed", "4242",
+          "--max-rounds", "15"],
+         "41c262f439021d76ca5a4e9bfb79281c0e20e7af1fe466411330613b42d24938"),
+        (["run", "--n", "9", "--policy", "achiral-odd", "--adversary", "random",
+          "--mode", "combined", "--config", "random", "--orientations", "random",
+          "--seed", "99", "--max-rounds", "21"],
+         "e179411f48ef2ce8954b3a08ce21735c6da83648dba06ab7b1bc50fc8337974c"),
+        (["run", "--n", "8", "--policy", "no-chir-1i", "--adversary", "random",
+          "--mode", "combined", "--orientations", "random", "--seed", "7",
+          "--max-rounds", "8"],
+         "c7a22baaf1d30f2d52fa6c0c9edaa84058707d0dc6ad83e9af88389093083ba8"),
     ]
     mismatches = []
-    for index, case in enumerate(cases):
+    for index, (case, pinned) in enumerate(cases):
         first = tmp_path / f"first-{index}.jsonl"
         second = tmp_path / f"second-{index}.jsonl"
         code_first = cli.main(case + ["--out", str(first)])
@@ -464,8 +470,11 @@ def test_criterion_09_byte_identical_reruns(tmp_path, capsys):
             mismatches.append((index, "exit", code_first, code_second))
         elif first.read_bytes() != second.read_bytes():
             mismatches.append((index, "bytes differ"))
+        elif hashlib.sha256(first.read_bytes()).hexdigest() != pinned:
+            mismatches.append((index, "sha256 differs from the pinned trace"))
     scorecard(capsys, 9, not mismatches,
-              f"{len(cases)} seeded scenarios rerun, trace files byte-identical")
+              f"{len(cases)} seeded scenarios rerun, trace files byte-identical "
+              f"and equal to the pinned digests")
     assert not mismatches, mismatches
 
 

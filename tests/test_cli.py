@@ -123,6 +123,50 @@ def test_sweep_reports_every_cell(tmp_path):
     assert all(int(r["rounds"]) <= int(r["bound"]) for r in rows)
 
 
+# ---------------------------------------------------------------- bad input
+
+
+def _spec_file(tmp_path, **fields):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"n": 4, "policy": "vp-chain", **fields}))
+    return ["run", "--spec", str(path)]
+
+
+def _trace_without_perm(tmp_path):
+    path = tmp_path / "run.jsonl"
+    assert run_cli("run", "--n", "4", "--policy", "vp-chain", "--mode", "vp",
+                   "--adversary", "random", "--seed", "2", "--out", str(path)) == 0
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    del record["perm"]
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    return ["replay", str(path)]
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda tmp_path: ["run", "--n", "0", "--policy", "vp-chain"],
+    lambda tmp_path: ["run", "--n", "-2", "--policy", "vp-chain"],
+    lambda tmp_path: ["sweep", "--n", "x", "--policy", "vp-1i"],
+    lambda tmp_path: ["sweep", "--n", "4..2", "--policy", "vp-1i"],
+    lambda tmp_path: ["run", "--n", "3", "--policy", "vp-chain", "--config", "1,x,1"],
+    lambda tmp_path: ["run", "--n", "2", "--policy", "vp-chain", "--config", "2,2"],
+    lambda tmp_path: _spec_file(tmp_path, colour="red"),
+    lambda tmp_path: _spec_file(tmp_path, mode="bogus"),
+    _trace_without_perm,
+], ids=["run-n-0", "run-n-negative", "sweep-n-not-a-number", "sweep-n-empty-range",
+        "config-not-a-number", "config-wrong-total", "spec-unknown-key", "spec-unknown-mode",
+        "replay-missing-perm"])
+def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, make_argv):
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
 # ------------------------------------------------------------ verification
 
 

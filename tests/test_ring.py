@@ -55,6 +55,34 @@ def test_ring_from_multiplicities_deals_labels_clockwise():
         ring_from_multiplicities([2, 2])
 
 
+@settings(max_examples=200, deadline=None)
+@given(ring_configs(), st.data())
+def test_derived_configurations_pass_full_validation(cfg, data):
+    """Configurations derived from a valid one skip validation, so each
+    must equal its fully validated rebuild; invalid input still raises."""
+    n = cfg.n
+    order = data.draw(st.permutations(cfg.labels()))
+    actions = data.draw(st.lists(st.sampled_from(list(Action)), min_size=n, max_size=n))
+    intents = [MoveIntent(label, actions[label - 1]) for label in order]
+    derived = (
+        resolve_moves(cfg, intents),
+        apply_vertex_permutation(cfg, data.draw(st.permutations(range(n)))),
+        apply_edge_removal(RingConfiguration(n, cfg.slots), data.draw(st.integers(0, n - 1))),
+        rotate(cfg, data.draw(st.integers(-n, 2 * n))),
+        reflect(cfg, data.draw(st.integers(0, n - 1))),
+    )
+    for out in derived:
+        assert out == RingConfiguration(out.n, out.slots, out.missing_edge)
+
+    missing = tuple(tuple(lab for lab in slot if lab != order[0]) for slot in cfg.slots)
+    extra = ((n + 1,) + cfg.slots[0],) + cfg.slots[1:]
+    duplicate = ((order[0],) + cfg.slots[0],) + cfg.slots[1:]
+    for slots, edge in ((missing, None), (extra, None), (duplicate, None),
+                        (cfg.slots, n), (cfg.slots, -1)):
+        with pytest.raises(ValueError):
+            RingConfiguration(n, slots, edge)
+
+
 def test_all_on_one_and_positions():
     cfg = all_on_one(4)
     assert cfg.slots[0] == (1, 2, 3, 4)

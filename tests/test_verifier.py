@@ -9,6 +9,7 @@ from dynring import (
     Action,
     Mode,
     MoveIntent,
+    RobotState,
     ScenarioError,
     all_on_one,
     canonical_rotation,
@@ -23,9 +24,12 @@ from dynring import (
     profile_necklace_count,
     resolve_moves,
     ring_from_slots,
+    rotate,
+    step,
     verify_impossibility,
     verify_worst_case,
 )
+from dynring.verifier import WorstCaseSearcher, _orientation_assignments
 
 
 # -------------------------------------------------------------- enumeration
@@ -97,6 +101,44 @@ def test_worst_case_search_on_smallest_ring():
     assert len(report.witness) == 2
     assert classify(report.witness[-1].config_after).dispersed
     assert not classify(report.witness[0].config_after).dispersed
+
+
+@pytest.mark.parametrize("policy_id,n,mode", [
+    ("vp-chain", 5, Mode.VP),
+    ("even4", 4, Mode.COMBINED),
+])
+def test_witness_is_optimal_from_every_rotation(policy_id, n, mode):
+    """The memo is keyed up to rotation, so a witness may start in any frame
+    of a memoized state. From every rotation of every worst root, each
+    witness round lowers the memoized value by exactly one."""
+    policy = get_policy(policy_id)
+    starts, orientations = default_verification_roots(policy, n)
+    report = verify_worst_case(policy, n, mode, starts=starts, orientations=orientations)
+    assert len(report.witness) == report.worst_rounds
+
+    searcher = WorstCaseSearcher(policy, mode, k=policy.min_visibility(n))
+    worst_roots = []
+    for cfg in starts:
+        for hands in _orientation_assignments(n, orientations):
+            robots = initial_robots(cfg, policy, dict(enumerate(hands, start=1)))
+            if searcher.value(cfg, robots) == report.worst_rounds:
+                worst_roots.append((cfg, robots))
+    assert worst_roots
+
+    for root_cfg, root_robots in worst_roots:
+        for shift in range(n):
+            cfg = rotate(root_cfg, shift)
+            robots = tuple(RobotState(r.label, (r.node + shift) % n, r.orientation, r.memory)
+                           for r in root_robots)
+            witness = searcher.witness(cfg, robots)
+            assert len(witness) == report.worst_rounds
+            value = searcher._settled_value(cfg, robots)
+            for trace in witness:
+                cfg, robots, _ = step(policy, cfg, robots, trace.dynamism, k=searcher.k)
+                assert cfg.slots == trace.config_after.slots
+                assert searcher._settled_value(cfg, robots) == value - 1
+                value -= 1
+            assert value == 0
 
 
 def test_search_reports_honest_bound_failures():
