@@ -58,6 +58,7 @@ from .scheduler import (
     RoundTrace,
     RunResult,
     initial_robots,
+    play,
     predict_intents,
     run_simulation,
     step,

@@ -51,6 +51,9 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise ScenarioError(f"ring size n must be a positive integer, got {self.n!r}")
+        rounds = self.max_rounds
+        if rounds is not None and (not isinstance(rounds, int) or rounds < 0):
+            raise ScenarioError(f"max_rounds must be a non-negative integer, got {rounds!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -249,6 +252,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     mode = Mode.from_string(args.mode)
+    if args.n < 1:
+        raise ScenarioError(f"--n must be a positive ring size, got {args.n}")
+    if args.horizon < 1:
+        raise ScenarioError(f"--horizon must be at least 1 round, got {args.horizon}")
     if args.check == "bound":
         if args.policy is None:
             raise ScenarioError("verify --check bound needs --policy")

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 from .ring import (
     Action,
+    Metrics,
     Mode,
     Orientation,
     RingConfiguration,
     RobotState,
     ScenarioError,
     Snapshot,
-    classify,
+    classify,  # unused here; perfbench/tracing.py wraps policies.classify by name
 )
 
 # Worst-case round count of the 4-node orientation-free rule over every
@@ -436,17 +437,15 @@ def holes_filled_count(cfg1: RingConfiguration, cfg2: RingConfiguration) -> int:
     )
 
 
-def check_round_lemmas(policy: Policy, phase: str, cfg1: RingConfiguration,
-                       cfg2: RingConfiguration) -> list[LemmaViolation]:
+def check_round_lemmas(policy: Policy, phase: str, m1: Metrics, m2: Metrics,
+                       filled: int) -> list[LemmaViolation]:
     """Check every per-round guarantee the policy claims for this phase.
 
-    ``cfg1`` is the configuration the robots saw (after dynamism) and
-    ``cfg2`` the configuration after their moves resolved.
+    ``m1`` is the census of the configuration the robots saw (after
+    dynamism), ``m2`` the census after their moves resolved, and ``filled``
+    the ``holes_filled_count`` between the two.
     """
     out = []
-    m1 = classify(cfg1)
-    m2 = classify(cfg2)
-    filled = holes_filled_count(cfg1, cfg2)
     if m1.multinodes - m2.multinodes > filled:
         out.append(LemmaViolation(
             "multinode-drop-bounded",

@@ -5,13 +5,15 @@ then possibly remove one edge), every robot looks and decides at once,
 and all moves resolve simultaneously; a move across the removed edge
 leaves the robot where it is. The removed edge lasts only for the round.
 
-The same ``step`` function serves both simulation runs and the worst-case
-search, so there is exactly one implementation of round semantics.
+The same ``step`` function serves simulation runs, impossibility runs and
+the worst-case search, so there is exactly one implementation of round
+semantics; ``play`` is the one loop that feeds it an adversary's choices.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -104,8 +106,7 @@ def step(
     robots: tuple[RobotState, ...],
     dynamism: Dynamism,
     index: int = 0,
-    k: int | None = None,
-    record_views: bool = False,
+    view_k: int | None = None,
     predicted: dict[int, Action] | None = None,
 ) -> tuple[RingConfiguration, tuple[RobotState, ...], RoundTrace]:
     """Run one round and return the intact next configuration.
@@ -113,7 +114,8 @@ def step(
     Robot states are rebuilt when the permutation carries them and when they
     settle. Only a rule that overrides ``Policy.after_move`` gets the
     post-move chain index; under any other rule a robot keeps its hand and
-    the memory it decided with.
+    the memory it decided with. With ``view_k`` the trace holds a digest of
+    each robot's view at that radius.
     """
     if cfg.missing_edge is not None:
         raise ValueError("a round must start from an intact ring")
@@ -137,11 +139,6 @@ def step(
         intents.append(MoveIntent(robot.label, action))
         memories.append(memory)
 
-    digests = None
-    if record_views:
-        digests = tuple(
-            (r.label, _view_digest(cfg_seen, r, k if k is not None else cfg.n)) for r in robots)
-
     cfg_after = resolve_moves(cfg_seen, intents)
     landed = cfg_after.positions()
     settled = []
@@ -159,6 +156,7 @@ def step(
             orientation, memory = policy.after_move(moved, post_analysis.snapshot_for(moved))
             settled.append(RobotState(robot.label, node, orientation, memory))
 
+    filled = holes_filled_count(cfg_seen, cfg_after)
     trace = RoundTrace(
         index=index,
         phase=phase,
@@ -168,9 +166,11 @@ def step(
         config_after=cfg_after,
         metrics_seen=analysis.metrics,
         metrics_after=metrics_after,
-        holes_filled=holes_filled_count(cfg_seen, cfg_after),
-        violations=tuple(check_round_lemmas(policy, phase, cfg_seen, cfg_after)),
-        view_digests=digests,
+        holes_filled=filled,
+        violations=tuple(check_round_lemmas(policy, phase, analysis.metrics, metrics_after,
+                                            filled)),
+        view_digests=None if view_k is None else tuple(
+            (r.label, _view_digest(cfg_seen, r, view_k)) for r in robots),
     )
     next_cfg = RingConfiguration._trusted(cfg.n, cfg_after.slots, None)
     return next_cfg, tuple(settled), trace
@@ -214,6 +214,22 @@ def validate_scenario(
             raise ScenarioError(f"robot {robot.label} is not at its recorded node")
 
 
+def play(policy: Policy, adversary: Adversary, cfg: RingConfiguration, mode: Mode, robots,
+         rng: random.Random | None = None, view_k: int | None = None):
+    """Yield ``(cfg, robots, trace)`` per round until the ring is dispersed.
+    An adaptive adversary reads the robots' intents first; ``step`` checks them."""
+    if classify(cfg).dispersed:
+        return
+    for index in itertools.count():
+        predicted = predict_intents(policy, cfg, robots) if adversary.adaptive else None
+        dynamism = adversary.choose(AdversaryContext(cfg, mode, index, rng, predicted))
+        dynamism.check_mode(mode)
+        cfg, robots, trace = step(policy, cfg, robots, dynamism, index, view_k, predicted)
+        yield cfg, robots, trace
+        if trace.metrics_after.dispersed:
+            return
+
+
 def run_simulation(
     policy: Policy,
     adversary: Adversary,
@@ -234,22 +250,11 @@ def run_simulation(
     if max_rounds is None:
         max_rounds = 4 * cfg.n
     validate_scenario(policy, adversary, cfg, robots, mode, k)
-    rng = random.Random(seed)
 
+    rounds = play(policy, adversary, cfg, mode, robots, random.Random(seed),
+                  k if record_views else None)
     traces = []
-    for index in range(max_rounds):
-        if classify(cfg).dispersed:
-            break
-        predicted = None
-        if adversary.adaptive:
-            predicted = predict_intents(policy, cfg, robots)
-        ctx = AdversaryContext(cfg, mode, index, rng, predicted)
-        dynamism = adversary.choose(ctx)
-        dynamism.check_mode(mode)
-        cfg, robots, trace = step(
-            policy, cfg, robots, dynamism,
-            index=index, k=k, record_views=record_views, predicted=predicted)
+    for cfg, robots, trace in itertools.islice(rounds, max_rounds):
         traces.append(trace)
-
     outcome = "dispersed" if classify(cfg).dispersed else "round-limit"
     return RunResult(outcome, len(traces), cfg, robots, tuple(traces))

@@ -40,7 +40,8 @@ from .ring import (
     resolve_moves,
     ring_from_multiplicities,
 )
-from .scheduler import RoundTrace, predict_intents, step, validate_scenario
+from .scheduler import RoundTrace, initial_robots, play, step, validate_scenario
+from .scheduler import predict_intents  # unused here; perfbench/tracing.py wraps it by name
 
 ENUMERATION_LIMIT = 8
 LABELED_ENUMERATION_LIMIT = 6
@@ -70,6 +71,8 @@ def canonical_profile(vec: tuple[int, ...], up_to_reflection: bool = True) -> tu
 
 def enumerate_multiplicity_profiles(n: int, up_to_reflection: bool = True):
     """Distinct per-node robot counts, one representative per symmetry class."""
+    if n < 1:
+        raise ScenarioError(f"ring size n must be a positive integer, got {n!r}")
     if n > ENUMERATION_LIMIT:
         raise ScenarioError(f"profile enumeration is limited to n <= {ENUMERATION_LIMIT}")
     seen = {canonical_profile(vec, up_to_reflection) for vec in _compositions(n, n)}
@@ -162,11 +165,9 @@ class WorstCaseSearcher:
     afresh in the frame it is replaying.
     """
 
-    def __init__(self, policy: Policy, mode: Mode, k: int | None = None,
-                 oracle=None):
+    def __init__(self, policy: Policy, mode: Mode, oracle=None):
         self.policy = policy
         self.mode = mode
-        self.k = k
         self.oracle = oracle
         self.memo: dict = {}
         self.lemma_violations: list = []
@@ -209,7 +210,7 @@ class WorstCaseSearcher:
         self.memo[key] = _PENDING
         best = -1.0
         for dynamism in exhaustive_branches(cfg, self.mode):
-            next_cfg, next_robots, trace = step(self.policy, cfg, robots, dynamism, k=self.k)
+            next_cfg, next_robots, trace = step(self.policy, cfg, robots, dynamism)
             for violation in trace.violations:
                 self.lemma_violations.append((key, dynamism, violation))
             self._check_decisions(dynamism, trace, robots)
@@ -235,7 +236,7 @@ class WorstCaseSearcher:
         while value not in (0, math.inf):
             for dynamism in exhaustive_branches(cfg, self.mode):
                 next_cfg, next_robots, trace = step(self.policy, cfg, robots, dynamism,
-                                                    index=len(traces), k=self.k)
+                                                    index=len(traces))
                 if self._settled_value(next_cfg, next_robots) == value - 1:
                     break
             else:
@@ -288,16 +289,13 @@ def verify_worst_case(
     if bound == "auto":
         bound = policy.proven_bound(n)
 
-    searcher = WorstCaseSearcher(policy, mode, k=k, oracle=oracle)
+    searcher = WorstCaseSearcher(policy, mode, oracle=oracle)
     root_values = {}
     worst = 0.0
     worst_root = None
     for cfg in starts:
-        positions = cfg.positions()
         for orients in _orientation_assignments(n, orientations):
-            robots = tuple(
-                RobotState(label, positions[label], orients[label - 1], policy.initial_memory())
-                for label in sorted(positions))
+            robots = initial_robots(cfg, policy, dict(enumerate(orients, start=1)))
             validate_scenario(policy, None, cfg, robots, mode, k)
             value = searcher.value(cfg, robots)
             root_key = (cfg.slots, "".join(o.value for o in orients))
@@ -398,36 +396,22 @@ def verify_impossibility(
         if policy.full_visibility:
             raise ScenarioError("impossibility runs are for zero-visibility rules")
         for start in starts:
-            cfg = start
-            robots = tuple(
-                RobotState(label, node, Orientation.ALIGNED, policy.initial_memory())
-                for label, node in sorted(cfg.positions().items()))
-            seen = set()
-            outcome = "horizon"
-            for round_index in range(horizon):
-                if classify(cfg).dispersed:
-                    dispersals.append(Dispersal(policy.policy_id, start.slots, round_index))
-                    outcome = "dispersed"
-                    break
+            robots = initial_robots(start, policy)
+            cfg, rounds, seen = start, 0, {(start.slots, _aux(robots))}
+            for cfg, robots, _ in itertools.islice(
+                    play(policy, adversary, start, mode, robots), horizon):
+                rounds += 1
                 state = (cfg.slots, _aux(robots))
-                if state in seen:
-                    outcome = "cycle"
+                # A state first repeated after exactly ``horizon`` rounds is a horizon hit.
+                if rounds < horizon and state in seen:
+                    proven_infinite += 1
                     break
                 seen.add(state)
-                predicted = predict_intents(policy, cfg, robots)
-                ctx = AdversaryContext(cfg, mode, round_index, None, predicted)
-                dynamism = adversary.choose(ctx)
-                dynamism.check_mode(mode)
-                cfg, robots, _ = step(policy, cfg, robots, dynamism,
-                                      index=round_index, k=0, predicted=predicted)
             else:
                 if classify(cfg).dispersed:
-                    dispersals.append(Dispersal(policy.policy_id, start.slots, horizon))
-                    outcome = "dispersed"
-            if outcome == "cycle":
-                proven_infinite += 1
-            elif outcome == "horizon":
-                horizon_hits += 1
+                    dispersals.append(Dispersal(policy.policy_id, start.slots, rounds))
+                else:
+                    horizon_hits += 1
     return ImpossibilityReport(
         adversary_id=adversary.adversary_id,
         n=n,

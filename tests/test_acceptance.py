@@ -81,7 +81,7 @@ def _two_ring_round(cfg, dynamism, actions, hands: str):
     policy = _FixedActions(actions)
     assignment = {label: Orientation(hand) for label, hand in zip((1, 2), hands)}
     robots = initial_robots(cfg, policy, assignment)
-    _, settled, trace = step(policy, cfg, robots, dynamism, k=2)
+    _, settled, trace = step(policy, cfg, robots, dynamism)
     seen_at = trace.config_seen.positions()
     observations = tuple(
         (robot.memory,
@@ -170,13 +170,12 @@ def chirality_gain():
     t0 = time.perf_counter()
     for n in range(2, 7):
         cfg = all_on_one(n)
-        k = policy.min_visibility(n)
         branches = exhaustive_branches(cfg, Mode.COMBINED)
         for combo in itertools.product("AR", repeat=n):
             assignment = {i + 1: Orientation(letter) for i, letter in enumerate(combo)}
             for dynamism in branches:
                 robots = initial_robots(cfg, policy, assignment)
-                _, settled, trace = step(policy, cfg, robots, dynamism, k=k)
+                _, settled, trace = step(policy, cfg, robots, dynamism)
                 traces.append(trace)
                 branches_tried += 1
                 if len({r.orientation for r in settled}) != 1:

@@ -154,9 +154,20 @@ def _trace_without_perm(tmp_path):
     lambda tmp_path: _spec_file(tmp_path, colour="red"),
     lambda tmp_path: _spec_file(tmp_path, mode="bogus"),
     _trace_without_perm,
+    lambda tmp_path: ["run", "--n", "4", "--policy", "vp-chain", "--max-rounds", "-3"],
+    lambda tmp_path: ["verify", "--check", "bound", "--n", "0", "--policy", "vp-chain"],
+    lambda tmp_path: ["verify", "--check", "bound", "--n", "-1", "--policy", "vp-chain"],
+    lambda tmp_path: ["verify", "--check", "impossibility", "--n", "0",
+                      "--adversary", "1i-killer", "--mode", "1i"],
+    lambda tmp_path: ["verify", "--check", "impossibility", "--n", "3",
+                      "--adversary", "1i-killer", "--mode", "1i", "--horizon", "-1"],
+    lambda tmp_path: ["verify", "--check", "impossibility", "--n", "3",
+                      "--adversary", "1i-killer", "--mode", "1i", "--horizon", "0"],
 ], ids=["run-n-0", "run-n-negative", "sweep-n-not-a-number", "sweep-n-empty-range",
         "config-not-a-number", "config-wrong-total", "spec-unknown-key", "spec-unknown-mode",
-        "replay-missing-perm"])
+        "replay-missing-perm", "run-max-rounds-negative", "verify-bound-n-0",
+        "verify-bound-n-negative", "verify-impossibility-n-0", "verify-horizon-negative",
+        "verify-horizon-0"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     capsys.readouterr()

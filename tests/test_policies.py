@@ -19,6 +19,7 @@ from dynring import (
     check_round_lemmas,
     classify,
     get_policy,
+    holes_filled_count,
     initial_robots,
     predict_intents,
     reflect,
@@ -262,15 +263,21 @@ def test_plain_rules_keep_memory(scenario, policy_id, data):
 # ------------------------------------------------------------ lemma checks
 
 
+def round_lemmas(policy, phase, cfg1, cfg2):
+    """``check_round_lemmas`` on the census of the seen and the landed ring."""
+    return check_round_lemmas(policy, phase, classify(cfg1), classify(cfg2),
+                              holes_filled_count(cfg1, cfg2))
+
+
 def test_lemma_checker_bounds_multinode_drops():
     # This bound is checked for every rule, even ones claiming nothing else.
     policy = get_policy("k0:ssssss")
-    merged = check_round_lemmas(
+    merged = round_lemmas(
         policy, "main",
         ring_from_slots(((1, 2), (3, 4), (), ())),
         ring_from_slots(((1, 2, 3, 4), (), (), ())))
     assert [v.guarantee for v in merged] == ["multinode-drop-bounded"]
-    fine = check_round_lemmas(
+    fine = round_lemmas(
         policy, "main",
         ring_from_slots(((1, 2), (3, 4), (), ())),
         ring_from_slots(((1,), (3,), (2,), (4,))))
@@ -279,7 +286,7 @@ def test_lemma_checker_bounds_multinode_drops():
 
 def test_lemma_checker_flags_stalled_holes():
     policy = get_policy("vp-chain")
-    stalled = check_round_lemmas(
+    stalled = round_lemmas(
         policy, "main",
         ring_from_slots(((1, 2), (3,), (), (4,))),
         ring_from_slots(((1, 2), (3,), (), (4,))))
@@ -289,21 +296,21 @@ def test_lemma_checker_flags_stalled_holes():
 def test_lemma_checker_accepts_new_multinode_for_stalled_holes():
     policy = get_policy("achiral-odd")
     cfg1 = ring_from_slots(((1, 2, 3, 4), (5,), (), (), ()))
-    grew = check_round_lemmas(policy, "main", cfg1,
-                              ring_from_slots(((1, 2), (3, 4, 5), (), (), ())))
+    grew = round_lemmas(policy, "main", cfg1,
+                        ring_from_slots(((1, 2), (3, 4, 5), (), (), ())))
     assert grew == []
-    stalled = check_round_lemmas(policy, "main", cfg1, cfg1)
+    stalled = round_lemmas(policy, "main", cfg1, cfg1)
     assert [v.guarantee for v in stalled] == ["holes-decrease-or-multinodes-increase"]
 
 
 def test_lemma_checker_tracks_four_ring_transitions():
     policy = get_policy("even4")
-    bad = check_round_lemmas(
+    bad = round_lemmas(
         policy, "main",
         ring_from_slots(((1, 2, 3), (4,), (), ())),
         ring_from_slots(((1, 2), (), (3, 4), ())))
     assert [v.guarantee for v in bad] == ["four-node-transitions"]
-    good = check_round_lemmas(
+    good = round_lemmas(
         policy, "main",
         ring_from_slots(((1, 2, 3), (4,), (), ())),
         ring_from_slots(((1, 2), (3,), (4,), ())))

@@ -115,7 +115,7 @@ def test_view_digests_are_recorded_on_request():
     robots = initial_robots(cfg, policy)
     _, _, bare = step(policy, cfg, robots, Dynamism())
     assert bare.view_digests is None
-    _, _, rich = step(policy, cfg, robots, Dynamism(), k=2, record_views=True)
+    _, _, rich = step(policy, cfg, robots, Dynamism(), view_k=2)
     assert len(rich.view_digests) == 4
     for label, digest in rich.view_digests:
         assert 1 <= label <= 4

@@ -9,6 +9,7 @@ from dynring import (
     Action,
     Mode,
     MoveIntent,
+    RingConfiguration,
     RobotState,
     ScenarioError,
     all_on_one,
@@ -25,6 +26,7 @@ from dynring import (
     resolve_moves,
     ring_from_slots,
     rotate,
+    run_simulation,
     step,
     verify_impossibility,
     verify_worst_case,
@@ -84,6 +86,9 @@ def test_configuration_enumeration_is_deduplicated():
         enumerate_initial_configs(9)
     with pytest.raises(ScenarioError):
         enumerate_initial_configs(7, labeled=True)
+    for n in (0, -1):
+        with pytest.raises(ScenarioError):
+            enumerate_multiplicity_profiles(n)
 
 
 # ------------------------------------------------------------- bound checks
@@ -116,7 +121,7 @@ def test_witness_is_optimal_from_every_rotation(policy_id, n, mode):
     report = verify_worst_case(policy, n, mode, starts=starts, orientations=orientations)
     assert len(report.witness) == report.worst_rounds
 
-    searcher = WorstCaseSearcher(policy, mode, k=policy.min_visibility(n))
+    searcher = WorstCaseSearcher(policy, mode)
     worst_roots = []
     for cfg in starts:
         for hands in _orientation_assignments(n, orientations):
@@ -134,7 +139,7 @@ def test_witness_is_optimal_from_every_rotation(policy_id, n, mode):
             assert len(witness) == report.worst_rounds
             value = searcher._settled_value(cfg, robots)
             for trace in witness:
-                cfg, robots, _ = step(policy, cfg, robots, trace.dynamism, k=searcher.k)
+                cfg, robots, _ = step(policy, cfg, robots, trace.dynamism)
                 assert cfg.slots == trace.config_after.slots
                 assert searcher._settled_value(cfg, robots) == value - 1
                 value -= 1
@@ -210,6 +215,34 @@ def test_impossibility_blocks_a_rule_that_wins_benignly():
     report = verify_impossibility(get_adversary("vp-killer-n3"), 3, Mode.VP,
                                   policies=[policy])
     assert report.all_blocked and report.proven_infinite == report.starts_checked
+
+
+def test_escapes_end_on_the_round_a_plain_run_ends_on():
+    """Impossibility runs and simulation runs share one round loop: every
+    table that escapes a benign ring does so on the round ``run_simulation``
+    reports for the same table and start."""
+    benign = get_adversary("benign")
+    report = verify_impossibility(benign, 3, Mode.NONE)
+    assert report.dispersals
+    for item in report.dispersals:
+        run = run_simulation(get_policy(item.policy_id), benign,
+                             RingConfiguration(3, item.start), Mode.NONE, max_rounds=200)
+        assert run.dispersed and run.rounds == item.round_index, item
+
+
+@pytest.mark.parametrize("adversary_id,n,mode,horizon,stalls,hits,escapes", [
+    ("1i-killer", 2, Mode.ONE_INTERVAL, 2, 405, 324, 0),
+    ("1i-killer", 3, Mode.ONE_INTERVAL, 4, 1025, 1162, 0),
+    ("vp-killer-n3", 3, Mode.VP, 5, 594, 864, 0),
+    ("benign", 3, Mode.NONE, 2, 81, 1152, 954),
+])
+def test_horizon_splits_runs_into_stalls_hits_and_escapes(adversary_id, n, mode, horizon,
+                                                          stalls, hits, escapes):
+    """A cycle counts only when its state repeats before the horizon-th
+    round; a state first repeated on that round is a horizon hit."""
+    report = verify_impossibility(get_adversary(adversary_id), n, mode, horizon=horizon)
+    assert (report.proven_infinite, report.horizon_hits, len(report.dispersals)) == \
+        (stalls, hits, escapes)
 
 
 def test_edge_blocker_impossibility_on_two_nodes():
