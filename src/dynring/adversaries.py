@@ -152,13 +152,6 @@ def exhaustive_branches(cfg: RingConfiguration, mode: Mode) -> tuple[Dynamism, .
     return tuple(Dynamism(p, e) for p in perms for e in edges)
 
 
-def _final_positions(cfg: RingConfiguration, intents: dict[int, Action]) -> dict[int, int]:
-    positions = cfg.positions()
-    if set(intents) != set(positions):
-        raise ScenarioError("predicted intents must cover every robot exactly once")
-    return {lab: (positions[lab] + intents[lab].value) % cfg.n for lab in positions}
-
-
 def _successor(cfg: RingConfiguration, intents: dict[int, Action]) -> RingConfiguration:
     return resolve_moves(cfg, [MoveIntent(lab, act) for lab, act in intents.items()])
 
@@ -180,9 +173,12 @@ def _arrangement(n: int, leading: list[int]) -> tuple[int, ...]:
 
 
 def _require_predictions(ctx: AdversaryContext) -> dict[int, Action]:
-    if ctx.predicted_intents is None:
+    intents = ctx.predicted_intents
+    if intents is None:
         raise ScenarioError("adaptive adversary needs predicted robot intents")
-    return ctx.predicted_intents
+    if set(intents) != set(range(1, ctx.cfg.n + 1)):
+        raise ScenarioError("predicted intents must cover every robot exactly once")
+    return intents
 
 
 class ThreeRingPermuter(Adversary):
@@ -250,12 +246,12 @@ class GeneralPermuter(Adversary):
         intents = _require_predictions(ctx)
         if classify(cfg).dispersed:
             raise ScenarioError(f"{self.adversary_id} expects a non-dispersed configuration")
-        if not classify(_successor(cfg, intents)).dispersed:
+        successor = _successor(cfg, intents)
+        if not classify(successor).dispersed:
             return Dynamism(tuple(range(n)), None)
 
         mult = cfg.multiplicities()
         holes = [p for p in range(n) if mult[p] == 0]
-        finals = _final_positions(cfg, intents)
 
         if len(holes) >= 3:
             occupied = [p for p in range(n) if mult[p] > 0]
@@ -264,22 +260,24 @@ class GeneralPermuter(Adversary):
         if len(holes) == 2:
             triples = [p for p in range(n) if mult[p] == 3]
             if triples:
-                return Dynamism(self._counter_triple(cfg, triples[0], holes, finals), None)
+                return Dynamism(self._counter_triple(cfg, triples[0], holes, successor), None)
             pairs = [p for p in range(n) if mult[p] == 2]
             return Dynamism(self._counter_two_pairs(cfg, pairs, holes, intents), None)
 
-        return Dynamism(self._counter_single_pair(cfg, mult.index(2), holes[0], intents, finals), None)
+        return Dynamism(self._counter_single_pair(cfg, mult.index(2), holes[0], intents,
+                                                  successor), None)
 
-    def _counter_triple(self, cfg, triple, holes, finals):
+    def _counter_triple(self, cfg, triple, holes, successor):
         # A perfect spread fills each hole with exactly one robot. Park the
         # triple on a hole fed from a singleton node: the feeder and the
         # triple's staying robot then share that node. If both holes are
         # fed by the triple itself, the triple sits between them; pushing
         # it one step aside reuses its old node as an unreachable gap.
+        positions = cfg.positions()
         fed_from_singleton = []
         for hole in holes:
-            feeder = next(lab for lab, pos in finals.items() if pos == hole)
-            if len(cfg.slots[cfg.positions()[feeder]]) == 1:
+            feeder = successor.slots[hole][0]
+            if len(cfg.slots[positions[feeder]]) == 1:
                 fed_from_singleton.append(hole)
         target = min(fed_from_singleton) if fed_from_singleton else min(holes)
         return _swap(cfg.n, triple, target)
@@ -306,7 +304,7 @@ class GeneralPermuter(Adversary):
         retainer = second if splitter == first else first
         return _arrangement(n, [splitter, retainer])
 
-    def _counter_single_pair(self, cfg, pair, hole, intents, finals):
+    def _counter_single_pair(self, cfg, pair, hole, intents, successor):
         n = cfg.n
         acts = [intents[lab] for lab in cfg.slots[pair]]
         if Action.STAY in acts:
@@ -316,8 +314,7 @@ class GeneralPermuter(Adversary):
         # Both robots leave opposite ways, so their node is refilled by a
         # neighbouring donor. Swapping the donor with the hole leaves the
         # vacated node with no reachable replacement.
-        donor = next(lab for lab, pos in finals.items()
-                     if pos == pair and cfg.positions()[lab] != pair)
+        donor = successor.slots[pair][0]
         return _swap(n, hole, cfg.positions()[donor])
 
 
@@ -336,12 +333,12 @@ class EdgeBlocker(Adversary):
         intents = _require_predictions(ctx)
         if classify(cfg).dispersed:
             raise ScenarioError(f"{self.adversary_id} expects a non-dispersed configuration")
-        if not classify(_successor(cfg, intents)).dispersed:
+        successor = _successor(cfg, intents)
+        if not classify(successor).dispersed:
             return Dynamism(None, None)
         mult = cfg.multiplicities()
         hole = next(p for p in range(cfg.n) if mult[p] == 0)
-        finals = _final_positions(cfg, intents)
-        entrant = next(lab for lab, pos in finals.items() if pos == hole)
+        entrant = successor.slots[hole][0]
         origin = cfg.positions()[entrant]
         edge = crossing_edge(origin, intents[entrant], cfg.n)
         return Dynamism(None, edge)

@@ -27,7 +27,7 @@ from .ring import (
     ring_from_slots,
 )
 from .scheduler import initial_robots, run_simulation
-from .verifier import default_verification_roots, verify_impossibility, verify_worst_case
+from .verifier import verify_impossibility, verify_worst_case
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -111,7 +111,7 @@ def build_orientations(spec: ExperimentSpec, rng: random.Random) -> dict[int, Or
     return {label: Orientation(text[label - 1]) for label in range(1, spec.n + 1)}
 
 
-def execute(spec: ExperimentSpec, record_views: bool = False):
+def execute(spec: ExperimentSpec):
     try:
         mode = Mode.from_string(spec.mode)
     except ValueError as exc:
@@ -124,7 +124,7 @@ def execute(spec: ExperimentSpec, record_views: bool = False):
     result = run_simulation(
         policy, adversary, cfg, mode,
         robots=robots, k=spec.k, seed=rng.randrange(2 ** 32),
-        max_rounds=spec.max_rounds, record_views=record_views)
+        max_rounds=spec.max_rounds)
     return cfg, result
 
 
@@ -196,7 +196,7 @@ def cmd_run(args) -> int:
             n=args.n, policy=args.policy, adversary=args.adversary, mode=args.mode,
             k=args.k, config=args.config, orientations=args.orientations,
             seed=args.seed, max_rounds=args.max_rounds)
-    initial, result = execute(spec, record_views=args.record_views)
+    initial, result = execute(spec)
     writer = write_jsonl if args.format == "jsonl" else write_run_csv
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -259,11 +259,8 @@ def cmd_verify(args) -> int:
     if args.check == "bound":
         if args.policy is None:
             raise ScenarioError("verify --check bound needs --policy")
-        policy = get_policy(args.policy)
-        starts, orientations = default_verification_roots(policy, args.n)
         report = verify_worst_case(
-            policy, args.n, mode,
-            starts=starts, orientations=orientations,
+            get_policy(args.policy), args.n, mode,
             bound=args.bound if args.bound is not None else "auto")
         print(f"bound-check policy={report.policy_id} n={report.n} mode={mode.value} "
               f"bound={report.bound} worst={report.worst_rounds} "
@@ -353,8 +350,16 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as a ``ScenarioError`` (exit 1, one line), since
+    exit 2 means a failed check."""
+
+    def error(self, message):
+        raise ScenarioError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dynring",
         description="Simulate and verify robot dispersion on dynamic rings.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -378,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one scenario and write its trace")
     scenario_flags(run)
     run.add_argument("--spec", default=None, help="JSON experiment spec file")
-    run.add_argument("--record-views", action="store_true",
-                     help="include per-robot view digests in the trace")
     run.add_argument("--out", default=None)
     run.add_argument("--format", default="jsonl", choices=["jsonl", "csv"])
     run.set_defaults(func=cmd_run)
@@ -415,9 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ScenarioError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -149,8 +149,10 @@ class Policy:
         return None
 
     def min_visibility(self, n: int) -> int:
-        # A full-visibility rule reconstructs the ring from a view whose
-        # two gap vectors reach at least half way around.
+        # The least k whose two gap vectors together cover the ring. Such a
+        # view still does not rebuild the snapshot a full-visibility rule
+        # reads: it lists multinodes own clockwise only (a counterexample
+        # is in tests/test_ring.py).
         return math.ceil(n / 2) if self.full_visibility else 0
 
     def check_scenario(self, n: int, mode: Mode, cfg: RingConfiguration, robots) -> None:

@@ -12,9 +12,7 @@ semantics; ``play`` is the one loop that feeds it an adversary's choices.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import random
 from dataclasses import dataclass
 
@@ -31,7 +29,6 @@ from .ring import (
     RobotState,
     ScenarioError,
     classify,
-    compute_view,
     convert_frame,
     resolve_moves,
 )
@@ -51,7 +48,6 @@ class RoundTrace:
     metrics_after: Metrics
     holes_filled: int
     violations: tuple[LemmaViolation, ...]
-    view_digests: tuple[tuple[int, str], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -73,31 +69,21 @@ class RunResult:
         return tuple(v for t in self.traces for v in t.violations)
 
 
-def _view_digest(cfg: RingConfiguration, robot: RobotState, k: int) -> str:
-    view = compute_view(cfg, robot, k)
-    payload = json.dumps(
-        {
-            "cw": view.clockwise,
-            "acw": view.anti_clockwise,
-            "mult": view.multiplicity,
-            "edge": view.missing_edge,
-            "own": view.own_count,
-            "least": view.is_least,
-            "second": view.is_second_least,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha1(payload.encode()).hexdigest()
+def _decide(policy: Policy, analysis: ChainAnalysis, robots):
+    """Each robot's global-frame intent and the memory it decided with."""
+    intents = []
+    memories = []
+    for robot in robots:
+        own_action, memory = policy.decide(analysis.snapshot_for(robot), robot)
+        intents.append(MoveIntent(robot.label, convert_frame(own_action, robot.orientation)))
+        memories.append(memory)
+    return intents, memories
 
 
 def predict_intents(policy: Policy, cfg: RingConfiguration, robots) -> dict[int, Action]:
     """Global-frame actions the robots would take on this configuration."""
-    analysis = ChainAnalysis(cfg)
-    out = {}
-    for robot in robots:
-        own_action, _ = policy.decide(analysis.snapshot_for(robot), robot)
-        out[robot.label] = convert_frame(own_action, robot.orientation)
-    return out
+    intents, _ = _decide(policy, ChainAnalysis(cfg), robots)
+    return {intent.label: intent.action for intent in intents}
 
 
 def step(
@@ -106,7 +92,6 @@ def step(
     robots: tuple[RobotState, ...],
     dynamism: Dynamism,
     index: int = 0,
-    view_k: int | None = None,
     predicted: dict[int, Action] | None = None,
 ) -> tuple[RingConfiguration, tuple[RobotState, ...], RoundTrace]:
     """Run one round and return the intact next configuration.
@@ -114,8 +99,8 @@ def step(
     Robot states are rebuilt when the permutation carries them and when they
     settle. Only a rule that overrides ``Policy.after_move`` gets the
     post-move chain index; under any other rule a robot keeps its hand and
-    the memory it decided with. With ``view_k`` the trace holds a digest of
-    each robot's view at that radius.
+    the memory it decided with. ``predicted`` intents, if given, must be
+    exactly the robots' decisions.
     """
     if cfg.missing_edge is not None:
         raise ValueError("a round must start from an intact ring")
@@ -127,17 +112,13 @@ def step(
     phase = policy.phase_of_round(robots, cfg_seen)
 
     analysis = ChainAnalysis(cfg_seen)
-    intents = []
-    memories = []
-    for robot in robots:
-        own_action, memory = policy.decide(analysis.snapshot_for(robot), robot)
-        action = convert_frame(own_action, robot.orientation)
-        if predicted is not None and predicted[robot.label] is not action:
-            raise RuntimeError(
-                f"predicted intent for robot {robot.label} was {predicted[robot.label].short}, "
-                f"but it chose {action.short}")
-        intents.append(MoveIntent(robot.label, action))
-        memories.append(memory)
+    intents, memories = _decide(policy, analysis, robots)
+    if predicted is not None:
+        for intent in intents:
+            if predicted[intent.label] is not intent.action:
+                raise RuntimeError(
+                    f"predicted intent for robot {intent.label} was "
+                    f"{predicted[intent.label].short}, but it chose {intent.action.short}")
 
     cfg_after = resolve_moves(cfg_seen, intents)
     landed = cfg_after.positions()
@@ -169,8 +150,6 @@ def step(
         holes_filled=filled,
         violations=tuple(check_round_lemmas(policy, phase, analysis.metrics, metrics_after,
                                             filled)),
-        view_digests=None if view_k is None else tuple(
-            (r.label, _view_digest(cfg_seen, r, view_k)) for r in robots),
     )
     next_cfg = RingConfiguration._trusted(cfg.n, cfg_after.slots, None)
     return next_cfg, tuple(settled), trace
@@ -215,7 +194,7 @@ def validate_scenario(
 
 
 def play(policy: Policy, adversary: Adversary, cfg: RingConfiguration, mode: Mode, robots,
-         rng: random.Random | None = None, view_k: int | None = None):
+         rng: random.Random | None = None):
     """Yield ``(cfg, robots, trace)`` per round until the ring is dispersed.
     An adaptive adversary reads the robots' intents first; ``step`` checks them."""
     if classify(cfg).dispersed:
@@ -224,7 +203,7 @@ def play(policy: Policy, adversary: Adversary, cfg: RingConfiguration, mode: Mod
         predicted = predict_intents(policy, cfg, robots) if adversary.adaptive else None
         dynamism = adversary.choose(AdversaryContext(cfg, mode, index, rng, predicted))
         dynamism.check_mode(mode)
-        cfg, robots, trace = step(policy, cfg, robots, dynamism, index, view_k, predicted)
+        cfg, robots, trace = step(policy, cfg, robots, dynamism, index, predicted)
         yield cfg, robots, trace
         if trace.metrics_after.dispersed:
             return
@@ -239,7 +218,6 @@ def run_simulation(
     k: int | None = None,
     seed: int | None = None,
     max_rounds: int | None = None,
-    record_views: bool = False,
 ) -> RunResult:
     """Drive rounds until one robot per node or the round budget runs out."""
     if robots is None:
@@ -251,8 +229,7 @@ def run_simulation(
         max_rounds = 4 * cfg.n
     validate_scenario(policy, adversary, cfg, robots, mode, k)
 
-    rounds = play(policy, adversary, cfg, mode, robots, random.Random(seed),
-                  k if record_views else None)
+    rounds = play(policy, adversary, cfg, mode, robots, random.Random(seed))
     traces = []
     for cfg, robots, trace in itertools.islice(rounds, max_rounds):
         traces.append(trace)

@@ -275,17 +275,18 @@ def verify_worst_case(
     mode: Mode,
     starts=None,
     orientations=None,
-    k: int | None = None,
     oracle=None,
     bound="auto",
 ) -> BoundReport:
-    """Search every start, every orientation choice, every adversary line."""
-    if starts is None:
-        starts = enumerate_initial_configs(n)
-    if orientations is None:
-        orientations = "aligned" if policy.requires_chirality else "all"
-    if k is None:
-        k = policy.min_visibility(n)
+    """Search every start, every orientation choice, every adversary line.
+
+    Starts and orientations not given are those of
+    ``default_verification_roots``.
+    """
+    if starts is None or orientations is None:
+        default_starts, default_orientations = default_verification_roots(policy, n)
+        starts = default_starts if starts is None else starts
+        orientations = default_orientations if orientations is None else orientations
     if bound == "auto":
         bound = policy.proven_bound(n)
 
@@ -296,7 +297,7 @@ def verify_worst_case(
     for cfg in starts:
         for orients in _orientation_assignments(n, orientations):
             robots = initial_robots(cfg, policy, dict(enumerate(orients, start=1)))
-            validate_scenario(policy, None, cfg, robots, mode, k)
+            validate_scenario(policy, None, cfg, robots, mode, policy.min_visibility(n))
             value = searcher.value(cfg, robots)
             root_key = (cfg.slots, "".join(o.value for o in orients))
             root_values[root_key] = value

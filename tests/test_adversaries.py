@@ -275,6 +275,23 @@ def test_edge_blocker_never_lets_any_vector_win(cfg, data):
     assert not classify(successor(dyn.apply(cfg), intents)).dispersed
 
 
+@pytest.mark.parametrize("adversary_id,slots,mode", [
+    ("vp-killer-n3", ((1, 2), (3,), ()), Mode.VP),
+    ("vp-killer", ((1, 2), (3,), (4,), ()), Mode.VP),
+    ("1i-killer", ((1, 2), (), (3,)), Mode.ONE_INTERVAL),
+])
+def test_adaptive_adversaries_need_one_intent_per_robot(adversary_id, slots, mode):
+    adversary = get_adversary(adversary_id)
+    cfg = ring_from_slots(slots)
+    calm = {lab: STAY for lab in cfg.labels()}
+    adversary.choose(ctx_for(cfg, mode, intents=calm))
+    short = {lab: STAY for lab in cfg.labels()[1:]}
+    stranger = {**calm, cfg.n + 1: STAY}
+    for intents in (short, stranger):
+        with pytest.raises(ScenarioError, match="cover every robot exactly once"):
+            adversary.choose(ctx_for(cfg, mode, intents=intents))
+
+
 # ------------------------------------------------------------ full coverage
 
 

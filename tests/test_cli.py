@@ -163,11 +163,16 @@ def _trace_without_perm(tmp_path):
                       "--adversary", "1i-killer", "--mode", "1i", "--horizon", "-1"],
     lambda tmp_path: ["verify", "--check", "impossibility", "--n", "3",
                       "--adversary", "1i-killer", "--mode", "1i", "--horizon", "0"],
+    lambda tmp_path: ["run", "--n", "x", "--policy", "vp-chain"],
+    lambda tmp_path: ["verify", "--check", "bound", "--n", "3", "--policy", "vp-chain",
+                      "--mode", "bogus"],
+    lambda tmp_path: ["run", "--n", "4", "--policy", "vp-chain", "--record-views"],
 ], ids=["run-n-0", "run-n-negative", "sweep-n-not-a-number", "sweep-n-empty-range",
         "config-not-a-number", "config-wrong-total", "spec-unknown-key", "spec-unknown-mode",
         "replay-missing-perm", "run-max-rounds-negative", "verify-bound-n-0",
         "verify-bound-n-negative", "verify-impossibility-n-0", "verify-horizon-negative",
-        "verify-horizon-0"])
+        "verify-horizon-0", "run-n-not-a-number", "verify-mode-unknown",
+        "run-unknown-flag"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     capsys.readouterr()
@@ -176,6 +181,13 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, make_argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--help"])
+    assert exit_info.value.code == 0
+    assert "--policy" in capsys.readouterr().out
 
 
 # ------------------------------------------------------------ verification

@@ -4,9 +4,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import configured_scenarios, ring_configs
+from conftest import configured_scenarios, ring_configs, snapshot_facts
 from dynring import (
     Action,
+    ChainAnalysis,
     MoveIntent,
     Orientation,
     RingConfiguration,
@@ -376,3 +377,16 @@ def test_view_matches_hand_computed_example():
     assert pile_view.own_count == 3
     assert not pile_view.is_least and pile_view.is_second_least
     assert pile_view.clockwise == (1,)
+
+
+def test_view_at_half_ring_does_not_determine_the_snapshot():
+    """``View.multiplicity`` lists multinodes own clockwise only, so a view
+    at k = ceil(n/2) cannot rebuild every snapshot fact. Robot 1 sees the
+    same view on both rings but stands on chains of different lengths."""
+    first = ring_from_slots(((1,), (), (2,), (3,), (), (4,), (5, 6, 7)))
+    second = ring_from_slots(((1,), (), (2,), (3,), (), (4, 5, 6), (7,)))
+    robot = RobotState(1, 0, Orientation.ALIGNED, None)
+    assert compute_view(first, robot, 4) == compute_view(second, robot, 4)
+    snaps = [ChainAnalysis(cfg).snapshot_for(robot) for cfg in (first, second)]
+    assert [snap.own_chain().length for snap in snaps] == [1, 2]
+    assert snapshot_facts(snaps[0]) != snapshot_facts(snaps[1])

@@ -109,19 +109,6 @@ def test_preprocess_round_aligns_every_orientation():
     assert classify(nxt).multinodes == 1
 
 
-def test_view_digests_are_recorded_on_request():
-    policy = get_policy("vp-chain")
-    cfg = all_on_one(4)
-    robots = initial_robots(cfg, policy)
-    _, _, bare = step(policy, cfg, robots, Dynamism())
-    assert bare.view_digests is None
-    _, _, rich = step(policy, cfg, robots, Dynamism(), view_k=2)
-    assert len(rich.view_digests) == 4
-    for label, digest in rich.view_digests:
-        assert 1 <= label <= 4
-        assert len(digest) == 40 and int(digest, 16) >= 0
-
-
 # ---------------------------------------------------------------- full runs
 
 

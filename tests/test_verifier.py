@@ -188,6 +188,15 @@ def test_default_roots_respect_each_policy():
     assert len(starts) == 3 and orientations == "all"
 
 
+def test_search_defaults_to_the_policy_roots():
+    report = verify_worst_case(get_policy("no-chir-1i"), 3, Mode.COMBINED)
+    assert {slots for slots, _ in report.root_values} == {all_on_one(3).slots}
+    assert len(report.root_values) == 2 ** 3
+    report = verify_worst_case(get_policy("vp-chain"), 3, Mode.VP)
+    assert {hands for _, hands in report.root_values} == {"AAA"}
+    assert len(report.root_values) == len(enumerate_initial_configs(3))
+
+
 # ------------------------------------------------------------ impossibility
 
 
