@@ -113,8 +113,15 @@ def permutation_classes(cfg: RingConfiguration) -> list[tuple[int, ...]]:
 
     Two permutations whose resulting occupancy sequences are rotations of
     each other lead to equivalent rounds, since robot decisions and move
-    resolution are rotation equivariant. Each kept permutation is composed
-    with the rotation that makes its result the canonical representative.
+    resolution are rotation equivariant. Each kept permutation lands on
+    the least rotation of its class, with the empty nodes in their order,
+    and the classes come in the order of those representatives.
+
+    Labels are unique, so only empty slots repeat and no rotation fixes an
+    arrangement. Pinning the least occupied slot to node 0 and placing the
+    others every distinct way therefore meets each class exactly once:
+    (n-1)!/e! classes for e empty slots, each of which a walk over all n!
+    permutations would meet n*e! times.
     """
     n = cfg.n
     if n > EXHAUSTIVE_PERMUTATION_LIMIT:
@@ -122,21 +129,25 @@ def permutation_classes(cfg: RingConfiguration) -> list[tuple[int, ...]]:
             f"exhaustive permutation branching is limited to n <= "
             f"{EXHAUSTIVE_PERMUTATION_LIMIT}, got n={n}")
     base = cfg.slots
-    seen: dict[tuple, tuple[int, ...]] = {}
-    for perm in itertools.permutations(range(n)):
-        slots = [None] * n
-        for old, new in enumerate(perm):
-            slots[new] = base[old]
-        arrangement = tuple(slots)
-        best = arrangement
-        shift = 0
-        for r in range(1, n):
-            rotated = arrangement[n - r:] + arrangement[:n - r]
-            if rotated < best:
-                best, shift = rotated, r
-        if best not in seen:
-            seen[best] = tuple((p + shift) % n for p in perm)
-    return [seen[key] for key in sorted(seen)]
+    pinned, *others = sorted(slot for slot in base if slot)
+    empties = n - 1 - len(others)
+    least = () if empties else pinned  # where a least rotation can start
+    found = []
+    for holes in itertools.combinations(range(1, n), empties):
+        free = [p for p in range(1, n) if p not in holes]
+        for order in itertools.permutations(others):
+            arrangement = [()] * n
+            arrangement[0] = pinned
+            for p, slot in zip(free, order):
+                arrangement[p] = slot
+            found.append(min(tuple(arrangement[r:] + arrangement[:r])
+                             for r in range(n) if arrangement[r] == least))
+    perms = []
+    for target in sorted(found):
+        at = {slot: p for p, slot in enumerate(target) if slot}
+        gaps = iter(p for p, slot in enumerate(target) if not slot)
+        perms.append(tuple(at[slot] if slot else next(gaps) for slot in base))
+    return perms
 
 
 def exhaustive_branches(cfg: RingConfiguration, mode: Mode) -> tuple[Dynamism, ...]:

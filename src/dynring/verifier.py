@@ -3,9 +3,22 @@
 The adversary is treated as a player that, each round, picks any allowed
 permutation class and edge removal. The value of a configuration is the
 number of rounds the adversary can force before every node holds exactly
-one robot; a reachable cycle means it can stall forever. The search
-memoizes on states up to rotation, which is sound because robot decisions
-and move resolution only read relative structure.
+one robot; a reachable cycle means it can stall forever.
+
+The search memoizes values on states up to symmetry. Without vertex
+permutations (modes ``none`` and ``1i``) the key is the rotation class,
+which is sound because robot decisions and move resolution only read
+relative structure. With them (``vp`` and ``combined``) the key is the
+multiset of slots, because every round opens with a permutation:
+
+- the branches from a state do not depend on how its slots are arranged,
+  since ``exhaustive_branches`` offers every arrangement of the multiset
+  up to rotation whatever arrangement it starts from;
+- the rest of the key, ``_aux``, holds labels, hands and memories and
+  reads no node;
+- a cycle under the coarser key is a real stall: the adversary reaches
+  the repeated multiset in another arrangement, and it can fold that
+  rearrangement into its next permutation.
 
 The module also enumerates starting configurations, certifies per-round
 guarantees along every explored edge, checks the adaptive adversaries
@@ -158,11 +171,16 @@ class BoundReport:
 
 
 class WorstCaseSearcher:
-    """Depth-first game evaluation with memoization up to rotation.
+    """Depth-first game evaluation with memoization up to symmetry.
 
-    The memo holds only values. A best branch found in one rotation of a
-    state need not be best in another, so ``witness`` picks its branch
-    afresh in the frame it is replaying.
+    ``_key`` is a state's rotation class, or its slot multiset when the
+    mode permutes vertices. The coarser key is sound: every arrangement of
+    the multiset has the same branches, ``_aux`` reads no node, and a
+    cycle under it is a real stall, because the adversary can fold the
+    rearrangement into its next permutation. The memo holds only values.
+    A best branch found in one frame of a state need not be best in
+    another, so ``witness`` picks its branch afresh in the frame it is
+    replaying.
     """
 
     def __init__(self, policy: Policy, mode: Mode, oracle=None):
@@ -176,6 +194,8 @@ class WorstCaseSearcher:
         self.cycle_hit = False
 
     def _key(self, cfg: RingConfiguration, robots) -> tuple:
+        if self.mode.allows_permutation:
+            return tuple(sorted(cfg.slots)), _aux(robots)
         return canonical_rotation(cfg).slots, _aux(robots)
 
     def _check_decisions(self, dynamism: Dynamism, trace: RoundTrace, robots) -> None:
@@ -229,7 +249,8 @@ class WorstCaseSearcher:
 
         Each round takes the first branch whose successor's value is one
         less than the current value, so every round is on an optimal line
-        whatever rotation of the memoized state ``cfg`` is.
+        whichever rotation of the memoized state ``cfg`` is, or whichever
+        arrangement of its slots when the mode permutes vertices.
         """
         traces = []
         value = self._settled_value(cfg, robots)

@@ -21,11 +21,13 @@ from dynring import (
     apply_vertex_permutation,
     check_adaptive_soundness,
     classify,
+    enumerate_initial_configs,
     exhaustive_branches,
     get_adversary,
     permutation_classes,
     resolve_moves,
     ring_from_slots,
+    rotate,
 )
 
 CW, ACW, STAY = Action.CLOCKWISE, Action.ANTICLOCKWISE, Action.STAY
@@ -121,6 +123,30 @@ def test_permutation_classes_are_canonical_distinct_and_complete(cfg):
     assert {r.slots for r in results} == reached
     for result in results:
         assert canonical_rotation(result).slots == result.slots
+
+
+def walked_arrangements(cfg):
+    """Every arrangement of ``cfg`` up to rotation, found by walking all n!
+    permutations: each result turned to its least rotation, in order."""
+    n = cfg.n
+    reached = set()
+    for perm in itertools.permutations(range(n)):
+        arrangement = apply_vertex_permutation(cfg, perm).slots
+        reached.add(min(arrangement[r:] + arrangement[:r] for r in range(n)))
+    return sorted(reached)
+
+
+def test_permutation_classes_match_the_full_walk():
+    """Built class by class, the branches reach the walk's arrangements in
+    the walk's order, from every rotation of every start profile up to
+    n=6."""
+    for n in range(1, 7):
+        for start in enumerate_initial_configs(n, up_to_reflection=False):
+            for shift in range(n):
+                cfg = rotate(start, shift)
+                reached = [apply_vertex_permutation(cfg, p).slots
+                           for p in permutation_classes(cfg)]
+                assert reached == walked_arrangements(cfg), cfg
 
 
 # ------------------------------------------------------- three-node permuter

@@ -13,6 +13,7 @@ from dynring import (
     RobotState,
     ScenarioError,
     all_on_one,
+    apply_vertex_permutation,
     canonical_rotation,
     classify,
     default_verification_roots,
@@ -21,6 +22,7 @@ from dynring import (
     get_adversary,
     get_policy,
     initial_robots,
+    permutation_classes,
     predict_intents,
     profile_necklace_count,
     resolve_moves,
@@ -31,7 +33,7 @@ from dynring import (
     verify_impossibility,
     verify_worst_case,
 )
-from dynring.verifier import WorstCaseSearcher, _orientation_assignments
+from dynring.verifier import WorstCaseSearcher, _aux, _orientation_assignments
 
 
 # -------------------------------------------------------------- enumeration
@@ -108,14 +110,85 @@ def test_worst_case_search_on_smallest_ring():
     assert not classify(report.witness[0].config_after).dispersed
 
 
+class RotationKeyedSearcher(WorstCaseSearcher):
+    """The search with its memo keyed by rotation class in every mode: a
+    finer key, exact in every mode, and the oracle for the slot-multiset
+    key of the permuting modes."""
+
+    def _key(self, cfg, robots):
+        return canonical_rotation(cfg).slots, _aux(robots)
+
+
+def _root_values(searcher, policy, n, starts, orientations):
+    values = {}
+    for cfg in starts:
+        for hands in _orientation_assignments(n, orientations):
+            robots = initial_robots(cfg, policy, dict(enumerate(hands, start=1)))
+            values[cfg.slots, hands] = searcher.value(cfg, robots)
+    return values
+
+
+@pytest.mark.parametrize("policy_id,n,mode", [
+    *[("vp-chain", n, Mode.VP) for n in (2, 3, 4)],
+    *[("vp-1i", n, Mode.COMBINED) for n in (2, 3, 4)],
+    *[("no-chir-1i", n, Mode.COMBINED) for n in (2, 3, 4)],
+    ("even4", 4, Mode.COMBINED),
+    ("achiral-odd", 3, Mode.COMBINED),
+])
+def test_multiset_key_matches_the_rotation_key(policy_id, n, mode):
+    """In a permuting mode the memo keys a state by its slot multiset. The
+    rotation-keyed search finds the same value at every root and consults
+    the oracle at the same decision points."""
+    policy = get_policy(policy_id)
+    starts, orientations = default_verification_roots(policy, n)
+    oracle = naive_intents(policy_id)
+    multiset = WorstCaseSearcher(policy, mode, oracle=oracle)
+    rotation = RotationKeyedSearcher(policy, mode, oracle=oracle)
+    assert _root_values(multiset, policy, n, starts, orientations) == \
+        _root_values(rotation, policy, n, starts, orientations)
+    assert multiset.decision_cache == rotation.decision_cache
+    assert multiset.decision_mismatches == rotation.decision_mismatches == []
+    assert len(multiset.memo) <= len(rotation.memo)
+
+
+@pytest.mark.parametrize("policy_id,mode", [
+    ("vp-1i", Mode.ONE_INTERVAL),
+    ("vp-chain", Mode.NONE),
+])
+def test_non_permuting_modes_keep_the_rotation_key(policy_id, mode):
+    """Without permutations the arrangement is real state, so the memo
+    holds exactly the rotation classes the rotation-keyed search holds."""
+    policy = get_policy(policy_id)
+    starts, orientations = default_verification_roots(policy, 4)
+    searcher = WorstCaseSearcher(policy, mode)
+    rotation = RotationKeyedSearcher(policy, mode)
+    assert _root_values(searcher, policy, 4, starts, orientations) == \
+        _root_values(rotation, policy, 4, starts, orientations)
+    assert len(searcher.memo) == len(rotation.memo)
+
+
+def _arrangements(cfg, robots):
+    """Every arrangement of ``cfg``'s slots, each with the robots carried
+    along: one permutation per class from ``permutation_classes``, turned
+    to every rotation."""
+    n = cfg.n
+    for perm in permutation_classes(cfg):
+        shuffled = apply_vertex_permutation(cfg, perm)
+        for shift in range(n):
+            yield rotate(shuffled, shift), tuple(
+                RobotState(r.label, (perm[r.node] + shift) % n, r.orientation, r.memory)
+                for r in robots)
+
+
 @pytest.mark.parametrize("policy_id,n,mode", [
     ("vp-chain", 5, Mode.VP),
     ("even4", 4, Mode.COMBINED),
 ])
 def test_witness_is_optimal_from_every_rotation(policy_id, n, mode):
-    """The memo is keyed up to rotation, so a witness may start in any frame
-    of a memoized state. From every rotation of every worst root, each
-    witness round lowers the memoized value by exactly one."""
+    """In a permuting mode one memo entry stands for every arrangement of
+    a state's slots, so a witness may start from any of them. From every
+    arrangement of every worst root, each witness round lowers the
+    memoized value by exactly one."""
     policy = get_policy(policy_id)
     starts, orientations = default_verification_roots(policy, n)
     report = verify_worst_case(policy, n, mode, starts=starts, orientations=orientations)
@@ -131,10 +204,7 @@ def test_witness_is_optimal_from_every_rotation(policy_id, n, mode):
     assert worst_roots
 
     for root_cfg, root_robots in worst_roots:
-        for shift in range(n):
-            cfg = rotate(root_cfg, shift)
-            robots = tuple(RobotState(r.label, (r.node + shift) % n, r.orientation, r.memory)
-                           for r in root_robots)
+        for cfg, robots in _arrangements(root_cfg, root_robots):
             witness = searcher.witness(cfg, robots)
             assert len(witness) == report.worst_rounds
             value = searcher._settled_value(cfg, robots)
