@@ -9,19 +9,16 @@ from .ring import (
     ChainView,
     Metrics,
     Mode,
-    MoveIntent,
     Orientation,
     RingConfiguration,
     RobotState,
     ScenarioError,
     Snapshot,
-    View,
     all_on_one,
     apply_edge_removal,
     apply_vertex_permutation,
     canonical_rotation,
     classify,
-    compute_view,
     convert_frame,
     crossing_edge,
     find_chains,
@@ -72,7 +69,6 @@ from .verifier import (
     default_verification_roots,
     enumerate_initial_configs,
     enumerate_multiplicity_profiles,
-    profile_necklace_count,
     verify_impossibility,
     verify_worst_case,
 )

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .ring import (
     Action,
     Mode,
-    MoveIntent,
     RingConfiguration,
     ScenarioError,
     apply_edge_removal,
@@ -163,10 +162,6 @@ def exhaustive_branches(cfg: RingConfiguration, mode: Mode) -> tuple[Dynamism, .
     return tuple(Dynamism(p, e) for p in perms for e in edges)
 
 
-def _successor(cfg: RingConfiguration, intents: dict[int, Action]) -> RingConfiguration:
-    return resolve_moves(cfg, [MoveIntent(lab, act) for lab, act in intents.items()])
-
-
 def _swap(n: int, a: int, b: int) -> tuple[int, ...]:
     perm = list(range(n))
     perm[a], perm[b] = perm[b], perm[a]
@@ -222,7 +217,7 @@ class ThreeRingPermuter(Adversary):
         pair = mult.index(2)
         single = mult.index(1)
         hole = mult.index(0)
-        successor = _successor(cfg, intents)
+        successor = resolve_moves(cfg, intents)
         if classify(successor).dispersed:
             leavers = sum(1 for lab in cfg.slots[pair] if intents[lab] is not Action.STAY)
             if leavers == 1:
@@ -257,7 +252,7 @@ class GeneralPermuter(Adversary):
         intents = _require_predictions(ctx)
         if classify(cfg).dispersed:
             raise ScenarioError(f"{self.adversary_id} expects a non-dispersed configuration")
-        successor = _successor(cfg, intents)
+        successor = resolve_moves(cfg, intents)
         if not classify(successor).dispersed:
             return Dynamism(tuple(range(n)), None)
 
@@ -344,7 +339,7 @@ class EdgeBlocker(Adversary):
         intents = _require_predictions(ctx)
         if classify(cfg).dispersed:
             raise ScenarioError(f"{self.adversary_id} expects a non-dispersed configuration")
-        successor = _successor(cfg, intents)
+        successor = resolve_moves(cfg, intents)
         if not classify(successor).dispersed:
             return Dynamism(None, None)
         mult = cfg.multiplicities()

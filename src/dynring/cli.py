@@ -8,6 +8,7 @@ import io
 import json
 import random
 import sys
+import typing
 from dataclasses import asdict, dataclass
 
 from .adversaries import ADVERSARIES, Dynamism, get_adversary
@@ -15,7 +16,6 @@ from .policies import POLICIES, get_policy
 from .ring import (
     ACTION_FROM_SHORT,
     Mode,
-    MoveIntent,
     Orientation,
     RingConfiguration,
     ScenarioError,
@@ -49,11 +49,18 @@ class ExperimentSpec:
     max_rounds: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        # A spec file is the trust boundary: every field must have its
+        # declared type (a bool is not an int).
+        for name, kind in typing.get_type_hints(ExperimentSpec).items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                expected = kind.__name__ if isinstance(kind, type) else kind
+                raise ScenarioError(f"spec field {name} must be {expected}, got {value!r}")
+        if self.n < 1:
             raise ScenarioError(f"ring size n must be a positive integer, got {self.n!r}")
-        rounds = self.max_rounds
-        if rounds is not None and (not isinstance(rounds, int) or rounds < 0):
-            raise ScenarioError(f"max_rounds must be a non-negative integer, got {rounds!r}")
+        if self.max_rounds is not None and self.max_rounds < 0:
+            raise ScenarioError(
+                f"max_rounds must be a non-negative integer, got {self.max_rounds!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -149,7 +156,7 @@ def trace_records(spec: ExperimentSpec, initial: RingConfiguration, result):
             "round": trace.index + 1,
             "perm": None if perm is None else list(perm),
             "edge": trace.dynamism.edge_removal,
-            "intents": {str(i.label): i.action.short for i in trace.intents},
+            "intents": {str(label): action.short for label, action in trace.intents.items()},
             "config": _config_cells(trace.config_after),
             "holes": trace.metrics_after.holes,
             "multinodes": trace.metrics_after.multinodes,
@@ -185,10 +192,17 @@ def write_run_csv(spec: ExperimentSpec, initial, result, fh) -> None:
         ])
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
 def cmd_run(args) -> int:
     if args.spec is not None:
-        with open(args.spec, encoding="utf-8") as fh:
-            spec = ExperimentSpec.from_json(fh.read())
+        spec = ExperimentSpec.from_json(_read_text(args.spec))
     else:
         if args.n is None or args.policy is None:
             raise ScenarioError("run needs --n and --policy (or --spec)")
@@ -289,8 +303,7 @@ _ROUND_FIELDS = ("round", "perm", "edge", "intents", "config", "holes", "multino
 def _read_trace(path: str) -> tuple[list[dict], dict | None]:
     """The round records and the summary of a JSONL trace, each checked for
     its fields; the first record must be round 0."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
+    lines = [json.loads(line) for line in _read_text(path).split("\n") if line.strip()]
     if not lines or not isinstance(lines[0], dict) or lines[0].get("round") != 0:
         raise ScenarioError("trace must start with a round 0 record")
     records, summary = [], None
@@ -313,10 +326,17 @@ def _replay_round(cfg: RingConfiguration, record: dict):
     """The configuration a record's dynamism and intents lead to from ``cfg``,
     and the slots the record says they lead to."""
     try:
-        perm = record["perm"]
-        shaped = Dynamism(None if perm is None else tuple(perm), record["edge"]).apply(cfg)
-        intents = [MoveIntent(int(label), ACTION_FROM_SHORT[action])
-                   for label, action in record["intents"].items()]
+        perm, edge = record["perm"], record["edge"]
+        # Plain integers only: a bool or a float would pass the range checks.
+        if perm is not None and not all(type(node) is int for node in perm):
+            raise ValueError(f"permutation {perm!r} must hold integers")
+        if edge is not None and type(edge) is not int:
+            raise ValueError(f"edge {edge!r} must be an integer")
+        shaped = Dynamism(None if perm is None else tuple(perm), edge).apply(cfg)
+        intents = {int(label): ACTION_FROM_SHORT[action]
+                   for label, action in record["intents"].items()}
+        if len(intents) != len(record["intents"]):
+            raise ValueError("two intents name the same robot")
         return resolve_moves(shaped, intents), tuple(tuple(c) for c in record["config"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"round {record['round']} cannot be replayed: {exc!r}") from None

@@ -2,8 +2,8 @@
 
 An n-node ring carries exactly n robots. Nodes are anonymous: the integer
 positions used here are simulator bookkeeping, and robot decision rules
-never receive them. Robots observe the world only through views or
-snapshots anchored at their own node (see ``compute_view`` / ``Snapshot``).
+never receive them. Robots observe the world only through snapshots
+anchored at their own node (see ``Snapshot``).
 
 Two forms of per-round dynamism exist:
 
@@ -25,7 +25,6 @@ by a move is always determined by the move's direction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -108,20 +107,12 @@ _MIRRORED = (Action.STAY, Action.ANTICLOCKWISE, Action.CLOCKWISE)
 
 @dataclass(frozen=True)
 class RobotState:
-    """One robot: unique label, current node, private orientation, memory."""
+    """One robot: unique label, private orientation, memory. Its node is a
+    fact of the ring, read from the configuration."""
 
     label: int
-    node: int
     orientation: Orientation = Orientation.ALIGNED
     memory: object = None
-
-
-@dataclass(frozen=True)
-class MoveIntent:
-    """A robot's committed move for the round, in the global frame."""
-
-    label: int
-    action: Action
 
 
 @dataclass(frozen=True)
@@ -244,32 +235,22 @@ def apply_edge_removal(cfg: RingConfiguration, edge: int | None) -> RingConfigur
     return RingConfiguration._trusted(cfg.n, cfg.slots, edge)
 
 
-def resolve_moves(cfg: RingConfiguration, intents) -> RingConfiguration:
-    """Apply all intents simultaneously; crossing the removed edge is a no-op.
-
-    Every robot must appear in exactly one intent.
-    """
-    intents = list(intents)
-    positions = cfg.positions()
-    seen = set()
-    for intent in intents:
-        if intent.label not in positions:
-            raise ValueError(f"intent for unknown robot {intent.label}")
-        if intent.label in seen:
-            raise ValueError(f"duplicate intent for robot {intent.label}")
-        seen.add(intent.label)
-    if len(seen) != cfg.n:
-        raise ValueError(f"expected {cfg.n} intents, got {len(seen)}")
-    slots = [[] for _ in range(cfg.n)]
-    for intent in intents:
-        pos = positions[intent.label]
-        target = pos
-        if intent.action is not Action.STAY:
-            edge = crossing_edge(pos, intent.action, cfg.n)
-            if edge != cfg.missing_edge:
-                target = (pos + intent.action) % cfg.n
-        slots[target].append(intent.label)
-    return RingConfiguration._trusted(cfg.n, slots, cfg.missing_edge)
+def resolve_moves(cfg: RingConfiguration, intents: dict[int, Action]) -> RingConfiguration:
+    """Apply every robot's global-frame action at once; crossing the removed
+    edge is a no-op. ``intents`` maps label to action and must name exactly
+    the configuration's robots."""
+    if intents.keys() != set(range(1, cfg.n + 1)):
+        raise ValueError(f"intents name robots {sorted(intents)}, not exactly 1..{cfg.n}")
+    n, cut = cfg.n, cfg.missing_edge
+    slots = [[] for _ in range(n)]
+    for pos, slot in enumerate(cfg.slots):
+        for label in slot:
+            action = intents[label]
+            if action is Action.STAY or crossing_edge(pos, action, n) == cut:
+                slots[pos].append(label)
+            else:
+                slots[(pos + action) % n].append(label)
+    return RingConfiguration._trusted(n, slots, cut)
 
 
 @dataclass(frozen=True)
@@ -355,82 +336,6 @@ def find_chains(cfg: RingConfiguration) -> tuple[Chain, ...]:
 
 
 @dataclass(frozen=True)
-class View(object):
-    """What a robot at visibility k perceives, in its own frame.
-
-    ``clockwise`` / ``anti_clockwise`` hold the gaps between consecutive
-    occupied nodes out to distance k in that own-frame direction (first
-    entry is the distance to the nearest occupied node). ``multiplicity``
-    lists own-frame clockwise distances (0 included for the robot's own
-    node) of multinodes whose clockwise distance is at most k, or (-1,)
-    when there is none. ``missing_edge`` is the smallest own-frame
-    clockwise distance to an endpoint of the removed edge, reported only
-    when some endpoint lies within ring distance k; otherwise None.
-    """
-
-    clockwise: tuple[int, ...]
-    anti_clockwise: tuple[int, ...]
-    multiplicity: tuple[int, ...]
-    missing_edge: int | None
-    own_count: int
-    least_label_here: int
-    is_least: bool
-    second_least_label_here: int | None
-    is_second_least: bool
-
-
-def _gaps(distances) -> tuple[int, ...]:
-    out = []
-    prev = 0
-    for d in distances:
-        out.append(d - prev)
-        prev = d
-    return tuple(out)
-
-
-def compute_view(cfg: RingConfiguration, robot: RobotState, k: int) -> View:
-    if not 0 <= k <= cfg.n:
-        raise ValueError(f"visibility k={k} out of range 0..{cfg.n}")
-    n = cfg.n
-    pos = robot.node
-    sign = robot.orientation.sign
-    mult = cfg.multiplicities()
-    horizon = min(k, n - 1)
-
-    def occ(step: int, d: int) -> int:
-        return mult[(pos + step * d) % n]
-
-    cw_occupied = [d for d in range(1, horizon + 1) if occ(sign, d) > 0]
-    acw_occupied = [d for d in range(1, horizon + 1) if occ(-sign, d) > 0]
-    multi = tuple(d for d in range(0, horizon + 1) if occ(sign, d) >= 2)
-    if not multi:
-        multi = (-1,)
-
-    missing = None
-    if cfg.missing_edge is not None:
-        e = cfg.missing_edge
-        endpoints = (e, (e + 1) % n)
-        own_cw = [((q - pos) * sign) % n for q in endpoints]
-        visible = any(min(d, n - d) <= k for d in own_cw)
-        if visible:
-            missing = min(own_cw)
-
-    here = cfg.slots[pos]
-    second = here[1] if len(here) >= 2 else None
-    return View(
-        clockwise=_gaps(cw_occupied),
-        anti_clockwise=_gaps(acw_occupied),
-        multiplicity=multi,
-        missing_edge=missing,
-        own_count=len(here),
-        least_label_here=here[0],
-        is_least=robot.label == here[0],
-        second_least_label_here=second,
-        is_second_least=robot.label == second,
-    )
-
-
-@dataclass(frozen=True)
 class ChainView(object):
     """A chain as seen by a robot standing on it, in the robot's own frame.
 
@@ -477,8 +382,9 @@ class ChainAnalysis:
                 return other
         return None
 
-    def snapshot_for(self, robot: RobotState) -> "Snapshot":
-        return Snapshot(self, robot)
+    def snapshot_for(self, node: int, robot: RobotState) -> "Snapshot":
+        """The snapshot of ``robot``, which stands on ``node``."""
+        return Snapshot(self, node, robot)
 
 
 class Snapshot:
@@ -492,14 +398,12 @@ class Snapshot:
     __slots__ = ("_analysis", "_pos", "_sign", "n", "own_labels", "own_count",
                  "least_label", "is_least", "has_multinode")
 
-    def __init__(self, analysis: ChainAnalysis, robot: RobotState):
+    def __init__(self, analysis: ChainAnalysis, node: int, robot: RobotState):
         self._analysis = analysis
-        self._pos = robot.node
+        self._pos = node
         self._sign = robot.orientation.sign
         self.n = analysis.cfg.n
-        self.own_labels = analysis.cfg.slots[robot.node]
-        if robot.label not in self.own_labels:
-            raise ValueError(f"robot {robot.label} is not at node recorded in its state")
+        self.own_labels = analysis.cfg.slots[node]
         self.own_count = len(self.own_labels)
         self.least_label = self.own_labels[0]
         self.is_least = robot.label == self.least_label

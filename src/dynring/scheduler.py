@@ -23,7 +23,6 @@ from .ring import (
     ChainAnalysis,
     Metrics,
     Mode,
-    MoveIntent,
     Orientation,
     RingConfiguration,
     RobotState,
@@ -41,7 +40,7 @@ class RoundTrace:
     index: int
     phase: str
     dynamism: Dynamism
-    intents: tuple[MoveIntent, ...]
+    intents: dict[int, Action]
     config_seen: RingConfiguration
     config_after: RingConfiguration
     metrics_seen: Metrics
@@ -70,20 +69,21 @@ class RunResult:
 
 
 def _decide(policy: Policy, analysis: ChainAnalysis, robots):
-    """Each robot's global-frame intent and the memory it decided with."""
-    intents = []
+    """Each robot's global-frame action, by label, and the memory it decided
+    with."""
+    at = analysis.cfg.positions()
+    intents = {}
     memories = []
     for robot in robots:
-        own_action, memory = policy.decide(analysis.snapshot_for(robot), robot)
-        intents.append(MoveIntent(robot.label, convert_frame(own_action, robot.orientation)))
+        own_action, memory = policy.decide(analysis.snapshot_for(at[robot.label], robot), robot)
+        intents[robot.label] = convert_frame(own_action, robot.orientation)
         memories.append(memory)
     return intents, memories
 
 
 def predict_intents(policy: Policy, cfg: RingConfiguration, robots) -> dict[int, Action]:
     """Global-frame actions the robots would take on this configuration."""
-    intents, _ = _decide(policy, ChainAnalysis(cfg), robots)
-    return {intent.label: intent.action for intent in intents}
+    return _decide(policy, ChainAnalysis(cfg), robots)[0]
 
 
 def step(
@@ -96,53 +96,44 @@ def step(
 ) -> tuple[RingConfiguration, tuple[RobotState, ...], RoundTrace]:
     """Run one round and return the intact next configuration.
 
-    Robot states are rebuilt when the permutation carries them and when they
-    settle. Only a rule that overrides ``Policy.after_move`` gets the
-    post-move chain index; under any other rule a robot keeps its hand and
-    the memory it decided with. ``predicted`` intents, if given, must be
-    exactly the robots' decisions.
+    Robot states are rebuilt when they settle. Only a rule that overrides
+    ``Policy.after_move`` gets the post-move chain index; under any other
+    rule a robot keeps its hand and the memory it decided with.
+    ``predicted`` intents, if given, must be exactly the robots' decisions.
     """
     if cfg.missing_edge is not None:
         raise ValueError("a round must start from an intact ring")
     cfg_seen = dynamism.apply(cfg)
-    perm = dynamism.permutation
-    if perm is not None:
-        robots = tuple(RobotState(r.label, perm[r.node], r.orientation, r.memory)
-                       for r in robots)
     phase = policy.phase_of_round(robots, cfg_seen)
 
     analysis = ChainAnalysis(cfg_seen)
     intents, memories = _decide(policy, analysis, robots)
-    if predicted is not None:
-        for intent in intents:
-            if predicted[intent.label] is not intent.action:
-                raise RuntimeError(
-                    f"predicted intent for robot {intent.label} was "
-                    f"{predicted[intent.label].short}, but it chose {intent.action.short}")
+    if predicted is not None and predicted != intents:
+        wrong = sorted(label for label in intents if predicted.get(label) is not intents[label])
+        raise RuntimeError(f"predicted intents differ from the decisions of robots {wrong}")
 
     cfg_after = resolve_moves(cfg_seen, intents)
-    landed = cfg_after.positions()
-    settled = []
     if type(policy).after_move is Policy.after_move:
         metrics_after = classify(cfg_after)
-        for robot, memory in zip(robots, memories):
-            settled.append(
-                RobotState(robot.label, landed[robot.label], robot.orientation, memory))
+        settled = [RobotState(robot.label, robot.orientation, memory)
+                   for robot, memory in zip(robots, memories)]
     else:
         post_analysis = ChainAnalysis(cfg_after)
         metrics_after = post_analysis.metrics
+        landed = cfg_after.positions()
+        settled = []
         for robot, memory in zip(robots, memories):
-            node = landed[robot.label]
-            moved = RobotState(robot.label, node, robot.orientation, memory)
-            orientation, memory = policy.after_move(moved, post_analysis.snapshot_for(moved))
-            settled.append(RobotState(robot.label, node, orientation, memory))
+            moved = RobotState(robot.label, robot.orientation, memory)
+            orientation, memory = policy.after_move(
+                moved, post_analysis.snapshot_for(landed[robot.label], moved))
+            settled.append(RobotState(robot.label, orientation, memory))
 
     filled = holes_filled_count(cfg_seen, cfg_after)
     trace = RoundTrace(
         index=index,
         phase=phase,
         dynamism=dynamism,
-        intents=tuple(sorted(intents, key=lambda i: i.label)),
+        intents=intents,
         config_seen=cfg_seen,
         config_after=cfg_after,
         metrics_seen=analysis.metrics,
@@ -156,14 +147,12 @@ def step(
 
 
 def initial_robots(cfg: RingConfiguration, policy: Policy, orientations=None):
-    """Robots for a fresh run; ``orientations`` maps label to Orientation."""
-    robots = []
-    for label, node in sorted(cfg.positions().items()):
-        orientation = Orientation.ALIGNED
-        if orientations is not None:
-            orientation = orientations[label]
-        robots.append(RobotState(label, node, orientation, policy.initial_memory()))
-    return tuple(robots)
+    """Robots for a fresh run, in label order; ``orientations`` maps label to
+    Orientation."""
+    return tuple(
+        RobotState(label, Orientation.ALIGNED if orientations is None else orientations[label],
+                   policy.initial_memory())
+        for label in cfg.labels())
 
 
 def validate_scenario(
@@ -188,9 +177,8 @@ def validate_scenario(
             raise ScenarioError(
                 f"adversary {adversary.adversary_id} counters zero-visibility rules; "
                 f"policy {policy.policy_id} sees the whole ring")
-    for robot in robots:
-        if robot.label not in cfg.slots[robot.node]:
-            raise ScenarioError(f"robot {robot.label} is not at its recorded node")
+    if sorted(robot.label for robot in robots) != list(cfg.labels()):
+        raise ScenarioError(f"robots must carry exactly the labels 1..{n}")
 
 
 def play(policy: Policy, adversary: Adversary, cfg: RingConfiguration, mode: Mode, robots,

@@ -35,17 +35,14 @@ from dataclasses import dataclass
 from .adversaries import (
     Adversary,
     AdversaryContext,
-    Dynamism,
     exhaustive_branches,
 )
 from .policies import LemmaViolation, NoVisibilityPolicy, Policy, all_no_visibility_policies
 from .ring import (
     Action,
     Mode,
-    MoveIntent,
     Orientation,
     RingConfiguration,
-    RobotState,
     ScenarioError,
     all_on_one,
     canonical_rotation,
@@ -57,7 +54,6 @@ from .scheduler import RoundTrace, initial_robots, play, step, validate_scenario
 from .scheduler import predict_intents  # unused here; perfbench/tracing.py wraps it by name
 
 ENUMERATION_LIMIT = 8
-LABELED_ENUMERATION_LIMIT = 6
 
 
 def _compositions(total: int, parts: int):
@@ -92,56 +88,13 @@ def enumerate_multiplicity_profiles(n: int, up_to_reflection: bool = True):
     return tuple(sorted(seen))
 
 
-def enumerate_initial_configs(n: int, labeled: bool = False,
-                              up_to_reflection: bool = True):
-    """Starting configurations, deduplicated by ring symmetry.
-
-    Unlabeled enumeration keeps one occupancy profile per rotation class
-    (plus reflection unless disabled) and deals labels 1..n clockwise.
-    Labeled enumeration distinguishes robot placements and deduplicates by
-    rotation only, since reflections change which labels are clockwise of
-    which.
-    """
-    if not labeled:
-        return tuple(
-            ring_from_multiplicities(profile)
-            for profile in enumerate_multiplicity_profiles(n, up_to_reflection)
-        )
-    if n > LABELED_ENUMERATION_LIMIT:
-        raise ScenarioError(f"labeled enumeration is limited to n <= {LABELED_ENUMERATION_LIMIT}")
-    seen = {}
-    for assignment in itertools.product(range(n), repeat=n):
-        slots = [[] for _ in range(n)]
-        for label0, node in enumerate(assignment):
-            slots[node].append(label0 + 1)
-        cfg = RingConfiguration(n, tuple(tuple(s) for s in slots))
-        key = canonical_rotation(cfg).slots
-        if key not in seen:
-            seen[key] = RingConfiguration(n, key)
-    return tuple(seen[key] for key in sorted(seen))
-
-
-def _totient(m: int) -> int:
-    count = 0
-    for b in range(1, m + 1):
-        if math.gcd(b, m) == 1:
-            count += 1
-    return count
-
-
-def profile_necklace_count(n: int) -> int:
-    """Closed-form count of occupancy profiles up to rotation only.
-
-    Averages, over the cyclic group, the number of profiles fixed by each
-    rotation; a rotation of order n/g fixes the profiles constant on its
-    g orbits, and distributing n robots over g orbit classes has
-    C(2g-1, g-1) outcomes once weighted by orbit size.
-    """
-    total = 0
-    for g in range(1, n + 1):
-        if n % g == 0:
-            total += _totient(n // g) * math.comb(2 * g - 1, g - 1)
-    return total // n
+def enumerate_initial_configs(n: int, up_to_reflection: bool = True):
+    """Starting configurations: one occupancy profile per rotation class
+    (plus reflection unless disabled), labels 1..n dealt clockwise."""
+    return tuple(
+        ring_from_multiplicities(profile)
+        for profile in enumerate_multiplicity_profiles(n, up_to_reflection)
+    )
 
 
 def _aux(robots) -> tuple:
@@ -198,23 +151,18 @@ class WorstCaseSearcher:
             return tuple(sorted(cfg.slots)), _aux(robots)
         return canonical_rotation(cfg).slots, _aux(robots)
 
-    def _check_decisions(self, dynamism: Dynamism, trace: RoundTrace, robots) -> None:
+    def _check_decisions(self, trace: RoundTrace, robots) -> None:
         # The oracle is any callable (cfg, robots) -> {label: global Action};
         # it is consulted once per distinct decision point.
         if self.oracle is None:
             return
-        perm = dynamism.permutation
-        if perm is not None:
-            robots = tuple(RobotState(r.label, perm[r.node], r.orientation, r.memory)
-                           for r in robots)
         key = (trace.config_seen.slots, trace.config_seen.missing_edge, _aux(robots))
         if key in self.decision_cache:
             return
         self.decision_cache.add(key)
-        mine = {intent.label: intent.action for intent in trace.intents}
         theirs = self.oracle(trace.config_seen, robots)
-        if mine != theirs:
-            self.decision_mismatches.append((key, mine, theirs))
+        if trace.intents != theirs:
+            self.decision_mismatches.append((key, trace.intents, theirs))
 
     def value(self, cfg: RingConfiguration, robots) -> float:
         """Rounds the adversary can force from here; inf if it can stall."""
@@ -233,7 +181,7 @@ class WorstCaseSearcher:
             next_cfg, next_robots, trace = step(self.policy, cfg, robots, dynamism)
             for violation in trace.violations:
                 self.lemma_violations.append((key, dynamism, violation))
-            self._check_decisions(dynamism, trace, robots)
+            self._check_decisions(trace, robots)
             best = max(best, 1 + self.value(next_cfg, next_robots))
         self.memo[key] = best
         return best
@@ -468,8 +416,7 @@ def check_adaptive_soundness(
         dynamism = adversary.choose(ctx)
         dynamism.check_mode(mode)
         shaped = dynamism.apply(cfg)
-        successor = resolve_moves(
-            shaped, [MoveIntent(label, action) for label, action in intents.items()])
+        successor = resolve_moves(shaped, intents)
         metrics = classify(successor)
         described = ",".join(a.short for a in combo)
         if metrics.dispersed:

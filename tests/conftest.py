@@ -23,12 +23,11 @@ def ring_configs(draw, min_n: int = 2, max_n: int = 8, allow_edge: bool = True):
 
 @st.composite
 def placed_robots(draw, cfg: RingConfiguration, memory=None):
-    """Robot states consistent with ``cfg``, orientations drawn freely."""
-    robots = []
-    for label, node in sorted(cfg.positions().items()):
-        orientation = draw(st.sampled_from((Orientation.ALIGNED, Orientation.REVERSED)))
-        robots.append(RobotState(label, node, orientation, memory))
-    return tuple(robots)
+    """One robot per label of ``cfg``, orientations drawn freely."""
+    return tuple(
+        RobotState(label, draw(st.sampled_from((Orientation.ALIGNED, Orientation.REVERSED))),
+                   memory)
+        for label in cfg.labels())
 
 
 @st.composite

@@ -93,31 +93,31 @@ def _beside_two_holes(cfg: RingConfiguration, pos: int) -> bool:
     return not cfg.slots[(pos + 1) % n] and not cfg.slots[(pos - 1) % n]
 
 
-def naive_vp_chain(cfg: RingConfiguration, robot: RobotState) -> int:
+def naive_vp_chain(cfg: RingConfiguration, pos: int, robot: RobotState) -> int:
     if not _has_multinode(cfg):
         return 0
-    own = sorted(cfg.slots[robot.node])
+    own = sorted(cfg.slots[pos])
     sign = robot.orientation.sign
     if len(own) == 1:
-        chain = _singleton_chain(cfg, robot.node, sign)
+        chain = _singleton_chain(cfg, pos, sign)
         if chain is not None and chain.own_step == 1:
             return 1
         return 0
     if robot.label != own[0]:
         return 0
-    for chain in _anchored_chains(cfg, robot.node, sign):
+    for chain in _anchored_chains(cfg, pos, sign):
         if chain.own_step == 1:
             return 1
     return 0
 
 
-def naive_vp_one_interval(cfg: RingConfiguration, robot: RobotState) -> int:
+def naive_vp_one_interval(cfg: RingConfiguration, pos: int, robot: RobotState) -> int:
     if not _has_multinode(cfg):
         return 0
-    own = sorted(cfg.slots[robot.node])
+    own = sorted(cfg.slots[pos])
     sign = robot.orientation.sign
     if len(own) == 1:
-        chain = _singleton_chain(cfg, robot.node, sign)
+        chain = _singleton_chain(cfg, pos, sign)
         if chain is None or not chain.good:
             return 0
         # The sibling chain points opposite to mine; defer when it is the
@@ -127,7 +127,7 @@ def naive_vp_one_interval(cfg: RingConfiguration, robot: RobotState) -> int:
         return chain.own_step
     if robot.label != own[0]:
         return 0
-    good = [c for c in _anchored_chains(cfg, robot.node, sign) if c.good]
+    good = [c for c in _anchored_chains(cfg, pos, sign) if c.good]
     if len(good) == 2:
         return 1
     if len(good) == 1:
@@ -135,13 +135,13 @@ def naive_vp_one_interval(cfg: RingConfiguration, robot: RobotState) -> int:
     return 0
 
 
-def naive_achiral_odd(cfg: RingConfiguration, robot: RobotState) -> int:
+def naive_achiral_odd(cfg: RingConfiguration, pos: int, robot: RobotState) -> int:
     if not _has_multinode(cfg):
         return 0
-    own = sorted(cfg.slots[robot.node])
+    own = sorted(cfg.slots[pos])
     sign = robot.orientation.sign
     if len(own) == 1:
-        chain = _singleton_chain(cfg, robot.node, sign)
+        chain = _singleton_chain(cfg, pos, sign)
         if chain is None or not chain.good:
             return 0
         if chain.other is not None and chain.other[1] and chain.other[0] <= chain.length:
@@ -149,7 +149,7 @@ def naive_achiral_odd(cfg: RingConfiguration, robot: RobotState) -> int:
         return chain.own_step
     if robot.label != own[0]:
         return 0
-    good = [c for c in _anchored_chains(cfg, robot.node, sign) if c.good]
+    good = [c for c in _anchored_chains(cfg, pos, sign) if c.good]
     if len(good) == 2:
         if good[0].length == good[1].length:
             return 1
@@ -159,13 +159,13 @@ def naive_achiral_odd(cfg: RingConfiguration, robot: RobotState) -> int:
     return 0
 
 
-def naive_even4_main(cfg: RingConfiguration, robot: RobotState) -> int:
+def naive_even4_main(cfg: RingConfiguration, pos: int, robot: RobotState) -> int:
     if not _has_multinode(cfg):
         return 0
-    own = sorted(cfg.slots[robot.node])
+    own = sorted(cfg.slots[pos])
     sign = robot.orientation.sign
     if len(own) == 1:
-        chain = _singleton_chain(cfg, robot.node, sign)
+        chain = _singleton_chain(cfg, pos, sign)
         if chain is None or not chain.good:
             return 0
         if chain.other is not None and chain.other[1]:
@@ -176,11 +176,11 @@ def naive_even4_main(cfg: RingConfiguration, robot: RobotState) -> int:
         return chain.own_step
     if robot.label != own[0]:
         return 0
-    good = [c for c in _anchored_chains(cfg, robot.node, sign) if c.good]
+    good = [c for c in _anchored_chains(cfg, pos, sign) if c.good]
     if len(good) == 2:
         if good[0].length != good[1].length:
             return min(good, key=lambda c: c.length).own_step
-        if _beside_two_holes(cfg, robot.node):
+        if _beside_two_holes(cfg, pos):
             return 1
         return 0
     if len(good) == 1:
@@ -194,27 +194,27 @@ _K0_DOMAIN = ((1, "least"), (2, "least"), (2, "second"),
 _K0_STEP = {"s": 0, "c": 1, "a": -1}
 
 
-def naive_no_visibility(cfg: RingConfiguration, robot: RobotState, table: str) -> int:
-    own = sorted(cfg.slots[robot.node])
+def naive_no_visibility(cfg: RingConfiguration, pos: int, robot: RobotState, table: str) -> int:
+    own = sorted(cfg.slots[pos])
     census = min(len(own), 3)
     idx = own.index(robot.label)
     rank = "least" if idx == 0 else ("second" if idx == 1 else "other")
     return _K0_STEP[table[_K0_DOMAIN.index((census, rank))]]
 
 
-def _no_chirality_rule(cfg: RingConfiguration, robot: RobotState) -> int:
+def _no_chirality_rule(cfg: RingConfiguration, pos: int, robot: RobotState) -> int:
     # First round from the gathered pile: everyone steps own-clockwise.
     if robot.memory is None:
         return 1
-    return naive_vp_one_interval(cfg, robot)
+    return naive_vp_one_interval(cfg, pos, robot)
 
 
-def _even4_rule(cfg: RingConfiguration, robot: RobotState) -> int:
+def _even4_rule(cfg: RingConfiguration, pos: int, robot: RobotState) -> int:
     if robot.memory is None:
-        if len(cfg.slots[robot.node]) == cfg.n:
+        if len(cfg.slots[pos]) == cfg.n:
             return 1
-        return naive_even4_main(cfg, robot)
-    return naive_vp_one_interval(cfg, robot)
+        return naive_even4_main(cfg, pos, robot)
+    return naive_vp_one_interval(cfg, pos, robot)
 
 
 _RULES = {
@@ -231,13 +231,14 @@ def naive_intents(policy_id: str):
     if policy_id.startswith("k0:"):
         table = policy_id[3:]
 
-        def rule(cfg, robot):
-            return naive_no_visibility(cfg, robot, table)
+        def rule(cfg, pos, robot):
+            return naive_no_visibility(cfg, pos, robot, table)
     else:
         rule = _RULES[policy_id]
 
     def oracle(cfg, robots):
-        return {robot.label: Action(rule(cfg, robot) * robot.orientation.sign)
+        at = cfg.positions()
+        return {robot.label: Action(rule(cfg, at[robot.label], robot) * robot.orientation.sign)
                 for robot in robots}
 
     return oracle

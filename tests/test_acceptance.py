@@ -21,11 +21,9 @@ from dynring import (
     Mode,
     Orientation,
     Policy,
-    RobotState,
     adversary_start_filter,
     all_on_one,
     check_adaptive_soundness,
-    compute_view,
     enumerate_initial_configs,
     exhaustive_branches,
     get_adversary,
@@ -41,6 +39,7 @@ from dynring import (
 from dynring import cli
 from conftest import snapshot_facts
 from naive_policies import naive_intents
+from views import compute_view
 
 RANDOM_SIZES = (8, 16, 32, 64)
 RANDOM_SEEDS = 1000
@@ -82,11 +81,9 @@ def _two_ring_round(cfg, dynamism, actions, hands: str):
     assignment = {label: Orientation(hand) for label, hand in zip((1, 2), hands)}
     robots = initial_robots(cfg, policy, assignment)
     _, settled, trace = step(policy, cfg, robots, dynamism)
-    seen_at = trace.config_seen.positions()
     observations = tuple(
         (robot.memory,
-         compute_view(trace.config_seen, RobotState(robot.label, seen_at[robot.label],
-                                                    robot.orientation), 2),
+         compute_view(trace.config_seen, robot, 2),
          compute_view(trace.config_after, robot, 2))
         for robot in settled)
     return trace.config_after, observations

@@ -14,7 +14,6 @@ from dynring import (
     AdversaryContext,
     Dynamism,
     Mode,
-    MoveIntent,
     ScenarioError,
     all_on_one,
     canonical_rotation,
@@ -31,10 +30,6 @@ from dynring import (
 )
 
 CW, ACW, STAY = Action.CLOCKWISE, Action.ANTICLOCKWISE, Action.STAY
-
-
-def successor(cfg, intents):
-    return resolve_moves(cfg, [MoveIntent(lab, act) for lab, act in intents.items()])
 
 
 def ctx_for(cfg, mode=Mode.VP, intents=None, rng=None):
@@ -165,9 +160,9 @@ def test_three_ring_permuter_counters_dispersal():
     cfg = ring_from_slots(((1, 2), (3,), ()))
     # Robot 2 walks anticlockwise into the hole: one robot per node.
     threat = {1: STAY, 2: ACW, 3: STAY}
-    assert classify(successor(cfg, threat)).dispersed
+    assert classify(resolve_moves(cfg, threat)).dispersed
     dyn = adversary.choose(ctx_for(cfg, intents=threat))
-    after = successor(dyn.apply(cfg), threat)
+    after = resolve_moves(dyn.apply(cfg), threat)
     assert not classify(after).dispersed
     assert sorted(after.multiplicities()) == [0, 1, 2]
 
@@ -176,9 +171,9 @@ def test_three_ring_permuter_counters_gathering():
     adversary = get_adversary("vp-killer-n3")
     cfg = ring_from_slots(((1, 2), (3,), ()))
     threat = {1: STAY, 2: STAY, 3: ACW}
-    assert max(successor(cfg, threat).multiplicities()) == 3
+    assert max(resolve_moves(cfg, threat).multiplicities()) == 3
     dyn = adversary.choose(ctx_for(cfg, intents=threat))
-    after = successor(dyn.apply(cfg), threat)
+    after = resolve_moves(dyn.apply(cfg), threat)
     assert sorted(after.multiplicities()) == [0, 1, 2]
 
 
@@ -203,7 +198,7 @@ def test_three_ring_permuter_never_lets_any_vector_win(slots, data):
     intents = {lab: data.draw(st.sampled_from(list(Action)), label=f"robot {lab}")
                for lab in (1, 2, 3)}
     dyn = adversary.choose(ctx_for(cfg, intents=intents))
-    after = successor(dyn.apply(cfg), intents)
+    after = resolve_moves(dyn.apply(cfg), intents)
     assert sorted(after.multiplicities()) == [0, 1, 2]
 
 
@@ -222,21 +217,21 @@ def test_general_permuter_blocks_single_hole_fill():
     adversary = get_adversary("vp-killer")
     cfg = ring_from_slots(((1, 2), (3,), (4,), ()))
     threat = {1: ACW, 2: STAY, 3: STAY, 4: STAY}
-    assert classify(successor(cfg, threat)).dispersed
+    assert classify(resolve_moves(cfg, threat)).dispersed
     dyn = adversary.choose(ctx_for(cfg, intents=threat))
-    assert not classify(successor(dyn.apply(cfg), threat)).dispersed
+    assert not classify(resolve_moves(dyn.apply(cfg), threat)).dispersed
 
 
 def test_general_permuter_isolates_a_hole_when_three_remain():
     adversary = get_adversary("vp-killer")
     cfg = ring_from_slots(((1, 2, 3), (), (4, 5), (), ()))
     threat = {1: STAY, 2: CW, 3: ACW, 4: CW, 5: STAY}
-    assert classify(successor(cfg, threat)).dispersed
+    assert classify(resolve_moves(cfg, threat)).dispersed
     dyn = adversary.choose(ctx_for(cfg, intents=threat))
     landed = dyn.apply(cfg)
     # The shuffle packs the occupied nodes together so one hole has only
     # holes as neighbours; no single step can ever fill it.
-    assert not classify(successor(landed, threat)).dispersed
+    assert not classify(resolve_moves(landed, threat)).dispersed
     holes = [p for p, slot in enumerate(landed.slots) if not slot]
     assert any(not landed.slots[(p - 1) % 5] and not landed.slots[(p + 1) % 5]
                for p in holes)
@@ -262,7 +257,7 @@ def test_general_permuter_never_lets_any_vector_win(cfg, data):
     intents = {lab: data.draw(st.sampled_from(list(Action)), label=f"robot {lab}")
                for lab in range(1, cfg.n + 1)}
     dyn = adversary.choose(ctx_for(cfg, intents=intents))
-    assert not classify(successor(dyn.apply(cfg), intents)).dispersed
+    assert not classify(resolve_moves(dyn.apply(cfg), intents)).dispersed
 
 
 # -------------------------------------------------------------- edge blocker
@@ -272,10 +267,10 @@ def test_edge_blocker_unplugs_the_entrant():
     adversary = get_adversary("1i-killer")
     cfg = ring_from_slots(((1, 2), (), (3,)))
     threat = {1: STAY, 2: CW, 3: STAY}
-    assert classify(successor(cfg, threat)).dispersed
+    assert classify(resolve_moves(cfg, threat)).dispersed
     dyn = adversary.choose(ctx_for(cfg, Mode.ONE_INTERVAL, intents=threat))
     assert dyn.permutation is None and dyn.edge_removal == 0
-    after = successor(dyn.apply(cfg), threat)
+    after = resolve_moves(dyn.apply(cfg), threat)
     assert not classify(after).dispersed
     assert after.slots == ((1, 2), (), (3,))
 
@@ -298,7 +293,7 @@ def test_edge_blocker_never_lets_any_vector_win(cfg, data):
     intents = {lab: data.draw(st.sampled_from(list(Action)), label=f"robot {lab}")
                for lab in range(1, cfg.n + 1)}
     dyn = adversary.choose(ctx_for(cfg, Mode.ONE_INTERVAL, intents=intents))
-    assert not classify(successor(dyn.apply(cfg), intents)).dispersed
+    assert not classify(resolve_moves(dyn.apply(cfg), intents)).dispersed
 
 
 @pytest.mark.parametrize("adversary_id,slots,mode", [

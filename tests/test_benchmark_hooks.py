@@ -1,19 +1,23 @@
-"""The benchmark's tracer must find every name it wraps in the program.
+"""The benchmark must keep working on the program.
 
 ``perfbench/tracing.py`` patches functions at the module attributes their
-callers look up. A refactor that drops or moves one of those names breaks
-the traced benchmark run; this test catches it with the unit tests.
+callers look up, and reads the shapes they return. A refactor that drops or
+moves one of those names, or changes a shape, breaks the traced benchmark
+run; these tests catch it with the unit tests.
 """
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 from dynring import Mode, all_on_one, get_adversary, get_policy
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -49,3 +53,11 @@ def test_tracer_installs_on_the_program_and_uninstalls_cleanly():
     assert metrics["verifier.proven_stalls"] == report.proven_infinite
     for (module, attr), original in originals.items():
         assert getattr(getattr(dr, module), attr) is original, (module, attr)
+
+
+def test_benchmark_smoke_passes():
+    """Every workload at tiny sizes, timed and traced, must be correct and
+    report the same result counts both ways (``perfbench/smoke.py``)."""
+    proc = subprocess.run([sys.executable, "perfbench/smoke.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -132,16 +132,27 @@ def _spec_file(tmp_path, **fields):
     return ["run", "--spec", str(path)]
 
 
-def _trace_without_perm(tmp_path):
+def _tampered_trace(tmp_path, change, *run_flags):
+    """``replay`` of a ``run`` trace whose round 1 record ``change`` edits."""
     path = tmp_path / "run.jsonl"
-    assert run_cli("run", "--n", "4", "--policy", "vp-chain", "--mode", "vp",
-                   "--adversary", "random", "--seed", "2", "--out", str(path)) == 0
+    assert run_cli("run", *run_flags, "--out", str(path)) == 0
     lines = path.read_text().splitlines()
     record = json.loads(lines[1])
-    del record["perm"]
+    change(record)
     lines[1] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
     return ["replay", str(path)]
+
+
+PERMUTING_RUN = ("--n", "4", "--policy", "vp-chain", "--mode", "vp",
+                 "--adversary", "random", "--seed", "2")
+EDGE_FREE_RUN = ("--n", "3", "--policy", "vp-1i", "--mode", "1i", "--config", "2,1,0")
+
+
+def _not_utf8(tmp_path, *argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes('{"n": 4, "policy": "vp-chain", "config": "ä"}'.encode("latin-1"))
+    return [*argv, str(path)]
 
 
 @pytest.mark.parametrize("make_argv", [
@@ -153,7 +164,7 @@ def _trace_without_perm(tmp_path):
     lambda tmp_path: ["run", "--n", "2", "--policy", "vp-chain", "--config", "2,2"],
     lambda tmp_path: _spec_file(tmp_path, colour="red"),
     lambda tmp_path: _spec_file(tmp_path, mode="bogus"),
-    _trace_without_perm,
+    lambda tmp_path: _tampered_trace(tmp_path, lambda r: r.pop("perm"), *PERMUTING_RUN),
     lambda tmp_path: ["run", "--n", "4", "--policy", "vp-chain", "--max-rounds", "-3"],
     lambda tmp_path: ["verify", "--check", "bound", "--n", "0", "--policy", "vp-chain"],
     lambda tmp_path: ["verify", "--check", "bound", "--n", "-1", "--policy", "vp-chain"],
@@ -167,12 +178,32 @@ def _trace_without_perm(tmp_path):
     lambda tmp_path: ["verify", "--check", "bound", "--n", "3", "--policy", "vp-chain",
                       "--mode", "bogus"],
     lambda tmp_path: ["run", "--n", "4", "--policy", "vp-chain", "--record-views"],
+    lambda tmp_path: _spec_file(tmp_path, policy=5),
+    lambda tmp_path: _spec_file(tmp_path, config=5),
+    lambda tmp_path: _spec_file(tmp_path, orientations=5),
+    lambda tmp_path: _spec_file(tmp_path, k="x"),
+    lambda tmp_path: _spec_file(tmp_path, adversary=["x"]),
+    lambda tmp_path: _spec_file(tmp_path, seed=[1]),
+    lambda tmp_path: _spec_file(tmp_path, n=True),
+    lambda tmp_path: _not_utf8(tmp_path, "run", "--spec"),
+    lambda tmp_path: _not_utf8(tmp_path, "replay"),
+    lambda tmp_path: _tampered_trace(tmp_path, lambda r: r.update(edge=1.5), *EDGE_FREE_RUN),
+    lambda tmp_path: _tampered_trace(tmp_path, lambda r: r.update(edge=True), *EDGE_FREE_RUN),
+    lambda tmp_path: _tampered_trace(
+        tmp_path, lambda r: r.update(perm=[False if p == 0 else p for p in r["perm"]]),
+        *PERMUTING_RUN),
+    lambda tmp_path: _tampered_trace(
+        tmp_path, lambda r: r["intents"].update({"01": r["intents"]["1"]}), *PERMUTING_RUN),
 ], ids=["run-n-0", "run-n-negative", "sweep-n-not-a-number", "sweep-n-empty-range",
         "config-not-a-number", "config-wrong-total", "spec-unknown-key", "spec-unknown-mode",
         "replay-missing-perm", "run-max-rounds-negative", "verify-bound-n-0",
         "verify-bound-n-negative", "verify-impossibility-n-0", "verify-horizon-negative",
         "verify-horizon-0", "run-n-not-a-number", "verify-mode-unknown",
-        "run-unknown-flag"])
+        "run-unknown-flag", "spec-policy-not-a-string", "spec-config-not-a-string",
+        "spec-orientations-not-a-string", "spec-k-not-an-integer", "spec-adversary-a-list",
+        "spec-seed-a-list", "spec-n-a-bool", "spec-not-utf8", "replay-not-utf8",
+        "replay-edge-not-an-integer", "replay-edge-a-bool", "replay-perm-entry-a-bool",
+        "replay-intent-label-repeated"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     capsys.readouterr()

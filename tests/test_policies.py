@@ -34,7 +34,7 @@ def intents_of(policy_id, cfg, orientations=None, memory=None):
     policy = get_policy(policy_id)
     robots = initial_robots(cfg, policy, orientations)
     if memory is not None:
-        robots = tuple(RobotState(r.label, r.node, r.orientation, memory) for r in robots)
+        robots = tuple(RobotState(r.label, r.orientation, memory) for r in robots)
     return predict_intents(policy, cfg, robots)
 
 
@@ -62,7 +62,7 @@ def test_scenario_requirements():
     with pytest.raises(ScenarioError):
         vp.check_scenario(4, Mode.ONE_INTERVAL, cfg, robots)
     mixed = (robots[0],) + tuple(
-        RobotState(r.label, r.node, Orientation.REVERSED, r.memory) for r in robots[1:])
+        RobotState(r.label, Orientation.REVERSED, r.memory) for r in robots[1:])
     with pytest.raises(ScenarioError):
         vp.check_scenario(4, Mode.VP, cfg, mixed)
     with pytest.raises(ScenarioError):
@@ -168,12 +168,12 @@ def test_gathered_start_preprocess_and_flip():
 
     landed = ring_from_slots(((), (1, 3), (2,)))
     analysis = ChainAnalysis(landed)
-    moved = RobotState(2, 2, Orientation.REVERSED, ("moved", 1))
-    orientation, memory = policy.after_move(moved, analysis.snapshot_for(moved))
+    moved = RobotState(2, Orientation.REVERSED, ("moved", 1))
+    orientation, memory = policy.after_move(moved, analysis.snapshot_for(2, moved))
     # Robot 2 lost sight of robot 1, so it flips to match robot 1's frame.
     assert orientation is Orientation.ALIGNED and memory == PREPROCESS_DONE
-    stayed = RobotState(3, 1, Orientation.ALIGNED, ("moved", 1))
-    orientation, memory = policy.after_move(stayed, analysis.snapshot_for(stayed))
+    stayed = RobotState(3, Orientation.ALIGNED, ("moved", 1))
+    orientation, memory = policy.after_move(stayed, analysis.snapshot_for(1, stayed))
     assert orientation is Orientation.ALIGNED and memory == PREPROCESS_DONE
 
 
@@ -187,7 +187,7 @@ def test_gathered_start_required_when_memory_fresh():
 def test_four_ring_rule_uses_chain_phase_after_gathering():
     policy = get_policy("even4")
     cfg = ring_from_slots(((1, 2), (3,), (), (4,)))
-    robots = tuple(RobotState(r.label, r.node, r.orientation, PREPROCESS_DONE)
+    robots = tuple(RobotState(r.label, r.orientation, PREPROCESS_DONE)
                    for r in initial_robots(cfg, policy))
     assert policy.phase_of_round(robots, cfg) == "chain"
     fresh = initial_robots(cfg, policy)
@@ -208,11 +208,8 @@ def test_decisions_ignore_node_names(scenario, policy_id, data):
     """Rotating the ring never changes any robot's global action."""
     cfg, robots = scenario
     policy = get_policy(policy_id)
-    shift = data.draw(st.integers(0, cfg.n - 1))
-    turned = rotate(cfg, shift)
-    moved = tuple(RobotState(r.label, (r.node + shift) % cfg.n, r.orientation, r.memory)
-                  for r in robots)
-    assert predict_intents(policy, cfg, robots) == predict_intents(policy, turned, moved)
+    turned = rotate(cfg, data.draw(st.integers(0, cfg.n - 1)))
+    assert predict_intents(policy, cfg, robots) == predict_intents(policy, turned, robots)
 
 
 @settings(max_examples=120, deadline=None)
@@ -223,8 +220,7 @@ def test_mirrored_world_mirrors_decisions(scenario, policy_id):
     cfg, robots = scenario
     policy = get_policy(policy_id)
     mirrored = reflect(cfg, 0)
-    flipped = tuple(RobotState(r.label, (-r.node) % cfg.n, r.orientation.flipped(), r.memory)
-                    for r in robots)
+    flipped = tuple(RobotState(r.label, r.orientation.flipped(), r.memory) for r in robots)
     direct = predict_intents(policy, cfg, robots)
     through_mirror = predict_intents(policy, mirrored, flipped)
     assert through_mirror == {label: act.inverse() for label, act in direct.items()}
@@ -238,10 +234,11 @@ def test_mirrored_world_gives_identical_snapshots(scenario):
     cfg, robots = scenario
     direct = ChainAnalysis(cfg)
     mirror = ChainAnalysis(reflect(cfg, 0))
+    at = cfg.positions()
     for r in robots:
-        flipped = RobotState(r.label, (-r.node) % cfg.n, r.orientation.flipped(), r.memory)
-        assert (snapshot_facts(mirror.snapshot_for(flipped))
-                == snapshot_facts(direct.snapshot_for(r)))
+        flipped = RobotState(r.label, r.orientation.flipped(), r.memory)
+        assert (snapshot_facts(mirror.snapshot_for(-at[r.label] % cfg.n, flipped))
+                == snapshot_facts(direct.snapshot_for(at[r.label], r)))
 
 
 @settings(max_examples=120, deadline=None)
@@ -251,12 +248,13 @@ def test_plain_rules_keep_memory(scenario, policy_id, data):
     policy = get_policy(policy_id)
     analysis = ChainAnalysis(cfg)
     robot = data.draw(st.sampled_from(robots))
-    if policy_id == "even4" and len(cfg.slots[robot.node]) == cfg.n:
+    node = cfg.positions()[robot.label]
+    if policy_id == "even4" and len(cfg.slots[node]) == cfg.n:
         # The gathered pile triggers the one remembering round instead.
         return
-    _, memory = policy.decide(analysis.snapshot_for(robot), robot)
+    _, memory = policy.decide(analysis.snapshot_for(node, robot), robot)
     assert memory is robot.memory
-    orientation, memory = policy.after_move(robot, analysis.snapshot_for(robot))
+    orientation, memory = policy.after_move(robot, analysis.snapshot_for(node, robot))
     assert orientation is robot.orientation and memory is robot.memory
 
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import configured_scenarios, ring_configs, snapshot_facts
+from views import compute_view
 from dynring import (
     Action,
     ChainAnalysis,
-    MoveIntent,
     Orientation,
     RingConfiguration,
     RobotState,
@@ -17,7 +17,6 @@ from dynring import (
     apply_vertex_permutation,
     canonical_rotation,
     classify,
-    compute_view,
     convert_frame,
     crossing_edge,
     find_chains,
@@ -64,7 +63,7 @@ def test_derived_configurations_pass_full_validation(cfg, data):
     n = cfg.n
     order = data.draw(st.permutations(cfg.labels()))
     actions = data.draw(st.lists(st.sampled_from(list(Action)), min_size=n, max_size=n))
-    intents = [MoveIntent(label, actions[label - 1]) for label in order]
+    intents = {label: actions[label - 1] for label in order}
     derived = (
         resolve_moves(cfg, intents),
         apply_vertex_permutation(cfg, data.draw(st.permutations(range(n)))),
@@ -133,20 +132,17 @@ def test_crossing_edges_on_two_ring():
 def test_resolve_requires_exactly_one_intent_per_robot():
     cfg = ring_from_slots(((1,), (2,)))
     with pytest.raises(ValueError):
-        resolve_moves(cfg, [MoveIntent(1, Action.STAY)])
+        resolve_moves(cfg, {1: Action.STAY})
     with pytest.raises(ValueError):
-        resolve_moves(cfg, [MoveIntent(1, Action.STAY)] * 2)
-    with pytest.raises(ValueError):
-        resolve_moves(cfg, [MoveIntent(1, Action.STAY), MoveIntent(5, Action.STAY)])
+        resolve_moves(cfg, {1: Action.STAY, 5: Action.STAY})
 
 
 def test_blocked_move_is_a_no_op():
     cfg = ring_from_slots(((1, 3), (2,), ()), missing_edge=1)
-    stay = MoveIntent(3, Action.STAY)
-    out = resolve_moves(cfg, [MoveIntent(1, Action.STAY), MoveIntent(2, Action.CLOCKWISE), stay])
+    out = resolve_moves(cfg, {1: Action.STAY, 2: Action.CLOCKWISE, 3: Action.STAY})
     # Robot 2 wanted to cross edge 1, the removed one, so it stays put.
     assert out.slots == ((1, 3), (2,), ())
-    out = resolve_moves(cfg, [MoveIntent(1, Action.CLOCKWISE), MoveIntent(2, Action.STAY), stay])
+    out = resolve_moves(cfg, {1: Action.CLOCKWISE, 2: Action.STAY, 3: Action.STAY})
     assert out.slots == ((3,), (1, 2), ())
 
 
@@ -156,8 +152,7 @@ def test_resolve_conserves_robots(cfg, data):
     """Simultaneous moves never create or destroy robots."""
     actions = data.draw(st.lists(st.sampled_from(list(Action)),
                                  min_size=cfg.n, max_size=cfg.n))
-    intents = [MoveIntent(label, act) for label, act in zip(range(1, cfg.n + 1), actions)]
-    out = resolve_moves(cfg, intents)
+    out = resolve_moves(cfg, dict(zip(range(1, cfg.n + 1), actions)))
     assert sorted(label for slot in out.slots for label in slot) == list(range(1, cfg.n + 1))
     assert out.n == cfg.n
 
@@ -167,7 +162,7 @@ def test_resolve_conserves_robots(cfg, data):
 def test_moves_land_one_step_away(cfg, data):
     actions = {label: data.draw(st.sampled_from(list(Action)))
                for label in range(1, cfg.n + 1)}
-    out = resolve_moves(cfg, [MoveIntent(l, a) for l, a in actions.items()])
+    out = resolve_moves(cfg, actions)
     before, after = cfg.positions(), out.positions()
     for label in actions:
         assert after[label] == (before[label] + actions[label].value) % cfg.n
@@ -331,15 +326,16 @@ def test_zero_visibility_sees_only_own_node(scenario, data):
     """At k=0 the view must not leak anything beyond the robot's node."""
     cfg, robots = scenario
     robot = data.draw(st.sampled_from(robots))
+    node = cfg.positions()[robot.label]
     view = compute_view(cfg, robot, 0)
     assert view.clockwise == () and view.anti_clockwise == ()
-    assert view.own_count == len(cfg.slots[robot.node])
+    assert view.own_count == len(cfg.slots[node])
     # Scramble every other node: the view may not change.
     others = [label for label in range(1, cfg.n + 1)
-              if label not in cfg.slots[robot.node]]
-    slots = [list(s) if i == robot.node else [] for i, s in enumerate(cfg.slots)]
+              if label not in cfg.slots[node]]
+    slots = [list(s) if i == node else [] for i, s in enumerate(cfg.slots)]
     for label in others:
-        slots[data.draw(st.integers(0, cfg.n - 1).filter(lambda i: i != robot.node))].append(label)
+        slots[data.draw(st.integers(0, cfg.n - 1).filter(lambda i: i != node))].append(label)
     shuffled = RingConfiguration(cfg.n, tuple(tuple(s) for s in slots), None)
     assert compute_view(shuffled, robot, 0) == view
 
@@ -351,14 +347,14 @@ def test_reversed_view_equals_mirrored_aligned_view(scenario, data):
     cfg, robots = scenario
     robot = data.draw(st.sampled_from(robots))
     k = data.draw(st.integers(0, cfg.n))
-    flipped = RobotState(robot.label, robot.node, robot.orientation.flipped(), robot.memory)
-    mirrored = reflect(cfg, robot.node)
+    flipped = RobotState(robot.label, robot.orientation.flipped(), robot.memory)
+    mirrored = reflect(cfg, cfg.positions()[robot.label])
     assert compute_view(mirrored, robot, k) == compute_view(cfg, flipped, k)
 
 
 def test_view_matches_hand_computed_example():
     cfg = ring_from_slots(((1, 2, 3), (4,), (), (), (5,)), missing_edge=2)
-    robot = RobotState(4, 1, Orientation.ALIGNED, None)
+    robot = RobotState(4, Orientation.ALIGNED, None)
     view = compute_view(cfg, robot, 2)
     # Own clockwise: nodes 2 and 3 are empty. Anticlockwise: node 0 at
     # distance 1 and node 4 at distance 2 are occupied. The pile sits at
@@ -371,7 +367,7 @@ def test_view_matches_hand_computed_example():
     # nearer one clockwise is node 2, one step away.
     assert view.missing_edge == 1
 
-    on_pile = RobotState(2, 0, Orientation.ALIGNED, None)
+    on_pile = RobotState(2, Orientation.ALIGNED, None)
     pile_view = compute_view(cfg, on_pile, 2)
     assert pile_view.multiplicity == (0,)
     assert pile_view.own_count == 3
@@ -385,8 +381,8 @@ def test_view_at_half_ring_does_not_determine_the_snapshot():
     same view on both rings but stands on chains of different lengths."""
     first = ring_from_slots(((1,), (), (2,), (3,), (), (4,), (5, 6, 7)))
     second = ring_from_slots(((1,), (), (2,), (3,), (), (4, 5, 6), (7,)))
-    robot = RobotState(1, 0, Orientation.ALIGNED, None)
+    robot = RobotState(1, Orientation.ALIGNED, None)
     assert compute_view(first, robot, 4) == compute_view(second, robot, 4)
-    snaps = [ChainAnalysis(cfg).snapshot_for(robot) for cfg in (first, second)]
+    snaps = [ChainAnalysis(cfg).snapshot_for(0, robot) for cfg in (first, second)]
     assert [snap.own_chain().length for snap in snaps] == [1, 2]
     assert snapshot_facts(snaps[0]) != snapshot_facts(snaps[1])

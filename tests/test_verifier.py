@@ -1,6 +1,9 @@
 """Unit and property tests for enumeration and the exhaustive checkers."""
 from __future__ import annotations
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,9 +11,7 @@ from naive_policies import naive_intents
 from dynring import (
     Action,
     Mode,
-    MoveIntent,
     RingConfiguration,
-    RobotState,
     ScenarioError,
     all_on_one,
     apply_vertex_permutation,
@@ -24,7 +25,6 @@ from dynring import (
     initial_robots,
     permutation_classes,
     predict_intents,
-    profile_necklace_count,
     resolve_moves,
     ring_from_slots,
     rotate,
@@ -37,6 +37,36 @@ from dynring.verifier import WorstCaseSearcher, _aux, _orientation_assignments
 
 
 # -------------------------------------------------------------- enumeration
+
+
+def _totient(m: int) -> int:
+    return sum(1 for b in range(1, m + 1) if math.gcd(b, m) == 1)
+
+
+def profile_necklace_count(n: int) -> int:
+    """Closed-form count of occupancy profiles up to rotation only.
+
+    Averages, over the cyclic group, the number of profiles fixed by each
+    rotation; a rotation of order n/g fixes the profiles constant on its
+    g orbits, and distributing n robots over g orbit classes has
+    C(2g-1, g-1) outcomes once weighted by orbit size.
+    """
+    total = 0
+    for g in range(1, n + 1):
+        if n % g == 0:
+            total += _totient(n // g) * math.comb(2 * g - 1, g - 1)
+    return total // n
+
+
+def labeled_initial_configs(n: int):
+    """Every placement of robots 1..n on the ring, one per rotation class."""
+    seen = set()
+    for assignment in itertools.product(range(n), repeat=n):
+        slots = [[] for _ in range(n)]
+        for label0, node in enumerate(assignment):
+            slots[node].append(label0 + 1)
+        seen.add(canonical_rotation(RingConfiguration(n, tuple(map(tuple, slots)))).slots)
+    return tuple(RingConfiguration(n, key) for key in sorted(seen))
 
 
 def test_shape_counts_for_small_rings():
@@ -81,13 +111,11 @@ def test_configuration_enumeration_is_deduplicated():
     for cfg in unlabeled:
         assert cfg.n == 4 and cfg.missing_edge is None
     # Distinct robot placements up to rotation: 3^3 lose a factor 3.
-    labeled = enumerate_initial_configs(3, labeled=True)
+    labeled = labeled_initial_configs(3)
     assert len(labeled) == 9
     assert len({canonical_rotation(c).slots for c in labeled}) == 9
     with pytest.raises(ScenarioError):
         enumerate_initial_configs(9)
-    with pytest.raises(ScenarioError):
-        enumerate_initial_configs(7, labeled=True)
     for n in (0, -1):
         with pytest.raises(ScenarioError):
             enumerate_multiplicity_profiles(n)
@@ -167,17 +195,13 @@ def test_non_permuting_modes_keep_the_rotation_key(policy_id, mode):
     assert len(searcher.memo) == len(rotation.memo)
 
 
-def _arrangements(cfg, robots):
-    """Every arrangement of ``cfg``'s slots, each with the robots carried
-    along: one permutation per class from ``permutation_classes``, turned
-    to every rotation."""
-    n = cfg.n
+def _arrangements(cfg):
+    """Every arrangement of ``cfg``'s slots: one permutation per class from
+    ``permutation_classes``, turned to every rotation."""
     for perm in permutation_classes(cfg):
         shuffled = apply_vertex_permutation(cfg, perm)
-        for shift in range(n):
-            yield rotate(shuffled, shift), tuple(
-                RobotState(r.label, (perm[r.node] + shift) % n, r.orientation, r.memory)
-                for r in robots)
+        for shift in range(cfg.n):
+            yield rotate(shuffled, shift)
 
 
 @pytest.mark.parametrize("policy_id,n,mode", [
@@ -204,7 +228,8 @@ def test_witness_is_optimal_from_every_rotation(policy_id, n, mode):
     assert worst_roots
 
     for root_cfg, root_robots in worst_roots:
-        for cfg, robots in _arrangements(root_cfg, root_robots):
+        for cfg in _arrangements(root_cfg):
+            robots = root_robots
             witness = searcher.witness(cfg, robots)
             assert len(witness) == report.worst_rounds
             value = searcher._settled_value(cfg, robots)
@@ -288,7 +313,7 @@ def test_impossibility_blocks_a_rule_that_wins_benignly():
     cfg = ring_from_slots(((1, 2), (3,), ()))
     robots = initial_robots(cfg, policy)
     intents = predict_intents(policy, cfg, robots)
-    landed = resolve_moves(cfg, [MoveIntent(l, a) for l, a in intents.items()])
+    landed = resolve_moves(cfg, intents)
     assert classify(landed).dispersed
 
     report = verify_impossibility(get_adversary("vp-killer-n3"), 3, Mode.VP,
