@@ -59,7 +59,6 @@ class AdversaryContext:
 
     cfg: RingConfiguration
     mode: Mode
-    round_index: int
     rng: object = None
     predicted_intents: dict[int, Action] | None = None
 
@@ -71,8 +70,25 @@ class Adversary:
     def check_scenario(self, n: int, mode: Mode) -> None:
         pass
 
+    def invariant(self, cfg: RingConfiguration) -> bool:
+        """Whether ``cfg`` is one this adversary can keep the robots in,
+        round after round; here, any configuration that is not dispersed."""
+        return not classify(cfg).dispersed
+
     def choose(self, ctx: AdversaryContext) -> Dynamism:
         raise NotImplementedError
+
+    def _predictions(self, ctx: AdversaryContext) -> dict[int, Action]:
+        """The intents an adaptive adversary counters, once it has checked
+        that they name every robot and that the ring keeps its invariant."""
+        intents = ctx.predicted_intents
+        if intents is None:
+            raise ScenarioError("adaptive adversary needs predicted robot intents")
+        if set(intents) != set(range(1, ctx.cfg.n + 1)):
+            raise ScenarioError("predicted intents must cover every robot exactly once")
+        if not self.invariant(ctx.cfg):
+            raise ScenarioError(f"{self.adversary_id} cannot keep its invariant from {ctx.cfg}")
+        return intents
 
 
 class BenignAdversary(Adversary):
@@ -178,15 +194,6 @@ def _arrangement(n: int, leading: list[int]) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _require_predictions(ctx: AdversaryContext) -> dict[int, Action]:
-    intents = ctx.predicted_intents
-    if intents is None:
-        raise ScenarioError("adaptive adversary needs predicted robot intents")
-    if set(intents) != set(range(1, ctx.cfg.n + 1)):
-        raise ScenarioError("predicted intents must cover every robot exactly once")
-    return intents
-
-
 class ThreeRingPermuter(Adversary):
     """Keeps a 3-ring with a pair, a single node and a hole in that shape.
 
@@ -207,13 +214,14 @@ class ThreeRingPermuter(Adversary):
         if not mode.allows_permutation:
             raise ScenarioError(f"{self.adversary_id} needs a mode with vertex permutations")
 
+    def invariant(self, cfg):
+        """One pair, one single node and one hole."""
+        return sorted(cfg.multiplicities()) == [0, 1, 2]
+
     def choose(self, ctx):
         cfg = ctx.cfg
-        intents = _require_predictions(ctx)
+        intents = self._predictions(ctx)
         mult = cfg.multiplicities()
-        if sorted(mult) != [0, 1, 2]:
-            raise ScenarioError(
-                f"{self.adversary_id} needs one pair, one single node and one hole, got {mult}")
         pair = mult.index(2)
         single = mult.index(1)
         hole = mult.index(0)
@@ -249,9 +257,7 @@ class GeneralPermuter(Adversary):
     def choose(self, ctx):
         cfg = ctx.cfg
         n = cfg.n
-        intents = _require_predictions(ctx)
-        if classify(cfg).dispersed:
-            raise ScenarioError(f"{self.adversary_id} expects a non-dispersed configuration")
+        intents = self._predictions(ctx)
         successor = resolve_moves(cfg, intents)
         if not classify(successor).dispersed:
             return Dynamism(tuple(range(n)), None)
@@ -336,9 +342,7 @@ class EdgeBlocker(Adversary):
 
     def choose(self, ctx):
         cfg = ctx.cfg
-        intents = _require_predictions(ctx)
-        if classify(cfg).dispersed:
-            raise ScenarioError(f"{self.adversary_id} expects a non-dispersed configuration")
+        intents = self._predictions(ctx)
         successor = resolve_moves(cfg, intents)
         if not classify(successor).dispersed:
             return Dynamism(None, None)

@@ -127,7 +127,7 @@ def execute(spec: ExperimentSpec):
     adversary = get_adversary(spec.adversary)
     rng = random.Random(spec.seed)
     cfg = build_config(spec, rng)
-    robots = initial_robots(cfg, policy, build_orientations(spec, rng))
+    robots = initial_robots(cfg, build_orientations(spec, rng))
     result = run_simulation(
         policy, adversary, cfg, mode,
         robots=robots, k=spec.k, seed=rng.randrange(2 ** 32),
@@ -139,7 +139,7 @@ def _config_cells(cfg: RingConfiguration) -> list[list[int]]:
     return [list(slot) for slot in cfg.slots]
 
 
-def trace_records(spec: ExperimentSpec, initial: RingConfiguration, result):
+def trace_records(initial: RingConfiguration, result):
     start = classify(initial)
     yield {
         "round": 0,
@@ -164,7 +164,7 @@ def trace_records(spec: ExperimentSpec, initial: RingConfiguration, result):
 
 
 def write_jsonl(spec: ExperimentSpec, initial, result, fh) -> None:
-    for record in trace_records(spec, initial, result):
+    for record in trace_records(initial, result):
         fh.write(json.dumps(record, sort_keys=True) + "\n")
     summary = {
         "summary": True,
@@ -179,7 +179,7 @@ def write_jsonl(spec: ExperimentSpec, initial, result, fh) -> None:
 def write_run_csv(spec: ExperimentSpec, initial, result, fh) -> None:
     writer = csv.writer(fh)
     writer.writerow(["round", "perm", "edge", "intents", "config", "holes", "multinodes"])
-    for record in trace_records(spec, initial, result):
+    for record in trace_records(initial, result):
         intents = record["intents"]
         writer.writerow([
             record["round"],
@@ -224,16 +224,15 @@ def cmd_run(args) -> int:
     return EXIT_OK if result.dispersed else EXIT_FAIL
 
 
-def _sweep_cell(task) -> tuple:
-    n, policy_id, adversary_id, mode, config, seed, max_rounds = task
+def _sweep_cell(args, n: int, seed: int) -> tuple:
     spec = ExperimentSpec(
-        n=n, policy=policy_id, adversary=adversary_id, mode=mode,
-        config=config, seed=seed, max_rounds=max_rounds)
-    bound = get_policy(policy_id).proven_bound(n)
+        n=n, policy=args.policy, adversary=args.adversary, mode=args.mode,
+        config=args.config, seed=seed, max_rounds=args.max_rounds)
+    bound = get_policy(args.policy).proven_bound(n)
     _, result = execute(spec)
-    budget = bound if bound is not None else (max_rounds or 4 * n)
+    budget = bound if bound is not None else (args.max_rounds or 4 * n)
     passed = result.dispersed and result.rounds <= budget and not result.violations
-    return (n, policy_id, adversary_id, seed, result.rounds,
+    return (n, args.policy, args.adversary, seed, result.rounds,
             "" if bound is None else bound, "yes" if passed else "no")
 
 
@@ -242,15 +241,10 @@ def cmd_sweep(args) -> int:
         sizes = parse_int_range(args.n)
     except ValueError as exc:
         raise ScenarioError(f"--n {args.n!r} is not a list of sizes: {exc}") from None
-    tasks = [
-        (n, args.policy, args.adversary, args.mode, args.config, seed, args.max_rounds)
-        for n in sizes
-        for seed in range(args.trials)
-    ]
-    if not tasks:
+    rows = sorted(_sweep_cell(args, n, seed) for n in sizes for seed in range(args.trials))
+    if not rows:
         raise ScenarioError(
             f"sweep has no cells: --n {args.n!r} with --trials {args.trials}")
-    rows = sorted(_sweep_cell(task) for task in tasks)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["n", "policy", "adversary", "seed", "rounds", "bound", "pass"])
@@ -302,7 +296,8 @@ _ROUND_FIELDS = ("round", "perm", "edge", "intents", "config", "holes", "multino
 
 def _read_trace(path: str) -> tuple[list[dict], dict | None]:
     """The round records and the summary of a JSONL trace, each checked for
-    its fields; the first record must be round 0."""
+    its fields. Records must be numbered 0, 1, 2, ... and their round, holes
+    and multinodes must be plain integers, as ``run`` writes them."""
     lines = [json.loads(line) for line in _read_text(path).split("\n") if line.strip()]
     if not lines or not isinstance(lines[0], dict) or lines[0].get("round") != 0:
         raise ScenarioError("trace must start with a round 0 record")
@@ -316,6 +311,12 @@ def _read_trace(path: str) -> tuple[list[dict], dict | None]:
         missing = [name for name in _ROUND_FIELDS if name not in line]
         if missing:
             raise ScenarioError(f"trace line {number} lacks {', '.join(missing)}")
+        for name in ("round", "holes", "multinodes"):
+            if type(line[name]) is not int:
+                raise ScenarioError(f"trace line {number}: {name} {line[name]!r} is not an int")
+        if line["round"] != len(records):
+            raise ScenarioError(
+                f"trace line {number} is round {line['round']}, expected {len(records)}")
         records.append(line)
     if summary is not None and "outcome" not in summary:
         raise ScenarioError("trace summary lacks outcome")
@@ -327,11 +328,9 @@ def _replay_round(cfg: RingConfiguration, record: dict):
     and the slots the record says they lead to."""
     try:
         perm, edge = record["perm"], record["edge"]
-        # Plain integers only: a bool or a float would pass the range checks.
+        # Plain integers only: a bool or a float would pass the range check.
         if perm is not None and not all(type(node) is int for node in perm):
             raise ValueError(f"permutation {perm!r} must hold integers")
-        if edge is not None and type(edge) is not int:
-            raise ValueError(f"edge {edge!r} must be an integer")
         shaped = Dynamism(None if perm is None else tuple(perm), edge).apply(cfg)
         intents = {int(label): ACTION_FROM_SHORT[action]
                    for label, action in record["intents"].items()}
@@ -348,9 +347,9 @@ def cmd_replay(args) -> int:
         cfg = ring_from_slots(records[0]["config"])
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"round 0 config is not a valid ring: {exc}") from None
-    checked = 0
-    for record in records[1:]:
-        landed, expected = _replay_round(cfg, record)
+    for record in records:
+        # Round 0 is the start itself; every later round is re-derived.
+        landed, expected = _replay_round(cfg, record) if record["round"] else (cfg, cfg.slots)
         metrics = classify(landed)
         if (landed.slots != expected or metrics.holes != record["holes"]
                 or metrics.multinodes != record["multinodes"]):
@@ -358,7 +357,6 @@ def cmd_replay(args) -> int:
                   f"reconstructed {landed.slots}, trace says {expected}")
             return EXIT_FAIL
         cfg = RingConfiguration(landed.n, landed.slots, None)
-        checked += 1
     if summary is not None:
         dispersed = classify(cfg).dispersed
         recorded = summary["outcome"] == "dispersed"
@@ -366,7 +364,7 @@ def cmd_replay(args) -> int:
             print(f"replay mismatch: final config dispersed={dispersed}, "
                   f"summary says {summary['outcome']}")
             return EXIT_FAIL
-    print(f"replayed {checked} rounds, consistent")
+    print(f"replayed {len(records) - 1} rounds, consistent")
     return EXIT_OK
 
 

@@ -144,9 +144,8 @@ class Policy:
     allowed_modes: frozenset = frozenset(Mode)
     requires_chirality: bool = False
     full_visibility: bool = True
-
-    def initial_memory(self):
-        return None
+    gathered_start: bool = False  # every run must start with all robots on one node
+    guarantees: tuple[str, ...] = ()  # claimed for every round of the main phase
 
     def min_visibility(self, n: int) -> int:
         # The least k whose two gap vectors together cover the ring. Such a
@@ -174,7 +173,7 @@ class Policy:
         return "main"
 
     def round_guarantees(self, phase: str) -> tuple[str, ...]:
-        return ()
+        return self.guarantees if phase == "main" else ()
 
     def proven_bound(self, n: int) -> int | None:
         return None
@@ -186,12 +185,10 @@ class VpChainPolicy(Policy):
     policy_id = "vp-chain"
     allowed_modes = frozenset({Mode.NONE, Mode.VP})
     requires_chirality = True
+    guarantees = ("holes-strictly-decrease",)
 
     def decide(self, snap, robot):
         return vp_chain_decide(snap), robot.memory
-
-    def round_guarantees(self, phase):
-        return ("holes-strictly-decrease",)
 
     def proven_bound(self, n):
         return n - 1
@@ -202,24 +199,26 @@ class VpOneIntervalPolicy(Policy):
 
     policy_id = "vp-1i"
     requires_chirality = True
+    guarantees = ("holes-strictly-decrease",)
 
     def decide(self, snap, robot):
         return vp_one_interval_decide(snap), robot.memory
-
-    def round_guarantees(self, phase):
-        return ("holes-strictly-decrease",)
 
     def proven_bound(self, n):
         return n - 1
 
 
-class PreprocessMixin:
-    """One gathered-start round that gives every robot one chirality, n >= 3.
+class PreprocessPolicy(Policy):
+    """A rule with no shared clockwise that agrees on one from a gathered
+    start, n >= 3, and then follows good chains.
 
-    All robots step own-clockwise and remember the least label x of the
-    pile; afterwards, exactly the robots separated from x flip their
-    orientation. Both surviving groups moved in x's global direction or
-    opposite to it, so all orientations end equal to x's.
+    While no robot has agreed, a pile holding every robot takes one
+    preprocessing round: all robots step own-clockwise and remember the
+    least label x of the pile; afterwards, exactly the robots separated
+    from x flip their orientation. Both surviving groups moved in x's
+    global direction or opposite to it, so all orientations end equal to
+    x's. Away from such a pile the subclass's ``before_agreement(snap)``
+    rule acts and keeps its ``guarantees``.
 
     On a 2-ring both edges join the same two nodes, so when no edge is
     removed every move lands on the other node whichever hand made it, and
@@ -229,48 +228,44 @@ class PreprocessMixin:
     follows still disperses n=2 within its budget (criterion 4).
     """
 
-    def preprocess_decide(self, snap: Snapshot) -> tuple[Action, object]:
-        return Action.CLOCKWISE, ("moved", snap.least_label)
+    def decide(self, snap, robot):
+        if robot.memory is not None:
+            return vp_one_interval_decide(snap), robot.memory
+        if snap.own_count == snap.n:
+            return Action.CLOCKWISE, ("moved", snap.least_label)
+        if self.gathered_start:
+            raise ScenarioError(
+                f"policy {self.policy_id} must start with all robots on one node")
+        return self.before_agreement(snap), None
 
-    def preprocess_after_move(self, robot: RobotState, snap_post: Snapshot):
-        kind, anchor = robot.memory
-        assert kind == "moved"
+    def after_move(self, robot, snap_post):
+        if robot.memory in (None, PREPROCESS_DONE):
+            return robot.orientation, robot.memory
+        _, anchor = robot.memory
         orientation = robot.orientation
         if anchor not in snap_post.own_labels:
             orientation = orientation.flipped()
         return orientation, PREPROCESS_DONE
 
-
-class NoChiralityOneIntervalPolicy(PreprocessMixin, Policy):
-    """Gathered start, no shared clockwise: preprocess then good chains."""
-
-    policy_id = "no-chir-1i"
-
-    def decide(self, snap, robot):
-        if robot.memory is None:
-            if snap.own_count != snap.n:
-                raise ScenarioError(
-                    f"policy {self.policy_id} must start with all robots on one node")
-            return self.preprocess_decide(snap)
-        return vp_one_interval_decide(snap), robot.memory
-
-    def after_move(self, robot, snap_post):
-        if isinstance(robot.memory, tuple) and robot.memory[0] == "moved":
-            return self.preprocess_after_move(robot, snap_post)
-        return robot.orientation, robot.memory
-
     def phase_of_round(self, robots, cfg1):
         memories = {r.memory for r in robots}
-        if memories == {None}:
-            return "preprocess"
         if memories == {PREPROCESS_DONE}:
             return "chain"
-        raise ValueError(f"robots disagree on phase: {memories}")
+        if memories != {None}:
+            raise ValueError(f"robots disagree on phase: {memories}")
+        return "preprocess" if max(cfg1.multiplicities()) == cfg1.n else "main"
 
     def round_guarantees(self, phase):
         if phase == "chain":
             return ("holes-strictly-decrease",)
-        return ()
+        return super().round_guarantees(phase)
+
+
+class NoChiralityOneIntervalPolicy(PreprocessPolicy):
+    """Gathered start, no shared clockwise: preprocess then good chains."""
+
+    policy_id = "no-chir-1i"
+    gathered_start = True
 
     def proven_bound(self, n):
         return n
@@ -280,6 +275,7 @@ class AchiralOddPolicy(Policy):
     """Shorter-good-chain rule for odd rings, no shared clockwise."""
 
     policy_id = "achiral-odd"
+    guarantees = ("holes-decrease-or-multinodes-increase",)
 
     def check_scenario(self, n, mode, cfg, robots):
         super().check_scenario(n, mode, cfg, robots)
@@ -289,14 +285,11 @@ class AchiralOddPolicy(Policy):
     def decide(self, snap, robot):
         return achiral_odd_decide(snap), robot.memory
 
-    def round_guarantees(self, phase):
-        return ("holes-decrease-or-multinodes-increase",)
-
     def proven_bound(self, n):
         return math.ceil(n / 2) + 2 * n - 2
 
 
-class Even4Policy(PreprocessMixin, Policy):
+class Even4Policy(PreprocessPolicy):
     """Orientation-free rule for the 4-node ring.
 
     Runs the main rule until every robot shares a node, resolves that
@@ -305,40 +298,13 @@ class Even4Policy(PreprocessMixin, Policy):
     """
 
     policy_id = "even4"
+    guarantees = ("four-node-transitions",)
+    before_agreement = staticmethod(even4_main_decide)
 
     def check_scenario(self, n, mode, cfg, robots):
         super().check_scenario(n, mode, cfg, robots)
         if n != 4:
             raise ScenarioError(f"policy {self.policy_id} is specific to n=4, got n={n}")
-
-    def decide(self, snap, robot):
-        if robot.memory is None:
-            if snap.own_count == snap.n:
-                return self.preprocess_decide(snap)
-            return even4_main_decide(snap), None
-        return vp_one_interval_decide(snap), robot.memory
-
-    def after_move(self, robot, snap_post):
-        if isinstance(robot.memory, tuple) and robot.memory[0] == "moved":
-            return self.preprocess_after_move(robot, snap_post)
-        return robot.orientation, robot.memory
-
-    def phase_of_round(self, robots, cfg1):
-        memories = {r.memory for r in robots}
-        if memories == {None}:
-            if all(len(slot) in (0, cfg1.n) for slot in cfg1.slots):
-                return "preprocess"
-            return "main"
-        if memories == {PREPROCESS_DONE}:
-            return "chain"
-        raise ValueError(f"robots disagree on phase: {memories}")
-
-    def round_guarantees(self, phase):
-        if phase == "chain":
-            return ("holes-strictly-decrease",)
-        if phase == "main":
-            return ("four-node-transitions",)
-        return ()
 
     def proven_bound(self, n):
         return EVEN4_WORST_ROUNDS
@@ -422,6 +388,17 @@ def get_policy(policy_id: str) -> Policy:
         raise ScenarioError(f"unknown policy {policy_id!r} (known: {known}, k0:<table>)") from None
 
 
+# The proven state graph of the 4-node rule numbers the non-dispersed shapes
+# 4,0,0,0 / 3,1,0,0 / 2,1,1,0 / 2,2,0,0 as states 1 to 4. A census tells
+# them apart by its (holes, singletons, multinodes).
+FOUR_NODE_STATES = {(3, 0, 1): 1, (2, 1, 1): 2, (1, 2, 1): 3, (2, 0, 2): 4}
+
+
+def four_node_state(m: Metrics) -> int | None:
+    """The state of a 4-node census; None when dispersed or not 4 nodes."""
+    return FOUR_NODE_STATES.get((m.holes, m.singletons, m.multinodes))
+
+
 @dataclass(frozen=True)
 class LemmaViolation:
     """One broken per-round guarantee, with enough context to replay it."""
@@ -464,7 +441,7 @@ def check_round_lemmas(policy: Policy, phase: str, m1: Metrics, m2: Metrics,
                     guarantee,
                     f"holes {m1.holes}->{m2.holes}, multinodes {m1.multinodes}->{m2.multinodes}"))
         elif guarantee == "four-node-transitions":
-            pre, post = m1.state_label, m2.state_label
+            pre, post = four_node_state(m1), four_node_state(m2)
             allowed = {2: (3, None), 4: (3, None), 3: (1, None), 1: None, None: None}[pre]
             if allowed is not None and post not in allowed:
                 out.append(LemmaViolation(

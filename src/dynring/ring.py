@@ -141,16 +141,17 @@ class RingConfiguration:
             raise ValueError(f"expected {self.n} robots, found {len(labels)}")
         if set(labels) != set(range(1, self.n + 1)):
             raise ValueError(f"robot labels must be exactly 1..{self.n}")
-        if self.missing_edge is not None and not 0 <= self.missing_edge < self.n:
-            raise ValueError(f"edge index {self.missing_edge} out of range for n={self.n}")
+        if self.missing_edge is not None:
+            check_edge(self.missing_edge, self.n)
 
     @classmethod
     def _trusted(cls, n: int, slots, missing_edge: int | None = None) -> "RingConfiguration":
         """A configuration derived from a valid one by moving whole slots or
-        robots. It sorts each slot but skips the label, count and edge checks."""
+        robots. ``slots`` must be a tuple of sorted tuples; the label, count
+        and edge checks are skipped."""
         cfg = object.__new__(cls)
         object.__setattr__(cfg, "n", n)
-        object.__setattr__(cfg, "slots", tuple(map(tuple, map(sorted, slots))))
+        object.__setattr__(cfg, "slots", slots)
         object.__setattr__(cfg, "missing_edge", missing_edge)
         return cfg
 
@@ -167,6 +168,12 @@ class RingConfiguration:
         body = " ".join("." if not s else ",".join(map(str, s)) for s in self.slots)
         edge = "" if self.missing_edge is None else f" !e{self.missing_edge}"
         return f"<ring {body}{edge}>"
+
+
+def check_edge(edge, n: int) -> None:
+    """A removed edge must be a plain int (a bool is not one) in 0..n-1."""
+    if type(edge) is not int or not 0 <= edge < n:
+        raise ValueError(f"edge {edge!r} is not an edge index in 0..{n - 1}")
 
 
 def ring_from_slots(slots, missing_edge: int | None = None) -> RingConfiguration:
@@ -221,7 +228,7 @@ def apply_vertex_permutation(cfg: RingConfiguration, perm) -> RingConfiguration:
     slots = [()] * cfg.n
     for old, new in enumerate(perm):
         slots[new] = cfg.slots[old]
-    return RingConfiguration._trusted(cfg.n, slots, None)
+    return RingConfiguration._trusted(cfg.n, tuple(slots), None)
 
 
 def apply_edge_removal(cfg: RingConfiguration, edge: int | None) -> RingConfiguration:
@@ -230,8 +237,7 @@ def apply_edge_removal(cfg: RingConfiguration, edge: int | None) -> RingConfigur
         return cfg
     if cfg.missing_edge is not None:
         raise ValueError("an edge is already removed this round")
-    if not 0 <= edge < cfg.n:
-        raise ValueError(f"edge index {edge} out of range for n={cfg.n}")
+    check_edge(edge, cfg.n)
     return RingConfiguration._trusted(cfg.n, cfg.slots, edge)
 
 
@@ -250,7 +256,7 @@ def resolve_moves(cfg: RingConfiguration, intents: dict[int, Action]) -> RingCon
                 slots[pos].append(label)
             else:
                 slots[(pos + action) % n].append(label)
-    return RingConfiguration._trusted(n, slots, cut)
+    return RingConfiguration._trusted(n, tuple(map(tuple, map(sorted, slots))), cut)
 
 
 @dataclass(frozen=True)
@@ -261,16 +267,6 @@ class Metrics:
     singletons: int
     multinodes: int
     dispersed: bool
-    state_label: int | None  # 1..4 for the non-dispersed 4-node shapes, else None
-
-
-# Non-dispersed occupancy shapes of the 4-node ring, keyed by sorted counts.
-FOUR_NODE_STATES = {
-    (4, 0, 0, 0): 1,
-    (3, 1, 0, 0): 2,
-    (2, 1, 1, 0): 3,
-    (2, 2, 0, 0): 4,
-}
 
 
 def classify(cfg: RingConfiguration) -> Metrics:
@@ -279,10 +275,7 @@ def classify(cfg: RingConfiguration) -> Metrics:
     singles = mult.count(1)
     multis = cfg.n - holes - singles
     dispersed = singles == cfg.n
-    state = None
-    if cfg.n == 4 and not dispersed:
-        state = FOUR_NODE_STATES[tuple(sorted(mult, reverse=True))]
-    return Metrics(holes, singles, multis, dispersed, state)
+    return Metrics(holes, singles, multis, dispersed)
 
 
 @dataclass(frozen=True)
@@ -453,7 +446,7 @@ def rotate(cfg: RingConfiguration, shift: int) -> RingConfiguration:
     for old in range(n):
         slots[(old + shift) % n] = cfg.slots[old]
     edge = None if cfg.missing_edge is None else (cfg.missing_edge + shift) % n
-    return RingConfiguration._trusted(n, slots, edge)
+    return RingConfiguration._trusted(n, tuple(slots), edge)
 
 
 def reflect(cfg: RingConfiguration, pivot: int = 0) -> RingConfiguration:
@@ -465,7 +458,7 @@ def reflect(cfg: RingConfiguration, pivot: int = 0) -> RingConfiguration:
     edge = None
     if cfg.missing_edge is not None:
         edge = (2 * pivot - cfg.missing_edge - 1) % n
-    return RingConfiguration._trusted(n, slots, edge)
+    return RingConfiguration._trusted(n, tuple(slots), edge)
 
 
 def canonical_rotation(cfg: RingConfiguration) -> RingConfiguration:

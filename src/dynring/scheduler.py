@@ -43,7 +43,6 @@ class RoundTrace:
     intents: dict[int, Action]
     config_seen: RingConfiguration
     config_after: RingConfiguration
-    metrics_seen: Metrics
     metrics_after: Metrics
     holes_filled: int
     violations: tuple[LemmaViolation, ...]
@@ -136,7 +135,6 @@ def step(
         intents=intents,
         config_seen=cfg_seen,
         config_after=cfg_after,
-        metrics_seen=analysis.metrics,
         metrics_after=metrics_after,
         holes_filled=filled,
         violations=tuple(check_round_lemmas(policy, phase, analysis.metrics, metrics_after,
@@ -146,12 +144,11 @@ def step(
     return next_cfg, tuple(settled), trace
 
 
-def initial_robots(cfg: RingConfiguration, policy: Policy, orientations=None):
+def initial_robots(cfg: RingConfiguration, orientations=None):
     """Robots for a fresh run, in label order; ``orientations`` maps label to
     Orientation."""
     return tuple(
-        RobotState(label, Orientation.ALIGNED if orientations is None else orientations[label],
-                   policy.initial_memory())
+        RobotState(label, Orientation.ALIGNED if orientations is None else orientations[label])
         for label in cfg.labels())
 
 
@@ -189,7 +186,7 @@ def play(policy: Policy, adversary: Adversary, cfg: RingConfiguration, mode: Mod
         return
     for index in itertools.count():
         predicted = predict_intents(policy, cfg, robots) if adversary.adaptive else None
-        dynamism = adversary.choose(AdversaryContext(cfg, mode, index, rng, predicted))
+        dynamism = adversary.choose(AdversaryContext(cfg, mode, rng, predicted))
         dynamism.check_mode(mode)
         cfg, robots, trace = step(policy, cfg, robots, dynamism, index, predicted)
         yield cfg, robots, trace
@@ -209,7 +206,7 @@ def run_simulation(
 ) -> RunResult:
     """Drive rounds until one robot per node or the round budget runs out."""
     if robots is None:
-        robots = initial_robots(cfg, policy)
+        robots = initial_robots(cfg)
     robots = tuple(robots)
     if k is None:
         k = policy.min_visibility(cfg.n)

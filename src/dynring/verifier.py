@@ -223,19 +223,17 @@ def default_verification_roots(policy: Policy, n: int):
     covers the mirrored choice by symmetry. Orientation-free policies get
     every orientation assignment.
     """
-    if policy.policy_id == "no-chir-1i":
-        return (all_on_one(n),), "all"
-    starts = enumerate_initial_configs(n)
+    starts = (all_on_one(n),) if policy.gathered_start else enumerate_initial_configs(n)
     return starts, ("aligned" if policy.requires_chirality else "all")
 
 
-def _orientation_assignments(n: int, spec) -> list[tuple[Orientation, ...]]:
+def _orientation_assignments(n: int, spec: str) -> list[tuple[Orientation, ...]]:
     if spec == "aligned":
         return [tuple(Orientation.ALIGNED for _ in range(n))]
     if spec == "all":
         return [tuple(combo) for combo in itertools.product(
             (Orientation.ALIGNED, Orientation.REVERSED), repeat=n)]
-    return [tuple(item) for item in spec]
+    raise ScenarioError(f"orientations must be 'aligned' or 'all', got {spec!r}")
 
 
 def verify_worst_case(
@@ -249,8 +247,8 @@ def verify_worst_case(
 ) -> BoundReport:
     """Search every start, every orientation choice, every adversary line.
 
-    Starts and orientations not given are those of
-    ``default_verification_roots``.
+    ``orientations`` is "aligned" or "all"; starts and orientations not
+    given are those of ``default_verification_roots``.
     """
     if starts is None or orientations is None:
         default_starts, default_orientations = default_verification_roots(policy, n)
@@ -265,7 +263,7 @@ def verify_worst_case(
     worst_root = None
     for cfg in starts:
         for orients in _orientation_assignments(n, orientations):
-            robots = initial_robots(cfg, policy, dict(enumerate(orients, start=1)))
+            robots = initial_robots(cfg, dict(enumerate(orients, start=1)))
             validate_scenario(policy, None, cfg, robots, mode, policy.min_visibility(n))
             value = searcher.value(cfg, robots)
             root_key = (cfg.slots, "".join(o.value for o in orients))
@@ -329,12 +327,7 @@ class ImpossibilityReport:
 
 def adversary_start_filter(adversary: Adversary, cfg: RingConfiguration) -> bool:
     """Whether this adversary maintains its invariant from this start."""
-    mult = sorted(cfg.multiplicities())
-    if classify(cfg).dispersed:
-        return False
-    if adversary.adversary_id == "vp-killer-n3":
-        return mult == [0, 1, 2]
-    return True
+    return adversary.invariant(cfg)
 
 
 def verify_impossibility(
@@ -366,7 +359,7 @@ def verify_impossibility(
         if policy.full_visibility:
             raise ScenarioError("impossibility runs are for zero-visibility rules")
         for start in starts:
-            robots = initial_robots(start, policy)
+            robots = initial_robots(start)
             cfg, rounds, seen = start, 0, {(start.slots, _aux(robots))}
             for cfg, robots, _ in itertools.islice(
                     play(policy, adversary, start, mode, robots), horizon):
@@ -405,14 +398,14 @@ def check_adaptive_soundness(
     For zero-visibility robots any combination of per-robot actions could
     occur, so the adversary must keep every single one from producing a
     dispersed successor. With ``neutral_required`` the successor must also
-    keep the pair/single/hole shape of the 3-ring.
+    keep the adversary's invariant, such as the 3-ring's pair/single/hole.
     """
     problems = []
     labels = cfg.labels()
     for combo in itertools.product(
             (Action.STAY, Action.CLOCKWISE, Action.ANTICLOCKWISE), repeat=cfg.n):
         intents = dict(zip(labels, combo))
-        ctx = AdversaryContext(cfg, mode, 0, None, intents)
+        ctx = AdversaryContext(cfg, mode, None, intents)
         dynamism = adversary.choose(ctx)
         dynamism.check_mode(mode)
         shaped = dynamism.apply(cfg)
@@ -421,7 +414,7 @@ def check_adaptive_soundness(
         described = ",".join(a.short for a in combo)
         if metrics.dispersed:
             problems.append(f"intents [{described}] from {cfg} dispersed via {dynamism}")
-        elif neutral_required and sorted(successor.multiplicities()) != [0, 1, 2]:
+        elif neutral_required and not adversary.invariant(successor):
             problems.append(f"intents [{described}] from {cfg} left shape "
                             f"{successor.multiplicities()} via {dynamism}")
     return problems

@@ -79,7 +79,7 @@ def _two_ring_round(cfg, dynamism, actions, hands: str):
     and, per robot, its snapshots and its full views before and after."""
     policy = _FixedActions(actions)
     assignment = {label: Orientation(hand) for label, hand in zip((1, 2), hands)}
-    robots = initial_robots(cfg, policy, assignment)
+    robots = initial_robots(cfg, assignment)
     _, settled, trace = step(policy, cfg, robots, dynamism)
     observations = tuple(
         (robot.memory,
@@ -171,7 +171,7 @@ def chirality_gain():
         for combo in itertools.product("AR", repeat=n):
             assignment = {i + 1: Orientation(letter) for i, letter in enumerate(combo)}
             for dynamism in branches:
-                robots = initial_robots(cfg, policy, assignment)
+                robots = initial_robots(cfg, assignment)
                 _, settled, trace = step(policy, cfg, robots, dynamism)
                 traces.append(trace)
                 branches_tried += 1
@@ -203,8 +203,7 @@ def composed_random_runs():
         cfg = all_on_one(n)
         for i in range(RANDOM_SEEDS):
             seed = n * 7_000_003 + i
-            robots = initial_robots(cfg, policy,
-                                    _random_orientations(n, random.Random(seed)))
+            robots = initial_robots(cfg, _random_orientations(n, random.Random(seed)))
             run = run_simulation(policy, adversary, cfg, Mode.COMBINED,
                                  robots=robots, seed=seed, max_rounds=n)
             runs += 1
@@ -238,7 +237,7 @@ def achiral_random_runs():
             seed = n * 11_000_027 + i
             rng = random.Random(seed)
             cfg = random_configuration(n, rng)
-            robots = initial_robots(cfg, policy, _random_orientations(n, rng))
+            robots = initial_robots(cfg, _random_orientations(n, rng))
             run = run_simulation(policy, adversary, cfg, Mode.COMBINED,
                                  robots=robots, seed=seed, max_rounds=bound)
             runs += 1

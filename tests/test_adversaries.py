@@ -33,7 +33,7 @@ CW, ACW, STAY = Action.CLOCKWISE, Action.ANTICLOCKWISE, Action.STAY
 
 
 def ctx_for(cfg, mode=Mode.VP, intents=None, rng=None):
-    return AdversaryContext(cfg, mode, 0, rng=rng, predicted_intents=intents)
+    return AdversaryContext(cfg, mode, rng=rng, predicted_intents=intents)
 
 
 # ----------------------------------------------------------------- dynamism

@@ -108,6 +108,18 @@ def test_replay_catches_tampered_traces(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().out
 
 
+def test_replay_checks_the_start_census(tmp_path, capsys):
+    out = tmp_path / "run.jsonl"
+    run_cli("run", "--n", "3", "--policy", "vp-chain", "--seed", "1", "--out", str(out))
+    lines = out.read_text().splitlines()
+    start = json.loads(lines[0])
+    start["holes"] += 1
+    lines[0] = json.dumps(start, sort_keys=True)
+    out.write_text("\n".join(lines) + "\n")
+    assert run_cli("replay", str(out)) == 2
+    assert "mismatch at round 0" in capsys.readouterr().out
+
+
 # ------------------------------------------------------------------- sweeps
 
 
@@ -194,6 +206,9 @@ def _not_utf8(tmp_path, *argv):
         *PERMUTING_RUN),
     lambda tmp_path: _tampered_trace(
         tmp_path, lambda r: r["intents"].update({"01": r["intents"]["1"]}), *PERMUTING_RUN),
+    lambda tmp_path: _tampered_trace(
+        tmp_path, lambda r: r.update(holes=float(r["holes"])), *PERMUTING_RUN),
+    lambda tmp_path: _tampered_trace(tmp_path, lambda r: r.update(round=17), *PERMUTING_RUN),
 ], ids=["run-n-0", "run-n-negative", "sweep-n-not-a-number", "sweep-n-empty-range",
         "config-not-a-number", "config-wrong-total", "spec-unknown-key", "spec-unknown-mode",
         "replay-missing-perm", "run-max-rounds-negative", "verify-bound-n-0",
@@ -203,7 +218,7 @@ def _not_utf8(tmp_path, *argv):
         "spec-orientations-not-a-string", "spec-k-not-an-integer", "spec-adversary-a-list",
         "spec-seed-a-list", "spec-n-a-bool", "spec-not-utf8", "replay-not-utf8",
         "replay-edge-not-an-integer", "replay-edge-a-bool", "replay-perm-entry-a-bool",
-        "replay-intent-label-repeated"])
+        "replay-intent-label-repeated", "replay-holes-a-float", "replay-round-skipped"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     capsys.readouterr()

@@ -1,6 +1,8 @@
 """Unit and property tests for the decision rules and their guarantees."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,16 +25,18 @@ from dynring import (
     initial_robots,
     predict_intents,
     reflect,
+    ring_from_multiplicities,
     ring_from_slots,
     rotate,
 )
+from dynring.policies import four_node_state
 
 CW, ACW, STAY = Action.CLOCKWISE, Action.ANTICLOCKWISE, Action.STAY
 
 
 def intents_of(policy_id, cfg, orientations=None, memory=None):
     policy = get_policy(policy_id)
-    robots = initial_robots(cfg, policy, orientations)
+    robots = initial_robots(cfg, orientations)
     if memory is not None:
         robots = tuple(RobotState(r.label, r.orientation, memory) for r in robots)
     return predict_intents(policy, cfg, robots)
@@ -58,7 +62,7 @@ def test_registry_and_zero_visibility_ids():
 def test_scenario_requirements():
     cfg = all_on_one(4)
     vp = get_policy("vp-chain")
-    robots = initial_robots(cfg, vp)
+    robots = initial_robots(cfg)
     with pytest.raises(ScenarioError):
         vp.check_scenario(4, Mode.ONE_INTERVAL, cfg, robots)
     mixed = (robots[0],) + tuple(
@@ -67,10 +71,10 @@ def test_scenario_requirements():
         vp.check_scenario(4, Mode.VP, cfg, mixed)
     with pytest.raises(ScenarioError):
         get_policy("achiral-odd").check_scenario(4, Mode.COMBINED, all_on_one(4),
-                                                initial_robots(all_on_one(4), vp))
+                                                initial_robots(all_on_one(4)))
     with pytest.raises(ScenarioError):
         get_policy("even4").check_scenario(5, Mode.COMBINED, all_on_one(5),
-                                          initial_robots(all_on_one(5), vp))
+                                          initial_robots(all_on_one(5)))
 
 
 def test_proven_bound_formulas():
@@ -117,7 +121,7 @@ def test_four_ring_rule_walks_the_proven_state_graph():
     # The empty anticlockwise chain is shorter, so the leader takes it and
     # the one-singleton chain waits.
     assert intents_of("even4", three_one) == {1: ACW, 2: STAY, 3: STAY, 4: STAY}
-    assert classify(ring_from_slots(((2, 3), (4,), (), (1,)))).state_label == 3
+    assert four_node_state(classify(ring_from_slots(((2, 3), (4,), (), (1,))))) == 3
 
     two_two = ring_from_slots(((1, 2), (), (3, 4), ()))
     # Opposite pairs: both leaders sit between two holes and step clockwise.
@@ -159,9 +163,9 @@ def test_reversed_robot_flips_global_direction():
 def test_gathered_start_preprocess_and_flip():
     policy = get_policy("no-chir-1i")
     cfg = all_on_one(3)
-    robots = initial_robots(cfg, policy, {1: Orientation.ALIGNED,
-                                          2: Orientation.REVERSED,
-                                          3: Orientation.ALIGNED})
+    robots = initial_robots(cfg, {1: Orientation.ALIGNED,
+                                  2: Orientation.REVERSED,
+                                  3: Orientation.ALIGNED})
     got = predict_intents(policy, cfg, robots)
     # Everyone steps its own clockwise, which splits the pile in two.
     assert got == {1: CW, 2: ACW, 3: CW}
@@ -181,18 +185,18 @@ def test_gathered_start_required_when_memory_fresh():
     policy = get_policy("no-chir-1i")
     cfg = ring_from_slots(((1, 2), (3,), ()))
     with pytest.raises(ScenarioError):
-        predict_intents(policy, cfg, initial_robots(cfg, policy))
+        predict_intents(policy, cfg, initial_robots(cfg))
 
 
 def test_four_ring_rule_uses_chain_phase_after_gathering():
     policy = get_policy("even4")
     cfg = ring_from_slots(((1, 2), (3,), (), (4,)))
     robots = tuple(RobotState(r.label, r.orientation, PREPROCESS_DONE)
-                   for r in initial_robots(cfg, policy))
+                   for r in initial_robots(cfg))
     assert policy.phase_of_round(robots, cfg) == "chain"
-    fresh = initial_robots(cfg, policy)
+    fresh = initial_robots(cfg)
     assert policy.phase_of_round(fresh, cfg) == "main"
-    assert policy.phase_of_round(initial_robots(all_on_one(4), policy),
+    assert policy.phase_of_round(initial_robots(all_on_one(4)),
                                  all_on_one(4)) == "preprocess"
 
 
@@ -299,6 +303,24 @@ def test_lemma_checker_accepts_new_multinode_for_stalled_holes():
     assert grew == []
     stalled = round_lemmas(policy, "main", cfg1, cfg1)
     assert [v.guarantee for v in stalled] == ["holes-decrease-or-multinodes-increase"]
+
+
+def test_four_node_state_labels():
+    assert four_node_state(classify(all_on_one(4))) == 1
+    assert four_node_state(classify(ring_from_multiplicities([3, 1, 0, 0]))) == 2
+    assert four_node_state(classify(ring_from_multiplicities([2, 1, 0, 1]))) == 3
+    assert four_node_state(classify(ring_from_multiplicities([2, 0, 2, 0]))) == 4
+    assert four_node_state(classify(ring_from_multiplicities([1, 1, 1, 1]))) is None
+    assert four_node_state(classify(all_on_one(3))) is None
+
+
+def test_four_node_state_is_read_off_the_census():
+    """Every 4-node occupancy vector gets the state of its shape."""
+    shapes = {(4, 0, 0, 0): 1, (3, 1, 0, 0): 2, (2, 1, 1, 0): 3, (2, 2, 0, 0): 4}
+    for counts in itertools.product(range(5), repeat=4):
+        if sum(counts) == 4:
+            state = four_node_state(classify(ring_from_multiplicities(counts)))
+            assert state == shapes.get(tuple(sorted(counts, reverse=True))), counts
 
 
 def test_lemma_checker_tracks_four_ring_transitions():

@@ -46,6 +46,14 @@ def test_labels_must_be_exactly_one_to_n():
 def test_edge_index_validated():
     with pytest.raises(ValueError):
         RingConfiguration(2, ((1,), (2,)), 5)
+    # A removed edge is a plain int: 1.5 would be an edge no move crosses,
+    # and True would pass for edge 1.
+    cfg = ring_from_slots(((1, 2), (3,), ()))
+    for edge in (1.5, True):
+        with pytest.raises(ValueError):
+            RingConfiguration(3, cfg.slots, edge)
+        with pytest.raises(ValueError):
+            apply_edge_removal(cfg, edge)
 
 
 def test_ring_from_multiplicities_deals_labels_clockwise():
@@ -176,15 +184,6 @@ def test_classify_counts():
     assert (metrics.holes, metrics.singletons, metrics.multinodes) == (2, 1, 1)
     assert not metrics.dispersed
     assert classify(ring_from_slots(((1,), (2,), (3,)))).dispersed
-
-
-def test_four_node_state_labels():
-    assert classify(all_on_one(4)).state_label == 1
-    assert classify(ring_from_multiplicities([3, 1, 0, 0])).state_label == 2
-    assert classify(ring_from_multiplicities([2, 1, 0, 1])).state_label == 3
-    assert classify(ring_from_multiplicities([2, 0, 2, 0])).state_label == 4
-    assert classify(ring_from_multiplicities([1, 1, 1, 1])).state_label is None
-    assert classify(all_on_one(3)).state_label is None
 
 
 @settings(max_examples=150, deadline=None)

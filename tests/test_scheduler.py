@@ -34,7 +34,7 @@ CW, ACW, STAY = Action.CLOCKWISE, Action.ANTICLOCKWISE, Action.STAY
 def test_step_runs_look_decide_move_in_order():
     policy = get_policy("vp-chain")
     cfg = ring_from_slots(((1, 2, 3), (4,), (), (), (5,)))
-    robots = initial_robots(cfg, policy)
+    robots = initial_robots(cfg)
     nxt, _, trace = step(policy, cfg, robots, Dynamism())
     assert trace.phase == "main"
     assert trace.intents == {1: CW, 2: STAY, 3: STAY, 4: CW, 5: STAY}
@@ -47,7 +47,7 @@ def test_step_runs_look_decide_move_in_order():
 def test_step_applies_dynamism_before_the_look():
     policy = get_policy("vp-chain")
     cfg = ring_from_slots(((1, 2), (3,), (), (4,)))
-    robots = initial_robots(cfg, policy)
+    robots = initial_robots(cfg)
     shuffle = Dynamism((2, 3, 0, 1), None)
     _, _, trace = step(policy, cfg, robots, shuffle)
     # The pair travels to node 2 before anyone looks; decisions are made
@@ -58,7 +58,7 @@ def test_step_applies_dynamism_before_the_look():
 def test_step_demands_an_intact_start_and_clears_the_edge():
     policy = get_policy("vp-1i")
     cfg = ring_from_slots(((1, 2), (3,), (), (4,)))
-    robots = initial_robots(cfg, policy)
+    robots = initial_robots(cfg)
     with pytest.raises(ValueError):
         step(policy, cfg.__class__(cfg.n, cfg.slots, 0), robots, Dynamism())
     nxt, _, trace = step(policy, cfg, robots, Dynamism(None, 2))
@@ -72,7 +72,7 @@ def test_blocked_intent_is_visible_in_the_trace():
     # stands but the crossing fails.
     policy = get_policy("k0:ccssss")
     cfg = ring_from_slots(((1, 2), (3,), ()))
-    robots = initial_robots(cfg, policy)
+    robots = initial_robots(cfg)
     nxt, _, trace = step(policy, cfg, robots, Dynamism(None, 1))
     assert trace.intents[1] is CW and trace.intents[3] is CW
     # Robot 3 wanted to cross the missing edge and stayed; robot 1 joins it.
@@ -82,7 +82,7 @@ def test_blocked_intent_is_visible_in_the_trace():
 def test_prediction_mismatch_is_an_error():
     policy = get_policy("vp-chain")
     cfg = ring_from_slots(((1, 2), (3,), (), (4,)))
-    robots = initial_robots(cfg, policy)
+    robots = initial_robots(cfg)
     right = predict_intents(policy, cfg, robots)
     step(policy, cfg, robots, Dynamism(), predicted=right)
     wrong = dict(right)
@@ -94,9 +94,9 @@ def test_prediction_mismatch_is_an_error():
 def test_preprocess_round_aligns_every_orientation():
     policy = get_policy("no-chir-1i")
     cfg = all_on_one(3)
-    robots = initial_robots(cfg, policy, {1: Orientation.REVERSED,
-                                          2: Orientation.ALIGNED,
-                                          3: Orientation.REVERSED})
+    robots = initial_robots(cfg, {1: Orientation.REVERSED,
+                                  2: Orientation.ALIGNED,
+                                  3: Orientation.REVERSED})
     nxt, settled, trace = step(policy, cfg, robots, Dynamism())
     assert trace.phase == "preprocess"
     assert {r.memory for r in settled} == {PREPROCESS_DONE}
@@ -155,7 +155,7 @@ def test_adaptive_run_uses_exact_predictions():
 def test_scenario_validation_rejects_mismatches():
     vp = get_policy("vp-chain")
     cfg = all_on_one(4)
-    robots = initial_robots(cfg, vp)
+    robots = initial_robots(cfg)
     validate_scenario(vp, get_adversary("benign"), cfg, robots, Mode.VP, 2)
     with pytest.raises(ScenarioError):
         validate_scenario(vp, get_adversary("benign"), cfg, robots, Mode.COMBINED, 2)
@@ -175,7 +175,7 @@ def test_scenario_validation_rejects_mismatches():
 def test_zero_visibility_rules_accept_k_zero():
     policy = get_policy("k0:scascs")
     cfg = ring_from_slots(((1, 2), (3,), ()))
-    robots = initial_robots(cfg, policy)
+    robots = initial_robots(cfg)
     validate_scenario(policy, get_adversary("vp-killer-n3"), cfg, robots, Mode.VP, 0)
 
 
@@ -188,7 +188,7 @@ def test_rounds_conserve_robots(cfg, data):
     """No robot is ever lost or duplicated, whatever the round does."""
     policy = get_policy(data.draw(st.sampled_from(
         ("vp-chain", "vp-1i", "achiral-odd", "k0:cascas"))))
-    robots = initial_robots(cfg, policy)
+    robots = initial_robots(cfg)
     perm = tuple(data.draw(st.permutations(range(cfg.n))))
     edge = data.draw(st.one_of(st.none(), st.integers(0, cfg.n - 1)))
     nxt, moved, trace = step(policy, cfg, robots, Dynamism(perm, edge))

@@ -13,6 +13,7 @@ from dynring import (
     Mode,
     RingConfiguration,
     ScenarioError,
+    adversary_start_filter,
     all_on_one,
     apply_vertex_permutation,
     canonical_rotation,
@@ -26,6 +27,7 @@ from dynring import (
     permutation_classes,
     predict_intents,
     resolve_moves,
+    ring_from_multiplicities,
     ring_from_slots,
     rotate,
     run_simulation,
@@ -151,7 +153,7 @@ def _root_values(searcher, policy, n, starts, orientations):
     values = {}
     for cfg in starts:
         for hands in _orientation_assignments(n, orientations):
-            robots = initial_robots(cfg, policy, dict(enumerate(hands, start=1)))
+            robots = initial_robots(cfg, dict(enumerate(hands, start=1)))
             values[cfg.slots, hands] = searcher.value(cfg, robots)
     return values
 
@@ -222,7 +224,7 @@ def test_witness_is_optimal_from_every_rotation(policy_id, n, mode):
     worst_roots = []
     for cfg in starts:
         for hands in _orientation_assignments(n, orientations):
-            robots = initial_robots(cfg, policy, dict(enumerate(hands, start=1)))
+            robots = initial_robots(cfg, dict(enumerate(hands, start=1)))
             if searcher.value(cfg, robots) == report.worst_rounds:
                 worst_roots.append((cfg, robots))
     assert worst_roots
@@ -295,6 +297,29 @@ def test_search_defaults_to_the_policy_roots():
 # ------------------------------------------------------------ impossibility
 
 
+@pytest.mark.parametrize("adversary_id,sizes", [
+    ("vp-killer-n3", (3,)),
+    ("vp-killer", (4, 5)),
+    ("1i-killer", (2, 3, 4, 5)),
+])
+def test_start_filter_is_the_adversary_invariant(adversary_id, sizes):
+    """At the sizes of the impossibility criterion, every absolute occupancy
+    vector passes the start filter exactly when the written-out invariant
+    holds: pair, single and hole for the 3-ring permuter, otherwise not
+    dispersed."""
+    adversary = get_adversary(adversary_id)
+    for n in sizes:
+        for counts in itertools.product(range(n + 1), repeat=n):
+            if sum(counts) != n:
+                continue
+            if adversary_id == "vp-killer-n3":
+                expected = sorted(counts) == [0, 1, 2]
+            else:
+                expected = counts != (1,) * n
+            cfg = ring_from_multiplicities(counts)
+            assert adversary_start_filter(adversary, cfg) == expected, counts
+
+
 def test_impossibility_runs_prove_infinite_stalls():
     adversary = get_adversary("vp-killer-n3")
     policies = [get_policy("k0:" + t) for t in ("ssssss", "cccccc", "sccsss", "cascas")]
@@ -311,7 +336,7 @@ def test_impossibility_blocks_a_rule_that_wins_benignly():
     # This table disperses (pair, single, hole) unopposed in one round.
     policy = get_policy("k0:sascss")
     cfg = ring_from_slots(((1, 2), (3,), ()))
-    robots = initial_robots(cfg, policy)
+    robots = initial_robots(cfg)
     intents = predict_intents(policy, cfg, robots)
     landed = resolve_moves(cfg, intents)
     assert classify(landed).dispersed
