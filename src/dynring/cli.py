@@ -67,9 +67,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
-        data = json.loads(text)
         try:
-            return cls(**data)
+            return cls(**_parse_json(text, "spec"))
         except TypeError as exc:
             raise ScenarioError(f"bad experiment spec: {exc}") from None
 
@@ -200,6 +199,15 @@ def _read_text(path: str) -> str:
         raise ScenarioError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
+def _parse_json(text: str, where: str):
+    """A spec's or trace line's JSON value; input too deep or with an integer
+    too long for the parser is a ``ScenarioError`` like other bad JSON."""
+    try:
+        return json.loads(text)
+    except (RecursionError, ValueError) as exc:
+        raise ScenarioError(f"{where} is not valid JSON: {exc}") from None
+
+
 def cmd_run(args) -> int:
     if args.spec is not None:
         spec = ExperimentSpec.from_json(_read_text(args.spec))
@@ -298,7 +306,8 @@ def _read_trace(path: str) -> tuple[list[dict], dict | None]:
     """The round records and the summary of a JSONL trace, each checked for
     its fields. Records must be numbered 0, 1, 2, ... and their round, holes
     and multinodes must be plain integers, as ``run`` writes them."""
-    lines = [json.loads(line) for line in _read_text(path).split("\n") if line.strip()]
+    lines = [_parse_json(text, f"trace line {number}") for number, text
+             in enumerate(filter(str.strip, _read_text(path).split("\n")), start=1)]
     if not lines or not isinstance(lines[0], dict) or lines[0].get("round") != 0:
         raise ScenarioError("trace must start with a round 0 record")
     records, summary = [], None
@@ -328,15 +337,18 @@ def _replay_round(cfg: RingConfiguration, record: dict):
     and the slots the record says they lead to."""
     try:
         perm, edge = record["perm"], record["edge"]
-        # Plain integers only: a bool or a float would pass the range check.
+        # Plain integers only: a bool or a float passes a range or equality test.
         if perm is not None and not all(type(node) is int for node in perm):
             raise ValueError(f"permutation {perm!r} must hold integers")
+        expected = tuple(map(tuple, record["config"]))
+        if not all(type(label) is int for slot in expected for label in slot):
+            raise ValueError(f"config {record['config']!r} must hold integer labels")
         shaped = Dynamism(None if perm is None else tuple(perm), edge).apply(cfg)
         intents = {int(label): ACTION_FROM_SHORT[action]
                    for label, action in record["intents"].items()}
         if len(intents) != len(record["intents"]):
             raise ValueError("two intents name the same robot")
-        return resolve_moves(shaped, intents), tuple(tuple(c) for c in record["config"])
+        return resolve_moves(shaped, intents), expected
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"round {record['round']} cannot be replayed: {exc!r}") from None
 
@@ -439,7 +451,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ScenarioError, OSError, json.JSONDecodeError) as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -166,8 +166,10 @@ class Policy:
     def decide(self, snap: Snapshot, robot: RobotState) -> tuple[Action, object]:
         raise NotImplementedError
 
-    def after_move(self, robot: RobotState, snap_post: Snapshot) -> tuple[Orientation, object]:
-        return robot.orientation, robot.memory
+    def after_move(self, robot: RobotState, memory, mates) -> tuple[Orientation, object]:
+        """The hand and memory to settle with, from the ``memory`` decided with
+        and the sorted labels ``mates`` on the node the round ended on."""
+        return robot.orientation, memory
 
     def phase_of_round(self, robots, cfg1: RingConfiguration) -> str:
         return "main"
@@ -214,8 +216,8 @@ class PreprocessPolicy(Policy):
 
     While no robot has agreed, a pile holding every robot takes one
     preprocessing round: all robots step own-clockwise and remember the
-    least label x of the pile; afterwards, exactly the robots separated
-    from x flip their orientation. Both surviving groups moved in x's
+    least label x of the pile; after the move, exactly the robots whose
+    node does not hold x flip. Both surviving groups moved in x's
     global direction or opposite to it, so all orientations end equal to
     x's. Away from such a pile the subclass's ``before_agreement(snap)``
     rule acts and keeps its ``guarantees``.
@@ -238,14 +240,12 @@ class PreprocessPolicy(Policy):
                 f"policy {self.policy_id} must start with all robots on one node")
         return self.before_agreement(snap), None
 
-    def after_move(self, robot, snap_post):
-        if robot.memory in (None, PREPROCESS_DONE):
-            return robot.orientation, robot.memory
-        _, anchor = robot.memory
-        orientation = robot.orientation
-        if anchor not in snap_post.own_labels:
-            orientation = orientation.flipped()
-        return orientation, PREPROCESS_DONE
+    def after_move(self, robot, memory, mates):
+        if memory in (None, PREPROCESS_DONE):
+            return robot.orientation, memory
+        _, anchor = memory
+        hand = robot.orientation if anchor in mates else robot.orientation.flipped()
+        return hand, PREPROCESS_DONE
 
     def phase_of_round(self, robots, cfg1):
         memories = {r.memory for r in robots}

@@ -139,8 +139,9 @@ class RingConfiguration:
         labels = [lab for slot in normal for lab in slot]
         if len(labels) != self.n:
             raise ValueError(f"expected {self.n} robots, found {len(labels)}")
-        if set(labels) != set(range(1, self.n + 1)):
-            raise ValueError(f"robot labels must be exactly 1..{self.n}")
+        # Plain ints only: 1.0 or True would pass the set comparison.
+        if any(type(lab) is not int for lab in labels) or set(labels) != set(range(1, self.n + 1)):
+            raise ValueError(f"robot labels must be exactly the integers 1..{self.n}")
         if self.missing_edge is not None:
             check_edge(self.missing_edge, self.n)
 
@@ -374,10 +375,6 @@ class ChainAnalysis:
             if other is not chain:
                 return other
         return None
-
-    def snapshot_for(self, node: int, robot: RobotState) -> "Snapshot":
-        """The snapshot of ``robot``, which stands on ``node``."""
-        return Snapshot(self, node, robot)
 
 
 class Snapshot:

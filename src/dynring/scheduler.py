@@ -27,6 +27,7 @@ from .ring import (
     RingConfiguration,
     RobotState,
     ScenarioError,
+    Snapshot,
     classify,
     convert_frame,
     resolve_moves,
@@ -71,10 +72,9 @@ def _decide(policy: Policy, analysis: ChainAnalysis, robots):
     """Each robot's global-frame action, by label, and the memory it decided
     with."""
     at = analysis.cfg.positions()
-    intents = {}
-    memories = []
+    intents, memories = {}, []
     for robot in robots:
-        own_action, memory = policy.decide(analysis.snapshot_for(at[robot.label], robot), robot)
+        own_action, memory = policy.decide(Snapshot(analysis, at[robot.label], robot), robot)
         intents[robot.label] = convert_frame(own_action, robot.orientation)
         memories.append(memory)
     return intents, memories
@@ -95,10 +95,10 @@ def step(
 ) -> tuple[RingConfiguration, tuple[RobotState, ...], RoundTrace]:
     """Run one round and return the intact next configuration.
 
-    Robot states are rebuilt when they settle. Only a rule that overrides
-    ``Policy.after_move`` gets the post-move chain index; under any other
-    rule a robot keeps its hand and the memory it decided with.
-    ``predicted`` intents, if given, must be exactly the robots' decisions.
+    A robot looks at the ring once, before it moves. It settles with the
+    hand and memory ``Policy.after_move`` gives it from the labels on the
+    node it ended the round on. ``predicted`` intents, if given, must be
+    exactly the robots' decisions.
     """
     if cfg.missing_edge is not None:
         raise ValueError("a round must start from an intact ring")
@@ -112,20 +112,10 @@ def step(
         raise RuntimeError(f"predicted intents differ from the decisions of robots {wrong}")
 
     cfg_after = resolve_moves(cfg_seen, intents)
-    if type(policy).after_move is Policy.after_move:
-        metrics_after = classify(cfg_after)
-        settled = [RobotState(robot.label, robot.orientation, memory)
-                   for robot, memory in zip(robots, memories)]
-    else:
-        post_analysis = ChainAnalysis(cfg_after)
-        metrics_after = post_analysis.metrics
-        landed = cfg_after.positions()
-        settled = []
-        for robot, memory in zip(robots, memories):
-            moved = RobotState(robot.label, robot.orientation, memory)
-            orientation, memory = policy.after_move(
-                moved, post_analysis.snapshot_for(landed[robot.label], moved))
-            settled.append(RobotState(robot.label, orientation, memory))
+    metrics_after = classify(cfg_after)
+    mates = {label: slot for slot in cfg_after.slots for label in slot}
+    settled = tuple(RobotState(robot.label, *policy.after_move(robot, memory, mates[robot.label]))
+                    for robot, memory in zip(robots, memories))
 
     filled = holes_filled_count(cfg_seen, cfg_after)
     trace = RoundTrace(
@@ -141,7 +131,7 @@ def step(
                                             filled)),
     )
     next_cfg = RingConfiguration._trusted(cfg.n, cfg_after.slots, None)
-    return next_cfg, tuple(settled), trace
+    return next_cfg, settled, trace
 
 
 def initial_robots(cfg: RingConfiguration, orientations=None):

@@ -18,9 +18,11 @@ import pytest
 from dynring import (
     EVEN4_WORST_ROUNDS,
     Action,
+    ChainAnalysis,
     Mode,
     Orientation,
     Policy,
+    Snapshot,
     adversary_start_filter,
     all_on_one,
     check_adaptive_soundness,
@@ -59,8 +61,8 @@ def _random_orientations(n: int, rng: random.Random) -> dict[int, Orientation]:
 
 class _FixedActions(Policy):
     """Robot 1 and robot 2 of a 2-ring take fixed own-frame actions and
-    never flip. Each robot's memory keeps every snapshot fact it was handed,
-    before and after its move."""
+    never flip. Each robot's memory keeps every snapshot fact it was handed
+    before its move and the labels it was handed after it."""
 
     policy_id = "fixed-actions"
 
@@ -70,19 +72,22 @@ class _FixedActions(Policy):
     def decide(self, snap, robot):
         return self.actions[robot.label], (snapshot_facts(snap),)
 
-    def after_move(self, robot, snap_post):
-        return robot.orientation, robot.memory + (snapshot_facts(snap_post),)
+    def after_move(self, robot, memory, mates):
+        return robot.orientation, memory + (mates,)
 
 
 def _two_ring_round(cfg, dynamism, actions, hands: str):
     """One round of fixed actions on a 2-ring: the configuration it ends in
-    and, per robot, its snapshots and its full views before and after."""
+    and, per robot, what its rule was handed, its snapshot after the move
+    and its full views before and after."""
     policy = _FixedActions(actions)
     assignment = {label: Orientation(hand) for label, hand in zip((1, 2), hands)}
     robots = initial_robots(cfg, assignment)
     _, settled, trace = step(policy, cfg, robots, dynamism)
+    after, landed = ChainAnalysis(trace.config_after), trace.config_after.positions()
     observations = tuple(
         (robot.memory,
+         snapshot_facts(Snapshot(after, landed[robot.label], robot)),
          compute_view(trace.config_seen, robot, 2),
          compute_view(trace.config_after, robot, 2))
         for robot in settled)

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from dynring import Mode, all_on_one, get_adversary, get_policy
+from dynring import Mode, Orientation, all_on_one, get_adversary, get_policy, initial_robots
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -34,25 +34,42 @@ def test_tracer_installs_on_the_program_and_uninstalls_cleanly():
                                          "verifier", "cli")})
     originals = {(module, attr): getattr(getattr(dr, module), attr)
                  for module, attr, _ in tracing.MODULE_SPANS}
+    methods = {(cls, attr): vars(cls)[attr] for cls, attrs in (
+        (dr.verifier.WorstCaseSearcher, ("value", "witness", "_key", "__init__")),
+        (dr.ring.RingConfiguration, ("__post_init__",)),
+        (dr.adversaries.Dynamism, ("apply",))) for attr in attrs}
     table, killer = get_policy("k0:cascas"), get_adversary("1i-killer")
+    composed = get_policy("no-chir-1i")
     tracer = tracing.Tracer()
-    tracer.install(dr, [table], [killer])
+    tracer.install(dr, [table, composed], [killer])
     try:
         report = dr.verifier.verify_impossibility(killer, 2, Mode.ONE_INTERVAL,
                                                   policies=[table])
         run = dr.scheduler.run_simulation(get_policy("vp-chain"), get_adversary("benign"),
                                           all_on_one(4), Mode.NONE)
+        hands = {1: Orientation.ALIGNED, 2: Orientation.REVERSED,
+                 3: Orientation.REVERSED, 4: Orientation.ALIGNED}
+        gathered = dr.scheduler.run_simulation(
+            composed, get_adversary("benign"), all_on_one(4), Mode.COMBINED,
+            robots=initial_robots(all_on_one(4), hands))
         metrics = tracer.summarize()
     finally:
         tracer.uninstall()
 
-    assert report.all_blocked and run.dispersed
+    assert report.all_blocked and run.dispersed and gathered.dispersed
     # Each round is counted under the entry point that drove it.
-    assert metrics["scheduler.simulated_rounds"] == run.rounds
-    assert metrics["verifier.run_rounds"] == metrics["scheduler.steps"] - run.rounds > 0
+    simulated = run.rounds + gathered.rounds
+    assert metrics["scheduler.simulated_rounds"] == simulated
+    assert metrics["verifier.run_rounds"] == metrics["scheduler.steps"] - simulated > 0
     assert metrics["verifier.proven_stalls"] == report.proven_infinite
+    # The post-move hook is still wrapped on the rule that flips in it.
+    assert metrics["policies.after_move_s"] > 0
     for (module, attr), original in originals.items():
         assert getattr(getattr(dr, module), attr) is original, (module, attr)
+    for (cls, attr), original in methods.items():
+        assert vars(cls)[attr] is original, (cls, attr)
+    for instance in (table, composed, killer):
+        assert not {"decide", "after_move", "choose"} & vars(instance).keys(), instance
 
 
 def test_benchmark_smoke_passes():

@@ -104,7 +104,7 @@ def test_replay_catches_tampered_traces(tmp_path, capsys):
     doctored["config"] = [[1, 2, 3, 4], [], [], []]
     lines[1] = json.dumps(doctored, sort_keys=True)
     out.write_text("\n".join(lines) + "\n")
-    assert run_cli("replay", str(out)) != 0
+    assert run_cli("replay", str(out)) == 2
     assert "mismatch" in capsys.readouterr().out
 
 
@@ -144,14 +144,15 @@ def _spec_file(tmp_path, **fields):
     return ["run", "--spec", str(path)]
 
 
-def _tampered_trace(tmp_path, change, *run_flags):
-    """``replay`` of a ``run`` trace whose round 1 record ``change`` edits."""
+def _tampered_trace(tmp_path, change, *run_flags, round_index=1):
+    """``replay`` of a ``run`` trace whose record of round ``round_index``
+    ``change`` edits."""
     path = tmp_path / "run.jsonl"
     assert run_cli("run", *run_flags, "--out", str(path)) == 0
     lines = path.read_text().splitlines()
-    record = json.loads(lines[1])
+    record = json.loads(lines[round_index])
     change(record)
-    lines[1] = json.dumps(record)
+    lines[round_index] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
     return ["replay", str(path)]
 
@@ -159,12 +160,26 @@ def _tampered_trace(tmp_path, change, *run_flags):
 PERMUTING_RUN = ("--n", "4", "--policy", "vp-chain", "--mode", "vp",
                  "--adversary", "random", "--seed", "2")
 EDGE_FREE_RUN = ("--n", "3", "--policy", "vp-1i", "--mode", "1i", "--config", "2,1,0")
+GATHERED_RUN = ("--n", "3", "--policy", "vp-chain", "--seed", "1")
 
 
-def _not_utf8(tmp_path, *argv):
-    path = tmp_path / "latin1.txt"
-    path.write_bytes('{"n": 4, "policy": "vp-chain", "config": "ä"}'.encode("latin-1"))
+def _raw_file(tmp_path, data: bytes, *argv):
+    path = tmp_path / "raw.txt"
+    path.write_bytes(data)
     return [*argv, str(path)]
+
+
+def _relabel_robot_1(label):
+    """A record change that writes robot 1's label as ``label``."""
+    def change(record):
+        record["config"] = [[label if lab == 1 else lab for lab in cell]
+                            for cell in record["config"]]
+    return change
+
+
+NOT_UTF8 = '{"n": 4, "policy": "vp-chain", "config": "ä"}'.encode("latin-1")
+TOO_DEEP = b"[" * 200_000 + b"]" * 200_000
+TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
 
 
 @pytest.mark.parametrize("make_argv", [
@@ -197,8 +212,8 @@ def _not_utf8(tmp_path, *argv):
     lambda tmp_path: _spec_file(tmp_path, adversary=["x"]),
     lambda tmp_path: _spec_file(tmp_path, seed=[1]),
     lambda tmp_path: _spec_file(tmp_path, n=True),
-    lambda tmp_path: _not_utf8(tmp_path, "run", "--spec"),
-    lambda tmp_path: _not_utf8(tmp_path, "replay"),
+    lambda tmp_path: _raw_file(tmp_path, NOT_UTF8, "run", "--spec"),
+    lambda tmp_path: _raw_file(tmp_path, NOT_UTF8, "replay"),
     lambda tmp_path: _tampered_trace(tmp_path, lambda r: r.update(edge=1.5), *EDGE_FREE_RUN),
     lambda tmp_path: _tampered_trace(tmp_path, lambda r: r.update(edge=True), *EDGE_FREE_RUN),
     lambda tmp_path: _tampered_trace(
@@ -209,6 +224,16 @@ def _not_utf8(tmp_path, *argv):
     lambda tmp_path: _tampered_trace(
         tmp_path, lambda r: r.update(holes=float(r["holes"])), *PERMUTING_RUN),
     lambda tmp_path: _tampered_trace(tmp_path, lambda r: r.update(round=17), *PERMUTING_RUN),
+    lambda tmp_path: _tampered_trace(tmp_path, _relabel_robot_1(1.0), *GATHERED_RUN,
+                                     round_index=0),
+    lambda tmp_path: _tampered_trace(tmp_path, _relabel_robot_1(True), *GATHERED_RUN,
+                                     round_index=0),
+    lambda tmp_path: _tampered_trace(tmp_path, _relabel_robot_1(1.0), *PERMUTING_RUN),
+    lambda tmp_path: _tampered_trace(tmp_path, _relabel_robot_1(True), *PERMUTING_RUN),
+    lambda tmp_path: _raw_file(tmp_path, TOO_DEEP, "run", "--spec"),
+    lambda tmp_path: _raw_file(tmp_path, TOO_DEEP, "replay"),
+    lambda tmp_path: _raw_file(tmp_path, TOO_LONG, "run", "--spec"),
+    lambda tmp_path: _raw_file(tmp_path, TOO_LONG, "replay"),
 ], ids=["run-n-0", "run-n-negative", "sweep-n-not-a-number", "sweep-n-empty-range",
         "config-not-a-number", "config-wrong-total", "spec-unknown-key", "spec-unknown-mode",
         "replay-missing-perm", "run-max-rounds-negative", "verify-bound-n-0",
@@ -218,7 +243,10 @@ def _not_utf8(tmp_path, *argv):
         "spec-orientations-not-a-string", "spec-k-not-an-integer", "spec-adversary-a-list",
         "spec-seed-a-list", "spec-n-a-bool", "spec-not-utf8", "replay-not-utf8",
         "replay-edge-not-an-integer", "replay-edge-a-bool", "replay-perm-entry-a-bool",
-        "replay-intent-label-repeated", "replay-holes-a-float", "replay-round-skipped"])
+        "replay-intent-label-repeated", "replay-holes-a-float", "replay-round-skipped",
+        "replay-start-label-a-float", "replay-start-label-a-bool", "replay-label-a-float",
+        "replay-label-a-bool", "spec-nested-too-deep", "replay-nested-too-deep",
+        "spec-integer-too-long", "replay-integer-too-long"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     capsys.readouterr()

@@ -16,6 +16,7 @@ from dynring import (
     PREPROCESS_DONE,
     RobotState,
     ScenarioError,
+    Snapshot,
     all_no_visibility_policies,
     all_on_one,
     check_round_lemmas,
@@ -171,13 +172,12 @@ def test_gathered_start_preprocess_and_flip():
     assert got == {1: CW, 2: ACW, 3: CW}
 
     landed = ring_from_slots(((), (1, 3), (2,)))
-    analysis = ChainAnalysis(landed)
-    moved = RobotState(2, Orientation.REVERSED, ("moved", 1))
-    orientation, memory = policy.after_move(moved, analysis.snapshot_for(2, moved))
+    moved = robots[1]
+    orientation, memory = policy.after_move(moved, ("moved", 1), landed.slots[2])
     # Robot 2 lost sight of robot 1, so it flips to match robot 1's frame.
     assert orientation is Orientation.ALIGNED and memory == PREPROCESS_DONE
-    stayed = RobotState(3, Orientation.ALIGNED, ("moved", 1))
-    orientation, memory = policy.after_move(stayed, analysis.snapshot_for(1, stayed))
+    stayed = robots[2]
+    orientation, memory = policy.after_move(stayed, ("moved", 1), landed.slots[1])
     assert orientation is Orientation.ALIGNED and memory == PREPROCESS_DONE
 
 
@@ -241,8 +241,8 @@ def test_mirrored_world_gives_identical_snapshots(scenario):
     at = cfg.positions()
     for r in robots:
         flipped = RobotState(r.label, r.orientation.flipped(), r.memory)
-        assert (snapshot_facts(mirror.snapshot_for(-at[r.label] % cfg.n, flipped))
-                == snapshot_facts(direct.snapshot_for(at[r.label], r)))
+        assert (snapshot_facts(Snapshot(mirror, -at[r.label] % cfg.n, flipped))
+                == snapshot_facts(Snapshot(direct, at[r.label], r)))
 
 
 @settings(max_examples=120, deadline=None)
@@ -256,10 +256,10 @@ def test_plain_rules_keep_memory(scenario, policy_id, data):
     if policy_id == "even4" and len(cfg.slots[node]) == cfg.n:
         # The gathered pile triggers the one remembering round instead.
         return
-    _, memory = policy.decide(analysis.snapshot_for(node, robot), robot)
+    _, memory = policy.decide(Snapshot(analysis, node, robot), robot)
     assert memory is robot.memory
-    orientation, memory = policy.after_move(robot, analysis.snapshot_for(node, robot))
-    assert orientation is robot.orientation and memory is robot.memory
+    orientation, kept = policy.after_move(robot, memory, cfg.slots[node])
+    assert orientation is robot.orientation and kept is memory
 
 
 # ------------------------------------------------------------ lemma checks

@@ -12,6 +12,7 @@ from dynring import (
     Orientation,
     RingConfiguration,
     RobotState,
+    Snapshot,
     all_on_one,
     apply_edge_removal,
     apply_vertex_permutation,
@@ -41,6 +42,10 @@ def test_labels_must_be_exactly_one_to_n():
         RingConfiguration(3, ((1, 2), (), (4,)), None)
     with pytest.raises(ValueError):
         RingConfiguration(3, ((1, 1), (), (2,)), None)
+    # A label is a plain int: 1.0 and True would pass for robot 1.
+    for label in (1.0, True):
+        with pytest.raises(ValueError):
+            RingConfiguration(2, ((label,), (2,)))
 
 
 def test_edge_index_validated():
@@ -382,6 +387,6 @@ def test_view_at_half_ring_does_not_determine_the_snapshot():
     second = ring_from_slots(((1,), (), (2,), (3,), (), (4, 5, 6), (7,)))
     robot = RobotState(1, Orientation.ALIGNED, None)
     assert compute_view(first, robot, 4) == compute_view(second, robot, 4)
-    snaps = [ChainAnalysis(cfg).snapshot_for(0, robot) for cfg in (first, second)]
+    snaps = [Snapshot(ChainAnalysis(cfg), 0, robot) for cfg in (first, second)]
     assert [snap.own_chain().length for snap in snaps] == [1, 2]
     assert snapshot_facts(snaps[0]) != snapshot_facts(snaps[1])

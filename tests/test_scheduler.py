@@ -11,6 +11,7 @@ from dynring import (
     Mode,
     Orientation,
     PREPROCESS_DONE,
+    Policy,
     RobotState,
     ScenarioError,
     all_on_one,
@@ -103,6 +104,41 @@ def test_preprocess_round_aligns_every_orientation():
     # Everyone ends up sharing robot 1's sense of clockwise.
     assert {r.orientation for r in settled} == {Orientation.REVERSED}
     assert classify(nxt).multinodes == 1
+
+
+class _LandingProbe(Policy):
+    """Every robot steps own clockwise; ``after_move`` records what it is
+    handed, then flips the robot and appends the labels to its memory."""
+
+    policy_id = "landing-probe"
+
+    def __init__(self):
+        self.handed = {}
+
+    def decide(self, snap, robot):
+        return CW, (robot.label,)
+
+    def after_move(self, robot, memory, mates):
+        self.handed[robot.label] = (robot, memory, mates)
+        return robot.orientation.flipped(), memory + (mates,)
+
+
+def test_after_move_gets_the_labels_each_robot_landed_with():
+    # Robot 2 is reversed and steps to node 2; robot 1 steps to node 1;
+    # robot 3 tries to cross the removed edge 1 and stays on node 1.
+    policy = _LandingProbe()
+    cfg = ring_from_slots(((1, 2), (3,), ()))
+    robots = initial_robots(cfg, {1: Orientation.ALIGNED, 2: Orientation.REVERSED,
+                                  3: Orientation.ALIGNED})
+    _, settled, trace = step(policy, cfg, robots, Dynamism(None, 1))
+    landed = trace.config_after.positions()
+    assert trace.intents[3] is CW and landed[3] == 1
+    assert trace.config_after.slots == ((), (1, 3), (2,))
+    for robot, after in zip(robots, settled):
+        mates = trace.config_after.slots[landed[robot.label]]
+        assert policy.handed[robot.label] == (robot, (robot.label,), mates)
+        assert after == RobotState(robot.label, robot.orientation.flipped(),
+                                   (robot.label, mates))
 
 
 # ---------------------------------------------------------------- full runs
