@@ -344,6 +344,9 @@ def _replay_round(cfg: RingConfiguration, record: dict):
         if not all(type(label) is int for slot in expected for label in slot):
             raise ValueError(f"config {record['config']!r} must hold integer labels")
         shaped = Dynamism(None if perm is None else tuple(perm), edge).apply(cfg)
+        # Plain decimal labels only: int() also reads "+1", " 4 " and "1_0".
+        if not all(label.isascii() and label.isdigit() for label in record["intents"]):
+            raise ValueError(f"intent labels {list(record['intents'])!r} must be plain decimals")
         intents = {int(label): ACTION_FROM_SHORT[action]
                    for label, action in record["intents"].items()}
         if len(intents) != len(record["intents"]):

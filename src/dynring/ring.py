@@ -355,16 +355,24 @@ class ChainView(object):
 
 
 class ChainAnalysis:
-    """Per-configuration chain index shared by every robot's snapshot."""
+    """Per-configuration census and chain index shared by every robot's snapshot.
 
-    def __init__(self, cfg: RingConfiguration):
+    With ``chains`` false the index is not built, so reading a chain fails.
+    ``step`` and ``predict_intents`` pass the rule's ``full_visibility``:
+    a zero-visibility table reads only its own node and never pays for
+    ``find_chains``, while a full-visibility rule reads chains on every
+    decision that has a multinode.
+    """
+
+    def __init__(self, cfg: RingConfiguration, chains: bool = True):
         self.cfg = cfg
         self.mult = cfg.multiplicities()
         self.metrics = classify(cfg)
-        self.chains = find_chains(cfg)
+        if not chains:
+            return
         self.by_singleton: dict[int, Chain] = {}
         self.by_anchor: dict[int, list[Chain]] = {}
-        for chain in self.chains:
+        for chain in find_chains(cfg):
             self.by_anchor.setdefault(chain.multinode, []).append(chain)
             for pos in chain.singletons:
                 # A singleton node belongs to at most one chain overall.

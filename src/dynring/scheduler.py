@@ -82,7 +82,7 @@ def _decide(policy: Policy, analysis: ChainAnalysis, robots):
 
 def predict_intents(policy: Policy, cfg: RingConfiguration, robots) -> dict[int, Action]:
     """Global-frame actions the robots would take on this configuration."""
-    return _decide(policy, ChainAnalysis(cfg), robots)[0]
+    return _decide(policy, ChainAnalysis(cfg, chains=policy.full_visibility), robots)[0]
 
 
 def step(
@@ -105,7 +105,7 @@ def step(
     cfg_seen = dynamism.apply(cfg)
     phase = policy.phase_of_round(robots, cfg_seen)
 
-    analysis = ChainAnalysis(cfg_seen)
+    analysis = ChainAnalysis(cfg_seen, chains=policy.full_visibility)
     intents, memories = _decide(policy, analysis, robots)
     if predicted is not None and predicted != intents:
         wrong = sorted(label for label in intents if predicted.get(label) is not intents[label])

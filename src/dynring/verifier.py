@@ -37,7 +37,7 @@ from .adversaries import (
     AdversaryContext,
     exhaustive_branches,
 )
-from .policies import LemmaViolation, NoVisibilityPolicy, Policy, all_no_visibility_policies
+from .policies import Policy, all_no_visibility_policies
 from .ring import (
     Action,
     Mode,
@@ -330,6 +330,44 @@ def adversary_start_filter(adversary: Adversary, cfg: RingConfiguration) -> bool
     return adversary.invariant(cfg)
 
 
+def _orbit_fate(policy: Policy, adversary: Adversary, start: RingConfiguration, mode: Mode,
+                horizon: int, fates: dict):
+    """``(disperses, rounds)`` of the start, or None if its run hits the horizon.
+
+    ``rounds`` counts until the orbit disperses or first repeats a state.
+    The run stops at the first state ``fates`` holds. Unless it hit the
+    horizon, each state it walked enters ``fates``: after ``m`` rounds,
+    walked state ``k`` gets ``m + rest - min(k, cap)``. A join into a known
+    ``(d, rest)`` has ``cap = m``; a repeat of walked state ``i`` has
+    ``rest = 0`` and ``cap = i``, as the states from ``i`` on form a cycle
+    ``m - i`` long; a dispersal has ``rest = 0`` and ``cap = m``.
+    """
+    robots = initial_robots(start)
+    state, dispersed = (start.slots, _aux(robots)), classify(start).dispersed
+    rounds = play(policy, adversary, start, mode, robots)
+    walk: dict = {}
+    while True:
+        m = len(walk)
+        if state in fates:
+            disperses, rest = fates[state]
+            cap = m
+            break
+        if state in walk:
+            disperses, rest, cap = False, 0, walk[state]
+            break
+        if dispersed:
+            disperses, rest, cap = True, 0, m
+            break
+        if m >= horizon:
+            return None
+        walk[state] = m
+        cfg, robots, trace = next(rounds)
+        state, dispersed = (cfg.slots, _aux(robots)), trace.metrics_after.dispersed
+    for k, walked in enumerate(walk):
+        fates[walked] = (disperses, m + rest - min(k, cap))
+    return disperses, m + rest
+
+
 def verify_impossibility(
     adversary: Adversary,
     n: int,
@@ -340,10 +378,19 @@ def verify_impossibility(
 ) -> ImpossibilityReport:
     """Run every zero-visibility rule against the adversary from every start.
 
-    A repeated raw state proves an infinite stall, since rule and
-    adversary are both deterministic functions of the state. Runs that
-    reach the horizon without repeating are counted separately; either
-    way what matters is that no run ever reaches one robot per node.
+    A state is the ring's slots with every robot's label, hand and memory.
+    The rule and the adversary are deterministic functions of the state,
+    so a state has one orbit per table. A repeated state therefore proves
+    an infinite stall, and a run that reaches a state an earlier start of
+    the same table resolved shares that state's fate from there on: it is
+    read off ``fates`` instead of being run again (see ``_orbit_fate``).
+    Each table gets a fresh ``fates``, as another table gives the state
+    another orbit.
+
+    A start's run disperses if its orbit does within ``horizon`` rounds,
+    and is a proven stall if its orbit first repeats a state before the
+    ``horizon``-th round; anything else is a horizon hit. What matters is
+    that no run ever reaches one robot per node.
     """
     if policies is None:
         policies = list(all_no_visibility_policies())
@@ -351,6 +398,8 @@ def verify_impossibility(
         starts = [cfg for cfg in enumerate_initial_configs(n, up_to_reflection=False)
                   if adversary_start_filter(adversary, cfg)]
     adversary.check_scenario(n, mode)
+    if horizon < 0:
+        raise ScenarioError(f"horizon must be at least 0 rounds, got {horizon}")
 
     dispersals = []
     proven_infinite = 0
@@ -358,22 +407,14 @@ def verify_impossibility(
     for policy in policies:
         if policy.full_visibility:
             raise ScenarioError("impossibility runs are for zero-visibility rules")
+        fates: dict = {}
         for start in starts:
-            robots = initial_robots(start)
-            cfg, rounds, seen = start, 0, {(start.slots, _aux(robots))}
-            for cfg, robots, _ in itertools.islice(
-                    play(policy, adversary, start, mode, robots), horizon):
-                rounds += 1
-                state = (cfg.slots, _aux(robots))
-                # A state first repeated after exactly ``horizon`` rounds is a horizon hit.
-                if rounds < horizon and state in seen:
-                    proven_infinite += 1
-                    break
-                seen.add(state)
-            else:
-                if classify(cfg).dispersed:
+            match _orbit_fate(policy, adversary, start, mode, horizon, fates):
+                case (True, rounds) if rounds <= horizon:
                     dispersals.append(Dispersal(policy.policy_id, start.slots, rounds))
-                else:
+                case (False, rounds) if rounds < horizon:
+                    proven_infinite += 1
+                case _:
                     horizon_hits += 1
     return ImpossibilityReport(
         adversary_id=adversary.adversary_id,

@@ -161,6 +161,8 @@ PERMUTING_RUN = ("--n", "4", "--policy", "vp-chain", "--mode", "vp",
                  "--adversary", "random", "--seed", "2")
 EDGE_FREE_RUN = ("--n", "3", "--policy", "vp-1i", "--mode", "1i", "--config", "2,1,0")
 GATHERED_RUN = ("--n", "3", "--policy", "vp-chain", "--seed", "1")
+LONG_RUN = ("--n", "10", "--policy", "vp-chain", "--mode", "vp",
+            "--adversary", "random", "--seed", "2")
 
 
 def _raw_file(tmp_path, data: bytes, *argv):
@@ -174,6 +176,13 @@ def _relabel_robot_1(label):
     def change(record):
         record["config"] = [[label if lab == 1 else lab for lab in cell]
                             for cell in record["config"]]
+    return change
+
+
+def _rename_intent(label, written):
+    """A record change that writes the intent key of robot ``label`` as ``written``."""
+    def change(record):
+        record["intents"][written] = record["intents"].pop(label)
     return change
 
 
@@ -221,6 +230,9 @@ TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
         *PERMUTING_RUN),
     lambda tmp_path: _tampered_trace(
         tmp_path, lambda r: r["intents"].update({"01": r["intents"]["1"]}), *PERMUTING_RUN),
+    lambda tmp_path: _tampered_trace(tmp_path, _rename_intent("1", "+1"), *PERMUTING_RUN),
+    lambda tmp_path: _tampered_trace(tmp_path, _rename_intent("4", " 4 "), *PERMUTING_RUN),
+    lambda tmp_path: _tampered_trace(tmp_path, _rename_intent("10", "1_0"), *LONG_RUN),
     lambda tmp_path: _tampered_trace(
         tmp_path, lambda r: r.update(holes=float(r["holes"])), *PERMUTING_RUN),
     lambda tmp_path: _tampered_trace(tmp_path, lambda r: r.update(round=17), *PERMUTING_RUN),
@@ -243,7 +255,9 @@ TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
         "spec-orientations-not-a-string", "spec-k-not-an-integer", "spec-adversary-a-list",
         "spec-seed-a-list", "spec-n-a-bool", "spec-not-utf8", "replay-not-utf8",
         "replay-edge-not-an-integer", "replay-edge-a-bool", "replay-perm-entry-a-bool",
-        "replay-intent-label-repeated", "replay-holes-a-float", "replay-round-skipped",
+        "replay-intent-label-repeated", "replay-intent-label-signed",
+        "replay-intent-label-spaced", "replay-intent-label-underscored",
+        "replay-holes-a-float", "replay-round-skipped",
         "replay-start-label-a-float", "replay-start-label-a-bool", "replay-label-a-float",
         "replay-label-a-bool", "spec-nested-too-deep", "replay-nested-too-deep",
         "spec-integer-too-long", "replay-integer-too-long"])

@@ -270,6 +270,23 @@ def test_chain_goodness_tracks_removed_edge():
     assert by_dir[Action.ANTICLOCKWISE].length == 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(ring_configs())
+def test_chain_index_files_every_chain(cfg):
+    """The index files each chain of ``find_chains`` under its multinode, in
+    order, and under each of its singleton nodes; without chains it is not
+    built, while the census is the same."""
+    by_anchor, by_singleton = {}, {}
+    for chain in find_chains(cfg):
+        by_anchor.setdefault(chain.multinode, []).append(chain)
+        by_singleton.update(dict.fromkeys(chain.singletons, chain))
+    analysis, census_only = ChainAnalysis(cfg), ChainAnalysis(cfg, chains=False)
+    assert analysis.by_singleton == by_singleton
+    assert analysis.by_anchor == by_anchor
+    assert "by_anchor" not in vars(census_only) and "by_singleton" not in vars(census_only)
+    assert (census_only.mult, census_only.metrics) == (analysis.mult, analysis.metrics)
+
+
 # --------------------------------------------------------------- symmetries
 
 

@@ -4,9 +4,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dynring.scheduler
 from conftest import ring_configs
 from dynring import (
     Action,
+    ChainAnalysis,
     Dynamism,
     Mode,
     Orientation,
@@ -78,6 +80,28 @@ def test_blocked_intent_is_visible_in_the_trace():
     assert trace.intents[1] is CW and trace.intents[3] is CW
     # Robot 3 wanted to cross the missing edge and stayed; robot 1 joins it.
     assert nxt.slots == ((2,), (1, 3), ())
+
+
+def test_only_rules_that_read_chains_build_the_chain_index(monkeypatch):
+    """A zero-visibility table decides from its own node alone, so the chain
+    index of the ring it looks at is never built; a chain rule builds it."""
+    analyses = []
+
+    class Recorded(ChainAnalysis):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            analyses.append(self)
+
+    monkeypatch.setattr(dynring.scheduler, "ChainAnalysis", Recorded)
+    cfg = ring_from_slots(((1, 2, 3), (4,), (), (), (5,)))
+    table = get_policy("k0:sascss")
+    predict_intents(table, cfg, initial_robots(cfg))
+    step(table, cfg, initial_robots(cfg), Dynamism())
+    predict_intents(get_policy("vp-chain"), cfg, initial_robots(cfg))
+    *zero_visibility, chain_rule = analyses
+    for analysis in zero_visibility:
+        assert "by_anchor" not in vars(analysis) and "by_singleton" not in vars(analysis)
+    assert "by_anchor" in vars(chain_rule) and "by_singleton" in vars(chain_rule)
 
 
 def test_prediction_mismatch_is_an_error():

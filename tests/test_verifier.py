@@ -7,13 +7,16 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dynring.scheduler
 from naive_policies import naive_intents
 from dynring import (
     Action,
+    ImpossibilityReport,
     Mode,
     RingConfiguration,
     ScenarioError,
     adversary_start_filter,
+    all_no_visibility_policies,
     all_on_one,
     apply_vertex_permutation,
     canonical_rotation,
@@ -25,6 +28,7 @@ from dynring import (
     get_policy,
     initial_robots,
     permutation_classes,
+    play,
     predict_intents,
     resolve_moves,
     ring_from_multiplicities,
@@ -35,7 +39,7 @@ from dynring import (
     verify_impossibility,
     verify_worst_case,
 )
-from dynring.verifier import WorstCaseSearcher, _aux, _orientation_assignments
+from dynring.verifier import Dispersal, WorstCaseSearcher, _aux, _orientation_assignments
 
 
 # -------------------------------------------------------------- enumeration
@@ -374,9 +378,104 @@ def test_horizon_splits_runs_into_stalls_hits_and_escapes(adversary_id, n, mode,
         (stalls, hits, escapes)
 
 
+def test_negative_horizon_is_refused():
+    with pytest.raises(ScenarioError):
+        verify_impossibility(get_adversary("1i-killer"), 2, Mode.ONE_INTERVAL, horizon=-1)
+
+
 def test_edge_blocker_impossibility_on_two_nodes():
     report = verify_impossibility(get_adversary("1i-killer"), 2, Mode.ONE_INTERVAL,
                                   policies=[get_policy("k0:" + t)
                                             for t in ("cascas", "caccca", "aaaaaa")])
     assert report.all_blocked
     assert report.horizon_hits == 0
+
+
+def plain_impossibility(adversary, n, mode, policies=None, starts=None, horizon=200):
+    """``verify_impossibility`` without the orbit memo: every start of every
+    table is run on its own until it disperses, repeats a state of its own
+    run or reaches the horizon."""
+    if policies is None:
+        policies = list(all_no_visibility_policies())
+    if starts is None:
+        starts = [cfg for cfg in enumerate_initial_configs(n, up_to_reflection=False)
+                  if adversary_start_filter(adversary, cfg)]
+    dispersals = []
+    proven_infinite = 0
+    horizon_hits = 0
+    for policy in policies:
+        for start in starts:
+            robots = initial_robots(start)
+            cfg, rounds, seen = start, 0, {(start.slots, _aux(robots))}
+            for cfg, robots, _ in itertools.islice(
+                    play(policy, adversary, start, mode, robots), horizon):
+                rounds += 1
+                state = (cfg.slots, _aux(robots))
+                # A state first repeated after exactly ``horizon`` rounds is a horizon hit.
+                if rounds < horizon and state in seen:
+                    proven_infinite += 1
+                    break
+                seen.add(state)
+            else:
+                if classify(cfg).dispersed:
+                    dispersals.append(Dispersal(policy.policy_id, start.slots, rounds))
+                else:
+                    horizon_hits += 1
+    return ImpossibilityReport(adversary.adversary_id, n, mode, len(policies), len(starts),
+                               tuple(dispersals), proven_infinite, horizon_hits)
+
+
+ORACLE_HORIZONS = (*range(9), 200)
+ALL_TABLES = tuple(all_no_visibility_policies())
+
+
+@pytest.mark.parametrize("adversary_id,n,mode,stride", [
+    ("vp-killer-n3", 3, Mode.VP, 1),
+    ("1i-killer", 2, Mode.ONE_INTERVAL, 1),
+    ("1i-killer", 3, Mode.ONE_INTERVAL, 1),
+    ("1i-killer", 4, Mode.ONE_INTERVAL, 7),
+    ("vp-killer", 4, Mode.VP, 7),
+    ("benign", 2, Mode.NONE, 1),
+    ("benign", 3, Mode.NONE, 1),
+    ("benign", 2, Mode.ONE_INTERVAL, 1),
+    ("benign", 3, Mode.ONE_INTERVAL, 1),
+])
+def test_orbit_memo_matches_the_plain_runs(adversary_id, n, mode, stride):
+    """Reading a start's fate off the orbits of earlier starts gives the
+    report, dispersal rounds included, that running every start alone gives.
+    At n=4 every ``stride``-th table is run, to keep the plain runs short."""
+    adversary, tables = get_adversary(adversary_id), list(ALL_TABLES[::stride])
+    for horizon in ORACLE_HORIZONS:
+        assert verify_impossibility(adversary, n, mode, tables, horizon=horizon) == \
+            plain_impossibility(adversary, n, mode, tables, horizon=horizon), horizon
+
+
+def test_a_start_on_a_walked_state_joins_its_orbit(monkeypatch):
+    """With the third robot of a pile stepping clockwise, the gathered start's
+    first round lands on the second start exactly, so the second start's fate
+    is read off the first run (a join at round 0) and the runs agree anyway."""
+    gathered, pair = ring_from_multiplicities((3, 0, 0)), ring_from_multiplicities((2, 1, 0))
+    policies = [get_policy("k0:" + head + "ssc")
+                for head in map("".join, itertools.product("sca", repeat=3))]
+    benign = get_adversary("benign")
+    for policy in policies:
+        cfg, robots, _ = next(play(policy, benign, gathered, Mode.NONE,
+                                   initial_robots(gathered)))
+        assert (cfg.slots, _aux(robots)) == (pair.slots, _aux(initial_robots(pair)))
+
+    steps = []
+    real_step = dynring.scheduler.step
+    monkeypatch.setattr(dynring.scheduler, "step",
+                        lambda *args, **kw: steps.append(1) or real_step(*args, **kw))
+    for horizon in ORACLE_HORIZONS:
+        assert verify_impossibility(benign, 3, Mode.NONE, policies, [gathered, pair], horizon) \
+            == plain_impossibility(benign, 3, Mode.NONE, policies, [gathered, pair], horizon), \
+            horizon
+    # Every gathered run resolves within 200 rounds, so the second start runs
+    # no round of its own.
+    steps.clear()
+    verify_impossibility(benign, 3, Mode.NONE, policies, [gathered, pair])
+    memo_rounds = len(steps)
+    steps.clear()
+    verify_impossibility(benign, 3, Mode.NONE, policies, [gathered])
+    assert memo_rounds == len(steps) > 0
