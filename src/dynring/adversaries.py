@@ -31,7 +31,7 @@ from .ring import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dynamism:
     """One round's adversarial reshaping: permutation first, then edge."""
 

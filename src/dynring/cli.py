@@ -149,10 +149,10 @@ def trace_records(initial: RingConfiguration, result):
         "holes": start.holes,
         "multinodes": start.multinodes,
     }
-    for trace in result.traces:
+    for index, trace in enumerate(result.traces, 1):
         perm = trace.dynamism.permutation
         yield {
-            "round": trace.index + 1,
+            "round": index,
             "perm": None if perm is None else list(perm),
             "edge": trace.dynamism.edge_removal,
             "intents": {str(label): action.short for label, action in trace.intents.items()},

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 
 class ScenarioError(Exception):
@@ -81,9 +82,9 @@ class Orientation(Enum):
     ALIGNED = "A"
     REVERSED = "R"
 
-    @property
-    def sign(self) -> int:
-        return 1 if self is Orientation.ALIGNED else -1
+    def __init__(self, letter: str):
+        # +1 or -1; a plain attribute, as every look reads it.
+        self.sign = 1 if letter == "A" else -1
 
     def flipped(self) -> "Orientation":
         return Orientation.REVERSED if self is Orientation.ALIGNED else Orientation.ALIGNED
@@ -105,7 +106,7 @@ def convert_frame(action: Action, orientation: Orientation) -> Action:
 _MIRRORED = (Action.STAY, Action.ANTICLOCKWISE, Action.CLOCKWISE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RobotState:
     """One robot: unique label, private orientation, memory. Its node is a
     fact of the ring, read from the configuration."""
@@ -115,7 +116,7 @@ class RobotState:
     memory: object = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RingConfiguration:
     """Occupancy of the ring plus the (at most one) removed edge.
 
@@ -260,9 +261,9 @@ def resolve_moves(cfg: RingConfiguration, intents: dict[int, Action]) -> RingCon
     return RingConfiguration._trusted(n, tuple(map(tuple, map(sorted, slots))), cut)
 
 
-@dataclass(frozen=True)
-class Metrics:
-    """Occupancy census of one configuration."""
+class Metrics(NamedTuple):
+    """Occupancy census of one configuration. A tuple, as every look and
+    every round builds one."""
 
     holes: int
     singletons: int

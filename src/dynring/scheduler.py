@@ -34,11 +34,11 @@ from .ring import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundTrace:
-    """Everything that happened in one round, sufficient to replay it."""
+    """Everything that happened in one round, sufficient to replay it. Its
+    round number is its place in the run."""
 
-    index: int
     phase: str
     dynamism: Dynamism
     intents: dict[int, Action]
@@ -68,6 +68,13 @@ class RunResult:
         return tuple(v for t in self.traces for v in t.violations)
 
 
+def _aux(robots) -> tuple:
+    """Every robot's label, hand and memory, in label order: with the slots,
+    the state of a run."""
+    # ``_value_`` is ``Orientation.value`` without the slow Enum descriptor.
+    return tuple(sorted([(r.label, r.orientation._value_, r.memory) for r in robots]))
+
+
 def _decide(policy: Policy, analysis: ChainAnalysis, robots):
     """Each robot's global-frame action, by label, and the memory it decided
     with."""
@@ -90,7 +97,6 @@ def step(
     cfg: RingConfiguration,
     robots: tuple[RobotState, ...],
     dynamism: Dynamism,
-    index: int = 0,
     predicted: dict[int, Action] | None = None,
 ) -> tuple[RingConfiguration, tuple[RobotState, ...], RoundTrace]:
     """Run one round and return the intact next configuration.
@@ -119,7 +125,6 @@ def step(
 
     filled = holes_filled_count(cfg_seen, cfg_after)
     trace = RoundTrace(
-        index=index,
         phase=phase,
         dynamism=dynamism,
         intents=intents,
@@ -169,17 +174,33 @@ def validate_scenario(
 
 
 def play(policy: Policy, adversary: Adversary, cfg: RingConfiguration, mode: Mode, robots,
-         rng: random.Random | None = None):
+         rng: random.Random | None = None, memo: dict | None = None):
     """Yield ``(cfg, robots, trace)`` per round until the ring is dispersed.
-    An adaptive adversary reads the robots' intents first; ``step`` checks them."""
+    An adaptive adversary reads the robots' intents first; ``step`` checks them.
+
+    ``memo``, if given, maps ``(slots, _aux(robots), intents)`` to what
+    ``step`` returned for a round played from that state with those
+    intents. Only runs whose round is a function of that key may share one
+    (see ``verify_impossibility``). A round found there runs neither
+    ``choose`` nor ``step``: the run yields the stored round.
+    """
     if classify(cfg).dispersed:
         return
-    for index in itertools.count():
-        predicted = predict_intents(policy, cfg, robots) if adversary.adaptive else None
-        dynamism = adversary.choose(AdversaryContext(cfg, mode, rng, predicted))
-        dynamism.check_mode(mode)
-        cfg, robots, trace = step(policy, cfg, robots, dynamism, index, predicted)
-        yield cfg, robots, trace
+    while True:
+        predicted = played = None
+        if adversary.adaptive or memo is not None:
+            predicted = predict_intents(policy, cfg, robots)
+        if memo is not None:
+            key = (cfg.slots, _aux(robots), tuple(predicted.items()))
+            played = memo.get(key)
+        if played is None:
+            dynamism = adversary.choose(AdversaryContext(cfg, mode, rng, predicted))
+            dynamism.check_mode(mode)
+            played = step(policy, cfg, robots, dynamism, predicted)
+            if memo is not None:
+                memo[key] = played
+        cfg, robots, trace = played
+        yield played
         if trace.metrics_after.dispersed:
             return
 

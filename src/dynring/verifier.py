@@ -37,7 +37,7 @@ from .adversaries import (
     AdversaryContext,
     exhaustive_branches,
 )
-from .policies import Policy, all_no_visibility_policies
+from .policies import NoVisibilityPolicy, Policy, all_no_visibility_policies
 from .ring import (
     Action,
     Mode,
@@ -50,7 +50,7 @@ from .ring import (
     resolve_moves,
     ring_from_multiplicities,
 )
-from .scheduler import RoundTrace, initial_robots, play, step, validate_scenario
+from .scheduler import RoundTrace, _aux, initial_robots, play, step, validate_scenario
 from .scheduler import predict_intents  # unused here; perfbench/tracing.py wraps it by name
 
 ENUMERATION_LIMIT = 8
@@ -95,10 +95,6 @@ def enumerate_initial_configs(n: int, up_to_reflection: bool = True):
         ring_from_multiplicities(profile)
         for profile in enumerate_multiplicity_profiles(n, up_to_reflection)
     )
-
-
-def _aux(robots) -> tuple:
-    return tuple(sorted((r.label, r.orientation.value, r.memory) for r in robots))
 
 
 _PENDING = object()
@@ -204,8 +200,7 @@ class WorstCaseSearcher:
         value = self._settled_value(cfg, robots)
         while value not in (0, math.inf):
             for dynamism in exhaustive_branches(cfg, self.mode):
-                next_cfg, next_robots, trace = step(self.policy, cfg, robots, dynamism,
-                                                    index=len(traces))
+                next_cfg, next_robots, trace = step(self.policy, cfg, robots, dynamism)
                 if self._settled_value(next_cfg, next_robots) == value - 1:
                     break
             else:
@@ -256,6 +251,8 @@ def verify_worst_case(
         orientations = default_orientations if orientations is None else orientations
     if bound == "auto":
         bound = policy.proven_bound(n)
+    if bound is not None and bound < 0:
+        raise ScenarioError(f"bound must be at least 0 rounds, got {bound}")
 
     searcher = WorstCaseSearcher(policy, mode, oracle=oracle)
     root_values = {}
@@ -331,7 +328,7 @@ def adversary_start_filter(adversary: Adversary, cfg: RingConfiguration) -> bool
 
 
 def _orbit_fate(policy: Policy, adversary: Adversary, start: RingConfiguration, mode: Mode,
-                horizon: int, fates: dict):
+                horizon: int, fates: dict, memo: dict):
     """``(disperses, rounds)`` of the start, or None if its run hits the horizon.
 
     ``rounds`` counts until the orbit disperses or first repeats a state.
@@ -340,11 +337,12 @@ def _orbit_fate(policy: Policy, adversary: Adversary, start: RingConfiguration, 
     walked state ``k`` gets ``m + rest - min(k, cap)``. A join into a known
     ``(d, rest)`` has ``cap = m``; a repeat of walked state ``i`` has
     ``rest = 0`` and ``cap = i``, as the states from ``i`` on form a cycle
-    ``m - i`` long; a dispersal has ``rest = 0`` and ``cap = m``.
+    ``m - i`` long; a dispersal has ``rest = 0`` and ``cap = m``. ``play``
+    reads and fills the round memo ``memo``.
     """
     robots = initial_robots(start)
     state, dispersed = (start.slots, _aux(robots)), classify(start).dispersed
-    rounds = play(policy, adversary, start, mode, robots)
+    rounds = play(policy, adversary, start, mode, robots, memo=memo)
     walk: dict = {}
     while True:
         m = len(walk)
@@ -387,6 +385,24 @@ def verify_impossibility(
     Each table gets a fresh ``fates``, as another table gives the state
     another orbit.
 
+    One round memo serves every table of the call: a round is played once
+    per (state, intents), whichever table reaches it, and each later table
+    that reaches it reads the outcome off the memo (see ``play``). This is
+    sound because, against a deterministic adversary, a table's round is a
+    function of the state and the intents:
+
+    - the adversary reads only the ring, the mode and the intents;
+    - dynamism moves whole slots and a table reads only its robot's own
+      slot, so the decisions on the reshaped ring equal the intents
+      predicted before it. ``step`` checks this on every round it plays;
+    - a table's ``decide`` keeps the robot's memory, and its
+      ``after_move``, ``phase_of_round`` and ``round_guarantees`` are
+      ``Policy``'s, so they read no table entry.
+
+    Only ``NoVisibilityPolicy`` tables share the memo; any other rule gets
+    one of its own. ``tests/test_verifier.py`` checks the last point and
+    checks every report against runs that share nothing.
+
     A start's run disperses if its orbit does within ``horizon`` rounds,
     and is a proven stall if its orbit first repeats a state before the
     ``horizon``-th round; anything else is a horizon hit. What matters is
@@ -404,12 +420,14 @@ def verify_impossibility(
     dispersals = []
     proven_infinite = 0
     horizon_hits = 0
+    tables_memo: dict = {}
     for policy in policies:
         if policy.full_visibility:
             raise ScenarioError("impossibility runs are for zero-visibility rules")
+        memo = tables_memo if type(policy) is NoVisibilityPolicy else {}
         fates: dict = {}
         for start in starts:
-            match _orbit_fate(policy, adversary, start, mode, horizon, fates):
+            match _orbit_fate(policy, adversary, start, mode, horizon, fates, memo):
                 case (True, rounds) if rounds <= horizon:
                     dispersals.append(Dispersal(policy.policy_id, start.slots, rounds))
                 case (False, rounds) if rounds < horizon:

@@ -246,6 +246,8 @@ TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
     lambda tmp_path: _raw_file(tmp_path, TOO_DEEP, "replay"),
     lambda tmp_path: _raw_file(tmp_path, TOO_LONG, "run", "--spec"),
     lambda tmp_path: _raw_file(tmp_path, TOO_LONG, "replay"),
+    lambda tmp_path: ["verify", "--check", "bound", "--n", "3", "--policy", "vp-chain",
+                      "--mode", "vp", "--bound", "-1"],
 ], ids=["run-n-0", "run-n-negative", "sweep-n-not-a-number", "sweep-n-empty-range",
         "config-not-a-number", "config-wrong-total", "spec-unknown-key", "spec-unknown-mode",
         "replay-missing-perm", "run-max-rounds-negative", "verify-bound-n-0",
@@ -260,7 +262,7 @@ TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
         "replay-holes-a-float", "replay-round-skipped",
         "replay-start-label-a-float", "replay-start-label-a-bool", "replay-label-a-float",
         "replay-label-a-bool", "spec-nested-too-deep", "replay-nested-too-deep",
-        "spec-integer-too-long", "replay-integer-too-long"])
+        "spec-integer-too-long", "replay-integer-too-long", "verify-bound-negative"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     capsys.readouterr()
@@ -288,6 +290,10 @@ def test_verify_bound_subcommand(capsys):
     assert run_cli("verify", "--check", "bound", "--policy", "vp-chain",
                    "--n", "3", "--mode", "vp", "--bound", "1") == 2
     assert "holds=no" in capsys.readouterr().out
+    # Zero stays a valid bound: a one-node ring starts dispersed.
+    assert run_cli("verify", "--check", "bound", "--policy", "vp-chain",
+                   "--n", "1", "--mode", "vp", "--bound", "0") == 0
+    assert "bound=0 worst=0.0 states=0 holds=yes" in capsys.readouterr().out
 
 
 def test_verify_impossibility_subcommand(capsys):

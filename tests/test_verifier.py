@@ -11,9 +11,14 @@ import dynring.scheduler
 from naive_policies import naive_intents
 from dynring import (
     Action,
+    ChainAnalysis,
     ImpossibilityReport,
     Mode,
+    NoVisibilityPolicy,
+    Orientation,
+    Policy,
     RingConfiguration,
+    RobotState,
     ScenarioError,
     adversary_start_filter,
     all_no_visibility_policies,
@@ -391,38 +396,62 @@ def test_edge_blocker_impossibility_on_two_nodes():
     assert report.horizon_hits == 0
 
 
-def plain_impossibility(adversary, n, mode, policies=None, starts=None, horizon=200):
-    """``verify_impossibility`` without the orbit memo: every start of every
-    table is run on its own until it disperses, repeats a state of its own
-    run or reaches the horizon."""
-    if policies is None:
-        policies = list(all_no_visibility_policies())
-    if starts is None:
-        starts = [cfg for cfg in enumerate_initial_configs(n, up_to_reflection=False)
-                  if adversary_start_filter(adversary, cfg)]
-    dispersals = []
-    proven_infinite = 0
-    horizon_hits = 0
+def filtered_starts(adversary, n):
+    return [cfg for cfg in enumerate_initial_configs(n, up_to_reflection=False)
+            if adversary_start_filter(adversary, cfg)]
+
+
+def plain_runs(adversary, mode, policies, starts, horizon):
+    """Every start of every table run on its own for at most ``horizon``
+    rounds, sharing no round with any other run. Per run: the table, the
+    start and ``(disperses, round)`` for the round on which it disperses or
+    first repeats a state of its own run, or None if neither happens."""
+    runs = []
     for policy in policies:
         for start in starts:
             robots = initial_robots(start)
-            cfg, rounds, seen = start, 0, {(start.slots, _aux(robots))}
-            for cfg, robots, _ in itertools.islice(
-                    play(policy, adversary, start, mode, robots), horizon):
-                rounds += 1
-                state = (cfg.slots, _aux(robots))
-                # A state first repeated after exactly ``horizon`` rounds is a horizon hit.
-                if rounds < horizon and state in seen:
-                    proven_infinite += 1
+            seen = {(start.slots, _aux(robots))}
+            fate = (True, 0) if classify(start).dispersed else None
+            rounds = play(policy, adversary, start, mode, robots)
+            for index, (cfg, robots, _) in enumerate(itertools.islice(rounds, horizon), 1):
+                state, dispersed = (cfg.slots, _aux(robots)), classify(cfg).dispersed
+                if dispersed or state in seen:
+                    fate = (dispersed, index)
                     break
                 seen.add(state)
-            else:
-                if classify(cfg).dispersed:
-                    dispersals.append(Dispersal(policy.policy_id, start.slots, rounds))
-                else:
-                    horizon_hits += 1
+            runs.append((policy.policy_id, start.slots, fate))
+    return runs
+
+
+def plain_report(adversary, n, mode, policies, starts, runs, horizon):
+    """The report of ``runs`` cut at a ``horizon`` no later than theirs. A run
+    disperses if it does by round ``horizon``, and is a proven stall if it
+    first repeats a state before that round; a state first repeated on it
+    is a horizon hit."""
+    dispersals = []
+    proven_infinite = 0
+    horizon_hits = 0
+    for policy_id, start, fate in runs:
+        if fate is not None and fate[0] and fate[1] <= horizon:
+            dispersals.append(Dispersal(policy_id, start, fate[1]))
+        elif fate is not None and not fate[0] and fate[1] < horizon:
+            proven_infinite += 1
+        else:
+            horizon_hits += 1
     return ImpossibilityReport(adversary.adversary_id, n, mode, len(policies), len(starts),
                                tuple(dispersals), proven_infinite, horizon_hits)
+
+
+def plain_impossibility(adversary, n, mode, policies=None, starts=None, horizon=200):
+    """``verify_impossibility`` with no memo: every start of every table is
+    run on its own until it disperses, repeats a state of its own run or
+    reaches the horizon."""
+    if policies is None:
+        policies = list(all_no_visibility_policies())
+    if starts is None:
+        starts = filtered_starts(adversary, n)
+    runs = plain_runs(adversary, mode, policies, starts, horizon)
+    return plain_report(adversary, n, mode, policies, starts, runs, horizon)
 
 
 ORACLE_HORIZONS = (*range(9), 200)
@@ -441,13 +470,17 @@ ALL_TABLES = tuple(all_no_visibility_policies())
     ("benign", 3, Mode.ONE_INTERVAL, 1),
 ])
 def test_orbit_memo_matches_the_plain_runs(adversary_id, n, mode, stride):
-    """Reading a start's fate off the orbits of earlier starts gives the
-    report, dispersal rounds included, that running every start alone gives.
-    At n=4 every ``stride``-th table is run, to keep the plain runs short."""
+    """Reading a start's fate off the orbits of earlier starts, and a round
+    off the round memo, gives the report, dispersal rounds included, that
+    running every start of every table alone gives. Each plain run is made
+    once, to the largest horizon, and cut at each smaller one. At n=4 every
+    ``stride``-th table is run, to keep the plain runs short."""
     adversary, tables = get_adversary(adversary_id), list(ALL_TABLES[::stride])
+    starts = filtered_starts(adversary, n)
+    runs = plain_runs(adversary, mode, tables, starts, max(ORACLE_HORIZONS))
     for horizon in ORACLE_HORIZONS:
         assert verify_impossibility(adversary, n, mode, tables, horizon=horizon) == \
-            plain_impossibility(adversary, n, mode, tables, horizon=horizon), horizon
+            plain_report(adversary, n, mode, tables, starts, runs, horizon), horizon
 
 
 def test_a_start_on_a_walked_state_joins_its_orbit(monkeypatch):
@@ -479,3 +512,65 @@ def test_a_start_on_a_walked_state_joins_its_orbit(monkeypatch):
     steps.clear()
     verify_impossibility(benign, 3, Mode.NONE, policies, [gathered])
     assert memo_rounds == len(steps) > 0
+
+
+def _recorded(monkeypatch, name, record):
+    """Replace ``dynring.scheduler.<name>`` by a wrapper that hands
+    ``record`` each call's arguments and result."""
+    real = getattr(dynring.scheduler, name)
+
+    def wrapper(*args):
+        result = real(*args)
+        record(args, result)
+        return result
+    monkeypatch.setattr(dynring.scheduler, name, wrapper)
+
+
+def test_the_tables_of_a_sweep_share_each_round(monkeypatch):
+    """A round is played once per (state, intents), whichever table reaches
+    it: the 729-table 1i-killer sweep at n=3 plays 567 rounds where running
+    each table's orbits on their own plays 6,319, and its report stays the
+    one every other check pins."""
+    reached, played = set(), []
+    _recorded(monkeypatch, "predict_intents", lambda args, intents: reached.add(
+        (args[1].slots, _aux(args[2]), tuple(intents.items()))))
+    _recorded(monkeypatch, "step", lambda args, _: played.append(
+        (args[1].slots, _aux(args[2]), tuple(args[4].items()))))
+    report = verify_impossibility(get_adversary("1i-killer"), 3, Mode.ONE_INTERVAL)
+    assert (report.policies_checked, report.starts_checked, report.proven_infinite,
+            report.horizon_hits, report.dispersals) == (729, 3, 2187, 0, ())
+    assert len(played) == len(set(played)) == len(reached) == 567
+
+
+def test_a_table_reads_nothing_of_its_table_but_its_actions():
+    """The round memo's premise: a table's ``decide`` keeps the robot's
+    memory, and the rest of its round is ``Policy``'s, so two tables with
+    the same intents play the same round."""
+    for name in ("after_move", "phase_of_round", "round_guarantees", "guarantees"):
+        assert getattr(NoVisibilityPolicy, name) is getattr(Policy, name), name
+    memory = object()
+    for cfg in enumerate_initial_configs(3, up_to_reflection=False):
+        robots = tuple(RobotState(label, hand, memory)
+                       for label, hand in zip(cfg.labels(), itertools.cycle(Orientation)))
+        analysis = ChainAnalysis(cfg, chains=False)
+        for policy in ALL_TABLES:
+            assert set(vars(policy)) == {"table", "policy_id"}
+            _, memories = dynring.scheduler._decide(policy, analysis, robots)
+            assert all(m is memory for m in memories), (policy.policy_id, cfg)
+
+
+class _HandFlippingTable(NoVisibilityPolicy):
+    """A table whose robots flip their hand after every move."""
+
+    def after_move(self, robot, memory, mates):
+        return robot.orientation.flipped(), memory
+
+
+def test_a_rule_with_a_round_of_its_own_gets_a_memo_of_its_own():
+    """A zero-visibility rule that is not a plain table does not share the
+    tables' round memo, even beside a table with the same actions."""
+    tables = [get_policy("k0:cacacs"), _HandFlippingTable("cacacs")]
+    benign = get_adversary("benign")
+    for horizon in (3, 200):
+        assert verify_impossibility(benign, 3, Mode.NONE, tables, horizon=horizon) == \
+            plain_impossibility(benign, 3, Mode.NONE, tables, horizon=horizon)
