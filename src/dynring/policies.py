@@ -446,4 +446,6 @@ def check_round_lemmas(policy: Policy, phase: str, m1: Metrics, m2: Metrics,
             if allowed is not None and post not in allowed:
                 out.append(LemmaViolation(
                     guarantee, f"four-node state {pre} moved to {post}"))
+        else:
+            raise ValueError(f"policy {policy.policy_id!r} claims unknown guarantee {guarantee!r}")
     return out

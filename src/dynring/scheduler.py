@@ -68,13 +68,6 @@ class RunResult:
         return tuple(v for t in self.traces for v in t.violations)
 
 
-def _aux(robots) -> tuple:
-    """Every robot's label, hand and memory, in label order: with the slots,
-    the state of a run."""
-    # ``_value_`` is ``Orientation.value`` without the slow Enum descriptor.
-    return tuple(sorted([(r.label, r.orientation._value_, r.memory) for r in robots]))
-
-
 def _decide(policy: Policy, analysis: ChainAnalysis, robots):
     """Each robot's global-frame action, by label, and the memory it decided
     with."""
@@ -174,33 +167,18 @@ def validate_scenario(
 
 
 def play(policy: Policy, adversary: Adversary, cfg: RingConfiguration, mode: Mode, robots,
-         rng: random.Random | None = None, memo: dict | None = None):
-    """Yield ``(cfg, robots, trace)`` per round until the ring is dispersed.
-    An adaptive adversary reads the robots' intents first; ``step`` checks them.
-
-    ``memo``, if given, maps ``(slots, _aux(robots), intents)`` to what
-    ``step`` returned for a round played from that state with those
-    intents. Only runs whose round is a function of that key may share one
-    (see ``verify_impossibility``). A round found there runs neither
-    ``choose`` nor ``step``: the run yields the stored round.
-    """
+         rng: random.Random | None = None):
+    """Yield ``(cfg, robots, trace)`` for every round until the ring is
+    dispersed: the one loop that runs ``choose`` and ``step`` for a run. An
+    adaptive adversary reads the robots' intents first; ``step`` checks them."""
     if classify(cfg).dispersed:
         return
     while True:
-        predicted = played = None
-        if adversary.adaptive or memo is not None:
-            predicted = predict_intents(policy, cfg, robots)
-        if memo is not None:
-            key = (cfg.slots, _aux(robots), tuple(predicted.items()))
-            played = memo.get(key)
-        if played is None:
-            dynamism = adversary.choose(AdversaryContext(cfg, mode, rng, predicted))
-            dynamism.check_mode(mode)
-            played = step(policy, cfg, robots, dynamism, predicted)
-            if memo is not None:
-                memo[key] = played
-        cfg, robots, trace = played
-        yield played
+        predicted = predict_intents(policy, cfg, robots) if adversary.adaptive else None
+        dynamism = adversary.choose(AdversaryContext(cfg, mode, rng, predicted))
+        dynamism.check_mode(mode)
+        cfg, robots, trace = step(policy, cfg, robots, dynamism, predicted)
+        yield cfg, robots, trace
         if trace.metrics_after.dispersed:
             return
 

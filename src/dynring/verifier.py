@@ -50,8 +50,7 @@ from .ring import (
     resolve_moves,
     ring_from_multiplicities,
 )
-from .scheduler import RoundTrace, _aux, initial_robots, play, step, validate_scenario
-from .scheduler import predict_intents  # unused here; perfbench/tracing.py wraps it by name
+from .scheduler import RoundTrace, initial_robots, play, predict_intents, step, validate_scenario
 
 ENUMERATION_LIMIT = 8
 
@@ -95,6 +94,13 @@ def enumerate_initial_configs(n: int, up_to_reflection: bool = True):
         ring_from_multiplicities(profile)
         for profile in enumerate_multiplicity_profiles(n, up_to_reflection)
     )
+
+
+def _aux(robots) -> tuple:
+    """Every robot's label, hand and memory, in label order: with the slots,
+    the state of a run."""
+    # ``_value_`` is ``Orientation.value`` without the slow Enum descriptor.
+    return tuple(sorted([(r.label, r.orientation._value_, r.memory) for r in robots]))
 
 
 _PENDING = object()
@@ -337,12 +343,14 @@ def _orbit_fate(policy: Policy, adversary: Adversary, start: RingConfiguration, 
     walked state ``k`` gets ``m + rest - min(k, cap)``. A join into a known
     ``(d, rest)`` has ``cap = m``; a repeat of walked state ``i`` has
     ``rest = 0`` and ``cap = i``, as the states from ``i`` on form a cycle
-    ``m - i`` long; a dispersal has ``rest = 0`` and ``cap = m``. ``play``
-    reads and fills the round memo ``memo``.
+    ``m - i`` long; a dispersal has ``rest = 0`` and ``cap = m``.
+
+    The round memo ``memo`` maps a state and the robots' predicted intents
+    to the successor's configuration, robots and state and whether it is
+    dispersed. A round it lacks is played by ``play`` and stored there.
     """
-    robots = initial_robots(start)
+    cfg, robots = start, initial_robots(start)
     state, dispersed = (start.slots, _aux(robots)), classify(start).dispersed
-    rounds = play(policy, adversary, start, mode, robots, memo=memo)
     walk: dict = {}
     while True:
         m = len(walk)
@@ -359,8 +367,13 @@ def _orbit_fate(policy: Policy, adversary: Adversary, start: RingConfiguration, 
         if m >= horizon:
             return None
         walk[state] = m
-        cfg, robots, trace = next(rounds)
-        state, dispersed = (cfg.slots, _aux(robots)), trace.metrics_after.dispersed
+        key = (state, tuple(predict_intents(policy, cfg, robots).items()))
+        successor = memo.get(key)
+        if successor is None:
+            cfg, robots, trace = next(play(policy, adversary, cfg, mode, robots))
+            successor = memo[key] = (cfg, robots, (cfg.slots, _aux(robots)),
+                                     trace.metrics_after.dispersed)
+        cfg, robots, state, dispersed = successor
     for k, walked in enumerate(walk):
         fates[walked] = (disperses, m + rest - min(k, cap))
     return disperses, m + rest
@@ -387,14 +400,15 @@ def verify_impossibility(
 
     One round memo serves every table of the call: a round is played once
     per (state, intents), whichever table reaches it, and each later table
-    that reaches it reads the outcome off the memo (see ``play``). This is
-    sound because, against a deterministic adversary, a table's round is a
-    function of the state and the intents:
+    that reaches it reads the successor off the memo (see ``_orbit_fate``).
+    This is sound because, against a deterministic adversary, a table's
+    round is a function of the state and the intents:
 
     - the adversary reads only the ring, the mode and the intents;
     - dynamism moves whole slots and a table reads only its robot's own
       slot, so the decisions on the reshaped ring equal the intents
-      predicted before it. ``step`` checks this on every round it plays;
+      predicted before it. ``step`` checks this on every round it plays
+      against an adaptive adversary;
     - a table's ``decide`` keeps the robot's memory, and its
       ``after_move``, ``phase_of_round`` and ``round_guarantees`` are
       ``Policy``'s, so they read no table entry.
@@ -406,7 +420,8 @@ def verify_impossibility(
     A start's run disperses if its orbit does within ``horizon`` rounds,
     and is a proven stall if its orbit first repeats a state before the
     ``horizon``-th round; anything else is a horizon hit. What matters is
-    that no run ever reaches one robot per node.
+    that no run ever reaches one robot per node, so an empty set of starts
+    is refused.
     """
     if policies is None:
         policies = list(all_no_visibility_policies())
@@ -416,6 +431,8 @@ def verify_impossibility(
     adversary.check_scenario(n, mode)
     if horizon < 0:
         raise ScenarioError(f"horizon must be at least 0 rounds, got {horizon}")
+    if not starts:
+        raise ScenarioError(f"no start to check for adversary {adversary.adversary_id} on n={n}")
 
     dispersals = []
     proven_infinite = 0
@@ -469,11 +486,12 @@ def check_adaptive_soundness(
         dynamism.check_mode(mode)
         shaped = dynamism.apply(cfg)
         successor = resolve_moves(shaped, intents)
-        metrics = classify(successor)
-        described = ",".join(a.short for a in combo)
-        if metrics.dispersed:
-            problems.append(f"intents [{described}] from {cfg} dispersed via {dynamism}")
+        if classify(successor).dispersed:
+            outcome = "dispersed"
         elif neutral_required and not adversary.invariant(successor):
-            problems.append(f"intents [{described}] from {cfg} left shape "
-                            f"{successor.multiplicities()} via {dynamism}")
+            outcome = f"left shape {successor.multiplicities()}"
+        else:
+            continue
+        described = ",".join(a.short for a in combo)
+        problems.append(f"intents [{described}] from {cfg} {outcome} via {dynamism}")
     return problems

@@ -248,6 +248,8 @@ TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
     lambda tmp_path: _raw_file(tmp_path, TOO_LONG, "replay"),
     lambda tmp_path: ["verify", "--check", "bound", "--n", "3", "--policy", "vp-chain",
                       "--mode", "vp", "--bound", "-1"],
+    lambda tmp_path: ["verify", "--check", "impossibility", "--n", "1",
+                      "--adversary", "benign"],
 ], ids=["run-n-0", "run-n-negative", "sweep-n-not-a-number", "sweep-n-empty-range",
         "config-not-a-number", "config-wrong-total", "spec-unknown-key", "spec-unknown-mode",
         "replay-missing-perm", "run-max-rounds-negative", "verify-bound-n-0",
@@ -262,7 +264,8 @@ TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
         "replay-holes-a-float", "replay-round-skipped",
         "replay-start-label-a-float", "replay-start-label-a-bool", "replay-label-a-float",
         "replay-label-a-bool", "spec-nested-too-deep", "replay-nested-too-deep",
-        "spec-integer-too-long", "replay-integer-too-long", "verify-bound-negative"])
+        "spec-integer-too-long", "replay-integer-too-long", "verify-bound-negative",
+        "verify-impossibility-no-start"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     capsys.readouterr()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import configured_scenarios, snapshot_facts
+from naive_policies import naive_intents
 from dynring import (
     Action,
     ChainAnalysis,
@@ -14,6 +15,7 @@ from dynring import (
     Mode,
     Orientation,
     PREPROCESS_DONE,
+    Policy,
     RobotState,
     ScenarioError,
     Snapshot,
@@ -206,6 +208,17 @@ def test_four_ring_rule_uses_chain_phase_after_gathering():
 PLAIN_RULES = ("vp-chain", "vp-1i", "achiral-odd", "even4", "k0:cascsa")
 
 
+@settings(max_examples=1500, deadline=None)
+@given(configured_scenarios(min_n=2, max_n=9), st.sampled_from(PLAIN_RULES))
+def test_rules_match_the_plain_transcription(scenario, policy_id):
+    """Every rule decides as its plain transcription does on any ring, not
+    only on the states the exhaustive searches reach: mixed hands and a
+    removed edge included."""
+    cfg, robots = scenario
+    assert predict_intents(get_policy(policy_id), cfg, robots) == \
+        naive_intents(policy_id)(cfg, robots)
+
+
 @settings(max_examples=120, deadline=None)
 @given(configured_scenarios(min_n=2, max_n=7), st.sampled_from(PLAIN_RULES), st.data())
 def test_decisions_ignore_node_names(scenario, policy_id, data):
@@ -293,6 +306,19 @@ def test_lemma_checker_flags_stalled_holes():
         ring_from_slots(((1, 2), (3,), (), (4,))),
         ring_from_slots(((1, 2), (3,), (), (4,))))
     assert [v.guarantee for v in stalled] == ["holes-strictly-decrease"]
+
+
+class _MisspeltGuarantee(Policy):
+    policy_id = "misspelt"
+    guarantees = ("holes-strictly-decreases",)
+
+
+def test_lemma_checker_refuses_an_unknown_guarantee():
+    seen, landed = ring_from_slots(((1, 2), (3,), ())), ring_from_slots(((1, 2, 3), (), ()))
+    claimed = round_lemmas(get_policy("vp-chain"), "main", seen, landed)
+    assert [v.guarantee for v in claimed] == ["holes-strictly-decrease"]
+    with pytest.raises(ValueError, match="holes-strictly-decreases"):
+        round_lemmas(_MisspeltGuarantee(), "main", seen, landed)
 
 
 def test_lemma_checker_accepts_new_multinode_for_stalled_holes():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dynring.scheduler
+import dynring.verifier
 from naive_policies import naive_intents
 from dynring import (
     Action,
@@ -388,6 +389,15 @@ def test_negative_horizon_is_refused():
         verify_impossibility(get_adversary("1i-killer"), 2, Mode.ONE_INTERVAL, horizon=-1)
 
 
+def test_a_check_with_no_start_is_refused():
+    """At n=1 every rule is dispersed at round 0, so no start is left to
+    block; a check over no start proves nothing."""
+    with pytest.raises(ScenarioError, match="no start"):
+        verify_impossibility(get_adversary("benign"), 1, Mode.NONE)
+    with pytest.raises(ScenarioError, match="no start"):
+        verify_impossibility(get_adversary("1i-killer"), 3, Mode.ONE_INTERVAL, starts=[])
+
+
 def test_edge_blocker_impossibility_on_two_nodes():
     report = verify_impossibility(get_adversary("1i-killer"), 2, Mode.ONE_INTERVAL,
                                   policies=[get_policy("k0:" + t)
@@ -514,32 +524,36 @@ def test_a_start_on_a_walked_state_joins_its_orbit(monkeypatch):
     assert memo_rounds == len(steps) > 0
 
 
-def _recorded(monkeypatch, name, record):
-    """Replace ``dynring.scheduler.<name>`` by a wrapper that hands
-    ``record`` each call's arguments and result."""
-    real = getattr(dynring.scheduler, name)
+def _recorded(monkeypatch, module, name, record):
+    """Replace ``module.<name>`` by a wrapper that hands ``record`` each
+    call's arguments and result."""
+    real = getattr(module, name)
 
     def wrapper(*args):
         result = real(*args)
         record(args, result)
         return result
-    monkeypatch.setattr(dynring.scheduler, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
 
 
 def test_the_tables_of_a_sweep_share_each_round(monkeypatch):
     """A round is played once per (state, intents), whichever table reaches
     it: the 729-table 1i-killer sweep at n=3 plays 567 rounds where running
     each table's orbits on their own plays 6,319, and its report stays the
-    one every other check pins."""
-    reached, played = set(), []
-    _recorded(monkeypatch, "predict_intents", lambda args, intents: reached.add(
-        (args[1].slots, _aux(args[2]), tuple(intents.items()))))
-    _recorded(monkeypatch, "step", lambda args, _: played.append(
+    one every other check pins. A state is computed once per start and once
+    per played round, never for a round read off the memo."""
+    reached, played, states = set(), [], []
+    for module in (dynring.scheduler, dynring.verifier):
+        _recorded(monkeypatch, module, "predict_intents", lambda args, intents: reached.add(
+            (args[1].slots, _aux(args[2]), tuple(intents.items()))))
+    _recorded(monkeypatch, dynring.scheduler, "step", lambda args, _: played.append(
         (args[1].slots, _aux(args[2]), tuple(args[4].items()))))
+    _recorded(monkeypatch, dynring.verifier, "_aux", lambda args, _: states.append(args))
     report = verify_impossibility(get_adversary("1i-killer"), 3, Mode.ONE_INTERVAL)
     assert (report.policies_checked, report.starts_checked, report.proven_infinite,
             report.horizon_hits, report.dispersals) == (729, 3, 2187, 0, ())
     assert len(played) == len(set(played)) == len(reached) == 567
+    assert len(states) == 729 * 3 + 567
 
 
 def test_a_table_reads_nothing_of_its_table_but_its_actions():
