@@ -272,12 +272,14 @@ class Metrics(NamedTuple):
 
 
 def classify(cfg: RingConfiguration) -> Metrics:
-    mult = cfg.multiplicities()
+    return _census(cfg.multiplicities())
+
+
+def _census(mult: tuple[int, ...]) -> Metrics:
+    n = len(mult)
     holes = mult.count(0)
     singles = mult.count(1)
-    multis = cfg.n - holes - singles
-    dispersed = singles == cfg.n
-    return Metrics(holes, singles, multis, dispersed)
+    return Metrics(holes, singles, n - holes - singles, singles == n)
 
 
 @dataclass(frozen=True)
@@ -307,7 +309,10 @@ def find_chains(cfg: RingConfiguration) -> tuple[Chain, ...]:
     the first node that is not a singleton. It yields a chain only when
     that node is a hole.
     """
-    mult = cfg.multiplicities()
+    return _chains(cfg, cfg.multiplicities())
+
+
+def _chains(cfg: RingConfiguration, mult: tuple[int, ...]) -> tuple[Chain, ...]:
     n = cfg.n
     chains = []
     for anchor in range(n):
@@ -368,12 +373,12 @@ class ChainAnalysis:
     def __init__(self, cfg: RingConfiguration, chains: bool = True):
         self.cfg = cfg
         self.mult = cfg.multiplicities()
-        self.metrics = classify(cfg)
+        self.metrics = _census(self.mult)
         if not chains:
             return
         self.by_singleton: dict[int, Chain] = {}
         self.by_anchor: dict[int, list[Chain]] = {}
-        for chain in find_chains(cfg):
+        for chain in _chains(cfg, self.mult):
             self.by_anchor.setdefault(chain.multinode, []).append(chain)
             for pos in chain.singletons:
                 # A singleton node belongs to at most one chain overall.

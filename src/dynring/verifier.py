@@ -20,6 +20,27 @@ multiset of slots, because every round opens with a permutation:
   the repeated multiset in another arrangement, and it can fold that
   rearrangement into its next permutation.
 
+In those modes the key also merges a state with its mirror twin: the
+ring reflected and every hand flipped, which has the same slot multiset.
+The key keeps the lesser of ``_aux`` and the twin's ``_aux``, that is the
+one in which robot 1's hand is ``A``. Twins have one value:
+
+- a rule sees only its own frame, so in the twin every robot decides the
+  same own-frame action and every global action is inverted; each move
+  lands on the reflection of its node in the original;
+- ``Policy.after_move`` flips a hand relative to the hand it had, so it
+  flips the twin's hand too, and memories hold no direction;
+- ``phase_of_round``, the census and the lemma checks read no direction;
+- ``exhaustive_branches`` offers every arrangement of the multiset and
+  every edge, a set closed under reflection, so each branch of a state
+  has a mirrored branch of its twin and the successors are twins again;
+- a cycle through a twin is a real stall: mirroring the path from a
+  state to its twin leads back to the state.
+
+Without permutations the arrangement is real state, and flipping hands
+without reflecting it would be unsound, so modes ``none`` and ``1i`` keep
+the plain rotation key.
+
 The module also enumerates starting configurations, certifies per-round
 guarantees along every explored edge, checks the adaptive adversaries
 against every possible intent vector, and runs the zero-visibility rule
@@ -103,6 +124,7 @@ def _aux(robots) -> tuple:
     return tuple(sorted([(r.label, r.orientation._value_, r.memory) for r in robots]))
 
 
+_FLIP = {"A": "R", "R": "A"}
 _PENDING = object()
 
 
@@ -132,7 +154,11 @@ class WorstCaseSearcher:
     mode permutes vertices. The coarser key is sound: every arrangement of
     the multiset has the same branches, ``_aux`` reads no node, and a
     cycle under it is a real stall, because the adversary can fold the
-    rearrangement into its next permutation. The memo holds only values.
+    rearrangement into its next permutation. The multiset key also merges
+    a state with its mirror twin, the ring reflected and every hand
+    flipped, by keying with the hands in which robot 1 reads ``A``; the
+    module docstring shows that twins have one value. The memo holds only
+    values.
     A best branch found in one frame of a state need not be best in
     another, so ``witness`` picks its branch afresh in the frame it is
     replaying.
@@ -149,9 +175,13 @@ class WorstCaseSearcher:
         self.cycle_hit = False
 
     def _key(self, cfg: RingConfiguration, robots) -> tuple:
-        if self.mode.allows_permutation:
-            return tuple(sorted(cfg.slots)), _aux(robots)
-        return canonical_rotation(cfg).slots, _aux(robots)
+        aux = _aux(robots)
+        if not self.mode.allows_permutation:
+            return canonical_rotation(cfg).slots, aux
+        if aux[0][1] == "R":
+            # The mirror twin's hands; every hand differs, so it is the lesser.
+            aux = tuple([(label, _FLIP[hand], memory) for label, hand, memory in aux])
+        return tuple(sorted(cfg.slots)), aux
 
     def _check_decisions(self, trace: RoundTrace, robots) -> None:
         # The oracle is any callable (cfg, robots) -> {label: global Action};

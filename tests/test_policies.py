@@ -11,12 +11,14 @@ from naive_policies import naive_intents
 from dynring import (
     Action,
     ChainAnalysis,
+    Dynamism,
     EVEN4_WORST_ROUNDS,
     Mode,
     Orientation,
     PREPROCESS_DONE,
     Policy,
     RobotState,
+    RoundTrace,
     ScenarioError,
     Snapshot,
     all_no_visibility_policies,
@@ -31,6 +33,7 @@ from dynring import (
     ring_from_multiplicities,
     ring_from_slots,
     rotate,
+    step,
 )
 from dynring.policies import four_node_state
 
@@ -229,6 +232,10 @@ def test_decisions_ignore_node_names(scenario, policy_id, data):
     assert predict_intents(policy, cfg, robots) == predict_intents(policy, turned, robots)
 
 
+def _flipped(robots):
+    return tuple(RobotState(r.label, r.orientation.flipped(), r.memory) for r in robots)
+
+
 @settings(max_examples=120, deadline=None)
 @given(configured_scenarios(min_n=2, max_n=7), st.sampled_from(PLAIN_RULES))
 def test_mirrored_world_mirrors_decisions(scenario, policy_id):
@@ -237,10 +244,52 @@ def test_mirrored_world_mirrors_decisions(scenario, policy_id):
     cfg, robots = scenario
     policy = get_policy(policy_id)
     mirrored = reflect(cfg, 0)
-    flipped = tuple(RobotState(r.label, r.orientation.flipped(), r.memory) for r in robots)
+    flipped = _flipped(robots)
     direct = predict_intents(policy, cfg, robots)
     through_mirror = predict_intents(policy, mirrored, flipped)
     assert through_mirror == {label: act.inverse() for label, act in direct.items()}
+
+
+def _round(policy, cfg, robots, dynamism):
+    """``step``'s result, or the refusal it raised."""
+    try:
+        return step(policy, cfg, robots, dynamism)
+    except (ScenarioError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("policy_id", PLAIN_RULES + ("no-chir-1i",))
+@settings(max_examples=150, deadline=None)
+@given(configured_scenarios(min_n=2, max_n=7, allow_edge=False), st.data())
+def test_mirrored_world_mirrors_whole_rounds(policy_id, scenario, data):
+    """A round in the mirror world, the ring reflected with every hand
+    flipped and the removed edge reflected too, ends in the mirror of the
+    round's successor, memory and ``after_move`` included. The worst-case
+    search merges each state with this twin."""
+    cfg, robots = scenario
+    n = cfg.n
+    if data.draw(st.booleans()):  # a gathered pile starts the preprocessing round
+        node = data.draw(st.integers(0, n - 1))
+        cfg = ring_from_slots([cfg.labels() if i == node else () for i in range(n)])
+    memory = data.draw(st.sampled_from(
+        (None, ("moved", data.draw(st.integers(1, n))), PREPROCESS_DONE)))
+    robots = tuple(RobotState(r.label, r.orientation, memory) for r in robots)
+    edge = data.draw(st.none() | st.integers(0, n - 1))
+    policy = get_policy(policy_id)
+
+    direct = _round(policy, cfg, robots, Dynamism(None, edge))
+    mirrored = _round(policy, reflect(cfg, 0), _flipped(robots),
+                      Dynamism(None, None if edge is None else (-edge - 1) % n))
+    if not isinstance(direct[-1], RoundTrace):
+        assert mirrored == direct  # both worlds refuse the round alike
+        return
+    (next_cfg, settled, trace), (twin_cfg, twin_settled, twin_trace) = direct, mirrored
+    assert twin_cfg == reflect(next_cfg, 0)
+    assert twin_settled == _flipped(settled)
+    assert twin_trace.intents == {label: act.inverse() for label, act in trace.intents.items()}
+    assert (twin_trace.phase, twin_trace.metrics_after, twin_trace.holes_filled,
+            twin_trace.violations) == (trace.phase, trace.metrics_after,
+                                       trace.holes_filled, trace.violations)
 
 
 @settings(max_examples=120, deadline=None)

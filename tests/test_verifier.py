@@ -38,6 +38,7 @@ from dynring import (
     predict_intents,
     resolve_moves,
     ring_from_multiplicities,
+    reflect,
     ring_from_slots,
     rotate,
     run_simulation,
@@ -159,6 +160,29 @@ class RotationKeyedSearcher(WorstCaseSearcher):
         return canonical_rotation(cfg).slots, _aux(robots)
 
 
+class MultisetKeyedSearcher(WorstCaseSearcher):
+    """The search with its memo keyed by slot multiset and the robots' own
+    hands in a permuting mode: the key without mirror twins merged."""
+
+    def _key(self, cfg, robots):
+        return tuple(sorted(cfg.slots)), _aux(robots)
+
+
+def _mirrored(decision_point):
+    """A decision-cache key of the mirror world: the ring reflected about 0
+    and turned to its least rotation, as the branches leave it, with every
+    hand flipped."""
+    slots, edge, aux = decision_point
+    seen = canonical_rotation(reflect(RingConfiguration(len(slots), slots, edge), 0))
+    hands = tuple((label, Orientation(hand).flipped().value, memory)
+                  for label, hand, memory in aux)
+    return seen.slots, seen.missing_edge, hands
+
+
+def _mirror_closed(decision_points):
+    return set(decision_points) | {_mirrored(point) for point in decision_points}
+
+
 def _root_values(searcher, policy, n, starts, orientations):
     values = {}
     for cfg in starts:
@@ -166,6 +190,10 @@ def _root_values(searcher, policy, n, starts, orientations):
             robots = initial_robots(cfg, dict(enumerate(hands, start=1)))
             values[cfg.slots, hands] = searcher.value(cfg, robots)
     return values
+
+
+# (unmerged, merged) memo sizes of all-hands searches: twins halve them.
+MIRROR_HALVED = {("even4", 4): (140, 70), ("no-chir-1i", 4): (44, 22)}
 
 
 @pytest.mark.parametrize("policy_id,n,mode", [
@@ -176,34 +204,47 @@ def _root_values(searcher, policy, n, starts, orientations):
     ("achiral-odd", 3, Mode.COMBINED),
 ])
 def test_multiset_key_matches_the_rotation_key(policy_id, n, mode):
-    """In a permuting mode the memo keys a state by its slot multiset. The
-    rotation-keyed search finds the same value at every root and consults
-    the oracle at the same decision points."""
+    """In a permuting mode the memo keys a state by its slot multiset and
+    merges it with its mirror twin. The rotation-keyed search finds the
+    same value at every root and consults the oracle at the same decision
+    points up to mirroring; the search without merged twins finds the same
+    values with a memo at least as large."""
     policy = get_policy(policy_id)
     starts, orientations = default_verification_roots(policy, n)
     oracle = naive_intents(policy_id)
     multiset = WorstCaseSearcher(policy, mode, oracle=oracle)
     rotation = RotationKeyedSearcher(policy, mode, oracle=oracle)
-    assert _root_values(multiset, policy, n, starts, orientations) == \
-        _root_values(rotation, policy, n, starts, orientations)
-    assert multiset.decision_cache == rotation.decision_cache
+    unmerged = MultisetKeyedSearcher(policy, mode)
+    values = _root_values(multiset, policy, n, starts, orientations)
+    assert values == _root_values(rotation, policy, n, starts, orientations)
+    assert values == _root_values(unmerged, policy, n, starts, orientations)
+    assert _mirror_closed(multiset.decision_cache) == _mirror_closed(rotation.decision_cache)
     assert multiset.decision_mismatches == rotation.decision_mismatches == []
-    assert len(multiset.memo) <= len(rotation.memo)
+    assert len(multiset.memo) <= len(unmerged.memo) <= len(rotation.memo)
+    if (policy_id, n) in MIRROR_HALVED:
+        assert (len(unmerged.memo), len(multiset.memo)) == MIRROR_HALVED[policy_id, n]
 
 
 @pytest.mark.parametrize("policy_id,mode", [
     ("vp-1i", Mode.ONE_INTERVAL),
     ("vp-chain", Mode.NONE),
+    ("achiral-odd", Mode.ONE_INTERVAL),
+    ("achiral-odd", Mode.NONE),
+    ("no-chir-1i", Mode.ONE_INTERVAL),
+    ("even4", Mode.ONE_INTERVAL),
 ])
 def test_non_permuting_modes_keep_the_rotation_key(policy_id, mode):
     """Without permutations the arrangement is real state, so the memo
-    holds exactly the rotation classes the rotation-keyed search holds."""
+    holds exactly the rotation classes the rotation-keyed search holds:
+    hands are never flipped without reflecting the ring. The all-hands
+    rules are the cases that would show such a flip."""
+    n = 3 if policy_id == "achiral-odd" else 4  # the odd rule needs an odd ring
     policy = get_policy(policy_id)
-    starts, orientations = default_verification_roots(policy, 4)
+    starts, orientations = default_verification_roots(policy, n)
     searcher = WorstCaseSearcher(policy, mode)
     rotation = RotationKeyedSearcher(policy, mode)
-    assert _root_values(searcher, policy, 4, starts, orientations) == \
-        _root_values(rotation, policy, 4, starts, orientations)
+    assert _root_values(searcher, policy, n, starts, orientations) == \
+        _root_values(rotation, policy, n, starts, orientations)
     assert len(searcher.memo) == len(rotation.memo)
 
 
