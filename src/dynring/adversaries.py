@@ -116,7 +116,10 @@ class RandomAdversary(Adversary):
             perm = tuple(nodes)
         edge = None
         if ctx.mode.allows_edge_removal:
-            edge = ctx.rng.choice([None] + list(range(ctx.cfg.n)))
+            # The draw choice([None, 0, ..., n - 1]) makes; 0 is no edge.
+            edge = ctx.rng.randrange(ctx.cfg.n + 1) - 1
+            if edge < 0:
+                edge = None
         return Dynamism(perm, edge)
 
 

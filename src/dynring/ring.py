@@ -70,10 +70,11 @@ class Action(IntEnum):
 
     @property
     def short(self) -> str:
-        return {Action.STAY: "stay", Action.CLOCKWISE: "cw", Action.ANTICLOCKWISE: "acw"}[self]
+        return _SHORT[self]
 
 
 ACTION_FROM_SHORT = {"stay": Action.STAY, "cw": Action.CLOCKWISE, "acw": Action.ANTICLOCKWISE}
+_SHORT = {action: short for short, action in ACTION_FROM_SHORT.items()}
 
 
 class Orientation(Enum):
@@ -246,19 +247,46 @@ def apply_edge_removal(cfg: RingConfiguration, edge: int | None) -> RingConfigur
 def resolve_moves(cfg: RingConfiguration, intents: dict[int, Action]) -> RingConfiguration:
     """Apply every robot's global-frame action at once; crossing the removed
     edge is a no-op. ``intents`` maps label to action and must name exactly
-    the configuration's robots."""
-    if intents.keys() != set(range(1, cfg.n + 1)):
-        raise ValueError(f"intents name robots {sorted(intents)}, not exactly 1..{cfg.n}")
+    the configuration's robots.
+
+    Only the slots a robot leaves or enters are rebuilt; every other slot
+    is reused, and a round in which nobody moves returns ``cfg`` itself.
+    """
     n, cut = cfg.n, cfg.missing_edge
-    slots = [[] for _ in range(n)]
-    for pos, slot in enumerate(cfg.slots):
-        for label in slot:
-            action = intents[label]
-            if action is Action.STAY or crossing_edge(pos, action, n) == cut:
-                slots[pos].append(label)
-            else:
-                slots[(pos + action) % n].append(label)
-    return RingConfiguration._trusted(n, tuple(map(tuple, map(sorted, slots))), cut)
+    # n names that include every label 1..n are exactly those labels.
+    if len(intents) != n:
+        raise _misnamed(intents, n)
+    stay = Action.STAY  # a local: enum member lookups are slow
+    movers = []
+    try:
+        for pos, slot in enumerate(cfg.slots):
+            for label in slot:
+                action = intents[label]
+                if action is not stay and crossing_edge(pos, action, n) != cut:
+                    movers.append((label, pos, (pos + action) % n))
+    except KeyError:
+        raise _misnamed(intents, n) from None
+    if not movers:
+        return cfg
+    # A slot turns into a list the first time a robot leaves or enters it.
+    slots = list(cfg.slots)
+    touched = []
+    for label, old, new in movers:
+        if type(slots[old]) is tuple:
+            slots[old] = list(slots[old])
+            touched.append(old)
+        slots[old].remove(label)
+        if type(slots[new]) is tuple:
+            slots[new] = list(slots[new])
+            touched.append(new)
+        slots[new].append(label)
+    for pos in touched:
+        slots[pos] = tuple(sorted(slots[pos]))
+    return RingConfiguration._trusted(n, tuple(slots), cut)
+
+
+def _misnamed(intents, n: int) -> ValueError:
+    return ValueError(f"intents name robots {sorted(intents)}, not exactly 1..{n}")
 
 
 class Metrics(NamedTuple):
@@ -378,17 +406,28 @@ class ChainAnalysis:
             return
         self.by_singleton: dict[int, Chain] = {}
         self.by_anchor: dict[int, list[Chain]] = {}
+        self._views: dict[tuple, ChainView] = {}
         for chain in _chains(cfg, self.mult):
             self.by_anchor.setdefault(chain.multinode, []).append(chain)
             for pos in chain.singletons:
                 # A singleton node belongs to at most one chain overall.
                 self.by_singleton[pos] = chain
 
-    def sibling(self, chain: Chain) -> Chain | None:
-        for other in self.by_anchor.get(chain.multinode, ()):
-            if other is not chain:
-                return other
-        return None
+    def chain_view(self, chain: Chain, sign: int, with_other: bool) -> ChainView:
+        """``chain`` in the frame of a robot whose hand has ``sign``, with the
+        other chain of its multinode as ``other`` when asked. Views are
+        frozen, so every robot that asks for the same one shares it."""
+        key = (chain.multinode, chain.direction, sign, with_other)
+        view = self._views.get(key)
+        if view is None:
+            other = None
+            if with_other:
+                for sib in self.by_anchor[chain.multinode]:
+                    if sib is not chain:
+                        other = self.chain_view(sib, sign, False)
+            view = ChainView(Action(chain.direction.value * sign), chain.length, chain.good, other)
+            self._views[key] = view
+        return view
 
 
 class Snapshot:
@@ -413,25 +452,12 @@ class Snapshot:
         self.is_least = robot.label == self.least_label
         self.has_multinode = analysis.metrics.multinodes > 0
 
-    def _chain_view(self, chain: Chain, with_other: bool) -> ChainView:
-        other = None
-        if with_other:
-            sib = self._analysis.sibling(chain)
-            if sib is not None:
-                other = self._chain_view(sib, with_other=False)
-        return ChainView(
-            direction_own=Action(chain.direction.value * self._sign),
-            length=chain.length,
-            good=chain.good,
-            other=other,
-        )
-
     def own_chain(self) -> ChainView | None:
         """The unique chain through this singleton node, if any."""
         chain = self._analysis.by_singleton.get(self._pos)
         if chain is None:
             return None
-        return self._chain_view(chain, with_other=True)
+        return self._analysis.chain_view(chain, self._sign, True)
 
     def anchored(self) -> tuple[ChainView, ...]:
         """Chains anchored at this multinode, at most one per direction.
@@ -440,7 +466,7 @@ class Snapshot:
         the order cannot reveal the robot's hand.
         """
         chains = self._analysis.by_anchor.get(self._pos, ())
-        views = tuple(self._chain_view(c, with_other=False) for c in chains)
+        views = tuple(self._analysis.chain_view(c, self._sign, False) for c in chains)
         # find_chains lists each multinode's chains global clockwise first.
         return views if self._sign > 0 else views[::-1]
 

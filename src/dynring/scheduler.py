@@ -113,8 +113,13 @@ def step(
     cfg_after = resolve_moves(cfg_seen, intents)
     metrics_after = classify(cfg_after)
     mates = {label: slot for slot in cfg_after.slots for label in slot}
-    settled = tuple(RobotState(robot.label, *policy.after_move(robot, memory, mates[robot.label]))
-                    for robot, memory in zip(robots, memories))
+    settled = []
+    for robot, memory in zip(robots, memories):
+        hand, memory = policy.after_move(robot, memory, mates[robot.label])
+        # A robot whose hand and memory are the ones it had is carried over.
+        if hand is not robot.orientation or memory is not robot.memory:
+            robot = RobotState(robot.label, hand, memory)
+        settled.append(robot)
 
     filled = holes_filled_count(cfg_seen, cfg_after)
     trace = RoundTrace(
@@ -129,7 +134,7 @@ def step(
                                             filled)),
     )
     next_cfg = RingConfiguration._trusted(cfg.n, cfg_after.slots, None)
-    return next_cfg, settled, trace
+    return next_cfg, tuple(settled), trace
 
 
 def initial_robots(cfg: RingConfiguration, orientations=None):

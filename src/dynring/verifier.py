@@ -183,12 +183,11 @@ class WorstCaseSearcher:
             aux = tuple([(label, _FLIP[hand], memory) for label, hand, memory in aux])
         return tuple(sorted(cfg.slots)), aux
 
-    def _check_decisions(self, trace: RoundTrace, robots) -> None:
+    def _check_decisions(self, trace: RoundTrace, robots, aux: tuple) -> None:
         # The oracle is any callable (cfg, robots) -> {label: global Action};
-        # it is consulted once per distinct decision point.
-        if self.oracle is None:
-            return
-        key = (trace.config_seen.slots, trace.config_seen.missing_edge, _aux(robots))
+        # it is consulted once per distinct decision point. ``aux`` is
+        # ``_aux(robots)``, taken once per expanded state.
+        key = (trace.config_seen.slots, trace.config_seen.missing_edge, aux)
         if key in self.decision_cache:
             return
         self.decision_cache.add(key)
@@ -198,8 +197,11 @@ class WorstCaseSearcher:
 
     def value(self, cfg: RingConfiguration, robots) -> float:
         """Rounds the adversary can force from here; inf if it can stall."""
-        if classify(cfg).dispersed:
-            return 0
+        return 0 if classify(cfg).dispersed else self._value(cfg, robots)
+
+    def _value(self, cfg: RingConfiguration, robots) -> float:
+        """``value`` of a state that is not dispersed. A successor's census
+        is read from the round's trace."""
         key = self._key(cfg, robots)
         entry = self.memo.get(key)
         if entry is _PENDING:
@@ -208,21 +210,26 @@ class WorstCaseSearcher:
         if entry is not None:
             return entry
         self.memo[key] = _PENDING
+        aux = None if self.oracle is None else _aux(robots)
         best = -1.0
         for dynamism in exhaustive_branches(cfg, self.mode):
             next_cfg, next_robots, trace = step(self.policy, cfg, robots, dynamism)
             for violation in trace.violations:
                 self.lemma_violations.append((key, dynamism, violation))
-            self._check_decisions(trace, robots)
-            best = max(best, 1 + self.value(next_cfg, next_robots))
+            if aux is not None:
+                self._check_decisions(trace, robots, aux)
+            rest = 0 if trace.metrics_after.dispersed else self._value(next_cfg, next_robots)
+            best = max(best, 1 + rest)
         self.memo[key] = best
         return best
 
-    def _settled_value(self, cfg: RingConfiguration, robots) -> float:
-        """The memoized value of an explored state; 0 once dispersed."""
-        if classify(cfg).dispersed:
-            return 0
-        return self.memo[self._key(cfg, robots)]
+    def _settled_value(self, cfg: RingConfiguration, robots,
+                       dispersed: bool | None = None) -> float:
+        """The memoized value of an explored state; 0 once dispersed, which
+        is read from ``cfg`` unless the caller knows it."""
+        if dispersed is None:
+            dispersed = classify(cfg).dispersed
+        return 0 if dispersed else self.memo[self._key(cfg, robots)]
 
     def witness(self, cfg: RingConfiguration, robots) -> tuple[RoundTrace, ...]:
         """One adversary line realising the memoized value of this state.
@@ -237,7 +244,8 @@ class WorstCaseSearcher:
         while value not in (0, math.inf):
             for dynamism in exhaustive_branches(cfg, self.mode):
                 next_cfg, next_robots, trace = step(self.policy, cfg, robots, dynamism)
-                if self._settled_value(next_cfg, next_robots) == value - 1:
+                settled = self._settled_value(next_cfg, next_robots, trace.metrics_after.dispersed)
+                if settled == value - 1:
                     break
             else:
                 raise RuntimeError(f"no branch from {cfg} lowers the value {value}")

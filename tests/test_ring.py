@@ -1,10 +1,13 @@
 """Unit and property tests for configurations, moves, chains and views."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import configured_scenarios, ring_configs, snapshot_facts
+from moves import dense_resolve_moves
 from views import compute_view
 from dynring import (
     Action,
@@ -148,6 +151,48 @@ def test_resolve_requires_exactly_one_intent_per_robot():
         resolve_moves(cfg, {1: Action.STAY})
     with pytest.raises(ValueError):
         resolve_moves(cfg, {1: Action.STAY, 5: Action.STAY})
+    with pytest.raises(ValueError):
+        resolve_moves(cfg, {1: Action.STAY, 2: Action.STAY, 3: Action.STAY})
+
+
+def _assert_resolves_as_the_oracle(cfg, intents):
+    out = resolve_moves(cfg, intents)
+    assert (out.n, out.missing_edge) == (cfg.n, cfg.missing_edge)
+    assert out.slots == dense_resolve_moves(cfg, intents).slots
+    assert all(type(slot) is tuple and list(slot) == sorted(slot) for slot in out.slots)
+    if all(action is Action.STAY for action in intents.values()):
+        assert out is cfg
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_resolve_matches_the_dense_oracle_on_every_small_ring(n):
+    """Every placement of the robots, every intent vector and every removed
+    edge or none, on the rings where the two directions can share an edge's
+    endpoints (n=2 has two parallel edges) or a node (n=1)."""
+    for nodes in itertools.product(range(n), repeat=n):
+        slots = [[] for _ in range(n)]
+        for label, node in enumerate(nodes, start=1):
+            slots[node].append(label)
+        for edge in (None, *range(n)):
+            cfg = ring_from_slots(slots, edge)
+            for actions in itertools.product(Action, repeat=n):
+                _assert_resolves_as_the_oracle(cfg, dict(zip(range(1, n + 1), actions)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_configs(min_n=1, max_n=9, allow_edge=False), st.data())
+def test_resolve_matches_the_dense_oracle(cfg, data):
+    """Only the slots a robot leaves or enters are rebuilt; the result is
+    the dense resolution, slot for slot, with sorted tuples, and a round
+    in which nobody moves returns the configuration itself."""
+    n = cfg.n
+    edge = data.draw(st.sampled_from((None, *range(n))))
+    cfg = RingConfiguration(n, cfg.slots, edge)
+    order = data.draw(st.permutations(range(1, n + 1)))
+    movers = data.draw(st.sets(st.sampled_from(order)))
+    intents = {label: data.draw(st.sampled_from((Action.CLOCKWISE, Action.ANTICLOCKWISE)))
+               if label in movers else Action.STAY for label in order}
+    _assert_resolves_as_the_oracle(cfg, intents)
 
 
 def test_blocked_move_is_a_no_op():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dynring.scheduler
-from conftest import ring_configs
+from conftest import ring_configs, snapshot_facts
 from dynring import (
     Action,
     ChainAnalysis,
@@ -16,8 +16,10 @@ from dynring import (
     Policy,
     RobotState,
     ScenarioError,
+    Snapshot,
     all_on_one,
     classify,
+    convert_frame,
     get_adversary,
     get_policy,
     initial_robots,
@@ -163,6 +165,64 @@ def test_after_move_gets_the_labels_each_robot_landed_with():
         assert policy.handed[robot.label] == (robot, (robot.label,), mates)
         assert after == RobotState(robot.label, robot.orientation.flipped(),
                                    (robot.label, mates))
+
+
+# Every shipped rule and one zero-visibility table.
+EVERY_RULE = ("vp-chain", "vp-1i", "no-chir-1i", "achiral-odd", "even4", "k0:cascas")
+
+
+@st.composite
+def rule_rounds(draw):
+    """A rule, a start it accepts and a round's dynamism. A preprocessing
+    rule gets either a gathered start with no robot agreed, whose round is
+    its preprocessing round, or any start with every robot agreed."""
+    policy = get_policy(draw(st.sampled_from(EVERY_RULE)))
+    if policy.policy_id == "even4":
+        n = 4
+    elif policy.policy_id == "achiral-odd":
+        n = draw(st.sampled_from((3, 5, 7)))
+    else:
+        n = draw(st.integers(2, 8))
+    cfg = draw(ring_configs(min_n=n, max_n=n, allow_edge=False))
+    memory = None
+    if policy.policy_id in ("no-chir-1i", "even4"):
+        if draw(st.booleans()):
+            cfg = all_on_one(n)
+        elif policy.gathered_start or draw(st.booleans()):
+            memory = PREPROCESS_DONE
+    hands = (Orientation.ALIGNED,) if policy.requires_chirality else tuple(Orientation)
+    robots = tuple(RobotState(label, draw(st.sampled_from(hands)), memory)
+                   for label in cfg.labels())
+    perm = draw(st.one_of(st.none(), st.permutations(range(n)).map(tuple)))
+    edge = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    return policy, cfg, robots, Dynamism(perm, edge)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_rounds())
+def test_settled_robots_and_shared_views_match_fresh_ones(scenario):
+    """``step`` carries a robot whose hand and memory did not change over as
+    the same object, and a ``ChainAnalysis`` hands every robot that reads
+    the same chain the same view. Neither shows: each robot looks as it
+    would on an analysis of its own, and settles as a freshly built state."""
+    policy, cfg, robots, dynamism = scenario
+    _, settled, trace = step(policy, cfg, robots, dynamism)
+    seen, landed = trace.config_seen, trace.config_after
+    at = seen.positions()
+    mates = {label: slot for slot in landed.slots for label in slot}
+    shared = ChainAnalysis(seen, chains=policy.full_visibility)
+    fresh = []
+    for robot in robots:
+        own = Snapshot(ChainAnalysis(seen, chains=policy.full_visibility), at[robot.label], robot)
+        if policy.full_visibility:
+            assert snapshot_facts(Snapshot(shared, at[robot.label], robot)) == snapshot_facts(own)
+        action, memory = policy.decide(own, robot)
+        assert trace.intents[robot.label] is convert_frame(action, robot.orientation)
+        fresh.append(RobotState(robot.label, *policy.after_move(robot, memory,
+                                                                 mates[robot.label])))
+    assert settled == tuple(fresh)
+    for before, after in zip(robots, settled):
+        assert (after is before) == (after == before)
 
 
 # ---------------------------------------------------------------- full runs
