@@ -27,7 +27,7 @@ from .ring import (
     ring_from_slots,
 )
 from .scheduler import initial_robots, run_simulation
-from .verifier import verify_impossibility, verify_worst_case
+from .verifier import DEFAULT_HORIZON, verify_impossibility, verify_worst_case
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -266,12 +266,18 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if all(row[-1] == "yes" for row in rows) else EXIT_FAIL
 
 
+# The flags of ``verify`` that each check does not read.
+_UNREAD_FLAGS = {"bound": ("adversary", "horizon"), "impossibility": ("policy", "bound")}
+
+
 def cmd_verify(args) -> int:
     mode = Mode.from_string(args.mode)
     if args.n < 1:
         raise ScenarioError(f"--n must be a positive ring size, got {args.n}")
-    if args.horizon < 1:
-        raise ScenarioError(f"--horizon must be at least 1 round, got {args.horizon}")
+    ignored = [f"--{name}" for name in _UNREAD_FLAGS[args.check]
+               if getattr(args, name) is not None]
+    if ignored:
+        raise ScenarioError(f"verify --check {args.check} does not read {', '.join(ignored)}")
     if args.check == "bound":
         if args.policy is None:
             raise ScenarioError("verify --check bound needs --policy")
@@ -288,8 +294,11 @@ def cmd_verify(args) -> int:
         return EXIT_OK if report.holds else EXIT_FAIL
     if args.adversary is None:
         raise ScenarioError("verify --check impossibility needs --adversary")
+    horizon = DEFAULT_HORIZON if args.horizon is None else args.horizon
+    if horizon < 1:
+        raise ScenarioError(f"--horizon must be at least 1 round, got {horizon}")
     adversary = get_adversary(args.adversary)
-    report = verify_impossibility(adversary, args.n, mode, horizon=args.horizon)
+    report = verify_impossibility(adversary, args.n, mode, horizon=horizon)
     print(f"impossibility adversary={report.adversary_id} n={report.n} mode={mode.value} "
           f"policies={report.policies_checked} starts={report.starts_checked} "
           f"stalled-forever={report.proven_infinite} horizon-hits={report.horizon_hits} "
@@ -441,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--mode", default="none", choices=[m.value for m in Mode])
     verify.add_argument("--bound", type=int, default=None,
                         help="override the bound to check against")
-    verify.add_argument("--horizon", type=int, default=200)
+    verify.add_argument("--horizon", type=int, default=None,
+                        help=f"rounds a run may take (default {DEFAULT_HORIZON})")
     verify.set_defaults(func=cmd_verify)
 
     replay = sub.add_parser("replay", help="re-derive every round of a saved trace")

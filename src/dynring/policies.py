@@ -324,6 +324,13 @@ NO_VISIBILITY_DOMAIN = (
 
 _ACTION_CODE = {"s": Action.STAY, "c": Action.CLOCKWISE, "a": Action.ANTICLOCKWISE}
 
+# By a node's census (its robot count, capped at 3): the indices into
+# NO_VISIBILITY_DOMAIN of the classes of its least, second and other robots.
+_NODE_CLASSES = {
+    census: tuple(i for i, (c, _) in enumerate(NO_VISIBILITY_DOMAIN) if c == census)
+    for census in (1, 2, 3)
+}
+
 
 class NoVisibilityPolicy(Policy):
     """Any deterministic zero-visibility rule, given as a 6-letter table.
@@ -343,12 +350,17 @@ class NoVisibilityPolicy(Policy):
         self.policy_id = f"k0:{table}"
 
     def decide(self, snap, robot):
-        census = min(snap.own_count, 3)
-        idx = snap.own_labels.index(robot.label)
-        rank = "least" if idx == 0 else ("second" if idx == 1 else "other")
-        key = (census, rank)
-        action = _ACTION_CODE[self.table[NO_VISIBILITY_DOMAIN.index(key)]]
-        return action, robot.memory
+        rank = snap.own_labels.index(robot.label)
+        classes = _NODE_CLASSES[min(snap.own_count, 3)]
+        return _ACTION_CODE[self.table[classes[min(rank, 2)]]], robot.memory
+
+    def letters(self, cfg: RingConfiguration) -> str:
+        """The table's letters for the census classes present on ``cfg``, in
+        domain order. Every robot decides the letter of its own class, so
+        with the labels and hands on ``cfg`` they fix every decision."""
+        censuses = {min(size, 3) for size in cfg.multiplicities()}
+        return "".join([self.table[i] for census, classes in _NODE_CLASSES.items()
+                        if census in censuses for i in classes])
 
 
 def all_no_visibility_policies():

@@ -71,9 +71,11 @@ from .ring import (
     resolve_moves,
     ring_from_multiplicities,
 )
-from .scheduler import RoundTrace, initial_robots, play, predict_intents, step, validate_scenario
+from .scheduler import RoundTrace, initial_robots, play, step, validate_scenario
+from .scheduler import predict_intents  # unused here; perfbench/tracing.py wraps it by name
 
 ENUMERATION_LIMIT = 8
+DEFAULT_HORIZON = 200  # rounds an impossibility run may take
 
 
 def _compositions(total: int, parts: int):
@@ -371,9 +373,16 @@ def adversary_start_filter(adversary: Adversary, cfg: RingConfiguration) -> bool
     return adversary.invariant(cfg)
 
 
-def _orbit_fate(policy: Policy, adversary: Adversary, start: RingConfiguration, mode: Mode,
+def _root(start: RingConfiguration) -> tuple:
+    """A start's ``(cfg, robots, state, dispersed)``, as a walk holds a state."""
+    robots = initial_robots(start)
+    return start, robots, (start.slots, _aux(robots)), classify(start).dispersed
+
+
+def _orbit_fate(policy: NoVisibilityPolicy, adversary: Adversary, root: tuple, mode: Mode,
                 horizon: int, fates: dict, memo: dict):
-    """``(disperses, rounds)`` of the start, or None if its run hits the horizon.
+    """``(disperses, rounds)`` of the ``_root`` of a start, or None if its run
+    hits the horizon.
 
     ``rounds`` counts until the orbit disperses or first repeats a state.
     The run stops at the first state ``fates`` holds. Unless it hit the
@@ -383,12 +392,13 @@ def _orbit_fate(policy: Policy, adversary: Adversary, start: RingConfiguration, 
     ``rest = 0`` and ``cap = i``, as the states from ``i`` on form a cycle
     ``m - i`` long; a dispersal has ``rest = 0`` and ``cap = m``.
 
-    The round memo ``memo`` maps a state and the robots' predicted intents
+    The round memo ``memo`` maps a state and the table's ``letters`` for it
     to the successor's configuration, robots and state and whether it is
-    dispersed. A round it lacks is played by ``play`` and stored there.
+    dispersed. A round it lacks is played by ``play``, the only place that
+    decides (``play`` predicts, and ``step`` checks the prediction, only
+    against an adaptive adversary); a round it holds decides nothing.
     """
-    cfg, robots = start, initial_robots(start)
-    state, dispersed = (start.slots, _aux(robots)), classify(start).dispersed
+    cfg, robots, state, dispersed = root
     walk: dict = {}
     while True:
         m = len(walk)
@@ -405,7 +415,7 @@ def _orbit_fate(policy: Policy, adversary: Adversary, start: RingConfiguration, 
         if m >= horizon:
             return None
         walk[state] = m
-        key = (state, tuple(predict_intents(policy, cfg, robots).items()))
+        key = (state, policy.letters(cfg))
         successor = memo.get(key)
         if successor is None:
             cfg, robots, trace = next(play(policy, adversary, cfg, mode, robots))
@@ -423,9 +433,9 @@ def verify_impossibility(
     mode: Mode,
     policies=None,
     starts=None,
-    horizon: int = 200,
+    horizon: int = DEFAULT_HORIZON,
 ) -> ImpossibilityReport:
-    """Run every zero-visibility rule against the adversary from every start.
+    """Run every zero-visibility table against the adversary from every start.
 
     A state is the ring's slots with every robot's label, hand and memory.
     The rule and the adversary are deterministic functions of the state,
@@ -437,22 +447,31 @@ def verify_impossibility(
     another orbit.
 
     One round memo serves every table of the call: a round is played once
-    per (state, intents), whichever table reaches it, and each later table
-    that reaches it reads the successor off the memo (see ``_orbit_fate``).
-    This is sound because, against a deterministic adversary, a table's
-    round is a function of the state and the intents:
+    per (state, letters), whichever table reaches it, where ``letters`` are
+    the table's letters for the census classes present on the ring
+    (``NoVisibilityPolicy.letters``). Each later table that reaches the
+    round reads the successor off the memo and decides nothing. This is
+    sound because, against a deterministic adversary, a table's round is a
+    function of the state and those letters:
 
+    - a robot decides its class's letter in its own frame, and the state
+      holds every robot's class and hand, so the state and the letters fix
+      the intents; every class present is in the key;
     - the adversary reads only the ring, the mode and the intents;
-    - dynamism moves whole slots and a table reads only its robot's own
-      slot, so the decisions on the reshaped ring equal the intents
-      predicted before it. ``step`` checks this on every round it plays
-      against an adaptive adversary;
+    - dynamism moves whole slots, so no robot's class changes before it
+      decides, and the decisions on the reshaped ring are the intents
+      ``play`` predicts. ``step`` checks this on every round it plays
+      against an adaptive adversary; against any other adversary ``play``
+      predicts nothing, and the letters key rests on
+      ``test_a_tables_letters_on_a_state_fix_its_intents``, not on a
+      check at run time;
     - a table's ``decide`` keeps the robot's memory, and its
       ``after_move``, ``phase_of_round`` and ``round_guarantees`` are
       ``Policy``'s, so they read no table entry.
 
-    Only ``NoVisibilityPolicy`` tables share the memo; any other rule gets
-    one of its own. ``tests/test_verifier.py`` checks the last point and
+    Only plain ``NoVisibilityPolicy`` tables share the memo; a subclass
+    gets one of its own, where the state alone fixes its round. Any other
+    rule is refused. ``tests/test_verifier.py`` checks these premises and
     checks every report against runs that share nothing.
 
     A start's run disperses if its orbit does within ``horizon`` rounds,
@@ -471,20 +490,23 @@ def verify_impossibility(
         raise ScenarioError(f"horizon must be at least 0 rounds, got {horizon}")
     if not starts:
         raise ScenarioError(f"no start to check for adversary {adversary.adversary_id} on n={n}")
+    for policy in policies:
+        if not isinstance(policy, NoVisibilityPolicy):
+            raise ScenarioError(
+                f"impossibility runs are for zero-visibility tables, not {policy.policy_id!r}")
 
+    roots = [_root(start) for start in starts]
     dispersals = []
     proven_infinite = 0
     horizon_hits = 0
     tables_memo: dict = {}
     for policy in policies:
-        if policy.full_visibility:
-            raise ScenarioError("impossibility runs are for zero-visibility rules")
         memo = tables_memo if type(policy) is NoVisibilityPolicy else {}
         fates: dict = {}
-        for start in starts:
-            match _orbit_fate(policy, adversary, start, mode, horizon, fates, memo):
+        for root in roots:
+            match _orbit_fate(policy, adversary, root, mode, horizon, fates, memo):
                 case (True, rounds) if rounds <= horizon:
-                    dispersals.append(Dispersal(policy.policy_id, start.slots, rounds))
+                    dispersals.append(Dispersal(policy.policy_id, root[0].slots, rounds))
                 case (False, rounds) if rounds < horizon:
                     proven_infinite += 1
                 case _:

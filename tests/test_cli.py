@@ -250,6 +250,14 @@ TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
                       "--mode", "vp", "--bound", "-1"],
     lambda tmp_path: ["verify", "--check", "impossibility", "--n", "1",
                       "--adversary", "benign"],
+    lambda tmp_path: ["verify", "--check", "impossibility", "--n", "3",
+                      "--adversary", "1i-killer", "--mode", "1i", "--policy", "vp-1i"],
+    lambda tmp_path: ["verify", "--check", "impossibility", "--n", "3",
+                      "--adversary", "1i-killer", "--mode", "1i", "--bound", "3"],
+    lambda tmp_path: ["verify", "--check", "bound", "--n", "3", "--policy", "vp-chain",
+                      "--mode", "vp", "--adversary", "random"],
+    lambda tmp_path: ["verify", "--check", "bound", "--n", "3", "--policy", "vp-chain",
+                      "--mode", "vp", "--horizon", "5"],
 ], ids=["run-n-0", "run-n-negative", "sweep-n-not-a-number", "sweep-n-empty-range",
         "config-not-a-number", "config-wrong-total", "spec-unknown-key", "spec-unknown-mode",
         "replay-missing-perm", "run-max-rounds-negative", "verify-bound-n-0",
@@ -265,7 +273,9 @@ TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
         "replay-start-label-a-float", "replay-start-label-a-bool", "replay-label-a-float",
         "replay-label-a-bool", "spec-nested-too-deep", "replay-nested-too-deep",
         "spec-integer-too-long", "replay-integer-too-long", "verify-bound-negative",
-        "verify-impossibility-no-start"])
+        "verify-impossibility-no-start", "verify-impossibility-with-policy",
+        "verify-impossibility-with-bound", "verify-bound-with-adversary",
+        "verify-bound-with-horizon"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     capsys.readouterr()

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,6 +194,18 @@ def test_resolve_matches_the_dense_oracle(cfg, data):
     intents = {label: data.draw(st.sampled_from((Action.CLOCKWISE, Action.ANTICLOCKWISE)))
                if label in movers else Action.STAY for label in order}
     _assert_resolves_as_the_oracle(cfg, intents)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_resolve_matches_the_dense_oracle_on_a_large_pile(n):
+    """Every robot of a gathered ring draws an action, so the pile loses,
+    and each of its neighbours gains, about a third of the robots at once;
+    with no edge removed and with either edge of the pile removed."""
+    rng = random.Random(n)
+    for edge in (None, 0, n - 1):
+        cfg = RingConfiguration(n, all_on_one(n).slots, edge)
+        intents = {label: rng.choice(list(Action)) for label in range(1, n + 1)}
+        _assert_resolves_as_the_oracle(cfg, intents)
 
 
 def test_blocked_move_is_a_no_op():

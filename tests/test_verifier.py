@@ -15,6 +15,7 @@ from dynring import (
     ChainAnalysis,
     ImpossibilityReport,
     Mode,
+    NO_VISIBILITY_DOMAIN,
     NoVisibilityPolicy,
     Orientation,
     Policy,
@@ -27,6 +28,7 @@ from dynring import (
     apply_vertex_permutation,
     canonical_rotation,
     classify,
+    convert_frame,
     default_verification_roots,
     enumerate_initial_configs,
     enumerate_multiplicity_profiles,
@@ -578,23 +580,89 @@ def _recorded(monkeypatch, module, name, record):
 
 
 def test_the_tables_of_a_sweep_share_each_round(monkeypatch):
-    """A round is played once per (state, intents), whichever table reaches
+    """A round is played once per (state, letters), whichever table reaches
     it: the 729-table 1i-killer sweep at n=3 plays 567 rounds where running
     each table's orbits on their own plays 6,319, and its report stays the
-    one every other check pins. A state is computed once per start and once
-    per played round, never for a round read off the memo."""
-    reached, played, states = set(), [], []
+    one every other check pins. Only a played round decides: ``play``
+    predicts once and ``step`` decides once, and a round read off the memo
+    decides nothing. A state is computed once per start and once per played
+    round."""
+    predicted, played, decisions, states = [], [], [], []
     for module in (dynring.scheduler, dynring.verifier):
-        _recorded(monkeypatch, module, "predict_intents", lambda args, intents: reached.add(
+        _recorded(monkeypatch, module, "predict_intents", lambda args, intents: predicted.append(
             (args[1].slots, _aux(args[2]), tuple(intents.items()))))
     _recorded(monkeypatch, dynring.scheduler, "step", lambda args, _: played.append(
         (args[1].slots, _aux(args[2]), tuple(args[4].items()))))
+    _recorded(monkeypatch, dynring.scheduler, "_decide", lambda args, _: decisions.append(args))
     _recorded(monkeypatch, dynring.verifier, "_aux", lambda args, _: states.append(args))
     report = verify_impossibility(get_adversary("1i-killer"), 3, Mode.ONE_INTERVAL)
     assert (report.policies_checked, report.starts_checked, report.proven_infinite,
             report.horizon_hits, report.dispersals) == (729, 3, 2187, 0, ())
-    assert len(played) == len(set(played)) == len(reached) == 567
-    assert len(states) == 729 * 3 + 567
+    assert len(played) == len(set(played)) == 567
+    assert predicted == played
+    assert len(decisions) == 2 * 567
+    assert len(states) == 3 + 567
+
+
+_LETTER_ACTIONS = {"s": Action.STAY, "c": Action.CLOCKWISE, "a": Action.ANTICLOCKWISE}
+
+
+def _census_class(cfg, label):
+    """The index in ``NO_VISIBILITY_DOMAIN`` of a robot's class on ``cfg``."""
+    slot = next(slot for slot in cfg.slots if label in slot)
+    rank = ("least", "second", "other")[min(slot.index(label), 2)]
+    return NO_VISIBILITY_DOMAIN.index((min(len(slot), 3), rank))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_tables_letters_on_a_state_fix_its_intents(n):
+    """The round memo's key. On every placement of the robots (one per
+    rotation class, as a table reads no position) with every hand
+    assignment, under every table, each robot's intent is its class's letter
+    turned by its hand, and ``letters`` lists the letters of the classes
+    present, in domain order. So tables whose letters agree on a state
+    predict the same intents."""
+    for cfg in labeled_initial_configs(n):
+        labels = cfg.labels()
+        classes = [_census_class(cfg, label) for label in labels]
+        present = sorted(set(classes))
+        for hands in itertools.product(Orientation, repeat=n):
+            robots = initial_robots(cfg, dict(zip(labels, hands)))
+            turned = [{letter: convert_frame(action, hand)
+                       for letter, action in _LETTER_ACTIONS.items()} for hand in hands]
+            by_letters = {}
+            for policy in ALL_TABLES:
+                letters = policy.letters(cfg)
+                intents = predict_intents(policy, cfg, robots)
+                if letters not in by_letters:
+                    # Checked once per letters: the rest must equal this.
+                    assert letters == "".join(policy.table[i] for i in present)
+                    assert intents == {label: turn[policy.table[c]] for label, c, turn
+                                       in zip(labels, classes, turned)}, (policy, cfg, hands)
+                    by_letters[letters] = intents
+                assert by_letters[letters] == intents, (policy.policy_id, cfg, hands)
+
+
+class _StayingRule(Policy):
+    """A zero-visibility rule that is no table."""
+
+    policy_id = "stay"
+    full_visibility = False
+
+    def decide(self, snap, robot):
+        return Action.STAY, robot.memory
+
+
+@pytest.mark.parametrize("rule", [get_policy("vp-1i"), _StayingRule()], ids=["vp-1i", "stay"])
+def test_impossibility_runs_refuse_a_rule_that_is_no_table(monkeypatch, rule):
+    """A rule that is not a table is refused before any round is played,
+    even behind a table."""
+    played = []
+    _recorded(monkeypatch, dynring.scheduler, "step", lambda args, _: played.append(args))
+    with pytest.raises(ScenarioError, match="impossibility runs are for zero-visibility tables"):
+        verify_impossibility(get_adversary("1i-killer"), 3, Mode.ONE_INTERVAL,
+                             [get_policy("k0:cacacs"), rule])
+    assert played == []
 
 
 def test_a_table_reads_nothing_of_its_table_but_its_actions():
