@@ -56,6 +56,7 @@ from .scheduler import (
     RunResult,
     initial_robots,
     play,
+    play_round,
     predict_intents,
     run_simulation,
     step,

@@ -8,7 +8,11 @@ achiral unless they require a shared sense of clockwise up front.
 
 Rules follow a common shape: only robots involved with a chain act, and
 on a multinode only the least-labelled robot may leave. The differences
-are in which chain operates when several are available.
+are in which chain operates when several are available. A rule states
+which robots may act on the ring it sees in ``Policy.actors``, and only
+those robots decide; every other robot stays and keeps its hand and
+memory. The base lists every robot; the chain rules share
+``ChainRule.actors``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 
 from .ring import (
     Action,
+    ChainAnalysis,
     Metrics,
     Mode,
     Orientation,
@@ -163,12 +168,25 @@ class Policy:
             raise ScenarioError(
                 f"policy {self.policy_id} needs all robots to share one orientation")
 
+    def actors(self, analysis: ChainAnalysis, robots) -> list[tuple[int, int]]:
+        """The ``(node, label)`` of every robot that decides on the ring
+        ``analysis`` describes; ``robots`` are in label order. A robot left
+        out stays and keeps its hand and memory, so a rule may leave out only
+        a robot whose ``decide`` would return ``STAY`` with the memory it
+        holds and whose ``after_move`` would then keep both. The base lists
+        every robot."""
+        return [(node, label) for node, slot in enumerate(analysis.cfg.slots) for label in slot]
+
     def decide(self, snap: Snapshot, robot: RobotState) -> tuple[Action, object]:
         raise NotImplementedError
 
     def after_move(self, robot: RobotState, memory, mates) -> tuple[Orientation, object]:
         """The hand and memory to settle with, from the ``memory`` decided with
-        and the sorted labels ``mates`` on the node the round ended on."""
+        and the sorted labels ``mates`` on the node the round ended on.
+
+        ``step`` calls it only for the robots that decided, and only when a
+        rule overrides it; this base keeps the hand and the decided memory,
+        so a rule that keeps it never has its landed labels gathered."""
         return robot.orientation, memory
 
     def phase_of_round(self, robots, cfg1: RingConfiguration) -> str:
@@ -181,7 +199,19 @@ class Policy:
         return None
 
 
-class VpChainPolicy(Policy):
+class ChainRule(Policy):
+    """A rule in which only robots involved with a chain act: on a multinode
+    that anchors a chain its least robot, and on a singleton node of a
+    chain its one robot. Everyone else stays and keeps its memory."""
+
+    def actors(self, analysis, robots):
+        slots = analysis.cfg.slots
+        # A chain's singleton nodes are never a multinode, so no node repeats.
+        return [(node, slots[node][0])
+                for node in (*analysis.by_anchor, *analysis.by_singleton)]
+
+
+class VpChainPolicy(ChainRule):
     """Clockwise-chain rule for rings without edge removal."""
 
     policy_id = "vp-chain"
@@ -196,7 +226,7 @@ class VpChainPolicy(Policy):
         return n - 1
 
 
-class VpOneIntervalPolicy(Policy):
+class VpOneIntervalPolicy(ChainRule):
     """Good-chain rule tolerating one removed edge per round."""
 
     policy_id = "vp-1i"
@@ -210,7 +240,7 @@ class VpOneIntervalPolicy(Policy):
         return n - 1
 
 
-class PreprocessPolicy(Policy):
+class PreprocessPolicy(ChainRule):
     """A rule with no shared clockwise that agrees on one from a gathered
     start, n >= 3, and then follows good chains.
 
@@ -239,6 +269,15 @@ class PreprocessPolicy(Policy):
             raise ScenarioError(
                 f"policy {self.policy_id} must start with all robots on one node")
         return self.before_agreement(snap), None
+
+    def actors(self, analysis, robots):
+        # The robots' memories agree (``phase_of_round`` checks it). Before
+        # agreement every robot of a whole pile steps, and a rule that needs
+        # a gathered start has every robot refuse any other ring.
+        if robots[0].memory is None and (self.gathered_start
+                                         or analysis.metrics.holes == analysis.cfg.n - 1):
+            return Policy.actors(self, analysis, robots)
+        return super().actors(analysis, robots)
 
     def after_move(self, robot, memory, mates):
         if memory in (None, PREPROCESS_DONE):
@@ -271,7 +310,7 @@ class NoChiralityOneIntervalPolicy(PreprocessPolicy):
         return n
 
 
-class AchiralOddPolicy(Policy):
+class AchiralOddPolicy(ChainRule):
     """Shorter-good-chain rule for odd rings, no shared clockwise."""
 
     policy_id = "achiral-odd"
@@ -421,11 +460,7 @@ class LemmaViolation:
 
 def holes_filled_count(cfg1: RingConfiguration, cfg2: RingConfiguration) -> int:
     """Nodes empty after dynamism but occupied after the move."""
-    return sum(
-        1
-        for pos in range(cfg1.n)
-        if not cfg1.slots[pos] and cfg2.slots[pos]
-    )
+    return sum(1 for before, after in zip(cfg1.slots, cfg2.slots) if after and not before)
 
 
 def check_round_lemmas(policy: Policy, phase: str, m1: Metrics, m2: Metrics,

@@ -340,25 +340,32 @@ def find_chains(cfg: RingConfiguration) -> tuple[Chain, ...]:
     return _chains(cfg, cfg.multiplicities())
 
 
+# The two walk directions, with their clockwise position steps.
+_WALKS = ((Action.CLOCKWISE, 1), (Action.ANTICLOCKWISE, -1))
+
+
 def _chains(cfg: RingConfiguration, mult: tuple[int, ...]) -> tuple[Chain, ...]:
-    n = cfg.n
+    n, cut = cfg.n, cfg.missing_edge
     chains = []
     for anchor in range(n):
         if mult[anchor] < 2:
             continue
-        for direction in (Action.CLOCKWISE, Action.ANTICLOCKWISE):
+        for direction, delta in _WALKS:
             singles = []
-            edges = []
-            pos = anchor
-            while True:
-                edges.append(crossing_edge(pos, direction, n))
-                pos = (pos + direction.value) % n
-                if mult[pos] == 1:
-                    singles.append(pos)
-                    continue
-                break
+            pos = (anchor + delta) % n
+            while mult[pos] == 1:
+                singles.append(pos)
+                pos = (pos + delta) % n
             if mult[pos] == 0:
-                good = cfg.missing_edge is None or cfg.missing_edge not in edges
+                # The walk crossed the len(singles) + 1 edges anchor,
+                # anchor+1, ... clockwise, or anchor-1, anchor-2, ...
+                # anticlockwise (``crossing_edge``); ``cut`` is edge number
+                # ``index`` of that sequence.
+                if cut is None:
+                    good = True
+                else:
+                    index = (cut - anchor) % n if delta == 1 else (anchor - 1 - cut) % n
+                    good = index > len(singles)
                 chains.append(Chain(direction, anchor, tuple(singles), pos, good))
     return tuple(chains)
 

@@ -1,17 +1,20 @@
 """Round execution: dynamism, look, compute, move, all fully deterministic.
 
 A round starts from an intact ring. The adversary reshapes it (permute
-then possibly remove one edge), every robot looks and decides at once,
-and all moves resolve simultaneously; a move across the removed edge
-leaves the robot where it is. The removed edge lasts only for the round.
+then possibly remove one edge), every robot the rule lets act looks and
+decides at once while the rest stay, and all moves resolve
+simultaneously; a move across the removed edge leaves the robot where it
+is. The removed edge lasts only for the round.
 
 The same ``step`` function serves simulation runs, impossibility runs and
 the worst-case search, so there is exactly one implementation of round
-semantics; ``play`` is the one loop that feeds it an adversary's choices.
+semantics; ``play`` is the one loop that feeds it an adversary's choices,
+one ``play_round`` per round.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -68,16 +71,27 @@ class RunResult:
         return tuple(v for t in self.traces for v in t.violations)
 
 
+_STAY = Action.STAY  # a module constant: enum member lookups are slow
+
+
+@functools.cache
+def _all_stay(n: int) -> dict[int, Action]:
+    """Every label 1..n staying, in label order; callers copy it."""
+    return dict.fromkeys(range(1, n + 1), _STAY)
+
+
 def _decide(policy: Policy, analysis: ChainAnalysis, robots):
-    """Each robot's global-frame action, by label, and the memory it decided
-    with."""
-    at = analysis.cfg.positions()
-    intents, memories = {}, []
-    for robot in robots:
-        own_action, memory = policy.decide(Snapshot(analysis, at[robot.label], robot), robot)
-        intents[robot.label] = convert_frame(own_action, robot.orientation)
-        memories.append(memory)
-    return intents, memories
+    """Each robot's global-frame action, by label in label order, and the
+    memory each robot the rule lists in ``Policy.actors`` decided with, by
+    label. ``robots`` must be in label order; a robot not listed stays."""
+    intents = _all_stay(len(robots)).copy()
+    decided = {}
+    for node, label in policy.actors(analysis, robots):
+        robot = robots[label - 1]
+        own_action, decided[label] = policy.decide(Snapshot(analysis, node, robot), robot)
+        if own_action is not _STAY:
+            intents[label] = convert_frame(own_action, robot.orientation)
+    return intents, decided
 
 
 def predict_intents(policy: Policy, cfg: RingConfiguration, robots) -> dict[int, Action]:
@@ -94,10 +108,13 @@ def step(
 ) -> tuple[RingConfiguration, tuple[RobotState, ...], RoundTrace]:
     """Run one round and return the intact next configuration.
 
-    A robot looks at the ring once, before it moves. It settles with the
-    hand and memory ``Policy.after_move`` gives it from the labels on the
-    node it ended the round on. ``predicted`` intents, if given, must be
-    exactly the robots' decisions.
+    A robot looks at the ring once, before it moves, and only the robots
+    ``Policy.actors`` lists decide; every other robot stays and is carried
+    over as it is. A robot that decided settles with the hand and memory
+    ``Policy.after_move`` gives it from the labels on the node it ended the
+    round on. ``robots`` must be in label order (``validate_scenario``
+    checks it). ``predicted`` intents, if given, must be exactly the
+    robots' decisions.
     """
     if cfg.missing_edge is not None:
         raise ValueError("a round must start from an intact ring")
@@ -105,21 +122,26 @@ def step(
     phase = policy.phase_of_round(robots, cfg_seen)
 
     analysis = ChainAnalysis(cfg_seen, chains=policy.full_visibility)
-    intents, memories = _decide(policy, analysis, robots)
+    intents, decided = _decide(policy, analysis, robots)
     if predicted is not None and predicted != intents:
         wrong = sorted(label for label in intents if predicted.get(label) is not intents[label])
         raise RuntimeError(f"predicted intents differ from the decisions of robots {wrong}")
 
     cfg_after = resolve_moves(cfg_seen, intents)
     metrics_after = classify(cfg_after)
-    mates = {label: slot for slot in cfg_after.slots for label in slot}
-    settled = []
-    for robot, memory in zip(robots, memories):
-        hand, memory = policy.after_move(robot, memory, mates[robot.label])
+    # Only a rule with an after_move of its own reads the landed labels.
+    landing = type(policy).after_move is not Policy.after_move
+    if landing:
+        mates = {label: slot for slot in cfg_after.slots for label in slot}
+    settled = list(robots)
+    for label, memory in decided.items():
+        robot = robots[label - 1]
+        hand = robot.orientation
+        if landing:
+            hand, memory = policy.after_move(robot, memory, mates[label])
         # A robot whose hand and memory are the ones it had is carried over.
         if hand is not robot.orientation or memory is not robot.memory:
-            robot = RobotState(robot.label, hand, memory)
-        settled.append(robot)
+            settled[label - 1] = RobotState(label, hand, memory)
 
     filled = holes_filled_count(cfg_seen, cfg_after)
     trace = RoundTrace(
@@ -167,22 +189,30 @@ def validate_scenario(
             raise ScenarioError(
                 f"adversary {adversary.adversary_id} counters zero-visibility rules; "
                 f"policy {policy.policy_id} sees the whole ring")
-    if sorted(robot.label for robot in robots) != list(cfg.labels()):
-        raise ScenarioError(f"robots must carry exactly the labels 1..{n}")
+    # A round reads robot ``label`` at index ``label - 1``.
+    if [robot.label for robot in robots] != list(range(1, n + 1)):
+        raise ScenarioError(f"robots must carry exactly the labels 1..{n}, in label order")
+
+
+def play_round(policy: Policy, adversary: Adversary, cfg: RingConfiguration, mode: Mode,
+               robots, rng: random.Random | None = None):
+    """One round of a run from ``cfg``, which must not be dispersed: the
+    adversary's choice, then ``step``. An adaptive adversary reads the
+    robots' intents first; ``step`` checks them."""
+    predicted = predict_intents(policy, cfg, robots) if adversary.adaptive else None
+    dynamism = adversary.choose(AdversaryContext(cfg, mode, rng, predicted))
+    dynamism.check_mode(mode)
+    return step(policy, cfg, robots, dynamism, predicted)
 
 
 def play(policy: Policy, adversary: Adversary, cfg: RingConfiguration, mode: Mode, robots,
          rng: random.Random | None = None):
     """Yield ``(cfg, robots, trace)`` for every round until the ring is
-    dispersed: the one loop that runs ``choose`` and ``step`` for a run. An
-    adaptive adversary reads the robots' intents first; ``step`` checks them."""
+    dispersed: the one loop of a run, one ``play_round`` per round."""
     if classify(cfg).dispersed:
         return
     while True:
-        predicted = predict_intents(policy, cfg, robots) if adversary.adaptive else None
-        dynamism = adversary.choose(AdversaryContext(cfg, mode, rng, predicted))
-        dynamism.check_mode(mode)
-        cfg, robots, trace = step(policy, cfg, robots, dynamism, predicted)
+        cfg, robots, trace = play_round(policy, adversary, cfg, mode, robots, rng)
         yield cfg, robots, trace
         if trace.metrics_after.dispersed:
             return

@@ -71,7 +71,7 @@ from .ring import (
     resolve_moves,
     ring_from_multiplicities,
 )
-from .scheduler import RoundTrace, initial_robots, play, step, validate_scenario
+from .scheduler import RoundTrace, initial_robots, play_round, step, validate_scenario
 from .scheduler import predict_intents  # unused here; perfbench/tracing.py wraps it by name
 
 ENUMERATION_LIMIT = 8
@@ -394,9 +394,11 @@ def _orbit_fate(policy: NoVisibilityPolicy, adversary: Adversary, root: tuple, m
 
     The round memo ``memo`` maps a state and the table's ``letters`` for it
     to the successor's configuration, robots and state and whether it is
-    dispersed. A round it lacks is played by ``play``, the only place that
-    decides (``play`` predicts, and ``step`` checks the prediction, only
-    against an adaptive adversary); a round it holds decides nothing.
+    dispersed. A round it lacks is played by ``play_round``, the only place
+    that decides (it predicts, and ``step`` checks the prediction, only
+    against an adaptive adversary); a round it holds decides nothing. The
+    walk knows a state it plays is not dispersed, so it skips ``play``'s
+    start check.
     """
     cfg, robots, state, dispersed = root
     walk: dict = {}
@@ -418,7 +420,7 @@ def _orbit_fate(policy: NoVisibilityPolicy, adversary: Adversary, root: tuple, m
         key = (state, policy.letters(cfg))
         successor = memo.get(key)
         if successor is None:
-            cfg, robots, trace = next(play(policy, adversary, cfg, mode, robots))
+            cfg, robots, trace = play_round(policy, adversary, cfg, mode, robots)
             successor = memo[key] = (cfg, robots, (cfg.slots, _aux(robots)),
                                      trace.metrics_after.dispersed)
         cfg, robots, state, dispersed = successor
@@ -460,12 +462,12 @@ def verify_impossibility(
     - the adversary reads only the ring, the mode and the intents;
     - dynamism moves whole slots, so no robot's class changes before it
       decides, and the decisions on the reshaped ring are the intents
-      ``play`` predicts. ``step`` checks this on every round it plays
-      against an adaptive adversary; against any other adversary ``play``
-      predicts nothing, and the letters key rests on
+      ``play_round`` predicts. ``step`` checks this on every round it plays
+      against an adaptive adversary; against any other adversary
+      ``play_round`` predicts nothing, and the letters key rests on
       ``test_a_tables_letters_on_a_state_fix_its_intents``, not on a
       check at run time;
-    - a table's ``decide`` keeps the robot's memory, and its
+    - a table's ``decide`` keeps the robot's memory, and its ``actors``,
       ``after_move``, ``phase_of_round`` and ``round_guarantees`` are
       ``Policy``'s, so they read no table entry.
 

@@ -225,6 +225,96 @@ def test_settled_robots_and_shared_views_match_fresh_ones(scenario):
         assert (after is before) == (after == before)
 
 
+@st.composite
+def ungathered_rounds(draw):
+    """A ``no-chir-1i`` round before agreement off a ring that is no pile,
+    which the rule refuses."""
+    policy = get_policy("no-chir-1i")
+    cfg = draw(ring_configs(min_n=2, max_n=8, allow_edge=False).filter(
+        lambda cfg: max(cfg.multiplicities()) < cfg.n))
+    robots = tuple(RobotState(label, draw(st.sampled_from(tuple(Orientation))))
+                   for label in cfg.labels())
+    edge = draw(st.one_of(st.none(), st.integers(0, cfg.n - 1)))
+    return policy, cfg, robots, Dynamism(None, edge)
+
+
+def _decide_everyone(policy, analysis, robots):
+    """The reference: every robot's global action and memory through
+    ``policy.decide``, by label."""
+    at = analysis.cfg.positions()
+    decisions = {}
+    for robot in robots:
+        action, memory = policy.decide(Snapshot(analysis, at[robot.label], robot), robot)
+        decisions[robot.label] = (convert_frame(action, robot.orientation), memory)
+    return decisions
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(rule_rounds(), ungathered_rounds()))
+def test_deciding_only_the_listed_actors_changes_nothing(scenario):
+    """A round decides only for the robots ``Policy.actors`` lists. For every
+    rule, phase, hand mix, memory and removed edge that gives the intents
+    and settled robots of deciding every robot through ``policy.decide``: a
+    robot left out would have stayed with the memory it holds, and is
+    carried over as it is. A ring a rule refuses is refused alike."""
+    policy, cfg, robots, dynamism = scenario
+    analysis = ChainAnalysis(dynamism.apply(cfg), chains=policy.full_visibility)
+    try:
+        everyone = _decide_everyone(policy, analysis, robots)
+    except ScenarioError as refusal:
+        with pytest.raises(ScenarioError) as raised:
+            step(policy, cfg, robots, dynamism)
+        assert str(raised.value) == str(refusal)
+        return
+    intents, decided = dynring.scheduler._decide(policy, analysis, robots)
+    assert list(intents) == list(cfg.labels())
+    assert intents == {label: action for label, (action, _) in everyone.items()}
+    listed = {label for _, label in policy.actors(analysis, robots)}
+    assert decided.keys() == listed
+    for robot in robots:
+        action, memory = everyone[robot.label]
+        if robot.label in listed:
+            assert decided[robot.label] == memory
+        else:
+            assert action is STAY and memory is robot.memory
+
+    _, settled, trace = step(policy, cfg, robots, dynamism)
+    assert trace.intents == intents
+    mates = {label: slot for slot in trace.config_after.slots for label in slot}
+    for robot, after in zip(robots, settled):
+        memory = everyone[robot.label][1]
+        assert after == RobotState(robot.label,
+                                   *policy.after_move(robot, memory, mates[robot.label]))
+        if robot.label not in listed:
+            assert after is robot
+
+
+def test_a_gathered_vp_1i_run_decides_only_for_its_actors(monkeypatch):
+    """In a ``vp-1i`` run from the gathered pile at n=64, every round calls
+    ``decide`` once per robot the rule lists, and no more: 385 calls over
+    its 63 rounds, where deciding for everyone took 64 a round, 4,032."""
+    policy = type(get_policy("vp-1i"))()
+    rounds = []
+    listing, deciding = policy.actors, policy.decide
+
+    def actors(analysis, robots):
+        listed = listing(analysis, robots)
+        rounds.append([len(listed), 0])
+        return listed
+
+    def decide(snap, robot):
+        rounds[-1][1] += 1
+        return deciding(snap, robot)
+
+    monkeypatch.setattr(policy, "actors", actors)
+    monkeypatch.setattr(policy, "decide", decide)
+    result = run_simulation(policy, get_adversary("random"), all_on_one(64), Mode.COMBINED,
+                            seed=11)
+    assert result.dispersed and len(rounds) == result.rounds
+    assert all(listed == decides for listed, decides in rounds)
+    assert (result.rounds, sum(decides for _, decides in rounds)) == (63, 385)
+
+
 # ---------------------------------------------------------------- full runs
 
 
@@ -287,7 +377,9 @@ def test_scenario_validation_rejects_mismatches():
         validate_scenario(vp, get_adversary("vp-killer"), cfg, robots, Mode.VP, 2)
     missing = robots[1:]
     repeated = (RobotState(2, Orientation.ALIGNED, None),) + robots[1:]
-    for stray in (missing, repeated):
+    # A round reads robot ``label`` at index ``label - 1``.
+    unordered = robots[::-1]
+    for stray in (missing, repeated, unordered):
         with pytest.raises(ScenarioError):
             validate_scenario(vp, get_adversary("benign"), cfg, stray, Mode.VP, 2)
 

@@ -583,11 +583,13 @@ def test_the_tables_of_a_sweep_share_each_round(monkeypatch):
     """A round is played once per (state, letters), whichever table reaches
     it: the 729-table 1i-killer sweep at n=3 plays 567 rounds where running
     each table's orbits on their own plays 6,319, and its report stays the
-    one every other check pins. Only a played round decides: ``play``
+    one every other check pins. Only a played round decides: ``play_round``
     predicts once and ``step`` decides once, and a round read off the memo
     decides nothing. A state is computed once per start and once per played
-    round."""
-    predicted, played, decisions, states = [], [], [], []
+    round, and a played round takes one census, of the ring it lands on: the
+    walk knows every state it plays is not dispersed, so it plays the round
+    with ``play_round`` and skips ``play``'s start check."""
+    predicted, played, decisions, states, censuses = [], [], [], [], []
     for module in (dynring.scheduler, dynring.verifier):
         _recorded(monkeypatch, module, "predict_intents", lambda args, intents: predicted.append(
             (args[1].slots, _aux(args[2]), tuple(intents.items()))))
@@ -595,6 +597,7 @@ def test_the_tables_of_a_sweep_share_each_round(monkeypatch):
         (args[1].slots, _aux(args[2]), tuple(args[4].items()))))
     _recorded(monkeypatch, dynring.scheduler, "_decide", lambda args, _: decisions.append(args))
     _recorded(monkeypatch, dynring.verifier, "_aux", lambda args, _: states.append(args))
+    _recorded(monkeypatch, dynring.scheduler, "classify", lambda args, _: censuses.append(args))
     report = verify_impossibility(get_adversary("1i-killer"), 3, Mode.ONE_INTERVAL)
     assert (report.policies_checked, report.starts_checked, report.proven_infinite,
             report.horizon_hits, report.dispersals) == (729, 3, 2187, 0, ())
@@ -602,6 +605,7 @@ def test_the_tables_of_a_sweep_share_each_round(monkeypatch):
     assert predicted == played
     assert len(decisions) == 2 * 567
     assert len(states) == 3 + 567
+    assert len(censuses) == 567
 
 
 _LETTER_ACTIONS = {"s": Action.STAY, "c": Action.CLOCKWISE, "a": Action.ANTICLOCKWISE}
@@ -669,7 +673,7 @@ def test_a_table_reads_nothing_of_its_table_but_its_actions():
     """The round memo's premise: a table's ``decide`` keeps the robot's
     memory, and the rest of its round is ``Policy``'s, so two tables with
     the same intents play the same round."""
-    for name in ("after_move", "phase_of_round", "round_guarantees", "guarantees"):
+    for name in ("actors", "after_move", "phase_of_round", "round_guarantees", "guarantees"):
         assert getattr(NoVisibilityPolicy, name) is getattr(Policy, name), name
     memory = object()
     for cfg in enumerate_initial_configs(3, up_to_reflection=False):
@@ -678,8 +682,9 @@ def test_a_table_reads_nothing_of_its_table_but_its_actions():
         analysis = ChainAnalysis(cfg, chains=False)
         for policy in ALL_TABLES:
             assert set(vars(policy)) == {"table", "policy_id"}
-            _, memories = dynring.scheduler._decide(policy, analysis, robots)
-            assert all(m is memory for m in memories), (policy.policy_id, cfg)
+            _, decided = dynring.scheduler._decide(policy, analysis, robots)
+            assert sorted(decided) == list(cfg.labels())
+            assert all(m is memory for m in decided.values()), (policy.policy_id, cfg)
 
 
 class _HandFlippingTable(NoVisibilityPolicy):
