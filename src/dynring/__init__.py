@@ -55,7 +55,6 @@ from .scheduler import (
     RoundTrace,
     RunResult,
     initial_robots,
-    play,
     play_round,
     predict_intents,
     run_simulation,

@@ -78,18 +78,6 @@ class Adversary:
     def choose(self, ctx: AdversaryContext) -> Dynamism:
         raise NotImplementedError
 
-    def _predictions(self, ctx: AdversaryContext) -> dict[int, Action]:
-        """The intents an adaptive adversary counters, once it has checked
-        that they name every robot and that the ring keeps its invariant."""
-        intents = ctx.predicted_intents
-        if intents is None:
-            raise ScenarioError("adaptive adversary needs predicted robot intents")
-        if set(intents) != set(range(1, ctx.cfg.n + 1)):
-            raise ScenarioError("predicted intents must cover every robot exactly once")
-        if not self.invariant(ctx.cfg):
-            raise ScenarioError(f"{self.adversary_id} cannot keep its invariant from {ctx.cfg}")
-        return intents
-
 
 class BenignAdversary(Adversary):
     """Applies the identity permutation where allowed and removes nothing."""
@@ -197,7 +185,35 @@ def _arrangement(n: int, leading: list[int]) -> tuple[int, ...]:
     return tuple(perm)
 
 
-class ThreeRingPermuter(Adversary):
+class AdaptiveAdversary(Adversary):
+    """Counters the robots' predicted moves. When the ring they would reach,
+    ``successor``, keeps the invariant it plays ``neutral(cfg)``, and
+    otherwise ``counter(cfg, intents, successor)``."""
+
+    adaptive = True
+
+    def choose(self, ctx):
+        cfg, intents = ctx.cfg, ctx.predicted_intents
+        if intents is None:
+            raise ScenarioError("adaptive adversary needs predicted robot intents")
+        if set(intents) != set(range(1, cfg.n + 1)):
+            raise ScenarioError("predicted intents must cover every robot exactly once")
+        if not self.invariant(cfg):
+            raise ScenarioError(f"{self.adversary_id} cannot keep its invariant from {cfg}")
+        successor = resolve_moves(cfg, intents)
+        if self.invariant(successor):
+            return self.neutral(cfg)
+        return self.counter(cfg, intents, successor)
+
+    def neutral(self, cfg: RingConfiguration) -> Dynamism:
+        raise NotImplementedError
+
+    def counter(self, cfg: RingConfiguration, intents: dict[int, Action],
+                successor: RingConfiguration) -> Dynamism:
+        raise NotImplementedError
+
+
+class ThreeRingPermuter(AdaptiveAdversary):
     """Keeps a 3-ring with a pair, a single node and a hole in that shape.
 
     Zero-visibility robots cannot tell the two cyclic arrangements of
@@ -209,7 +225,6 @@ class ThreeRingPermuter(Adversary):
     """
 
     adversary_id = "vp-killer-n3"
-    adaptive = True
 
     def check_scenario(self, n, mode):
         if n != 3:
@@ -221,25 +236,25 @@ class ThreeRingPermuter(Adversary):
         """One pair, one single node and one hole."""
         return sorted(cfg.multiplicities()) == [0, 1, 2]
 
-    def choose(self, ctx):
-        cfg = ctx.cfg
-        intents = self._predictions(ctx)
+    def neutral(self, cfg):
+        return Dynamism(tuple(range(3)), None)
+
+    def counter(self, cfg, intents, successor):
+        # From a pair, a single and a hole the moves lead to that shape
+        # again, to a dispersal or to a gathering.
         mult = cfg.multiplicities()
         pair = mult.index(2)
         single = mult.index(1)
         hole = mult.index(0)
-        successor = resolve_moves(cfg, intents)
         if classify(successor).dispersed:
             leavers = sum(1 for lab in cfg.slots[pair] if intents[lab] is not Action.STAY)
             if leavers == 1:
                 return Dynamism(_swap(3, pair, hole), None)
             return Dynamism(_swap(3, single, hole), None)
-        if max(successor.multiplicities()) == 3:
-            return Dynamism(_swap(3, pair, single), None)
-        return Dynamism(tuple(range(3)), None)
+        return Dynamism(_swap(3, pair, single), None)
 
 
-class GeneralPermuter(Adversary):
+class GeneralPermuter(AdaptiveAdversary):
     """Denies dispersion on rings of four or more nodes by rearranging.
 
     When the predicted moves would spread the robots out perfectly, some
@@ -249,7 +264,6 @@ class GeneralPermuter(Adversary):
     """
 
     adversary_id = "vp-killer"
-    adaptive = True
 
     def check_scenario(self, n, mode):
         if n < 4:
@@ -257,14 +271,11 @@ class GeneralPermuter(Adversary):
         if not mode.allows_permutation:
             raise ScenarioError(f"{self.adversary_id} needs a mode with vertex permutations")
 
-    def choose(self, ctx):
-        cfg = ctx.cfg
-        n = cfg.n
-        intents = self._predictions(ctx)
-        successor = resolve_moves(cfg, intents)
-        if not classify(successor).dispersed:
-            return Dynamism(tuple(range(n)), None)
+    def neutral(self, cfg):
+        return Dynamism(tuple(range(cfg.n)), None)
 
+    def counter(self, cfg, intents, successor):
+        n = cfg.n
         mult = cfg.multiplicities()
         holes = [p for p in range(n) if mult[p] == 0]
 
@@ -333,22 +344,19 @@ class GeneralPermuter(Adversary):
         return _swap(n, hole, cfg.positions()[donor])
 
 
-class EdgeBlocker(Adversary):
+class EdgeBlocker(AdaptiveAdversary):
     """Denies dispersion by cutting the edge one hole's filler would use."""
 
     adversary_id = "1i-killer"
-    adaptive = True
 
     def check_scenario(self, n, mode):
         if not mode.allows_edge_removal:
             raise ScenarioError(f"{self.adversary_id} needs a mode with edge removal")
 
-    def choose(self, ctx):
-        cfg = ctx.cfg
-        intents = self._predictions(ctx)
-        successor = resolve_moves(cfg, intents)
-        if not classify(successor).dispersed:
-            return Dynamism(None, None)
+    def neutral(self, cfg):
+        return Dynamism(None, None)
+
+    def counter(self, cfg, intents, successor):
         mult = cfg.multiplicities()
         hole = next(p for p in range(cfg.n) if mult[p] == 0)
         entrant = successor.slots[hole][0]

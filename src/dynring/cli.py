@@ -127,10 +127,16 @@ def execute(spec: ExperimentSpec):
     rng = random.Random(spec.seed)
     cfg = build_config(spec, rng)
     robots = initial_robots(cfg, build_orientations(spec, rng))
+    if spec.k is not None:  # no rule reads k, but it must fit the ring and the rule
+        n, needed = spec.n, policy.min_visibility(spec.n)
+        if not 0 <= spec.k <= n:
+            raise ScenarioError(f"visibility k={spec.k} must lie in 0..{n}")
+        if spec.k < needed:
+            raise ScenarioError(f"policy {policy.policy_id} needs visibility k >= {needed} "
+                                f"on n={n}, got k={spec.k}")
     result = run_simulation(
         policy, adversary, cfg, mode,
-        robots=robots, k=spec.k, seed=rng.randrange(2 ** 32),
-        max_rounds=spec.max_rounds)
+        robots=robots, seed=rng.randrange(2 ** 32), max_rounds=spec.max_rounds)
     return cfg, result
 
 
@@ -281,9 +287,7 @@ def cmd_verify(args) -> int:
     if args.check == "bound":
         if args.policy is None:
             raise ScenarioError("verify --check bound needs --policy")
-        report = verify_worst_case(
-            get_policy(args.policy), args.n, mode,
-            bound=args.bound if args.bound is not None else "auto")
+        report = verify_worst_case(get_policy(args.policy), args.n, mode, bound=args.bound)
         print(f"bound-check policy={report.policy_id} n={report.n} mode={mode.value} "
               f"bound={report.bound} worst={report.worst_rounds} "
               f"states={report.states_explored} holds={'yes' if report.holds else 'no'}")

@@ -184,7 +184,7 @@ def ring_from_slots(slots, missing_edge: int | None = None) -> RingConfiguration
     return RingConfiguration(len(slots), slots, missing_edge)
 
 
-def ring_from_multiplicities(mults, missing_edge: int | None = None) -> RingConfiguration:
+def ring_from_multiplicities(mults) -> RingConfiguration:
     """Build a configuration from per-node robot counts.
 
     Labels 1..n are dealt clockwise starting at position 0, which is the
@@ -196,7 +196,7 @@ def ring_from_multiplicities(mults, missing_edge: int | None = None) -> RingConf
     for count in mults:
         slots.append(tuple(range(nxt, nxt + count)))
         nxt += count
-    return RingConfiguration(len(mults), tuple(slots), missing_edge)
+    return RingConfiguration(len(mults), tuple(slots))
 
 
 def all_on_one(n: int) -> RingConfiguration:

@@ -8,14 +8,13 @@ is. The removed edge lasts only for the round.
 
 The same ``step`` function serves simulation runs, impossibility runs and
 the worst-case search, so there is exactly one implementation of round
-semantics; ``play`` is the one loop that feeds it an adversary's choices,
-one ``play_round`` per round.
+semantics; ``play_round`` feeds it one adversary choice, and a run and the
+impossibility orbit walk each loop over it.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -173,16 +172,9 @@ def validate_scenario(
     cfg: RingConfiguration,
     robots,
     mode: Mode,
-    k: int,
 ) -> None:
     n = cfg.n
     policy.check_scenario(n, mode, cfg, robots)
-    if not 0 <= k <= n:
-        raise ScenarioError(f"visibility k={k} must lie in 0..{n}")
-    needed = policy.min_visibility(n)
-    if k < needed:
-        raise ScenarioError(
-            f"policy {policy.policy_id} needs visibility k >= {needed} on n={n}, got k={k}")
     if adversary is not None:
         adversary.check_scenario(n, mode)
         if adversary.adaptive and policy.full_visibility:
@@ -205,26 +197,12 @@ def play_round(policy: Policy, adversary: Adversary, cfg: RingConfiguration, mod
     return step(policy, cfg, robots, dynamism, predicted)
 
 
-def play(policy: Policy, adversary: Adversary, cfg: RingConfiguration, mode: Mode, robots,
-         rng: random.Random | None = None):
-    """Yield ``(cfg, robots, trace)`` for every round until the ring is
-    dispersed: the one loop of a run, one ``play_round`` per round."""
-    if classify(cfg).dispersed:
-        return
-    while True:
-        cfg, robots, trace = play_round(policy, adversary, cfg, mode, robots, rng)
-        yield cfg, robots, trace
-        if trace.metrics_after.dispersed:
-            return
-
-
 def run_simulation(
     policy: Policy,
     adversary: Adversary,
     cfg: RingConfiguration,
     mode: Mode,
     robots=None,
-    k: int | None = None,
     seed: int | None = None,
     max_rounds: int | None = None,
 ) -> RunResult:
@@ -232,15 +210,18 @@ def run_simulation(
     if robots is None:
         robots = initial_robots(cfg)
     robots = tuple(robots)
-    if k is None:
-        k = policy.min_visibility(cfg.n)
     if max_rounds is None:
         max_rounds = 4 * cfg.n
-    validate_scenario(policy, adversary, cfg, robots, mode, k)
+    validate_scenario(policy, adversary, cfg, robots, mode)
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be a non-negative integer, got {max_rounds!r}")
 
-    rounds = play(policy, adversary, cfg, mode, robots, random.Random(seed))
+    rng = random.Random(seed)
     traces = []
-    for cfg, robots, trace in itertools.islice(rounds, max_rounds):
+    dispersed = classify(cfg).dispersed
+    while not dispersed and len(traces) < max_rounds:
+        cfg, robots, trace = play_round(policy, adversary, cfg, mode, robots, rng)
         traces.append(trace)
-    outcome = "dispersed" if classify(cfg).dispersed else "round-limit"
+        dispersed = trace.metrics_after.dispersed
+    outcome = "dispersed" if dispersed else "round-limit"
     return RunResult(outcome, len(traces), cfg, robots, tuple(traces))

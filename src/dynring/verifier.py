@@ -122,8 +122,10 @@ def enumerate_initial_configs(n: int, up_to_reflection: bool = True):
 def _aux(robots) -> tuple:
     """Every robot's label, hand and memory, in label order: with the slots,
     the state of a run."""
-    # ``_value_`` is ``Orientation.value`` without the slow Enum descriptor.
-    return tuple(sorted([(r.label, r.orientation._value_, r.memory) for r in robots]))
+    # No sort: ``initial_robots`` deals robots in label order, ``step`` keeps
+    # it and ``validate_scenario`` checks it. ``_value_`` is
+    # ``Orientation.value`` without the slow Enum descriptor.
+    return tuple([(r.label, r.orientation._value_, r.memory) for r in robots])
 
 
 _FLIP = {"A": "R", "R": "A"}
@@ -284,18 +286,19 @@ def verify_worst_case(
     starts=None,
     orientations=None,
     oracle=None,
-    bound="auto",
+    bound: int | None = None,
 ) -> BoundReport:
     """Search every start, every orientation choice, every adversary line.
 
     ``orientations`` is "aligned" or "all"; starts and orientations not
-    given are those of ``default_verification_roots``.
+    given are those of ``default_verification_roots``. ``bound`` defaults
+    to the policy's proven bound.
     """
     if starts is None or orientations is None:
         default_starts, default_orientations = default_verification_roots(policy, n)
         starts = default_starts if starts is None else starts
         orientations = default_orientations if orientations is None else orientations
-    if bound == "auto":
+    if bound is None:
         bound = policy.proven_bound(n)
     if bound is not None and bound < 0:
         raise ScenarioError(f"bound must be at least 0 rounds, got {bound}")
@@ -307,7 +310,7 @@ def verify_worst_case(
     for cfg in starts:
         for orients in _orientation_assignments(n, orientations):
             robots = initial_robots(cfg, dict(enumerate(orients, start=1)))
-            validate_scenario(policy, None, cfg, robots, mode, policy.min_visibility(n))
+            validate_scenario(policy, None, cfg, robots, mode)
             value = searcher.value(cfg, robots)
             root_key = (cfg.slots, "".join(o.value for o in orients))
             root_values[root_key] = value
@@ -397,8 +400,8 @@ def _orbit_fate(policy: NoVisibilityPolicy, adversary: Adversary, root: tuple, m
     dispersed. A round it lacks is played by ``play_round``, the only place
     that decides (it predicts, and ``step`` checks the prediction, only
     against an adaptive adversary); a round it holds decides nothing. The
-    walk knows a state it plays is not dispersed, so it skips ``play``'s
-    start check.
+    walk knows a state it plays is not dispersed, so it takes no census
+    before a round.
     """
     cfg, robots, state, dispersed = root
     walk: dict = {}

@@ -258,6 +258,8 @@ TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
                       "--mode", "vp", "--adversary", "random"],
     lambda tmp_path: ["verify", "--check", "bound", "--n", "3", "--policy", "vp-chain",
                       "--mode", "vp", "--horizon", "5"],
+    lambda tmp_path: ["run", "--n", "4", "--policy", "vp-chain", "--k", "1"],
+    lambda tmp_path: ["run", "--n", "4", "--policy", "vp-chain", "--k", "9"],
 ], ids=["run-n-0", "run-n-negative", "sweep-n-not-a-number", "sweep-n-empty-range",
         "config-not-a-number", "config-wrong-total", "spec-unknown-key", "spec-unknown-mode",
         "replay-missing-perm", "run-max-rounds-negative", "verify-bound-n-0",
@@ -275,7 +277,7 @@ TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
         "spec-integer-too-long", "replay-integer-too-long", "verify-bound-negative",
         "verify-impossibility-no-start", "verify-impossibility-with-policy",
         "verify-impossibility-with-bound", "verify-bound-with-adversary",
-        "verify-bound-with-horizon"])
+        "verify-bound-with-horizon", "run-k-below-rule", "run-k-above-n"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     capsys.readouterr()
@@ -284,6 +286,13 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, make_argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+def test_zero_visibility_rules_accept_k_zero(capsys):
+    # The run is valid and stalls against the adaptive adversary: exit 2, not 1.
+    assert run_cli("run", "--n", "3", "--policy", "k0:scascs", "--adversary", "vp-killer-n3",
+                   "--mode", "vp", "--config", "2,1,0", "--k", "0", "--max-rounds", "5") == 2
+    assert capsys.readouterr().err == ""
 
 
 def test_help_still_exits_zero(capsys):

@@ -349,6 +349,16 @@ def test_round_budget_is_honoured():
     assert not result.dispersed
 
 
+def test_a_negative_round_budget_is_refused_and_zero_plays_no_round():
+    policy = get_policy("k0:ssssss")
+    cfg = all_on_one(3)
+    with pytest.raises(ValueError):
+        run_simulation(policy, get_adversary("benign"), cfg, Mode.NONE, max_rounds=-1)
+    result = run_simulation(policy, get_adversary("benign"), cfg, Mode.NONE, max_rounds=0)
+    assert (result.outcome, result.rounds, result.traces) == ("round-limit", 0, ())
+    assert result.final_config == cfg
+
+
 def test_adaptive_run_uses_exact_predictions():
     policy = get_policy("k0:sccsss")
     cfg = ring_from_slots(((1, 2), (3,), ()))
@@ -366,29 +376,18 @@ def test_scenario_validation_rejects_mismatches():
     vp = get_policy("vp-chain")
     cfg = all_on_one(4)
     robots = initial_robots(cfg)
-    validate_scenario(vp, get_adversary("benign"), cfg, robots, Mode.VP, 2)
+    validate_scenario(vp, get_adversary("benign"), cfg, robots, Mode.VP)
     with pytest.raises(ScenarioError):
-        validate_scenario(vp, get_adversary("benign"), cfg, robots, Mode.COMBINED, 2)
+        validate_scenario(vp, get_adversary("benign"), cfg, robots, Mode.COMBINED)
     with pytest.raises(ScenarioError):
-        validate_scenario(vp, get_adversary("benign"), cfg, robots, Mode.VP, 1)
-    with pytest.raises(ScenarioError):
-        validate_scenario(vp, get_adversary("benign"), cfg, robots, Mode.VP, 9)
-    with pytest.raises(ScenarioError):
-        validate_scenario(vp, get_adversary("vp-killer"), cfg, robots, Mode.VP, 2)
+        validate_scenario(vp, get_adversary("vp-killer"), cfg, robots, Mode.VP)
     missing = robots[1:]
     repeated = (RobotState(2, Orientation.ALIGNED, None),) + robots[1:]
     # A round reads robot ``label`` at index ``label - 1``.
     unordered = robots[::-1]
     for stray in (missing, repeated, unordered):
         with pytest.raises(ScenarioError):
-            validate_scenario(vp, get_adversary("benign"), cfg, stray, Mode.VP, 2)
-
-
-def test_zero_visibility_rules_accept_k_zero():
-    policy = get_policy("k0:scascs")
-    cfg = ring_from_slots(((1, 2), (3,), ()))
-    robots = initial_robots(cfg)
-    validate_scenario(policy, get_adversary("vp-killer-n3"), cfg, robots, Mode.VP, 0)
+            validate_scenario(vp, get_adversary("benign"), cfg, stray, Mode.VP)
 
 
 # ------------------------------------------------------------ conservation

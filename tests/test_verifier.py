@@ -36,7 +36,7 @@ from dynring import (
     get_policy,
     initial_robots,
     permutation_classes,
-    play,
+    play_round,
     predict_intents,
     resolve_moves,
     ring_from_multiplicities,
@@ -462,15 +462,16 @@ def plain_runs(adversary, mode, policies, starts, horizon):
     runs = []
     for policy in policies:
         for start in starts:
-            robots = initial_robots(start)
+            cfg, robots = start, initial_robots(start)
             seen = {(start.slots, _aux(robots))}
             fate = (True, 0) if classify(start).dispersed else None
-            rounds = play(policy, adversary, start, mode, robots)
-            for index, (cfg, robots, _) in enumerate(itertools.islice(rounds, horizon), 1):
+            index = 0
+            while fate is None and index < horizon:
+                index += 1
+                cfg, robots, _ = play_round(policy, adversary, cfg, mode, robots)
                 state, dispersed = (cfg.slots, _aux(robots)), classify(cfg).dispersed
                 if dispersed or state in seen:
                     fate = (dispersed, index)
-                    break
                 seen.add(state)
             runs.append((policy.policy_id, start.slots, fate))
     return runs
@@ -545,8 +546,8 @@ def test_a_start_on_a_walked_state_joins_its_orbit(monkeypatch):
                 for head in map("".join, itertools.product("sca", repeat=3))]
     benign = get_adversary("benign")
     for policy in policies:
-        cfg, robots, _ = next(play(policy, benign, gathered, Mode.NONE,
-                                   initial_robots(gathered)))
+        cfg, robots, _ = play_round(policy, benign, gathered, Mode.NONE,
+                                    initial_robots(gathered))
         assert (cfg.slots, _aux(robots)) == (pair.slots, _aux(initial_robots(pair)))
 
     steps = []
@@ -588,7 +589,7 @@ def test_the_tables_of_a_sweep_share_each_round(monkeypatch):
     decides nothing. A state is computed once per start and once per played
     round, and a played round takes one census, of the ring it lands on: the
     walk knows every state it plays is not dispersed, so it plays the round
-    with ``play_round`` and skips ``play``'s start check."""
+    with ``play_round`` and takes no census before it."""
     predicted, played, decisions, states, censuses = [], [], [], [], []
     for module in (dynring.scheduler, dynring.verifier):
         _recorded(monkeypatch, module, "predict_intents", lambda args, intents: predicted.append(
