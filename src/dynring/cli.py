@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import random
 import sys
@@ -14,6 +15,7 @@ from dataclasses import asdict, dataclass
 from .adversaries import ADVERSARIES, Dynamism, get_adversary
 from .policies import POLICIES, get_policy
 from .ring import (
+    _SHORT,
     ACTION_FROM_SHORT,
     Mode,
     Orientation,
@@ -140,29 +142,29 @@ def execute(spec: ExperimentSpec):
     return cfg, result
 
 
-def _config_cells(cfg: RingConfiguration) -> list[list[int]]:
-    return [list(slot) for slot in cfg.slots]
-
-
 def trace_records(initial: RingConfiguration, result):
+    """The round records of a run's trace. A config is its slot tuples,
+    which ``json`` writes as it writes lists."""
     start = classify(initial)
     yield {
         "round": 0,
         "perm": None,
         "edge": None,
         "intents": None,
-        "config": _config_cells(initial),
+        "config": initial.slots,
         "holes": start.holes,
         "multinodes": start.multinodes,
     }
+    short = _SHORT.__getitem__
     for index, trace in enumerate(result.traces, 1):
         perm = trace.dynamism.permutation
+        intents = trace.intents
         yield {
             "round": index,
             "perm": None if perm is None else list(perm),
             "edge": trace.dynamism.edge_removal,
-            "intents": {str(label): action.short for label, action in trace.intents.items()},
-            "config": _config_cells(trace.config_after),
+            "intents": dict(zip(map(str, intents), map(short, intents.values()))),
+            "config": trace.config_after.slots,
             "holes": trace.metrics_after.holes,
             "multinodes": trace.metrics_after.multinodes,
         }
@@ -340,9 +342,18 @@ def _read_trace(path: str) -> tuple[list[dict], dict | None]:
             raise ScenarioError(
                 f"trace line {number} is round {line['round']}, expected {len(records)}")
         records.append(line)
-    if summary is not None and "outcome" not in summary:
-        raise ScenarioError("trace summary lacks outcome")
+    if summary is not None:
+        if "outcome" not in summary:
+            raise ScenarioError("trace summary lacks outcome")
+        if type(summary.get("rounds")) is not int:
+            raise ScenarioError(f"trace summary: rounds {summary.get('rounds')!r} is not an int")
     return records, summary
+
+
+def _only_ints(values) -> bool:
+    """Whether every value is a plain int: a bool or a float passes a range
+    or equality test."""
+    return set(map(type, values)) <= {int}
 
 
 def _replay_round(cfg: RingConfiguration, record: dict):
@@ -350,19 +361,19 @@ def _replay_round(cfg: RingConfiguration, record: dict):
     and the slots the record says they lead to."""
     try:
         perm, edge = record["perm"], record["edge"]
-        # Plain integers only: a bool or a float passes a range or equality test.
-        if perm is not None and not all(type(node) is int for node in perm):
+        if perm is not None and not _only_ints(perm):
             raise ValueError(f"permutation {perm!r} must hold integers")
         expected = tuple(map(tuple, record["config"]))
-        if not all(type(label) is int for slot in expected for label in slot):
+        if not _only_ints(itertools.chain.from_iterable(expected)):
             raise ValueError(f"config {record['config']!r} must hold integer labels")
         shaped = Dynamism(None if perm is None else tuple(perm), edge).apply(cfg)
-        # Plain decimal labels only: int() also reads "+1", " 4 " and "1_0".
-        if not all(label.isascii() and label.isdigit() for label in record["intents"]):
-            raise ValueError(f"intent labels {list(record['intents'])!r} must be plain decimals")
-        intents = {int(label): ACTION_FROM_SHORT[action]
-                   for label, action in record["intents"].items()}
-        if len(intents) != len(record["intents"]):
+        labels = record["intents"]
+        # Plain decimal labels only: int() also reads "+1", " 4 ", "1_0" and
+        # other scripts' digits.
+        if not (all(map(str.isdigit, labels)) and "".join(labels).isascii()):
+            raise ValueError(f"intent labels {list(labels)!r} must be plain decimals")
+        intents = dict(zip(map(int, labels), map(ACTION_FROM_SHORT.__getitem__, labels.values())))
+        if len(intents) != len(labels):
             raise ValueError("two intents name the same robot")
         return resolve_moves(shaped, intents), expected
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -384,8 +395,14 @@ def cmd_replay(args) -> int:
             print(f"replay mismatch at round {record['round']}: "
                   f"reconstructed {landed.slots}, trace says {expected}")
             return EXIT_FAIL
-        cfg = RingConfiguration(landed.n, landed.slots, None)
+        # ``landed`` came from a checked ring by a checked permutation, a
+        # checked edge and an exact intent map.
+        cfg = RingConfiguration._trusted(landed.n, landed.slots, None)
     if summary is not None:
+        if summary["rounds"] != len(records) - 1:
+            print(f"replay mismatch: trace has {len(records) - 1} rounds after round 0, "
+                  f"summary says {summary['rounds']}")
+            return EXIT_FAIL
         dispersed = classify(cfg).dispersed
         recorded = summary["outcome"] == "dispersed"
         if dispersed != recorded:

@@ -40,44 +40,47 @@ EVEN4_WORST_ROUNDS = 6
 
 PREPROCESS_DONE = ("chain",)
 
+# Module constants for the decide functions: enum member lookups are slow.
+_STAY, _CW = Action.STAY, Action.CLOCKWISE
+
 
 def vp_chain_decide(snap: Snapshot) -> Action:
     """Shift the clockwise chains; needs a shared clockwise, ignores edges."""
     if not snap.has_multinode:
-        return Action.STAY
+        return _STAY
     if snap.own_count == 1:
         chain = snap.own_chain()
-        if chain is not None and chain.direction_own is Action.CLOCKWISE:
-            return Action.CLOCKWISE
-        return Action.STAY
+        if chain is not None and chain.direction_own is _CW:
+            return _CW
+        return _STAY
     if not snap.is_least:
-        return Action.STAY
+        return _STAY
     for chain in snap.anchored():
-        if chain.direction_own is Action.CLOCKWISE:
-            return Action.CLOCKWISE
-    return Action.STAY
+        if chain.direction_own is _CW:
+            return _CW
+    return _STAY
 
 
 def vp_one_interval_decide(snap: Snapshot) -> Action:
     """Shift one good chain per multinode, preferring the clockwise one."""
     if not snap.has_multinode:
-        return Action.STAY
+        return _STAY
     if snap.own_count == 1:
         chain = snap.own_chain()
         if chain is None or not chain.good:
-            return Action.STAY
+            return _STAY
         other = chain.other
-        if other is not None and other.good and other.direction_own is Action.CLOCKWISE:
-            return Action.STAY
+        if other is not None and other.good and other.direction_own is _CW:
+            return _STAY
         return chain.toward_hole
     if not snap.is_least:
-        return Action.STAY
+        return _STAY
     good = [c for c in snap.anchored() if c.good]
     if len(good) == 2:
-        return Action.CLOCKWISE
+        return _CW
     if len(good) == 1:
         return good[0].direction_own
-    return Action.STAY
+    return _STAY
 
 
 def achiral_odd_decide(snap: Snapshot) -> Action:
@@ -87,25 +90,25 @@ def achiral_odd_decide(snap: Snapshot) -> Action:
     some tie-broken move turns a singleton node into a new multinode.
     """
     if not snap.has_multinode:
-        return Action.STAY
+        return _STAY
     if snap.own_count == 1:
         chain = snap.own_chain()
         if chain is None or not chain.good:
-            return Action.STAY
+            return _STAY
         other = chain.other
         if other is not None and other.good and other.length <= chain.length:
-            return Action.STAY
+            return _STAY
         return chain.toward_hole
     if not snap.is_least:
-        return Action.STAY
+        return _STAY
     good = [c for c in snap.anchored() if c.good]
     if len(good) == 2:
         if good[0].length == good[1].length:
-            return Action.CLOCKWISE
+            return _CW
         return min(good, key=lambda c: c.length).direction_own
     if len(good) == 1:
         return good[0].direction_own
-    return Action.STAY
+    return _STAY
 
 
 def even4_main_decide(snap: Snapshot) -> Action:
@@ -116,30 +119,30 @@ def even4_main_decide(snap: Snapshot) -> Action:
     resolved by the preprocessing step plus the good-chain rule.
     """
     if not snap.has_multinode:
-        return Action.STAY
+        return _STAY
     if snap.own_count == 1:
         chain = snap.own_chain()
         if chain is None or not chain.good:
-            return Action.STAY
+            return _STAY
         other = chain.other
         if other is not None and other.good:
             if other.length < chain.length:
-                return Action.STAY
+                return _STAY
             if other.length == chain.length:
                 return chain.toward_multinode
         return chain.toward_hole
     if not snap.is_least:
-        return Action.STAY
+        return _STAY
     good = [c for c in snap.anchored() if c.good]
     if len(good) == 2:
         if good[0].length != good[1].length:
             return min(good, key=lambda c: c.length).direction_own
         if snap.adjacent_to_two_holes():
-            return Action.CLOCKWISE
-        return Action.STAY
+            return _CW
+        return _STAY
     if len(good) == 1:
         return good[0].direction_own
-    return Action.STAY
+    return _STAY
 
 
 class Policy:
@@ -264,7 +267,7 @@ class PreprocessPolicy(ChainRule):
         if robot.memory is not None:
             return vp_one_interval_decide(snap), robot.memory
         if snap.own_count == snap.n:
-            return Action.CLOCKWISE, ("moved", snap.least_label)
+            return _CW, ("moved", snap.least_label)
         if self.gathered_start:
             raise ScenarioError(
                 f"policy {self.policy_id} must start with all robots on one node")

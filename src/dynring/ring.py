@@ -66,7 +66,7 @@ class Action(IntEnum):
     CLOCKWISE = 1
 
     def inverse(self) -> "Action":
-        return Action(-self.value)
+        return _MIRRORED[self]
 
     @property
     def short(self) -> str:
@@ -249,10 +249,9 @@ def resolve_moves(cfg: RingConfiguration, intents: dict[int, Action]) -> RingCon
     edge is a no-op. ``intents`` maps label to action and must name exactly
     the configuration's robots.
 
-    Only the slots a robot leaves or enters are rebuilt; every other slot
-    is reused, and a round in which nobody moves returns ``cfg`` itself.
+    The robots that do not stay are moved by ``move_robots``.
     """
-    n, cut = cfg.n, cfg.missing_edge
+    n = cfg.n
     # n names that include every label 1..n are exactly those labels.
     if len(intents) != n:
         raise _misnamed(intents, n)
@@ -262,16 +261,33 @@ def resolve_moves(cfg: RingConfiguration, intents: dict[int, Action]) -> RingCon
         for pos, slot in enumerate(cfg.slots):
             for label in slot:
                 action = intents[label]
-                if action is not stay and crossing_edge(pos, action, n) != cut:
-                    movers.append((label, pos, (pos + action) % n))
+                if action is not stay:
+                    movers.append((label, pos, action))
     except KeyError:
         raise _misnamed(intents, n) from None
-    if not movers:
-        return cfg
-    # A slot turns into a list the first time a robot leaves or enters it.
-    slots = list(cfg.slots)
+    return move_robots(cfg, movers)
+
+
+def move_robots(cfg: RingConfiguration, movers) -> RingConfiguration:
+    """Apply the ``(label, node, global action)`` of every robot that does
+    not stay, at once; crossing the removed edge is a no-op. Every other
+    robot stays. The one place a slot's contents change.
+
+    Only the slots a robot leaves or enters are rebuilt; every other slot
+    is reused, and a round in which nobody moves returns ``cfg`` itself.
+    """
+    n, cut = cfg.n, cfg.missing_edge
+    slots = None
     touched = []
-    for label, old, new in movers:
+    for label, old, action in movers:
+        # A clockwise step from ``old`` crosses edge ``old``, an
+        # anticlockwise one edge ``old - 1`` (``crossing_edge``).
+        if cut is not None and (old if action > 0 else (old - 1) % n) == cut:
+            continue
+        new = (old + action) % n
+        if slots is None:
+            slots = list(cfg.slots)
+        # A slot turns into a list the first time a robot leaves or enters it.
         if type(slots[old]) is tuple:
             slots[old] = list(slots[old])
             touched.append(old)
@@ -280,6 +296,8 @@ def resolve_moves(cfg: RingConfiguration, intents: dict[int, Action]) -> RingCon
             slots[new] = list(slots[new])
             touched.append(new)
         slots[new].append(label)
+    if slots is None:
+        return cfg
     for pos in touched:
         slots[pos] = tuple(sorted(slots[pos]))
     return RingConfiguration._trusted(n, tuple(slots), cut)
@@ -432,7 +450,8 @@ class ChainAnalysis:
                 for sib in self.by_anchor[chain.multinode]:
                     if sib is not chain:
                         other = self.chain_view(sib, sign, False)
-            view = ChainView(Action(chain.direction.value * sign), chain.length, chain.good, other)
+            direction = chain.direction if sign > 0 else _MIRRORED[chain.direction]
+            view = ChainView(direction, chain.length, chain.good, other)
             self._views[key] = view
         return view
 

@@ -32,7 +32,8 @@ from .ring import (
     Snapshot,
     classify,
     convert_frame,
-    resolve_moves,
+    move_robots,
+    resolve_moves,  # unused here; perfbench/tracing.py wraps scheduler.resolve_moves by name
 )
 
 
@@ -80,17 +81,22 @@ def _all_stay(n: int) -> dict[int, Action]:
 
 
 def _decide(policy: Policy, analysis: ChainAnalysis, robots):
-    """Each robot's global-frame action, by label in label order, and the
-    memory each robot the rule lists in ``Policy.actors`` decided with, by
-    label. ``robots`` must be in label order; a robot not listed stays."""
+    """Each robot's global-frame action, by label in label order; the node
+    and the memory of each robot the rule lists in ``Policy.actors``, by
+    label; and the ``(label, node, global action)`` of each listed robot
+    that does not stay. ``robots`` must be in label order; a robot not
+    listed stays."""
     intents = _all_stay(len(robots)).copy()
     decided = {}
+    movers = []
     for node, label in policy.actors(analysis, robots):
         robot = robots[label - 1]
-        own_action, decided[label] = policy.decide(Snapshot(analysis, node, robot), robot)
+        own_action, memory = policy.decide(Snapshot(analysis, node, robot), robot)
+        decided[label] = node, memory
         if own_action is not _STAY:
-            intents[label] = convert_frame(own_action, robot.orientation)
-    return intents, decided
+            intents[label] = action = convert_frame(own_action, robot.orientation)
+            movers.append((label, node, action))
+    return intents, decided, movers
 
 
 def predict_intents(policy: Policy, cfg: RingConfiguration, robots) -> dict[int, Action]:
@@ -121,23 +127,26 @@ def step(
     phase = policy.phase_of_round(robots, cfg_seen)
 
     analysis = ChainAnalysis(cfg_seen, chains=policy.full_visibility)
-    intents, decided = _decide(policy, analysis, robots)
+    intents, decided, movers = _decide(policy, analysis, robots)
     if predicted is not None and predicted != intents:
         wrong = sorted(label for label in intents if predicted.get(label) is not intents[label])
         raise RuntimeError(f"predicted intents differ from the decisions of robots {wrong}")
 
-    cfg_after = resolve_moves(cfg_seen, intents)
+    cfg_after = move_robots(cfg_seen, movers)
     metrics_after = classify(cfg_after)
     # Only a rule with an after_move of its own reads the landed labels.
     landing = type(policy).after_move is not Policy.after_move
-    if landing:
-        mates = {label: slot for slot in cfg_after.slots for label in slot}
+    landed = cfg_after.slots
     settled = list(robots)
-    for label, memory in decided.items():
+    for label, (node, memory) in decided.items():
         robot = robots[label - 1]
         hand = robot.orientation
         if landing:
-            hand, memory = policy.after_move(robot, memory, mates[label])
+            # A robot is on its node unless it moved one step.
+            mates = landed[(node + intents[label]) % cfg.n]
+            if label not in mates:
+                mates = landed[node]
+            hand, memory = policy.after_move(robot, memory, mates)
         # A robot whose hand and memory are the ones it had is carried over.
         if hand is not robot.orientation or memory is not robot.memory:
             settled[label - 1] = RobotState(label, hand, memory)

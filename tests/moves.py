@@ -1,8 +1,10 @@
 """The dense move resolution: the tests' oracle for ``resolve_moves``.
 
 Every robot is placed afresh on the node its action leads to, and every
-slot is sorted. ``resolve_moves`` rebuilds only the slots a robot leaves
-or enters and must agree with this slot for slot.
+slot is sorted. ``resolve_moves`` and ``step`` hand only the robots that
+do not stay to ``move_robots``, which rebuilds only the slots a robot
+leaves or enters and applies the crossing rule without ``crossing_edge``;
+they must agree with this slot for slot.
 """
 from __future__ import annotations
 

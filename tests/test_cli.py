@@ -120,6 +120,22 @@ def test_replay_checks_the_start_census(tmp_path, capsys):
     assert "mismatch at round 0" in capsys.readouterr().out
 
 
+def test_replay_refuses_a_truncated_trace(tmp_path, capsys):
+    """A trace that lost a round record is a mismatch against its summary's
+    round count, though every record left replays."""
+    out = tmp_path / "run.jsonl"
+    assert run_cli("run", "--n", "6", "--policy", "vp-1i", "--adversary", "random",
+                   "--mode", "combined", "--config", "random", "--seed", "5",
+                   "--max-rounds", "1", "--out", str(out)) == 2
+    start, _, summary = out.read_text().splitlines()
+    assert json.loads(summary)["outcome"] == "round-limit"
+    assert json.loads(summary)["rounds"] == 1
+    out.write_text(start + "\n" + summary + "\n")
+    capsys.readouterr()
+    assert run_cli("replay", str(out)) == 2
+    assert capsys.readouterr().out.startswith("replay mismatch")
+
+
 # ------------------------------------------------------------------- sweeps
 
 
@@ -145,8 +161,8 @@ def _spec_file(tmp_path, **fields):
 
 
 def _tampered_trace(tmp_path, change, *run_flags, round_index=1):
-    """``replay`` of a ``run`` trace whose record of round ``round_index``
-    ``change`` edits."""
+    """``replay`` of a ``run`` trace whose line ``round_index`` (the record
+    of that round, or -1 for the summary) ``change`` edits."""
     path = tmp_path / "run.jsonl"
     assert run_cli("run", *run_flags, "--out", str(path)) == 0
     lines = path.read_text().splitlines()
@@ -260,6 +276,12 @@ TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
                       "--mode", "vp", "--horizon", "5"],
     lambda tmp_path: ["run", "--n", "4", "--policy", "vp-chain", "--k", "1"],
     lambda tmp_path: ["run", "--n", "4", "--policy", "vp-chain", "--k", "9"],
+    lambda tmp_path: _tampered_trace(tmp_path, lambda r: r.update(rounds=True), *GATHERED_RUN,
+                                     round_index=-1),
+    lambda tmp_path: _tampered_trace(tmp_path, _rename_intent("1", "\u0661"), *PERMUTING_RUN),
+    lambda tmp_path: _tampered_trace(
+        tmp_path, lambda r: r.update(perm=[0.0 if p == 0 else p for p in r["perm"]]),
+        *PERMUTING_RUN),
 ], ids=["run-n-0", "run-n-negative", "sweep-n-not-a-number", "sweep-n-empty-range",
         "config-not-a-number", "config-wrong-total", "spec-unknown-key", "spec-unknown-mode",
         "replay-missing-perm", "run-max-rounds-negative", "verify-bound-n-0",
@@ -277,7 +299,9 @@ TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
         "spec-integer-too-long", "replay-integer-too-long", "verify-bound-negative",
         "verify-impossibility-no-start", "verify-impossibility-with-policy",
         "verify-impossibility-with-bound", "verify-bound-with-adversary",
-        "verify-bound-with-horizon", "run-k-below-rule", "run-k-above-n"])
+        "verify-bound-with-horizon", "run-k-below-rule", "run-k-above-n",
+        "replay-summary-rounds-a-bool", "replay-intent-label-non-ascii-digit",
+        "replay-perm-entry-a-float"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     capsys.readouterr()

@@ -31,6 +31,7 @@ from dynring import (
     ring_from_slots,
     rotate,
 )
+from dynring.ring import move_robots
 
 
 # ---------------------------------------------------------------- construction
@@ -206,6 +207,23 @@ def test_resolve_matches_the_dense_oracle_on_a_large_pile(n):
         cfg = RingConfiguration(n, all_on_one(n).slots, edge)
         intents = {label: rng.choice(list(Action)) for label in range(1, n + 1)}
         _assert_resolves_as_the_oracle(cfg, intents)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_configs(min_n=1, max_n=9), st.data())
+def test_moving_the_movers_matches_resolving_every_intent(cfg, data):
+    """``move_robots`` fed the ``(label, node, action)`` of every robot that
+    does not stay, in any order, lands the robots where ``resolve_moves``
+    lands them from the full intent map, with and without a removed edge."""
+    intents = {label: data.draw(st.sampled_from(list(Action)), label=f"robot {label}")
+               for label in range(1, cfg.n + 1)}
+    movers = [(label, pos, intents[label]) for pos, slot in enumerate(cfg.slots)
+              for label in slot if intents[label] is not Action.STAY]
+    movers = data.draw(st.permutations(movers), label="mover order")
+    out = move_robots(cfg, movers)
+    assert out == resolve_moves(cfg, intents) == dense_resolve_moves(cfg, intents)
+    if not movers:
+        assert out is cfg
 
 
 def test_blocked_move_is_a_no_op():

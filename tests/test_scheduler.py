@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import dynring.scheduler
 from conftest import ring_configs, snapshot_facts
+from moves import dense_resolve_moves
 from dynring import (
     Action,
     ChainAnalysis,
@@ -225,6 +226,18 @@ def test_settled_robots_and_shared_views_match_fresh_ones(scenario):
         assert (after is before) == (after == before)
 
 
+@settings(max_examples=300, deadline=None)
+@given(rule_rounds())
+def test_a_round_moves_its_robots_as_the_dense_resolution(scenario):
+    """``step`` moves only the robots its rule decided would move, and lands
+    every robot where the dense resolution of the round's full intent map
+    lands it, blocked moves across the removed edge included."""
+    policy, cfg, robots, dynamism = scenario
+    nxt, _, trace = step(policy, cfg, robots, dynamism)
+    assert trace.config_after == dense_resolve_moves(trace.config_seen, trace.intents)
+    assert nxt.slots == trace.config_after.slots and nxt.missing_edge is None
+
+
 @st.composite
 def ungathered_rounds(draw):
     """A ``no-chir-1i`` round before agreement off a ring that is no pile,
@@ -266,15 +279,18 @@ def test_deciding_only_the_listed_actors_changes_nothing(scenario):
             step(policy, cfg, robots, dynamism)
         assert str(raised.value) == str(refusal)
         return
-    intents, decided = dynring.scheduler._decide(policy, analysis, robots)
+    intents, decided, movers = dynring.scheduler._decide(policy, analysis, robots)
     assert list(intents) == list(cfg.labels())
     assert intents == {label: action for label, (action, _) in everyone.items()}
     listed = {label for _, label in policy.actors(analysis, robots)}
     assert decided.keys() == listed
+    at = analysis.cfg.positions()
+    assert sorted(movers) == [(label, at[label], action) for label, action in intents.items()
+                              if action is not STAY]
     for robot in robots:
         action, memory = everyone[robot.label]
         if robot.label in listed:
-            assert decided[robot.label] == memory
+            assert decided[robot.label] == (at[robot.label], memory)
         else:
             assert action is STAY and memory is robot.memory
 

@@ -683,9 +683,9 @@ def test_a_table_reads_nothing_of_its_table_but_its_actions():
         analysis = ChainAnalysis(cfg, chains=False)
         for policy in ALL_TABLES:
             assert set(vars(policy)) == {"table", "policy_id"}
-            _, decided = dynring.scheduler._decide(policy, analysis, robots)
+            _, decided, _ = dynring.scheduler._decide(policy, analysis, robots)
             assert sorted(decided) == list(cfg.labels())
-            assert all(m is memory for m in decided.values()), (policy.policy_id, cfg)
+            assert all(m is memory for _, m in decided.values()), (policy.policy_id, cfg)
 
 
 class _HandFlippingTable(NoVisibilityPolicy):
