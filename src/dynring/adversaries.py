@@ -99,8 +99,17 @@ class RandomAdversary(Adversary):
             raise ScenarioError("random adversary needs a seeded rng")
         perm = None
         if ctx.mode.allows_permutation:
+            # ``rng.shuffle(nodes)`` inlined, with its exact draws: for each
+            # i from n - 1 down to 1, the first of ``getrandbits(k)`` draws
+            # that is at most i, where k = (i + 1).bit_length().
             nodes = list(range(ctx.cfg.n))
-            ctx.rng.shuffle(nodes)
+            getrandbits = ctx.rng.getrandbits
+            for i in range(len(nodes) - 1, 0, -1):
+                k = (i + 1).bit_length()
+                j = getrandbits(k)
+                while j > i:
+                    j = getrandbits(k)
+                nodes[i], nodes[j] = nodes[j], nodes[i]
             perm = tuple(nodes)
         edge = None
         if ctx.mode.allows_edge_removal:

@@ -360,14 +360,20 @@ def _replay_round(cfg: RingConfiguration, record: dict):
     """The configuration a record's dynamism and intents lead to from ``cfg``,
     and the slots the record says they lead to."""
     try:
-        perm, edge = record["perm"], record["edge"]
+        perm, edge, config, labels = (record["perm"], record["edge"], record["config"],
+                                      record["intents"])
+        if not (perm is None or isinstance(perm, list)):
+            raise ValueError(f"perm must be an array or null, got {perm!r}")
+        if not (isinstance(config, list) and all(isinstance(slot, list) for slot in config)):
+            raise ValueError(f"config must be an array of arrays, got {config!r}")
+        if not isinstance(labels, dict):
+            raise ValueError(f"intents must be an object, got {labels!r}")
         if perm is not None and not _only_ints(perm):
             raise ValueError(f"permutation {perm!r} must hold integers")
-        expected = tuple(map(tuple, record["config"]))
+        expected = tuple(map(tuple, config))
         if not _only_ints(itertools.chain.from_iterable(expected)):
-            raise ValueError(f"config {record['config']!r} must hold integer labels")
+            raise ValueError(f"config {config!r} must hold integer labels")
         shaped = Dynamism(None if perm is None else tuple(perm), edge).apply(cfg)
-        labels = record["intents"]
         # Plain decimal labels only: int() also reads "+1", " 4 ", "1_0" and
         # other scripts' digits.
         if not (all(map(str.isdigit, labels)) and "".join(labels).isascii()):

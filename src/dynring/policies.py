@@ -396,13 +396,20 @@ class NoVisibilityPolicy(Policy):
         classes = _NODE_CLASSES[min(snap.own_count, 3)]
         return _ACTION_CODE[self.table[classes[min(rank, 2)]]], robot.memory
 
-    def letters(self, cfg: RingConfiguration) -> str:
-        """The table's letters for the census classes present on ``cfg``, in
-        domain order. Every robot decides the letter of its own class, so
-        with the labels and hands on ``cfg`` they fix every decision."""
-        censuses = {min(size, 3) for size in cfg.multiplicities()}
-        return "".join([self.table[i] for census, classes in _NODE_CLASSES.items()
-                        if census in censuses for i in classes])
+    def letters(self, classes: tuple[int, ...]) -> str:
+        """The table's letters for ``classes``, the ``census_classes`` of a
+        ring. Every robot decides the letter of its own class, so with the
+        labels and hands on the ring they fix every decision."""
+        table = self.table
+        return "".join([table[i] for i in classes])
+
+
+def census_classes(cfg: RingConfiguration) -> tuple[int, ...]:
+    """The indices into NO_VISIBILITY_DOMAIN of the census classes present
+    on ``cfg``, in domain order."""
+    censuses = {min(size, 3) for size in cfg.multiplicities()}
+    return tuple([i for census, classes in _NODE_CLASSES.items()
+                  if census in censuses for i in classes])
 
 
 def all_no_visibility_policies():

@@ -58,7 +58,7 @@ from .adversaries import (
     AdversaryContext,
     exhaustive_branches,
 )
-from .policies import NoVisibilityPolicy, Policy, all_no_visibility_policies
+from .policies import NoVisibilityPolicy, Policy, all_no_visibility_policies, census_classes
 from .ring import (
     Action,
     Mode,
@@ -376,16 +376,29 @@ def adversary_start_filter(adversary: Adversary, cfg: RingConfiguration) -> bool
     return adversary.invariant(cfg)
 
 
-def _root(start: RingConfiguration) -> tuple:
-    """A start's ``(cfg, robots, state, dispersed)``, as a walk holds a state."""
-    robots = initial_robots(start)
-    return start, robots, (start.slots, _aux(robots)), classify(start).dispersed
+class _States:
+    """The states one ``verify_impossibility`` call meets, each interned once:
+    ``ids`` maps a state ``(cfg.slots, _aux(robots))`` to a small int, and
+    ``rows[id]`` is its ``(cfg, robots, dispersed, classes)``, where
+    ``classes`` are its ``census_classes``."""
+
+    def __init__(self):
+        self.ids: dict = {}
+        self.rows: list = []
+
+    def intern(self, cfg: RingConfiguration, robots, dispersed: bool) -> int:
+        state = (cfg.slots, _aux(robots))
+        sid = self.ids.get(state)
+        if sid is None:
+            sid = self.ids[state] = len(self.rows)
+            self.rows.append((cfg, robots, dispersed, census_classes(cfg)))
+        return sid
 
 
-def _orbit_fate(policy: NoVisibilityPolicy, adversary: Adversary, root: tuple, mode: Mode,
-                horizon: int, fates: dict, memo: dict):
-    """``(disperses, rounds)`` of the ``_root`` of a start, or None if its run
-    hits the horizon.
+def _orbit_fate(policy: NoVisibilityPolicy, adversary: Adversary, start: int, mode: Mode,
+                horizon: int, fates: dict, memo: dict, states: _States):
+    """``(disperses, rounds)`` of the run from the state with id ``start``,
+    or None if it hits the horizon.
 
     ``rounds`` counts until the orbit disperses or first repeats a state.
     The run stops at the first state ``fates`` holds. Unless it hit the
@@ -395,38 +408,40 @@ def _orbit_fate(policy: NoVisibilityPolicy, adversary: Adversary, root: tuple, m
     ``rest = 0`` and ``cap = i``, as the states from ``i`` on form a cycle
     ``m - i`` long; a dispersal has ``rest = 0`` and ``cap = m``.
 
-    The round memo ``memo`` maps a state and the table's ``letters`` for it
-    to the successor's configuration, robots and state and whether it is
-    dispersed. A round it lacks is played by ``play_round``, the only place
-    that decides (it predicts, and ``step`` checks the prediction, only
-    against an adaptive adversary); a round it holds decides nothing. The
-    walk knows a state it plays is not dispersed, so it takes no census
-    before a round.
+    ``fates``, the walk and the round memo ``memo`` are keyed by the ids of
+    ``states``. The memo maps a state's id and the table's ``letters`` for
+    the state's classes to the successor's id. A round it lacks is played
+    by ``play_round``, the only place that decides (it predicts, and
+    ``step`` checks the prediction, only against an adaptive adversary),
+    and its successor is interned there; a round the memo holds decides
+    nothing. The walk knows a state it plays is not dispersed, so it takes
+    no census before a round.
     """
-    cfg, robots, state, dispersed = root
+    rows = states.rows
+    letters = policy.letters
+    sid = start
     walk: dict = {}
     while True:
         m = len(walk)
-        if state in fates:
-            disperses, rest = fates[state]
+        if sid in fates:
+            disperses, rest = fates[sid]
             cap = m
             break
-        if state in walk:
-            disperses, rest, cap = False, 0, walk[state]
+        if sid in walk:
+            disperses, rest, cap = False, 0, walk[sid]
             break
+        cfg, robots, dispersed, classes = rows[sid]
         if dispersed:
             disperses, rest, cap = True, 0, m
             break
         if m >= horizon:
             return None
-        walk[state] = m
-        key = (state, policy.letters(cfg))
-        successor = memo.get(key)
-        if successor is None:
+        walk[sid] = m
+        key = (sid, letters(classes))
+        sid = memo.get(key)
+        if sid is None:
             cfg, robots, trace = play_round(policy, adversary, cfg, mode, robots)
-            successor = memo[key] = (cfg, robots, (cfg.slots, _aux(robots)),
-                                     trace.metrics_after.dispersed)
-        cfg, robots, state, dispersed = successor
+            sid = memo[key] = states.intern(cfg, robots, trace.metrics_after.dispersed)
     for k, walked in enumerate(walk):
         fates[walked] = (disperses, m + rest - min(k, cap))
     return disperses, m + rest
@@ -451,10 +466,17 @@ def verify_impossibility(
     Each table gets a fresh ``fates``, as another table gives the state
     another orbit.
 
+    The call interns every state it meets once (``_States``): a state gets
+    a small int id and one row, its configuration, robots, whether it is
+    dispersed and its census classes (``census_classes``). Each start's row
+    is built once per call, and a played round's successor is interned when
+    the round is played. ``fates``, the walk and the round memo hold ids.
+
     One round memo serves every table of the call: a round is played once
     per (state, letters), whichever table reaches it, where ``letters`` are
-    the table's letters for the census classes present on the ring
-    (``NoVisibilityPolicy.letters``). Each later table that reaches the
+    the table's letters for the state's census classes
+    (``NoVisibilityPolicy.letters``), and the memo maps the state's id and
+    those letters to the successor's id. Each later table that reaches the
     round reads the successor off the memo and decides nothing. This is
     sound because, against a deterministic adversary, a table's round is a
     function of the state and those letters:
@@ -500,7 +522,9 @@ def verify_impossibility(
             raise ScenarioError(
                 f"impossibility runs are for zero-visibility tables, not {policy.policy_id!r}")
 
-    roots = [_root(start) for start in starts]
+    states = _States()
+    start_ids = [states.intern(start, initial_robots(start), classify(start).dispersed)
+                 for start in starts]
     dispersals = []
     proven_infinite = 0
     horizon_hits = 0
@@ -508,10 +532,10 @@ def verify_impossibility(
     for policy in policies:
         memo = tables_memo if type(policy) is NoVisibilityPolicy else {}
         fates: dict = {}
-        for root in roots:
-            match _orbit_fate(policy, adversary, root, mode, horizon, fates, memo):
+        for start, sid in zip(starts, start_ids):
+            match _orbit_fate(policy, adversary, sid, mode, horizon, fates, memo, states):
                 case (True, rounds) if rounds <= horizon:
-                    dispersals.append(Dispersal(policy.policy_id, root[0].slots, rounds))
+                    dispersals.append(Dispersal(policy.policy_id, start.slots, rounds))
                 case (False, rounds) if rounds < horizon:
                     proven_infinite += 1
                 case _:

@@ -441,6 +441,7 @@ def test_criterion_08_zero_visibility_impossibility(impossibility_sweep,
     assert not leaks, leaks
     assert not short, short
     assert not problems, problems[:5]
+    assert (stalled, hits) == (53_946, 0)
 
 
 def test_criterion_09_byte_identical_reruns(tmp_path, capsys):

@@ -80,6 +80,21 @@ def test_random_adversary_is_seeded_and_mode_bound():
     assert no_edge.edge_removal is None
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 1024])
+def test_random_permutation_makes_the_draws_of_shuffle(n):
+    """The random adversary's permutation is the one ``random.shuffle`` gives
+    from the same generator, and it leaves the generator in the same state,
+    so seeded runs (and criterion 9's digests) keep their draws."""
+    cfg = all_on_one(n)
+    adversary = get_adversary("random")
+    for seed in range(200 if n < 256 else 20):
+        rng, reference = random.Random(seed), random.Random(seed)
+        nodes = list(range(n))
+        reference.shuffle(nodes)
+        assert adversary.choose(ctx_for(cfg, Mode.VP, rng=rng)).permutation == tuple(nodes)
+        assert rng.random() == reference.random()
+
+
 def test_unknown_adversary_is_rejected():
     with pytest.raises(ScenarioError):
         get_adversary("nope")

@@ -282,6 +282,11 @@ TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
     lambda tmp_path: _tampered_trace(
         tmp_path, lambda r: r.update(perm=[0.0 if p == 0 else p for p in r["perm"]]),
         *PERMUTING_RUN),
+    lambda tmp_path: _tampered_trace(tmp_path, lambda r: r.update(intents=[1, 2]),
+                                     *PERMUTING_RUN),
+    lambda tmp_path: _tampered_trace(tmp_path, lambda r: r.update(intents=7), *PERMUTING_RUN),
+    lambda tmp_path: _tampered_trace(tmp_path, lambda r: r.update(perm=7), *PERMUTING_RUN),
+    lambda tmp_path: _tampered_trace(tmp_path, lambda r: r.update(config=7), *PERMUTING_RUN),
 ], ids=["run-n-0", "run-n-negative", "sweep-n-not-a-number", "sweep-n-empty-range",
         "config-not-a-number", "config-wrong-total", "spec-unknown-key", "spec-unknown-mode",
         "replay-missing-perm", "run-max-rounds-negative", "verify-bound-n-0",
@@ -301,7 +306,8 @@ TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
         "verify-impossibility-with-bound", "verify-bound-with-adversary",
         "verify-bound-with-horizon", "run-k-below-rule", "run-k-above-n",
         "replay-summary-rounds-a-bool", "replay-intent-label-non-ascii-digit",
-        "replay-perm-entry-a-float"])
+        "replay-perm-entry-a-float", "replay-intents-an-array", "replay-intents-a-number",
+        "replay-perm-a-number", "replay-config-a-number"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     capsys.readouterr()
@@ -310,6 +316,21 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, make_argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("intents", [1, 2]), ("intents", ["1", "2"]), ("intents", 7), ("intents", "12"),
+    ("perm", 7), ("perm", {"0": 1}), ("config", 7), ("config", [1, 2, 1, 0]),
+])
+def test_replay_names_a_field_of_the_wrong_shape(tmp_path, capsys, field, value):
+    """A round record whose intents are no object, or whose perm or config
+    is no array, is refused with a line that names the field."""
+    argv = _tampered_trace(tmp_path, lambda r: r.update({field: value}), *PERMUTING_RUN)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: round 1 cannot be replayed: ") and err.count("\n") == 1
+    assert f"{field} must be an" in err, err
 
 
 def test_zero_visibility_rules_accept_k_zero(capsys):

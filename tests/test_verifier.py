@@ -48,6 +48,7 @@ from dynring import (
     verify_impossibility,
     verify_worst_case,
 )
+from dynring.policies import census_classes
 from dynring.verifier import Dispersal, WorstCaseSearcher, _aux, _orientation_assignments
 
 
@@ -609,6 +610,27 @@ def test_the_tables_of_a_sweep_share_each_round(monkeypatch):
     assert len(censuses) == 567
 
 
+def test_a_sweep_interns_each_state_once(monkeypatch):
+    """The 1i-killer sweep at n=3 interns each start and each played round's
+    successor, and nothing else: a round read off the memo interns nothing.
+    Equal states share one id, and the ids number the distinct states in the
+    order they are first met."""
+    interned, successors = [], []
+    _recorded(monkeypatch, dynring.verifier._States, "intern", lambda args, sid: interned.append(
+        ((args[1].slots, _aux(args[2])), sid)))
+    _recorded(monkeypatch, dynring.scheduler, "step", lambda args, result: successors.append(
+        (result[0].slots, _aux(result[1]))))
+    adversary = get_adversary("1i-killer")
+    verify_impossibility(adversary, 3, Mode.ONE_INTERVAL)
+    starts = [(cfg.slots, _aux(initial_robots(cfg))) for cfg in filtered_starts(adversary, 3)]
+    assert (len(starts), len(successors)) == (3, 567)
+    assert [state for state, _ in interned] == starts + successors
+    ids: dict = {}
+    assert [sid for _, sid in interned] == [ids.setdefault(state, len(ids))
+                                            for state, _ in interned]
+    assert len(ids) == len(set(starts + successors)) == 21
+
+
 _LETTER_ACTIONS = {"s": Action.STAY, "c": Action.CLOCKWISE, "a": Action.ANTICLOCKWISE}
 
 
@@ -637,7 +659,7 @@ def test_a_tables_letters_on_a_state_fix_its_intents(n):
                        for letter, action in _LETTER_ACTIONS.items()} for hand in hands]
             by_letters = {}
             for policy in ALL_TABLES:
-                letters = policy.letters(cfg)
+                letters = policy.letters(census_classes(cfg))
                 intents = predict_intents(policy, cfg, robots)
                 if letters not in by_letters:
                     # Checked once per letters: the rest must equal this.
