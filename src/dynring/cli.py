@@ -356,29 +356,41 @@ def _only_ints(values) -> bool:
     return set(map(type, values)) <= {int}
 
 
+def _record_slots(config) -> tuple:
+    """A record's config, an array of arrays of int labels, as slot tuples."""
+    if not (isinstance(config, list) and all(isinstance(slot, list) for slot in config)):
+        raise ValueError(f"config must be an array of arrays, got {config!r}")
+    slots = tuple(map(tuple, config))
+    if not _only_ints(itertools.chain.from_iterable(slots)):
+        raise ValueError(f"config {config!r} must hold integer labels")
+    return slots
+
+
 def _replay_round(cfg: RingConfiguration, record: dict):
     """The configuration a record's dynamism and intents lead to from ``cfg``,
     and the slots the record says they lead to."""
     try:
-        perm, edge, config, labels = (record["perm"], record["edge"], record["config"],
-                                      record["intents"])
+        perm, edge, labels = record["perm"], record["edge"], record["intents"]
         if not (perm is None or isinstance(perm, list)):
             raise ValueError(f"perm must be an array or null, got {perm!r}")
-        if not (isinstance(config, list) and all(isinstance(slot, list) for slot in config)):
-            raise ValueError(f"config must be an array of arrays, got {config!r}")
+        expected = _record_slots(record["config"])
         if not isinstance(labels, dict):
             raise ValueError(f"intents must be an object, got {labels!r}")
         if perm is not None and not _only_ints(perm):
             raise ValueError(f"permutation {perm!r} must hold integers")
-        expected = tuple(map(tuple, config))
-        if not _only_ints(itertools.chain.from_iterable(expected)):
-            raise ValueError(f"config {config!r} must hold integer labels")
         shaped = Dynamism(None if perm is None else tuple(perm), edge).apply(cfg)
         # Plain decimal labels only: int() also reads "+1", " 4 ", "1_0" and
         # other scripts' digits.
         if not (all(map(str.isdigit, labels)) and "".join(labels).isascii()):
             raise ValueError(f"intent labels {list(labels)!r} must be plain decimals")
-        intents = dict(zip(map(int, labels), map(ACTION_FROM_SHORT.__getitem__, labels.values())))
+        try:
+            intents = dict(zip(map(int, labels),
+                               map(ACTION_FROM_SHORT.__getitem__, labels.values())))
+        except (KeyError, TypeError):
+            label, short = next(item for item in labels.items() if type(item[1]) is not str
+                                or item[1] not in ACTION_FROM_SHORT)
+            raise ValueError(f"intent of robot {label} must be one of "
+                             f"{', '.join(ACTION_FROM_SHORT)}, got {short!r}") from None
         if len(intents) != len(labels):
             raise ValueError("two intents name the same robot")
         return resolve_moves(shaped, intents), expected
@@ -388,9 +400,12 @@ def _replay_round(cfg: RingConfiguration, record: dict):
 
 def cmd_replay(args) -> int:
     records, summary = _read_trace(args.trace)
+    for name in ("perm", "edge", "intents"):  # round 0 is the start, with no round played
+        if records[0][name] is not None:
+            raise ScenarioError(f"round 0 {name} must be null, got {records[0][name]!r}")
     try:
-        cfg = ring_from_slots(records[0]["config"])
-    except (TypeError, ValueError) as exc:
+        cfg = ring_from_slots(_record_slots(records[0]["config"]))
+    except ValueError as exc:
         raise ScenarioError(f"round 0 config is not a valid ring: {exc}") from None
     for record in records:
         # Round 0 is the start itself; every later round is re-derived.

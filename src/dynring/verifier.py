@@ -147,7 +147,6 @@ class BoundReport:
     worst_root: tuple | None
     witness: tuple[RoundTrace, ...]
     lemma_violations: tuple
-    decision_mismatches: tuple
     has_cycle: bool
 
 
@@ -168,14 +167,11 @@ class WorstCaseSearcher:
     replaying.
     """
 
-    def __init__(self, policy: Policy, mode: Mode, oracle=None):
+    def __init__(self, policy: Policy, mode: Mode):
         self.policy = policy
         self.mode = mode
-        self.oracle = oracle
         self.memo: dict = {}
         self.lemma_violations: list = []
-        self.decision_mismatches: list = []
-        self.decision_cache: set = set()
         self.cycle_hit = False
 
     def _key(self, cfg: RingConfiguration, robots) -> tuple:
@@ -186,18 +182,6 @@ class WorstCaseSearcher:
             # The mirror twin's hands; every hand differs, so it is the lesser.
             aux = tuple([(label, _FLIP[hand], memory) for label, hand, memory in aux])
         return tuple(sorted(cfg.slots)), aux
-
-    def _check_decisions(self, trace: RoundTrace, robots, aux: tuple) -> None:
-        # The oracle is any callable (cfg, robots) -> {label: global Action};
-        # it is consulted once per distinct decision point. ``aux`` is
-        # ``_aux(robots)``, taken once per expanded state.
-        key = (trace.config_seen.slots, trace.config_seen.missing_edge, aux)
-        if key in self.decision_cache:
-            return
-        self.decision_cache.add(key)
-        theirs = self.oracle(trace.config_seen, robots)
-        if trace.intents != theirs:
-            self.decision_mismatches.append((key, trace.intents, theirs))
 
     def value(self, cfg: RingConfiguration, robots) -> float:
         """Rounds the adversary can force from here; inf if it can stall."""
@@ -214,14 +198,11 @@ class WorstCaseSearcher:
         if entry is not None:
             return entry
         self.memo[key] = _PENDING
-        aux = None if self.oracle is None else _aux(robots)
         best = -1.0
         for dynamism in exhaustive_branches(cfg, self.mode):
             next_cfg, next_robots, trace = step(self.policy, cfg, robots, dynamism)
             for violation in trace.violations:
                 self.lemma_violations.append((key, dynamism, violation))
-            if aux is not None:
-                self._check_decisions(trace, robots, aux)
             rest = 0 if trace.metrics_after.dispersed else self._value(next_cfg, next_robots)
             best = max(best, 1 + rest)
         self.memo[key] = best
@@ -285,7 +266,6 @@ def verify_worst_case(
     mode: Mode,
     starts=None,
     orientations=None,
-    oracle=None,
     bound: int | None = None,
 ) -> BoundReport:
     """Search every start, every orientation choice, every adversary line.
@@ -303,7 +283,7 @@ def verify_worst_case(
     if bound is not None and bound < 0:
         raise ScenarioError(f"bound must be at least 0 rounds, got {bound}")
 
-    searcher = WorstCaseSearcher(policy, mode, oracle=oracle)
+    searcher = WorstCaseSearcher(policy, mode)
     root_values = {}
     worst = 0.0
     worst_root = None
@@ -321,12 +301,8 @@ def verify_worst_case(
     witness = ()
     if worst_root is not None and worst != math.inf:
         witness = searcher.witness(*worst_root)
-    holds = (
-        worst != math.inf
-        and (bound is None or worst <= bound)
-        and not searcher.lemma_violations
-        and not searcher.decision_mismatches
-    )
+    holds = (worst != math.inf and (bound is None or worst <= bound)
+             and not searcher.lemma_violations)
     return BoundReport(
         policy_id=policy.policy_id,
         n=n,
@@ -339,7 +315,6 @@ def verify_worst_case(
         worst_root=None if worst_root is None else worst_root[0].slots,
         witness=witness,
         lemma_violations=tuple(searcher.lemma_violations),
-        decision_mismatches=tuple(searcher.decision_mismatches),
         has_cycle=searcher.cycle_hit,
     )
 
@@ -378,25 +353,24 @@ def adversary_start_filter(adversary: Adversary, cfg: RingConfiguration) -> bool
 
 class _States:
     """The states one ``verify_impossibility`` call meets, each interned once:
-    ``ids`` maps a state ``(cfg.slots, _aux(robots))`` to a small int, and
-    ``rows[id]`` is its ``(cfg, robots, dispersed, classes)``, where
-    ``classes`` are its ``census_classes``."""
+    ``ids`` maps a state, its ``cfg.slots``, to a small int, and ``rows[id]``
+    is its ``(cfg, dispersed, classes)``, where ``classes`` are its
+    ``census_classes``."""
 
     def __init__(self):
         self.ids: dict = {}
         self.rows: list = []
 
-    def intern(self, cfg: RingConfiguration, robots, dispersed: bool) -> int:
-        state = (cfg.slots, _aux(robots))
-        sid = self.ids.get(state)
+    def intern(self, cfg: RingConfiguration, dispersed: bool) -> int:
+        sid = self.ids.get(cfg.slots)
         if sid is None:
-            sid = self.ids[state] = len(self.rows)
-            self.rows.append((cfg, robots, dispersed, census_classes(cfg)))
+            sid = self.ids[cfg.slots] = len(self.rows)
+            self.rows.append((cfg, dispersed, census_classes(cfg)))
         return sid
 
 
-def _orbit_fate(policy: NoVisibilityPolicy, adversary: Adversary, start: int, mode: Mode,
-                horizon: int, fates: dict, memo: dict, states: _States):
+def _orbit_fate(policy: NoVisibilityPolicy, adversary: Adversary, start: int, robots,
+                mode: Mode, horizon: int, fates: dict, memo: dict, states: _States):
     """``(disperses, rounds)`` of the run from the state with id ``start``,
     or None if it hits the horizon.
 
@@ -415,7 +389,8 @@ def _orbit_fate(policy: NoVisibilityPolicy, adversary: Adversary, start: int, mo
     ``step`` checks the prediction, only against an adaptive adversary),
     and its successor is interned there; a round the memo holds decides
     nothing. The walk knows a state it plays is not dispersed, so it takes
-    no census before a round.
+    no census before a round. Every state has the call's ``robots``; a
+    played round that returns other robots raises ``RuntimeError``.
     """
     rows = states.rows
     letters = policy.letters
@@ -430,7 +405,7 @@ def _orbit_fate(policy: NoVisibilityPolicy, adversary: Adversary, start: int, mo
         if sid in walk:
             disperses, rest, cap = False, 0, walk[sid]
             break
-        cfg, robots, dispersed, classes = rows[sid]
+        cfg, dispersed, classes = rows[sid]
         if dispersed:
             disperses, rest, cap = True, 0, m
             break
@@ -440,8 +415,10 @@ def _orbit_fate(policy: NoVisibilityPolicy, adversary: Adversary, start: int, mo
         key = (sid, letters(classes))
         sid = memo.get(key)
         if sid is None:
-            cfg, robots, trace = play_round(policy, adversary, cfg, mode, robots)
-            sid = memo[key] = states.intern(cfg, robots, trace.metrics_after.dispersed)
+            cfg, settled, trace = play_round(policy, adversary, cfg, mode, robots)
+            if settled != robots:
+                raise RuntimeError(f"{policy.policy_id} changed a robot's hand or memory")
+            sid = memo[key] = states.intern(cfg, trace.metrics_after.dispersed)
     for k, walked in enumerate(walk):
         fates[walked] = (disperses, m + rest - min(k, cap))
     return disperses, m + rest
@@ -457,20 +434,22 @@ def verify_impossibility(
 ) -> ImpossibilityReport:
     """Run every zero-visibility table against the adversary from every start.
 
-    A state is the ring's slots with every robot's label, hand and memory.
-    The rule and the adversary are deterministic functions of the state,
-    so a state has one orbit per table. A repeated state therefore proves
-    an infinite stall, and a run that reaches a state an earlier start of
-    the same table resolved shares that state's fate from there on: it is
-    read off ``fates`` instead of being run again (see ``_orbit_fate``).
-    Each table gets a fresh ``fates``, as another table gives the state
-    another orbit.
+    A state is the ring's slots: every run starts with ``initial_robots``,
+    and a plain table never changes a robot (its ``decide`` keeps the
+    memory and its ``after_move`` is ``Policy``'s), which ``_orbit_fate``
+    checks on every round it plays. The rule and the adversary are
+    deterministic functions of the state, so a state has one orbit per
+    table. A repeated state therefore proves an infinite stall, and a run
+    that reaches a state an earlier start of the same table resolved shares
+    that state's fate from there on: it is read off ``fates`` instead of
+    being run again (see ``_orbit_fate``). Each table gets a fresh
+    ``fates``, as another table gives the state another orbit.
 
     The call interns every state it meets once (``_States``): a state gets
-    a small int id and one row, its configuration, robots, whether it is
-    dispersed and its census classes (``census_classes``). Each start's row
-    is built once per call, and a played round's successor is interned when
-    the round is played. ``fates``, the walk and the round memo hold ids.
+    a small int id and one row, its configuration, whether it is dispersed
+    and its census classes (``census_classes``). Each start's row is built
+    once per call, and a played round's successor is interned when the
+    round is played. ``fates``, the walk and the round memo hold ids.
 
     One round memo serves every table of the call: a round is played once
     per (state, letters), whichever table reaches it, where ``letters`` are
@@ -482,8 +461,8 @@ def verify_impossibility(
     function of the state and those letters:
 
     - a robot decides its class's letter in its own frame, and the state
-      holds every robot's class and hand, so the state and the letters fix
-      the intents; every class present is in the key;
+      and the call's robots fix every robot's class and hand, so the state
+      and the letters fix the intents; every class present is in the key;
     - the adversary reads only the ring, the mode and the intents;
     - dynamism moves whole slots, so no robot's class changes before it
       decides, and the decisions on the reshaped ring are the intents
@@ -496,9 +475,9 @@ def verify_impossibility(
       ``after_move``, ``phase_of_round`` and ``round_guarantees`` are
       ``Policy``'s, so they read no table entry.
 
-    Only plain ``NoVisibilityPolicy`` tables share the memo; a subclass
-    gets one of its own, where the state alone fixes its round. Any other
-    rule is refused. ``tests/test_verifier.py`` checks these premises and
+    Only plain ``NoVisibilityPolicy`` tables are run: a subclass, which may
+    decide or settle otherwise, and any other rule are refused before any
+    round is played. ``tests/test_verifier.py`` checks these premises and
     checks every report against runs that share nothing.
 
     A start's run disperses if its orbit does within ``horizon`` rounds,
@@ -517,23 +496,24 @@ def verify_impossibility(
         raise ScenarioError(f"horizon must be at least 0 rounds, got {horizon}")
     if not starts:
         raise ScenarioError(f"no start to check for adversary {adversary.adversary_id} on n={n}")
+    if any(start.n != n for start in starts):
+        raise ScenarioError(f"every start of an impossibility run must have n={n} nodes")
     for policy in policies:
-        if not isinstance(policy, NoVisibilityPolicy):
-            raise ScenarioError(
-                f"impossibility runs are for zero-visibility tables, not {policy.policy_id!r}")
+        if type(policy) is not NoVisibilityPolicy:
+            raise ScenarioError(f"impossibility runs are for zero-visibility tables, "
+                                f"not {type(policy).__name__} {policy.policy_id!r}")
 
     states = _States()
-    start_ids = [states.intern(start, initial_robots(start), classify(start).dispersed)
-                 for start in starts]
+    robots = initial_robots(starts[0])
+    start_ids = [states.intern(start, classify(start).dispersed) for start in starts]
     dispersals = []
     proven_infinite = 0
     horizon_hits = 0
-    tables_memo: dict = {}
+    memo: dict = {}
     for policy in policies:
-        memo = tables_memo if type(policy) is NoVisibilityPolicy else {}
         fates: dict = {}
         for start, sid in zip(starts, start_ids):
-            match _orbit_fate(policy, adversary, sid, mode, horizon, fates, memo, states):
+            match _orbit_fate(policy, adversary, sid, robots, mode, horizon, fates, memo, states):
                 case (True, rounds) if rounds <= horizon:
                     dispersals.append(Dispersal(policy.policy_id, start.slots, rounds))
                 case (False, rounds) if rounds < horizon:

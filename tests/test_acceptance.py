@@ -4,7 +4,8 @@ Every test prints a scorecard line (``criterion N: PASS/FAIL``) straight to
 the terminal, bypassing pytest capture, so the test log doubles as the
 acceptance report. Expensive enumerations are module-scoped fixtures shared
 between the bound checks (1-6), the lemma aggregation (7), and the oracle
-comparison (10).
+comparison (10), whose decision points the bound checks record as they
+search (``decisions.recorded_decisions``).
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ from dynring import (
 )
 from dynring import cli
 from conftest import snapshot_facts
+from decisions import mismatches, recorded_decisions
 from naive_policies import naive_intents
 from views import compute_view
 
@@ -120,24 +122,32 @@ def two_ring_hand_leaks():
     return leaks, rounds
 
 
+def checked_search(decisions: list, policy_id: str, n: int, mode, **roots):
+    """``verify_worst_case`` of a rule. Every decision point of the search is
+    checked against the rule's plain transcription, and ``decisions`` gets
+    the number of points and the mismatches."""
+    with recorded_decisions() as points:
+        report = verify_worst_case(get_policy(policy_id), n, mode, **roots)
+    decisions.append((len(points), mismatches(points, naive_intents(policy_id))))
+    return report
+
+
 # ---------------------------------------------------------------- fixtures
 
 @pytest.fixture(scope="module")
 def chain_search():
     t0 = time.perf_counter()
-    oracle = naive_intents("vp-chain")
-    reports = {n: verify_worst_case(get_policy("vp-chain"), n, Mode.VP, oracle=oracle)
-               for n in (2, 3, 4, 5)}
-    return reports, time.perf_counter() - t0
+    decisions = []
+    reports = {n: checked_search(decisions, "vp-chain", n, Mode.VP) for n in (2, 3, 4, 5)}
+    return reports, time.perf_counter() - t0, decisions
 
 
 @pytest.fixture(scope="module")
 def interval_search():
     t0 = time.perf_counter()
-    oracle = naive_intents("vp-1i")
-    reports = {n: verify_worst_case(get_policy("vp-1i"), n, Mode.COMBINED, oracle=oracle)
-               for n in (2, 3, 4)}
-    return reports, time.perf_counter() - t0
+    decisions = []
+    reports = {n: checked_search(decisions, "vp-1i", n, Mode.COMBINED) for n in (2, 3, 4)}
+    return reports, time.perf_counter() - t0, decisions
 
 
 @pytest.fixture(scope="module")
@@ -188,12 +198,11 @@ def chirality_gain():
 @pytest.fixture(scope="module")
 def composed_search():
     t0 = time.perf_counter()
-    oracle = naive_intents("no-chir-1i")
-    reports = {n: verify_worst_case(get_policy("no-chir-1i"), n, Mode.COMBINED,
-                                    starts=(all_on_one(n),), orientations="all",
-                                    oracle=oracle)
+    decisions = []
+    reports = {n: checked_search(decisions, "no-chir-1i", n, Mode.COMBINED,
+                                 starts=(all_on_one(n),), orientations="all")
                for n in (2, 3, 4, 5)}
-    return reports, time.perf_counter() - t0
+    return reports, time.perf_counter() - t0, decisions
 
 
 @pytest.fixture(scope="module")
@@ -221,11 +230,9 @@ def composed_random_runs():
 @pytest.fixture(scope="module")
 def achiral_search():
     t0 = time.perf_counter()
-    oracle = naive_intents("achiral-odd")
-    reports = {n: verify_worst_case(get_policy("achiral-odd"), n, Mode.COMBINED,
-                                    oracle=oracle)
-               for n in (3, 5)}
-    return reports, time.perf_counter() - t0
+    decisions = []
+    reports = {n: checked_search(decisions, "achiral-odd", n, Mode.COMBINED) for n in (3, 5)}
+    return reports, time.perf_counter() - t0, decisions
 
 
 @pytest.fixture(scope="module")
@@ -255,9 +262,9 @@ def achiral_random_runs():
 @pytest.fixture(scope="module")
 def four_ring_search():
     t0 = time.perf_counter()
-    report = verify_worst_case(get_policy("even4"), 4, Mode.COMBINED,
-                               oracle=naive_intents("even4"))
-    return report, time.perf_counter() - t0
+    decisions = []
+    report = checked_search(decisions, "even4", 4, Mode.COMBINED)
+    return report, time.perf_counter() - t0, decisions
 
 
 @pytest.fixture(scope="module")
@@ -294,7 +301,7 @@ def killer_soundness():
 # ------------------------------------------------------------------ tests
 
 def test_criterion_01_chain_rule_worst_case(chain_search, capsys):
-    reports, elapsed = chain_search
+    reports, elapsed, _ = chain_search
     problems = []
     for n, report in reports.items():
         if not report.holds or report.worst_rounds > n - 1:
@@ -311,7 +318,7 @@ def test_criterion_01_chain_rule_worst_case(chain_search, capsys):
 
 
 def test_criterion_02_interval_rule_bound(interval_search, interval_random_runs, capsys):
-    reports, search_elapsed = interval_search
+    reports, search_elapsed, _ = interval_search
     failures, _, runs, random_elapsed = interval_random_runs
     problems = [f"n={n} worst={r.worst_rounds} bound={r.bound}"
                 for n, r in reports.items() if not r.holds]
@@ -362,7 +369,7 @@ def test_criterion_03_one_round_orientation_agreement(chirality_gain, capsys):
 
 def test_criterion_04_preprocess_then_disperse(composed_search, composed_random_runs,
                                                capsys):
-    reports, search_elapsed = composed_search
+    reports, search_elapsed, _ = composed_search
     failures, _, runs, random_elapsed = composed_random_runs
     problems = []
     for n, report in reports.items():
@@ -377,7 +384,7 @@ def test_criterion_04_preprocess_then_disperse(composed_search, composed_random_
 
 
 def test_criterion_05_achiral_odd_bound(achiral_search, achiral_random_runs, capsys):
-    reports, search_elapsed = achiral_search
+    reports, search_elapsed, _ = achiral_search
     failures, violations, runs, random_elapsed = achiral_random_runs
     problems = [f"n={n} worst={r.worst_rounds} bound={r.bound}"
                 for n, r in reports.items() if not r.holds]
@@ -392,7 +399,7 @@ def test_criterion_05_achiral_odd_bound(achiral_search, achiral_random_runs, cap
 
 
 def test_criterion_06_four_ring_game_tree(four_ring_search, capsys):
-    report, elapsed = four_ring_search
+    report, elapsed, _ = four_ring_search
     ok = (report.holds and not report.has_cycle
           and report.worst_rounds == EVEN4_WORST_ROUNDS
           and report.worst_rounds <= 8 and elapsed < 60)
@@ -479,13 +486,21 @@ def test_criterion_09_byte_identical_reruns(tmp_path, capsys):
     assert not mismatches, mismatches
 
 
+# Decision points of the searches of criteria 1, 2, 4, 5 and 6, in order.
+DECISION_POINTS = (1, 3, 25, 153, 3, 12, 155, 12, 44, 330, 3486, 48, 31968, 1530)
+
+
 def test_criterion_10_oracle_agreement(chain_search, interval_search, composed_search,
                                        achiral_search, four_ring_search, capsys):
-    reports = list(chain_search[0].values()) + list(interval_search[0].values())
-    reports += list(composed_search[0].values()) + list(achiral_search[0].values())
-    reports.append(four_ring_search[0])
-    mismatches = [m for report in reports for m in report.decision_mismatches]
-    scorecard(capsys, 10, not mismatches,
-              f"5 rules, {len(reports)} exhaustive searches replayed against the "
-              f"plain transcription, {len(mismatches)} decision mismatches")
-    assert not mismatches, mismatches[:3]
+    decisions = [checked for search in (chain_search, interval_search, composed_search,
+                                        achiral_search, four_ring_search)
+                 for checked in search[2]]
+    points = tuple(count for count, _ in decisions)
+    wrong = [m for _, found in decisions for m in found]
+    ok = not wrong and points == DECISION_POINTS
+    scorecard(capsys, 10, ok,
+              f"5 rules, {len(decisions)} exhaustive searches replayed against the "
+              f"plain transcription at {sum(points)} decision points, "
+              f"{len(wrong)} decision mismatches")
+    assert not wrong, wrong[:3]
+    assert points == DECISION_POINTS

@@ -28,6 +28,7 @@ from dynring import (
     ring_from_slots,
     rotate,
 )
+from dynring.adversaries import EdgeBlocker, ThreeRingPermuter
 
 CW, ACW, STAY = Action.CLOCKWISE, Action.ANTICLOCKWISE, Action.STAY
 
@@ -344,3 +345,40 @@ def test_soundness_helper_agrees_on_known_good_cases():
                                       ring_from_slots(((1, 2, 3), (), (4,), ())),
                                       Mode.ONE_INTERVAL)
     assert report == []
+
+
+class _IdleEdgeBlocker(EdgeBlocker):
+    """The 1i-killer with no counter: it keeps every edge whatever comes."""
+
+    def counter(self, cfg, intents, successor):
+        return self.neutral(cfg)
+
+
+class _IdlePermuter(ThreeRingPermuter):
+    """The 3-ring permuter with no counter: it never rearranges the ring."""
+
+    def counter(self, cfg, intents, successor):
+        return self.neutral(cfg)
+
+
+PAIR_SINGLE_HOLE = ring_from_slots(((1, 2), (3,), ()))
+
+
+def test_soundness_reports_each_vector_that_disperses():
+    """An adversary that never counters lets 6 of the 27 intent vectors
+    from a pair, a single and a hole disperse the robots."""
+    problems = check_adaptive_soundness(_IdleEdgeBlocker(), PAIR_SINGLE_HOLE,
+                                        Mode.ONE_INTERVAL)
+    assert len(problems) == 6
+    assert all(f" from {PAIR_SINGLE_HOLE} dispersed via " in problem for problem in problems)
+
+
+def test_soundness_reports_each_vector_that_leaves_the_shape():
+    """With its shape required, the idle 3-ring permuter is also reported
+    for the 3 intent vectors that gather the robots."""
+    problems = check_adaptive_soundness(_IdlePermuter(), PAIR_SINGLE_HOLE, Mode.VP,
+                                        neutral_required=True)
+    left = [problem for problem in problems if " left shape (" in problem]
+    assert len(left) == 3 and len(problems) == 9
+    dispersed = check_adaptive_soundness(_IdlePermuter(), PAIR_SINGLE_HOLE, Mode.VP)
+    assert dispersed == [problem for problem in problems if problem not in left]

@@ -7,6 +7,7 @@ run; these tests catch it with the unit tests.
 """
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import subprocess
@@ -18,6 +19,10 @@ from dynring import Mode, Orientation, all_on_one, get_adversary, get_policy, in
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+# The imports no module reads: the tracer wraps each by its name in the
+# importing module, so they stay until the benchmark stops wrapping them.
+BENCHMARK_ONLY_IMPORTS = {"scheduler.resolve_moves", "verifier.predict_intents",
+                          "policies.classify"}
 
 
 def _load_tracing():
@@ -78,3 +83,24 @@ def test_benchmark_smoke_passes():
     proc = subprocess.run([sys.executable, "perfbench/smoke.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_no_module_imports_a_name_it_does_not_read_but_for_the_benchmark():
+    """Every name a module of the package imports is read in it, apart from
+    the names the tracer wraps; the package's ``__init__`` imports to
+    re-export."""
+    unread = set()
+    for path in sorted((ROOT / "src" / "dynring").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.partition(".")[0]
+                             for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread |= {f"{path.stem}.{name}" for name in imported - read}
+    assert unread == BENCHMARK_ONLY_IMPORTS

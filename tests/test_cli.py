@@ -202,6 +202,8 @@ def _rename_intent(label, written):
     return change
 
 
+START_RECORD = (b'{"round": 0, "perm": null, "edge": null, "intents": null, '
+                b'"config": [[1, 2], []], "holes": 1, "multinodes": 1}\n')
 NOT_UTF8 = '{"n": 4, "policy": "vp-chain", "config": "ä"}'.encode("latin-1")
 TOO_DEEP = b"[" * 200_000 + b"]" * 200_000
 TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
@@ -287,6 +289,15 @@ TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
     lambda tmp_path: _tampered_trace(tmp_path, lambda r: r.update(intents=7), *PERMUTING_RUN),
     lambda tmp_path: _tampered_trace(tmp_path, lambda r: r.update(perm=7), *PERMUTING_RUN),
     lambda tmp_path: _tampered_trace(tmp_path, lambda r: r.update(config=7), *PERMUTING_RUN),
+    lambda tmp_path: ["run", "--n", "3", "--policy", "vp-chain", "--config", "1,1,1,0"],
+    lambda tmp_path: ["run", "--policy", "vp-chain"],
+    lambda tmp_path: ["run", "--n", "3"],
+    lambda tmp_path: ["run", "--n", "3", "--policy", "achiral-odd", "--orientations", "AXR"],
+    lambda tmp_path: _raw_file(tmp_path, START_RECORD.replace(b'"round": 0', b'"round": 1'),
+                               "replay"),
+    lambda tmp_path: _raw_file(tmp_path, START_RECORD + b"[1]\n", "replay"),
+    lambda tmp_path: _tampered_trace(tmp_path, lambda r: r.pop("outcome"), *GATHERED_RUN,
+                                     round_index=-1),
 ], ids=["run-n-0", "run-n-negative", "sweep-n-not-a-number", "sweep-n-empty-range",
         "config-not-a-number", "config-wrong-total", "spec-unknown-key", "spec-unknown-mode",
         "replay-missing-perm", "run-max-rounds-negative", "verify-bound-n-0",
@@ -307,7 +318,10 @@ TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
         "verify-bound-with-horizon", "run-k-below-rule", "run-k-above-n",
         "replay-summary-rounds-a-bool", "replay-intent-label-non-ascii-digit",
         "replay-perm-entry-a-float", "replay-intents-an-array", "replay-intents-a-number",
-        "replay-perm-a-number", "replay-config-a-number"])
+        "replay-perm-a-number", "replay-config-a-number", "config-wrong-node-count",
+        "run-without-n", "run-without-policy", "run-orientations-bad-letters",
+        "replay-first-line-not-round-0", "replay-line-not-an-object",
+        "replay-summary-without-outcome"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     capsys.readouterr()
@@ -321,16 +335,66 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, make_argv):
 @pytest.mark.parametrize("field,value", [
     ("intents", [1, 2]), ("intents", ["1", "2"]), ("intents", 7), ("intents", "12"),
     ("perm", 7), ("perm", {"0": 1}), ("config", 7), ("config", [1, 2, 1, 0]),
+    ("intents", {"1": 5, "2": "stay", "3": "stay", "4": "stay"}),
+    ("intents", {"1": [1], "2": "stay", "3": "stay", "4": "stay"}),
 ])
 def test_replay_names_a_field_of_the_wrong_shape(tmp_path, capsys, field, value):
     """A round record whose intents are no object, or whose perm or config
-    is no array, is refused with a line that names the field."""
+    is no array, is refused with a line that names the field; an intent that
+    is no action letter, with a line that names its robot."""
     argv = _tampered_trace(tmp_path, lambda r: r.update({field: value}), *PERMUTING_RUN)
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: round 1 cannot be replayed: ") and err.count("\n") == 1
-    assert f"{field} must be an" in err, err
+    if field == "intents" and isinstance(value, dict):
+        named = f"intent of robot 1 must be one of stay, cw, acw, got {value['1']!r}"
+    else:
+        named = f"{field} must be an"
+    assert named in err, err
+
+
+@pytest.mark.parametrize("field,value,named", [
+    ("config", [1, 2, 3, 4], "round 0 config is not a valid ring: config must be an array"),
+    ("perm", [1, 0, 2, 3], "round 0 perm must be null, got [1, 0, 2, 3]"),
+    ("edge", 1, "round 0 edge must be null, got 1"),
+    ("intents", {"1": "stay"}, "round 0 intents must be null"),
+])
+def test_replay_checks_round_0_as_run_writes_it(tmp_path, capsys, field, value, named):
+    """Round 0 is the start: its config is an array of arrays of labels, and
+    it has no perm, edge or intents."""
+    argv = _tampered_trace(tmp_path, lambda r: r.update({field: value}), *PERMUTING_RUN,
+                           round_index=0)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1, err
+
+
+def test_replay_checks_the_final_outcome(tmp_path, capsys):
+    """A trace whose summary calls a dispersed run a round-limit run is a
+    mismatch."""
+    argv = _tampered_trace(tmp_path, lambda r: r.update(outcome="round-limit"), *GATHERED_RUN,
+                           round_index=-1)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().out == (
+        "replay mismatch: final config dispersed=True, summary says round-limit\n")
+
+
+def test_run_reads_one_hand_letter_per_robot(tmp_path):
+    """``--orientations`` letters give robot i the hand of letter i: the
+    trace records them, and each assignment plays other rounds."""
+    rounds = set()
+    for hands in ("AAA", "ARA", "ARR"):
+        path = tmp_path / f"{hands}.jsonl"
+        assert run_cli("run", "--n", "3", "--policy", "no-chir-1i",
+                       "--orientations", hands, "--out", str(path)) == 0
+        lines = path.read_text().splitlines()
+        assert json.loads(lines[-1])["spec"]["orientations"] == hands
+        assert run_cli("replay", str(path)) == 0
+        rounds.add(tuple(lines[1:-1]))
+    assert len(rounds) == 3
 
 
 def test_zero_visibility_rules_accept_k_zero(capsys):

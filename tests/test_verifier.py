@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import dynring.scheduler
 import dynring.verifier
+from decisions import mismatches, recorded_decisions
 from naive_policies import naive_intents
 from dynring import (
     Action,
@@ -147,7 +148,7 @@ def test_worst_case_search_on_smallest_ring():
                                orientations="aligned")
     assert report.holds and not report.has_cycle
     assert report.worst_rounds == 2 and report.bound == 2
-    assert report.lemma_violations == () and report.decision_mismatches == ()
+    assert report.lemma_violations == ()
     # The witness replays the worst line: it must truly take that long.
     assert len(report.witness) == 2
     assert classify(report.witness[-1].config_after).dispersed
@@ -172,7 +173,7 @@ class MultisetKeyedSearcher(WorstCaseSearcher):
 
 
 def _mirrored(decision_point):
-    """A decision-cache key of the mirror world: the ring reflected about 0
+    """A decision point of the mirror world: the ring reflected about 0
     and turned to its least rotation, as the branches leave it, with every
     hand flipped."""
     slots, edge, aux = decision_point
@@ -209,20 +210,23 @@ MIRROR_HALVED = {("even4", 4): (140, 70), ("no-chir-1i", 4): (44, 22)}
 def test_multiset_key_matches_the_rotation_key(policy_id, n, mode):
     """In a permuting mode the memo keys a state by its slot multiset and
     merges it with its mirror twin. The rotation-keyed search finds the
-    same value at every root and consults the oracle at the same decision
-    points up to mirroring; the search without merged twins finds the same
-    values with a memo at least as large."""
+    same value at every root and meets the same decision points up to
+    mirroring, where both agree with the plain transcription; the search
+    without merged twins finds the same values with a memo at least as
+    large."""
     policy = get_policy(policy_id)
     starts, orientations = default_verification_roots(policy, n)
     oracle = naive_intents(policy_id)
-    multiset = WorstCaseSearcher(policy, mode, oracle=oracle)
-    rotation = RotationKeyedSearcher(policy, mode, oracle=oracle)
+    multiset = WorstCaseSearcher(policy, mode)
+    rotation = RotationKeyedSearcher(policy, mode)
     unmerged = MultisetKeyedSearcher(policy, mode)
-    values = _root_values(multiset, policy, n, starts, orientations)
-    assert values == _root_values(rotation, policy, n, starts, orientations)
+    with recorded_decisions() as multiset_points:
+        values = _root_values(multiset, policy, n, starts, orientations)
+    with recorded_decisions() as rotation_points:
+        assert values == _root_values(rotation, policy, n, starts, orientations)
     assert values == _root_values(unmerged, policy, n, starts, orientations)
-    assert _mirror_closed(multiset.decision_cache) == _mirror_closed(rotation.decision_cache)
-    assert multiset.decision_mismatches == rotation.decision_mismatches == []
+    assert _mirror_closed(multiset_points) == _mirror_closed(rotation_points)
+    assert mismatches(multiset_points, oracle) == mismatches(rotation_points, oracle) == []
     assert len(multiset.memo) <= len(unmerged.memo) <= len(rotation.memo)
     if (policy_id, n) in MIRROR_HALVED:
         assert (len(unmerged.memo), len(multiset.memo)) == MIRROR_HALVED[policy_id, n]
@@ -307,26 +311,54 @@ def test_search_reports_honest_bound_failures():
 
 
 def test_search_flags_oracle_disagreement():
+    """An oracle that keeps every robot in place disagrees with the chain
+    rule at some decision point of its search."""
     policy = get_policy("vp-chain")
 
     def lazy_oracle(cfg, robots):
         return {robot.label: Action.STAY for robot in robots}
 
-    report = verify_worst_case(policy, 3, Mode.VP,
-                               starts=enumerate_initial_configs(3),
-                               orientations="aligned", oracle=lazy_oracle)
-    assert report.decision_mismatches != ()
-    assert not report.holds
+    with recorded_decisions() as points:
+        verify_worst_case(policy, 3, Mode.VP, starts=enumerate_initial_configs(3),
+                          orientations="aligned")
+    assert points and mismatches(points, naive_intents("vp-chain")) == []
+    assert mismatches(points, lazy_oracle) != []
 
 
 def test_search_agrees_with_independent_transcription():
     policy = get_policy("vp-1i")
-    report = verify_worst_case(policy, 4, Mode.COMBINED,
-                               starts=enumerate_initial_configs(4),
-                               orientations="aligned",
-                               oracle=naive_intents("vp-1i"))
+    with recorded_decisions() as points:
+        report = verify_worst_case(policy, 4, Mode.COMBINED,
+                                   starts=enumerate_initial_configs(4),
+                                   orientations="aligned")
     assert report.holds and report.worst_rounds == 3
-    assert report.decision_mismatches == ()
+    assert points and mismatches(points, naive_intents("vp-1i")) == []
+
+
+def test_a_stalling_rule_reports_a_cycle():
+    """Robots that always stay never disperse a start that is not dispersed:
+    the search meets its own state again, and reports an infinite worst case
+    with no witness."""
+    report = verify_worst_case(get_policy("k0:ssssss"), 3, Mode.NONE)
+    assert report.worst_rounds == math.inf and report.has_cycle
+    assert not report.holds and report.witness == ()
+
+
+class _ClaimingTable(NoVisibilityPolicy):
+    """A table of robots that always stay, claiming every round of its main
+    phase fills a hole."""
+
+    guarantees = ("holes-strictly-decrease",)
+
+
+def test_a_broken_guarantee_is_reported():
+    """A rule that claims a guarantee its rounds break is reported with every
+    explored round that breaks it, and does not hold."""
+    report = verify_worst_case(_ClaimingTable("ssssss"), 3, Mode.NONE)
+    assert len(report.lemma_violations) == 16
+    assert {violation.guarantee for _, _, violation in report.lemma_violations} == \
+        {"holes-strictly-decrease"}
+    assert not report.holds
 
 
 def test_default_roots_respect_each_policy():
@@ -440,6 +472,15 @@ def test_a_check_with_no_start_is_refused():
         verify_impossibility(get_adversary("benign"), 1, Mode.NONE)
     with pytest.raises(ScenarioError, match="no start"):
         verify_impossibility(get_adversary("1i-killer"), 3, Mode.ONE_INTERVAL, starts=[])
+
+
+def test_a_start_of_another_size_is_refused():
+    """Every start shares the robots 1..n of the call, so a start on another
+    ring size is refused."""
+    with pytest.raises(ScenarioError, match="must have n=3 nodes"):
+        verify_impossibility(get_adversary("1i-killer"), 3, Mode.ONE_INTERVAL,
+                             starts=[ring_from_multiplicities((2, 1, 0)),
+                                     ring_from_multiplicities((2, 1, 1, 0))])
 
 
 def test_edge_blocker_impossibility_on_two_nodes():
@@ -587,18 +628,16 @@ def test_the_tables_of_a_sweep_share_each_round(monkeypatch):
     each table's orbits on their own plays 6,319, and its report stays the
     one every other check pins. Only a played round decides: ``play_round``
     predicts once and ``step`` decides once, and a round read off the memo
-    decides nothing. A state is computed once per start and once per played
-    round, and a played round takes one census, of the ring it lands on: the
-    walk knows every state it plays is not dispersed, so it plays the round
-    with ``play_round`` and takes no census before it."""
-    predicted, played, decisions, states, censuses = [], [], [], [], []
+    decides nothing. A played round takes one census, of the ring it lands
+    on: the walk knows every state it plays is not dispersed, so it plays the
+    round with ``play_round`` and takes no census before it."""
+    predicted, played, decisions, censuses = [], [], [], []
     for module in (dynring.scheduler, dynring.verifier):
         _recorded(monkeypatch, module, "predict_intents", lambda args, intents: predicted.append(
             (args[1].slots, _aux(args[2]), tuple(intents.items()))))
     _recorded(monkeypatch, dynring.scheduler, "step", lambda args, _: played.append(
         (args[1].slots, _aux(args[2]), tuple(args[4].items()))))
     _recorded(monkeypatch, dynring.scheduler, "_decide", lambda args, _: decisions.append(args))
-    _recorded(monkeypatch, dynring.verifier, "_aux", lambda args, _: states.append(args))
     _recorded(monkeypatch, dynring.scheduler, "classify", lambda args, _: censuses.append(args))
     report = verify_impossibility(get_adversary("1i-killer"), 3, Mode.ONE_INTERVAL)
     assert (report.policies_checked, report.starts_checked, report.proven_infinite,
@@ -606,23 +645,25 @@ def test_the_tables_of_a_sweep_share_each_round(monkeypatch):
     assert len(played) == len(set(played)) == 567
     assert predicted == played
     assert len(decisions) == 2 * 567
-    assert len(states) == 3 + 567
     assert len(censuses) == 567
 
 
 def test_a_sweep_interns_each_state_once(monkeypatch):
     """The 1i-killer sweep at n=3 interns each start and each played round's
     successor, and nothing else: a round read off the memo interns nothing.
-    Equal states share one id, and the ids number the distinct states in the
-    order they are first met."""
+    A state is its slots, as every played round keeps every robot as it
+    started. Equal states share one id, and the ids number the distinct
+    states in the order they are first met."""
     interned, successors = [], []
     _recorded(monkeypatch, dynring.verifier._States, "intern", lambda args, sid: interned.append(
-        ((args[1].slots, _aux(args[2])), sid)))
+        (args[1].slots, sid)))
     _recorded(monkeypatch, dynring.scheduler, "step", lambda args, result: successors.append(
-        (result[0].slots, _aux(result[1]))))
+        (result[0].slots, result[1] == args[2] == initial_robots(args[1]))))
     adversary = get_adversary("1i-killer")
     verify_impossibility(adversary, 3, Mode.ONE_INTERVAL)
-    starts = [(cfg.slots, _aux(initial_robots(cfg))) for cfg in filtered_starts(adversary, 3)]
+    assert all(kept for _, kept in successors)
+    successors = [slots for slots, _ in successors]
+    starts = [cfg.slots for cfg in filtered_starts(adversary, 3)]
     assert (len(starts), len(successors)) == (3, 567)
     assert [state for state, _ in interned] == starts + successors
     ids: dict = {}
@@ -680,15 +721,27 @@ class _StayingRule(Policy):
         return Action.STAY, robot.memory
 
 
-@pytest.mark.parametrize("rule", [get_policy("vp-1i"), _StayingRule()], ids=["vp-1i", "stay"])
+class _HandFlippingTable(NoVisibilityPolicy):
+    """A table whose robots flip their hand after every move."""
+
+    def after_move(self, robot, memory, mates):
+        return robot.orientation.flipped(), memory
+
+
+@pytest.mark.parametrize("rule", [get_policy("vp-1i"), _StayingRule(),
+                                  _HandFlippingTable("cacacs")],
+                         ids=["vp-1i", "stay", "table-subclass"])
 def test_impossibility_runs_refuse_a_rule_that_is_no_table(monkeypatch, rule):
-    """A rule that is not a table is refused before any round is played,
-    even behind a table."""
+    """A rule that is not a plain table is refused before any round is
+    played, even behind a table. The line names the rule's class as well as
+    its id, since a subclass of a table has a table's id."""
     played = []
     _recorded(monkeypatch, dynring.scheduler, "step", lambda args, _: played.append(args))
-    with pytest.raises(ScenarioError, match="impossibility runs are for zero-visibility tables"):
+    with pytest.raises(ScenarioError, match="impossibility runs are for zero-visibility tables") \
+            as refused:
         verify_impossibility(get_adversary("1i-killer"), 3, Mode.ONE_INTERVAL,
                              [get_policy("k0:cacacs"), rule])
+    assert f"{type(rule).__name__} {rule.policy_id!r}" in str(refused.value)
     assert played == []
 
 
@@ -710,18 +763,15 @@ def test_a_table_reads_nothing_of_its_table_but_its_actions():
             assert all(m is memory for _, m in decided.values()), (policy.policy_id, cfg)
 
 
-class _HandFlippingTable(NoVisibilityPolicy):
-    """A table whose robots flip their hand after every move."""
+def test_a_sweep_refuses_a_round_that_changes_a_robot(monkeypatch):
+    """A sweep state is its slots because a plain table never changes a
+    robot; a played round that returns a robot with another hand raises."""
+    real = dynring.scheduler.step
 
-    def after_move(self, robot, memory, mates):
-        return robot.orientation.flipped(), memory
-
-
-def test_a_rule_with_a_round_of_its_own_gets_a_memo_of_its_own():
-    """A zero-visibility rule that is not a plain table does not share the
-    tables' round memo, even beside a table with the same actions."""
-    tables = [get_policy("k0:cacacs"), _HandFlippingTable("cacacs")]
-    benign = get_adversary("benign")
-    for horizon in (3, 200):
-        assert verify_impossibility(benign, 3, Mode.NONE, tables, horizon=horizon) == \
-            plain_impossibility(benign, 3, Mode.NONE, tables, horizon=horizon)
+    def flipping(*args):
+        cfg, robots, trace = real(*args)
+        first = RobotState(1, robots[0].orientation.flipped(), robots[0].memory)
+        return cfg, (first,) + robots[1:], trace
+    monkeypatch.setattr(dynring.scheduler, "step", flipping)
+    with pytest.raises(RuntimeError, match="k0:cacacs changed a robot"):
+        verify_impossibility(get_adversary("benign"), 3, Mode.NONE, [get_policy("k0:cacacs")])
