@@ -317,21 +317,22 @@ def cmd_verify(args) -> int:
 _ROUND_FIELDS = ("round", "perm", "edge", "intents", "config", "holes", "multinodes")
 
 
-def _read_trace(path: str) -> tuple[list[dict], dict | None]:
+def _read_trace(path: str) -> tuple[list[dict], dict]:
     """The round records and the summary of a JSONL trace, each checked for
     its fields. Records must be numbered 0, 1, 2, ... and their round, holes
-    and multinodes must be plain integers, as ``run`` writes them."""
+    and multinodes must be plain integers, as ``run`` writes them; the one
+    summary is the last line."""
     lines = [_parse_json(text, f"trace line {number}") for number, text
              in enumerate(filter(str.strip, _read_text(path).split("\n")), start=1)]
     if not lines or not isinstance(lines[0], dict) or lines[0].get("round") != 0:
         raise ScenarioError("trace must start with a round 0 record")
-    records, summary = [], None
-    for number, line in enumerate(lines, start=1):
+    *rounds, summary = lines
+    records = []
+    for number, line in enumerate(rounds, start=1):
         if not isinstance(line, dict):
             raise ScenarioError(f"trace line {number} is not a JSON object")
         if line.get("summary"):
-            summary = summary or line
-            continue
+            raise ScenarioError(f"trace line {number} is a summary, but not the last line")
         missing = [name for name in _ROUND_FIELDS if name not in line]
         if missing:
             raise ScenarioError(f"trace line {number} lacks {', '.join(missing)}")
@@ -342,11 +343,13 @@ def _read_trace(path: str) -> tuple[list[dict], dict | None]:
             raise ScenarioError(
                 f"trace line {number} is round {line['round']}, expected {len(records)}")
         records.append(line)
-    if summary is not None:
-        if "outcome" not in summary:
-            raise ScenarioError("trace summary lacks outcome")
-        if type(summary.get("rounds")) is not int:
-            raise ScenarioError(f"trace summary: rounds {summary.get('rounds')!r} is not an int")
+    if not (isinstance(summary, dict) and summary.get("summary")):
+        raise ScenarioError(f"trace line {len(lines)} is not a summary; a trace ends with one")
+    if summary.get("outcome") not in ("dispersed", "round-limit"):
+        raise ScenarioError(f"trace summary: outcome {summary.get('outcome')!r} is not "
+                            "dispersed or round-limit")
+    if type(summary.get("rounds")) is not int:
+        raise ScenarioError(f"trace summary: rounds {summary.get('rounds')!r} is not an int")
     return records, summary
 
 
@@ -419,17 +422,15 @@ def cmd_replay(args) -> int:
         # ``landed`` came from a checked ring by a checked permutation, a
         # checked edge and an exact intent map.
         cfg = RingConfiguration._trusted(landed.n, landed.slots, None)
-    if summary is not None:
-        if summary["rounds"] != len(records) - 1:
-            print(f"replay mismatch: trace has {len(records) - 1} rounds after round 0, "
-                  f"summary says {summary['rounds']}")
-            return EXIT_FAIL
-        dispersed = classify(cfg).dispersed
-        recorded = summary["outcome"] == "dispersed"
-        if dispersed != recorded:
-            print(f"replay mismatch: final config dispersed={dispersed}, "
-                  f"summary says {summary['outcome']}")
-            return EXIT_FAIL
+    if summary["rounds"] != len(records) - 1:
+        print(f"replay mismatch: trace has {len(records) - 1} rounds after round 0, "
+              f"summary says {summary['rounds']}")
+        return EXIT_FAIL
+    dispersed = classify(cfg).dispersed
+    if dispersed != (summary["outcome"] == "dispersed"):
+        print(f"replay mismatch: final config dispersed={dispersed}, "
+              f"summary says {summary['outcome']}")
+        return EXIT_FAIL
     print(f"replayed {len(records) - 1} rounds, consistent")
     return EXIT_OK
 

@@ -72,7 +72,7 @@ def vp_one_interval_decide(snap: Snapshot) -> Action:
         other = chain.other
         if other is not None and other.good and other.direction_own is _CW:
             return _STAY
-        return chain.toward_hole
+        return chain.direction_own
     if not snap.is_least:
         return _STAY
     good = [c for c in snap.anchored() if c.good]
@@ -98,7 +98,7 @@ def achiral_odd_decide(snap: Snapshot) -> Action:
         other = chain.other
         if other is not None and other.good and other.length <= chain.length:
             return _STAY
-        return chain.toward_hole
+        return chain.direction_own
     if not snap.is_least:
         return _STAY
     good = [c for c in snap.anchored() if c.good]
@@ -130,7 +130,7 @@ def even4_main_decide(snap: Snapshot) -> Action:
                 return _STAY
             if other.length == chain.length:
                 return chain.toward_multinode
-        return chain.toward_hole
+        return chain.direction_own
     if not snap.is_least:
         return _STAY
     good = [c for c in snap.anchored() if c.good]
@@ -145,6 +145,52 @@ def even4_main_decide(snap: Snapshot) -> Action:
     return _STAY
 
 
+# The per-round guarantees. Each takes the census ``m1`` of the ring the
+# robots saw (after dynamism), the census ``m2`` after their moves resolved
+# and the ``holes_filled_count`` between the two, and returns None or what
+# broke; a violation is named after its check, with dashes for underscores.
+
+
+def multinode_drop_bounded(m1: Metrics, m2: Metrics, filled: int) -> str | None:
+    """Checked on every round of every rule: a multinode can vanish only by
+    filling a hole."""
+    if m1.multinodes - m2.multinodes > filled:
+        return f"multinodes fell {m1.multinodes}->{m2.multinodes} but only {filled} holes filled"
+    return None
+
+
+def holes_strictly_decrease(m1: Metrics, m2: Metrics, filled: int) -> str | None:
+    if m1.holes and m2.holes >= m1.holes:
+        return f"holes {m1.holes}->{m2.holes}"
+    return None
+
+
+def holes_decrease_or_multinodes_increase(m1: Metrics, m2: Metrics, filled: int) -> str | None:
+    if m1.holes and not (m2.holes < m1.holes or
+                         (m2.holes == m1.holes and m2.multinodes > m1.multinodes)):
+        return f"holes {m1.holes}->{m2.holes}, multinodes {m1.multinodes}->{m2.multinodes}"
+    return None
+
+
+# The proven state graph of the 4-node rule numbers the non-dispersed shapes
+# 4,0,0,0 / 3,1,0,0 / 2,1,1,0 / 2,2,0,0 as states 1 to 4. A census tells
+# them apart by its (holes, singletons, multinodes).
+FOUR_NODE_STATES = {(3, 0, 1): 1, (2, 1, 1): 2, (1, 2, 1): 3, (2, 0, 2): 4}
+
+
+def four_node_state(m: Metrics) -> int | None:
+    """The state of a 4-node census; None when dispersed or not 4 nodes."""
+    return FOUR_NODE_STATES.get((m.holes, m.singletons, m.multinodes))
+
+
+def four_node_transitions(m1: Metrics, m2: Metrics, filled: int) -> str | None:
+    pre, post = four_node_state(m1), four_node_state(m2)
+    allowed = {2: (3, None), 4: (3, None), 3: (1, None)}.get(pre)  # from state 1, any
+    if allowed is not None and post not in allowed:
+        return f"four-node state {pre} moved to {post}"
+    return None
+
+
 class Policy:
     """Base class: stateless decision rule plus scenario requirements."""
 
@@ -153,7 +199,7 @@ class Policy:
     requires_chirality: bool = False
     full_visibility: bool = True
     gathered_start: bool = False  # every run must start with all robots on one node
-    guarantees: tuple[str, ...] = ()  # claimed for every round of the main phase
+    guarantees: tuple = ()  # checks above, claimed per round by round_guarantees
 
     def min_visibility(self, n: int) -> int:
         # The least k whose two gap vectors together cover the ring. Such a
@@ -192,11 +238,10 @@ class Policy:
         so a rule that keeps it never has its landed labels gathered."""
         return robot.orientation, memory
 
-    def phase_of_round(self, robots, cfg1: RingConfiguration) -> str:
-        return "main"
-
-    def round_guarantees(self, phase: str) -> tuple[str, ...]:
-        return self.guarantees if phase == "main" else ()
+    def round_guarantees(self, analysis: ChainAnalysis, robots) -> tuple:
+        """The checks claimed for the round whose robots, in label order,
+        see the ring ``analysis`` describes. The base claims ``guarantees``."""
+        return self.guarantees
 
     def proven_bound(self, n: int) -> int | None:
         return None
@@ -220,7 +265,7 @@ class VpChainPolicy(ChainRule):
     policy_id = "vp-chain"
     allowed_modes = frozenset({Mode.NONE, Mode.VP})
     requires_chirality = True
-    guarantees = ("holes-strictly-decrease",)
+    guarantees = (holes_strictly_decrease,)
 
     def decide(self, snap, robot):
         return vp_chain_decide(snap), robot.memory
@@ -234,7 +279,7 @@ class VpOneIntervalPolicy(ChainRule):
 
     policy_id = "vp-1i"
     requires_chirality = True
-    guarantees = ("holes-strictly-decrease",)
+    guarantees = (holes_strictly_decrease,)
 
     def decide(self, snap, robot):
         return vp_one_interval_decide(snap), robot.memory
@@ -274,7 +319,7 @@ class PreprocessPolicy(ChainRule):
         return self.before_agreement(snap), None
 
     def actors(self, analysis, robots):
-        # The robots' memories agree (``phase_of_round`` checks it). Before
+        # The robots' memories agree (``round_guarantees`` checks it). Before
         # agreement every robot of a whole pile steps, and a rule that needs
         # a gathered start has every robot refuse any other ring.
         if robots[0].memory is None and (self.gathered_start
@@ -289,18 +334,15 @@ class PreprocessPolicy(ChainRule):
         hand = robot.orientation if anchor in mates else robot.orientation.flipped()
         return hand, PREPROCESS_DONE
 
-    def phase_of_round(self, robots, cfg1):
+    def round_guarantees(self, analysis, robots):
+        # After agreement the good-chain rule fills a hole every round; the
+        # preprocessing round claims nothing.
         memories = {r.memory for r in robots}
         if memories == {PREPROCESS_DONE}:
-            return "chain"
+            return (holes_strictly_decrease,)
         if memories != {None}:
-            raise ValueError(f"robots disagree on phase: {memories}")
-        return "preprocess" if max(cfg1.multiplicities()) == cfg1.n else "main"
-
-    def round_guarantees(self, phase):
-        if phase == "chain":
-            return ("holes-strictly-decrease",)
-        return super().round_guarantees(phase)
+            raise ValueError(f"robots disagree on whether they agreed on a hand: {memories}")
+        return () if analysis.metrics.holes == analysis.cfg.n - 1 else self.guarantees
 
 
 class NoChiralityOneIntervalPolicy(PreprocessPolicy):
@@ -317,7 +359,7 @@ class AchiralOddPolicy(ChainRule):
     """Shorter-good-chain rule for odd rings, no shared clockwise."""
 
     policy_id = "achiral-odd"
-    guarantees = ("holes-decrease-or-multinodes-increase",)
+    guarantees = (holes_decrease_or_multinodes_increase,)
 
     def check_scenario(self, n, mode, cfg, robots):
         super().check_scenario(n, mode, cfg, robots)
@@ -340,7 +382,7 @@ class Even4Policy(PreprocessPolicy):
     """
 
     policy_id = "even4"
-    guarantees = ("four-node-transitions",)
+    guarantees = (four_node_transitions,)
     before_agreement = staticmethod(even4_main_decide)
 
     def check_scenario(self, n, mode, cfg, robots):
@@ -449,17 +491,6 @@ def get_policy(policy_id: str) -> Policy:
         raise ScenarioError(f"unknown policy {policy_id!r} (known: {known}, k0:<table>)") from None
 
 
-# The proven state graph of the 4-node rule numbers the non-dispersed shapes
-# 4,0,0,0 / 3,1,0,0 / 2,1,1,0 / 2,2,0,0 as states 1 to 4. A census tells
-# them apart by its (holes, singletons, multinodes).
-FOUR_NODE_STATES = {(3, 0, 1): 1, (2, 1, 1): 2, (1, 2, 1): 3, (2, 0, 2): 4}
-
-
-def four_node_state(m: Metrics) -> int | None:
-    """The state of a 4-node census; None when dispersed or not 4 nodes."""
-    return FOUR_NODE_STATES.get((m.holes, m.singletons, m.multinodes))
-
-
 @dataclass(frozen=True)
 class LemmaViolation:
     """One broken per-round guarantee, with enough context to replay it."""
@@ -473,36 +504,12 @@ def holes_filled_count(cfg1: RingConfiguration, cfg2: RingConfiguration) -> int:
     return sum(1 for before, after in zip(cfg1.slots, cfg2.slots) if after and not before)
 
 
-def check_round_lemmas(policy: Policy, phase: str, m1: Metrics, m2: Metrics,
-                       filled: int) -> list[LemmaViolation]:
-    """Check every per-round guarantee the policy claims for this phase.
-
-    ``m1`` is the census of the configuration the robots saw (after
-    dynamism), ``m2`` the census after their moves resolved, and ``filled``
-    the ``holes_filled_count`` between the two.
-    """
+def check_round_lemmas(guarantees, m1: Metrics, m2: Metrics, filled: int) -> list[LemmaViolation]:
+    """``multinode_drop_bounded`` and then each check in ``guarantees``, on
+    the censuses and the filled-hole count they take."""
     out = []
-    if m1.multinodes - m2.multinodes > filled:
-        out.append(LemmaViolation(
-            "multinode-drop-bounded",
-            f"multinodes fell {m1.multinodes}->{m2.multinodes} but only {filled} holes filled"))
-    for guarantee in policy.round_guarantees(phase):
-        if guarantee == "holes-strictly-decrease":
-            if m1.holes and m2.holes >= m1.holes:
-                out.append(LemmaViolation(
-                    guarantee, f"holes {m1.holes}->{m2.holes} in phase {phase}"))
-        elif guarantee == "holes-decrease-or-multinodes-increase":
-            if m1.holes and not (m2.holes < m1.holes or
-                                 (m2.holes == m1.holes and m2.multinodes > m1.multinodes)):
-                out.append(LemmaViolation(
-                    guarantee,
-                    f"holes {m1.holes}->{m2.holes}, multinodes {m1.multinodes}->{m2.multinodes}"))
-        elif guarantee == "four-node-transitions":
-            pre, post = four_node_state(m1), four_node_state(m2)
-            allowed = {2: (3, None), 4: (3, None), 3: (1, None), 1: None, None: None}[pre]
-            if allowed is not None and post not in allowed:
-                out.append(LemmaViolation(
-                    guarantee, f"four-node state {pre} moved to {post}"))
-        else:
-            raise ValueError(f"policy {policy.policy_id!r} claims unknown guarantee {guarantee!r}")
+    for check in (multinode_drop_bounded, *guarantees):
+        detail = check(m1, m2, filled)
+        if detail is not None:
+            out.append(LemmaViolation(check.__name__.replace("_", "-"), detail))
     return out

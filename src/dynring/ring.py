@@ -405,10 +405,6 @@ class ChainView(object):
     other: "ChainView | None" = None
 
     @property
-    def toward_hole(self) -> Action:
-        return self.direction_own
-
-    @property
     def toward_multinode(self) -> Action:
         return self.direction_own.inverse()
 

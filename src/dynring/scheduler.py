@@ -42,13 +42,11 @@ class RoundTrace:
     """Everything that happened in one round, sufficient to replay it. Its
     round number is its place in the run."""
 
-    phase: str
     dynamism: Dynamism
     intents: dict[int, Action]
     config_seen: RingConfiguration
     config_after: RingConfiguration
     metrics_after: Metrics
-    holes_filled: int
     violations: tuple[LemmaViolation, ...]
 
 
@@ -59,7 +57,6 @@ class RunResult:
     outcome: str
     rounds: int
     final_config: RingConfiguration
-    final_robots: tuple[RobotState, ...]
     traces: tuple[RoundTrace, ...]
 
     @property
@@ -124,9 +121,8 @@ def step(
     if cfg.missing_edge is not None:
         raise ValueError("a round must start from an intact ring")
     cfg_seen = dynamism.apply(cfg)
-    phase = policy.phase_of_round(robots, cfg_seen)
-
     analysis = ChainAnalysis(cfg_seen, chains=policy.full_visibility)
+    guarantees = policy.round_guarantees(analysis, robots)
     intents, decided, movers = _decide(policy, analysis, robots)
     if predicted is not None and predicted != intents:
         wrong = sorted(label for label in intents if predicted.get(label) is not intents[label])
@@ -151,17 +147,14 @@ def step(
         if hand is not robot.orientation or memory is not robot.memory:
             settled[label - 1] = RobotState(label, hand, memory)
 
-    filled = holes_filled_count(cfg_seen, cfg_after)
     trace = RoundTrace(
-        phase=phase,
         dynamism=dynamism,
         intents=intents,
         config_seen=cfg_seen,
         config_after=cfg_after,
         metrics_after=metrics_after,
-        holes_filled=filled,
-        violations=tuple(check_round_lemmas(policy, phase, analysis.metrics, metrics_after,
-                                            filled)),
+        violations=tuple(check_round_lemmas(guarantees, analysis.metrics, metrics_after,
+                                            holes_filled_count(cfg_seen, cfg_after))),
     )
     next_cfg = RingConfiguration._trusted(cfg.n, cfg_after.slots, None)
     return next_cfg, tuple(settled), trace
@@ -233,4 +226,4 @@ def run_simulation(
         traces.append(trace)
         dispersed = trace.metrics_after.dispersed
     outcome = "dispersed" if dispersed else "round-limit"
-    return RunResult(outcome, len(traces), cfg, robots, tuple(traces))
+    return RunResult(outcome, len(traces), cfg, tuple(traces))

@@ -30,7 +30,8 @@ one in which robot 1's hand is ``A``. Twins have one value:
   lands on the reflection of its node in the original;
 - ``Policy.after_move`` flips a hand relative to the hand it had, so it
   flips the twin's hand too, and memories hold no direction;
-- ``phase_of_round``, the census and the lemma checks read no direction;
+- ``Policy.round_guarantees`` reads memories and the census, and the
+  checks it lists read censuses, so none of them reads a direction;
 - ``exhaustive_branches`` offers every arrangement of the multiset and
   every edge, a set closed under reflection, so each branch of a state
   has a mirrored branch of its twin and the successors are twins again;
@@ -472,7 +473,7 @@ def verify_impossibility(
       ``test_a_tables_letters_on_a_state_fix_its_intents``, not on a
       check at run time;
     - a table's ``decide`` keeps the robot's memory, and its ``actors``,
-      ``after_move``, ``phase_of_round`` and ``round_guarantees`` are
+      ``after_move``, ``round_guarantees`` and ``guarantees`` are
       ``Policy``'s, so they read no table entry.
 
     Only plain ``NoVisibilityPolicy`` tables are run: a subclass, which may

@@ -160,23 +160,28 @@ def _spec_file(tmp_path, **fields):
     return ["run", "--spec", str(path)]
 
 
+def _edited_trace(tmp_path, change, *run_flags):
+    """``replay`` of a ``run`` trace whose list of lines, parsed, ``change``
+    edits in place."""
+    path = tmp_path / "run.jsonl"
+    assert run_cli("run", *run_flags, "--out", str(path)) == 0
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    change(lines)
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    return ["replay", str(path)]
+
+
 def _tampered_trace(tmp_path, change, *run_flags, round_index=1):
     """``replay`` of a ``run`` trace whose line ``round_index`` (the record
     of that round, or -1 for the summary) ``change`` edits."""
-    path = tmp_path / "run.jsonl"
-    assert run_cli("run", *run_flags, "--out", str(path)) == 0
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[round_index])
-    change(record)
-    lines[round_index] = json.dumps(record)
-    path.write_text("\n".join(lines) + "\n")
-    return ["replay", str(path)]
+    return _edited_trace(tmp_path, lambda lines: change(lines[round_index]), *run_flags)
 
 
 PERMUTING_RUN = ("--n", "4", "--policy", "vp-chain", "--mode", "vp",
                  "--adversary", "random", "--seed", "2")
 EDGE_FREE_RUN = ("--n", "3", "--policy", "vp-1i", "--mode", "1i", "--config", "2,1,0")
 GATHERED_RUN = ("--n", "3", "--policy", "vp-chain", "--seed", "1")
+ONE_ROUND_RUN = ("--n", "2", "--policy", "vp-chain")
 LONG_RUN = ("--n", "10", "--policy", "vp-chain", "--mode", "vp",
             "--adversary", "random", "--seed", "2")
 
@@ -298,6 +303,13 @@ TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
     lambda tmp_path: _raw_file(tmp_path, START_RECORD + b"[1]\n", "replay"),
     lambda tmp_path: _tampered_trace(tmp_path, lambda r: r.pop("outcome"), *GATHERED_RUN,
                                      round_index=-1),
+    lambda tmp_path: _edited_trace(tmp_path, lambda lines: lines.insert(1, lines.pop()),
+                                   *ONE_ROUND_RUN),
+    lambda tmp_path: _edited_trace(tmp_path, lambda lines: lines.append(
+        {**lines[-1], "rounds": 7}), *ONE_ROUND_RUN),
+    lambda tmp_path: _tampered_trace(tmp_path, lambda r: r.update(outcome="banana"),
+                                     *ONE_ROUND_RUN, round_index=-1),
+    lambda tmp_path: _edited_trace(tmp_path, lambda lines: lines.pop(), *ONE_ROUND_RUN),
 ], ids=["run-n-0", "run-n-negative", "sweep-n-not-a-number", "sweep-n-empty-range",
         "config-not-a-number", "config-wrong-total", "spec-unknown-key", "spec-unknown-mode",
         "replay-missing-perm", "run-max-rounds-negative", "verify-bound-n-0",
@@ -321,7 +333,8 @@ TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
         "replay-perm-a-number", "replay-config-a-number", "config-wrong-node-count",
         "run-without-n", "run-without-policy", "run-orientations-bad-letters",
         "replay-first-line-not-round-0", "replay-line-not-an-object",
-        "replay-summary-without-outcome"])
+        "replay-summary-without-outcome", "replay-summary-before-a-round",
+        "replay-second-summary", "replay-summary-outcome-unknown", "replay-summary-missing"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     capsys.readouterr()

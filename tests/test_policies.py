@@ -16,7 +16,6 @@ from dynring import (
     Mode,
     Orientation,
     PREPROCESS_DONE,
-    Policy,
     RobotState,
     RoundTrace,
     ScenarioError,
@@ -35,7 +34,12 @@ from dynring import (
     rotate,
     step,
 )
-from dynring.policies import four_node_state
+from dynring.policies import (
+    four_node_state,
+    four_node_transitions,
+    holes_decrease_or_multinodes_increase,
+    holes_strictly_decrease,
+)
 
 CW, ACW, STAY = Action.CLOCKWISE, Action.ANTICLOCKWISE, Action.STAY
 
@@ -194,15 +198,29 @@ def test_gathered_start_required_when_memory_fresh():
 
 
 def test_four_ring_rule_uses_chain_phase_after_gathering():
+    """Once agreed, the rule claims the good-chain guarantee; before, its
+    four-node graph, except in the preprocessing round, which claims none."""
     policy = get_policy("even4")
     cfg = ring_from_slots(((1, 2), (3,), (), (4,)))
     robots = tuple(RobotState(r.label, r.orientation, PREPROCESS_DONE)
                    for r in initial_robots(cfg))
-    assert policy.phase_of_round(robots, cfg) == "chain"
+    assert policy.round_guarantees(ChainAnalysis(cfg), robots) == (holes_strictly_decrease,)
     fresh = initial_robots(cfg)
-    assert policy.phase_of_round(fresh, cfg) == "main"
-    assert policy.phase_of_round(initial_robots(all_on_one(4)),
-                                 all_on_one(4)) == "preprocess"
+    assert policy.round_guarantees(ChainAnalysis(cfg), fresh) == (four_node_transitions,)
+    assert policy.round_guarantees(ChainAnalysis(all_on_one(4)),
+                                   initial_robots(all_on_one(4))) == ()
+
+
+@pytest.mark.parametrize("policy_id", ["no-chir-1i", "even4"])
+@pytest.mark.parametrize("cfg", [ring_from_slots(((1, 2), (3,), (), (4,))), all_on_one(4)],
+                         ids=["chains", "gathered"])
+def test_preprocess_rules_refuse_robots_that_disagree(policy_id, cfg):
+    """A round in which some robots have agreed on a hand and others have
+    not is refused before any robot decides, on a gathered pile too."""
+    robots = tuple(RobotState(r.label, r.orientation, PREPROCESS_DONE if r.label == 2 else None)
+                   for r in initial_robots(cfg))
+    with pytest.raises(ValueError, match="^robots disagree on"):
+        step(get_policy(policy_id), cfg, robots, Dynamism())
 
 
 # --------------------------------------------------------------- symmetries
@@ -287,9 +305,10 @@ def test_mirrored_world_mirrors_whole_rounds(policy_id, scenario, data):
     assert twin_cfg == reflect(next_cfg, 0)
     assert twin_settled == _flipped(settled)
     assert twin_trace.intents == {label: act.inverse() for label, act in trace.intents.items()}
-    assert (twin_trace.phase, twin_trace.metrics_after, twin_trace.holes_filled,
-            twin_trace.violations) == (trace.phase, trace.metrics_after,
-                                       trace.holes_filled, trace.violations)
+    assert policy.round_guarantees(ChainAnalysis(twin_trace.config_seen), _flipped(robots)) == \
+        policy.round_guarantees(ChainAnalysis(trace.config_seen), robots)
+    assert (twin_trace.metrics_after, twin_trace.violations) == \
+        (trace.metrics_after, trace.violations)
 
 
 @settings(max_examples=120, deadline=None)
@@ -327,56 +346,46 @@ def test_plain_rules_keep_memory(scenario, policy_id, data):
 # ------------------------------------------------------------ lemma checks
 
 
-def round_lemmas(policy, phase, cfg1, cfg2):
+def round_lemmas(guarantees, cfg1, cfg2):
     """``check_round_lemmas`` on the census of the seen and the landed ring."""
-    return check_round_lemmas(policy, phase, classify(cfg1), classify(cfg2),
+    return check_round_lemmas(guarantees, classify(cfg1), classify(cfg2),
                               holes_filled_count(cfg1, cfg2))
 
 
 def test_lemma_checker_bounds_multinode_drops():
     # This bound is checked for every rule, even ones claiming nothing else.
-    policy = get_policy("k0:ssssss")
+    claimed = get_policy("k0:ssssss").guarantees
     merged = round_lemmas(
-        policy, "main",
+        claimed,
         ring_from_slots(((1, 2), (3, 4), (), ())),
         ring_from_slots(((1, 2, 3, 4), (), (), ())))
     assert [v.guarantee for v in merged] == ["multinode-drop-bounded"]
     fine = round_lemmas(
-        policy, "main",
+        claimed,
         ring_from_slots(((1, 2), (3, 4), (), ())),
         ring_from_slots(((1,), (3,), (2,), (4,))))
     assert fine == []
 
 
 def test_lemma_checker_flags_stalled_holes():
-    policy = get_policy("vp-chain")
+    claimed = get_policy("vp-chain").guarantees
+    assert claimed == (holes_strictly_decrease,)
     stalled = round_lemmas(
-        policy, "main",
+        claimed,
         ring_from_slots(((1, 2), (3,), (), (4,))),
         ring_from_slots(((1, 2), (3,), (), (4,))))
-    assert [v.guarantee for v in stalled] == ["holes-strictly-decrease"]
-
-
-class _MisspeltGuarantee(Policy):
-    policy_id = "misspelt"
-    guarantees = ("holes-strictly-decreases",)
-
-
-def test_lemma_checker_refuses_an_unknown_guarantee():
-    seen, landed = ring_from_slots(((1, 2), (3,), ())), ring_from_slots(((1, 2, 3), (), ()))
-    claimed = round_lemmas(get_policy("vp-chain"), "main", seen, landed)
-    assert [v.guarantee for v in claimed] == ["holes-strictly-decrease"]
-    with pytest.raises(ValueError, match="holes-strictly-decreases"):
-        round_lemmas(_MisspeltGuarantee(), "main", seen, landed)
+    assert [(v.guarantee, v.detail) for v in stalled] == [("holes-strictly-decrease",
+                                                           "holes 1->1")]
 
 
 def test_lemma_checker_accepts_new_multinode_for_stalled_holes():
-    policy = get_policy("achiral-odd")
+    claimed = get_policy("achiral-odd").guarantees
+    assert claimed == (holes_decrease_or_multinodes_increase,)
     cfg1 = ring_from_slots(((1, 2, 3, 4), (5,), (), (), ()))
-    grew = round_lemmas(policy, "main", cfg1,
+    grew = round_lemmas(claimed, cfg1,
                         ring_from_slots(((1, 2), (3, 4, 5), (), (), ())))
     assert grew == []
-    stalled = round_lemmas(policy, "main", cfg1, cfg1)
+    stalled = round_lemmas(claimed, cfg1, cfg1)
     assert [v.guarantee for v in stalled] == ["holes-decrease-or-multinodes-increase"]
 
 
@@ -399,14 +408,16 @@ def test_four_node_state_is_read_off_the_census():
 
 
 def test_lemma_checker_tracks_four_ring_transitions():
-    policy = get_policy("even4")
+    claimed = get_policy("even4").guarantees
+    assert claimed == (four_node_transitions,)
     bad = round_lemmas(
-        policy, "main",
+        claimed,
         ring_from_slots(((1, 2, 3), (4,), (), ())),
         ring_from_slots(((1, 2), (), (3, 4), ())))
-    assert [v.guarantee for v in bad] == ["four-node-transitions"]
+    assert [(v.guarantee, v.detail) for v in bad] == [("four-node-transitions",
+                                                       "four-node state 2 moved to 4")]
     good = round_lemmas(
-        policy, "main",
+        claimed,
         ring_from_slots(((1, 2, 3), (4,), (), ())),
         ring_from_slots(((1, 2), (3,), (4,), ())))
     assert good == []

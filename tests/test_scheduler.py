@@ -23,6 +23,7 @@ from dynring import (
     convert_frame,
     get_adversary,
     get_policy,
+    holes_filled_count,
     initial_robots,
     predict_intents,
     ring_from_slots,
@@ -42,11 +43,10 @@ def test_step_runs_look_decide_move_in_order():
     cfg = ring_from_slots(((1, 2, 3), (4,), (), (), (5,)))
     robots = initial_robots(cfg)
     nxt, _, trace = step(policy, cfg, robots, Dynamism())
-    assert trace.phase == "main"
     assert trace.intents == {1: CW, 2: STAY, 3: STAY, 4: CW, 5: STAY}
     assert trace.config_seen == cfg
     assert nxt.slots == ((2, 3), (1,), (4,), (), (5,))
-    assert trace.holes_filled == 1
+    assert holes_filled_count(trace.config_seen, trace.config_after) == 1
     assert trace.violations == ()
 
 
@@ -126,7 +126,8 @@ def test_preprocess_round_aligns_every_orientation():
                                   2: Orientation.ALIGNED,
                                   3: Orientation.REVERSED})
     nxt, settled, trace = step(policy, cfg, robots, Dynamism())
-    assert trace.phase == "preprocess"
+    # The preprocessing round claims no guarantee.
+    assert policy.round_guarantees(ChainAnalysis(trace.config_seen), robots) == ()
     assert {r.memory for r in settled} == {PREPROCESS_DONE}
     # Everyone ends up sharing robot 1's sense of clockwise.
     assert {r.orientation for r in settled} == {Orientation.REVERSED}
@@ -266,7 +267,7 @@ def _decide_everyone(policy, analysis, robots):
 @given(st.one_of(rule_rounds(), ungathered_rounds()))
 def test_deciding_only_the_listed_actors_changes_nothing(scenario):
     """A round decides only for the robots ``Policy.actors`` lists. For every
-    rule, phase, hand mix, memory and removed edge that gives the intents
+    rule, agreement state, hand mix, memory and removed edge that gives the intents
     and settled robots of deciding every robot through ``policy.decide``: a
     robot left out would have stayed with the memory it holds, and is
     carried over as it is. A ring a rule refuses is refused alike."""

@@ -49,7 +49,7 @@ from dynring import (
     verify_impossibility,
     verify_worst_case,
 )
-from dynring.policies import census_classes
+from dynring.policies import census_classes, holes_strictly_decrease
 from dynring.verifier import Dispersal, WorstCaseSearcher, _aux, _orientation_assignments
 
 
@@ -345,10 +345,10 @@ def test_a_stalling_rule_reports_a_cycle():
 
 
 class _ClaimingTable(NoVisibilityPolicy):
-    """A table of robots that always stay, claiming every round of its main
-    phase fills a hole."""
+    """A table of robots that always stay, claiming every round fills a
+    hole."""
 
-    guarantees = ("holes-strictly-decrease",)
+    guarantees = (holes_strictly_decrease,)
 
 
 def test_a_broken_guarantee_is_reported():
@@ -749,7 +749,7 @@ def test_a_table_reads_nothing_of_its_table_but_its_actions():
     """The round memo's premise: a table's ``decide`` keeps the robot's
     memory, and the rest of its round is ``Policy``'s, so two tables with
     the same intents play the same round."""
-    for name in ("actors", "after_move", "phase_of_round", "round_guarantees", "guarantees"):
+    for name in ("actors", "after_move", "round_guarantees", "guarantees"):
         assert getattr(NoVisibilityPolicy, name) is getattr(Policy, name), name
     memory = object()
     for cfg in enumerate_initial_configs(3, up_to_reflection=False):
