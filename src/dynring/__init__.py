@@ -22,6 +22,7 @@ from .ring import (
     convert_frame,
     crossing_edge,
     find_chains,
+    moved_counts,
     random_configuration,
     reflect,
     resolve_moves,

@@ -27,6 +27,7 @@ from .ring import (
     apply_vertex_permutation,
     classify,
     crossing_edge,
+    moved_counts,
     resolve_moves,
 )
 
@@ -70,10 +71,11 @@ class Adversary:
     def check_scenario(self, n: int, mode: Mode) -> None:
         pass
 
-    def invariant(self, cfg: RingConfiguration) -> bool:
-        """Whether ``cfg`` is one this adversary can keep the robots in,
-        round after round; here, any configuration that is not dispersed."""
-        return not classify(cfg).dispersed
+    def invariant(self, counts: tuple[int, ...]) -> bool:
+        """Whether a ring with these per-node robot counts is one this
+        adversary can keep the robots in, round after round; here, any ring
+        that is not dispersed."""
+        return counts.count(1) != len(counts)
 
     def choose(self, ctx: AdversaryContext) -> Dynamism:
         raise NotImplementedError
@@ -195,9 +197,9 @@ def _arrangement(n: int, leading: list[int]) -> tuple[int, ...]:
 
 
 class AdaptiveAdversary(Adversary):
-    """Counters the robots' predicted moves. When the ring they would reach,
-    ``successor``, keeps the invariant it plays ``neutral(cfg)``, and
-    otherwise ``counter(cfg, intents, successor)``."""
+    """Counters the robots' predicted moves. When the node counts they would
+    reach keep the invariant it plays ``neutral(cfg)``, and otherwise
+    ``counter(cfg, intents, successor)`` on the ring they would reach."""
 
     adaptive = True
 
@@ -207,12 +209,11 @@ class AdaptiveAdversary(Adversary):
             raise ScenarioError("adaptive adversary needs predicted robot intents")
         if set(intents) != set(range(1, cfg.n + 1)):
             raise ScenarioError("predicted intents must cover every robot exactly once")
-        if not self.invariant(cfg):
+        if not self.invariant(cfg.multiplicities()):
             raise ScenarioError(f"{self.adversary_id} cannot keep its invariant from {cfg}")
-        successor = resolve_moves(cfg, intents)
-        if self.invariant(successor):
+        if self.invariant(moved_counts(cfg, intents)):
             return self.neutral(cfg)
-        return self.counter(cfg, intents, successor)
+        return self.counter(cfg, intents, resolve_moves(cfg, intents))
 
     def neutral(self, cfg: RingConfiguration) -> Dynamism:
         raise NotImplementedError
@@ -241,9 +242,9 @@ class ThreeRingPermuter(AdaptiveAdversary):
         if not mode.allows_permutation:
             raise ScenarioError(f"{self.adversary_id} needs a mode with vertex permutations")
 
-    def invariant(self, cfg):
+    def invariant(self, counts):
         """One pair, one single node and one hole."""
-        return sorted(cfg.multiplicities()) == [0, 1, 2]
+        return sorted(counts) == [0, 1, 2]
 
     def neutral(self, cfg):
         return Dynamism(tuple(range(3)), None)

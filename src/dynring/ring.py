@@ -303,6 +303,28 @@ def move_robots(cfg: RingConfiguration, movers) -> RingConfiguration:
     return RingConfiguration._trusted(n, tuple(slots), cut)
 
 
+def moved_counts(cfg: RingConfiguration, intents: dict[int, Action]) -> tuple[int, ...]:
+    """Each node's robot count after ``resolve_moves(cfg, intents)``, with
+    its checks, without building the ring: for a caller that reads only
+    the successor's census."""
+    n, cut = cfg.n, cfg.missing_edge
+    if len(intents) != n:
+        raise _misnamed(intents, n)
+    stay = Action.STAY
+    counts = list(map(len, cfg.slots))
+    try:
+        for pos, slot in enumerate(cfg.slots):
+            for label in slot:
+                action = intents[label]
+                # Crossing the removed edge is a no-op, as in ``move_robots``.
+                if action is not stay and (pos if action > 0 else (pos - 1) % n) != cut:
+                    counts[pos] -= 1
+                    counts[(pos + action) % n] += 1
+    except KeyError:
+        raise _misnamed(intents, n) from None
+    return tuple(counts)
+
+
 def _misnamed(intents, n: int) -> ValueError:
     return ValueError(f"intents name robots {sorted(intents)}, not exactly 1..{n}")
 

@@ -69,7 +69,8 @@ from .ring import (
     all_on_one,
     canonical_rotation,
     classify,
-    resolve_moves,
+    moved_counts,
+    resolve_moves,  # unused here; perfbench/tracing.py wraps verifier.resolve_moves by name
     ring_from_multiplicities,
 )
 from .scheduler import RoundTrace, initial_robots, play_round, step, validate_scenario
@@ -349,7 +350,7 @@ class ImpossibilityReport:
 
 def adversary_start_filter(adversary: Adversary, cfg: RingConfiguration) -> bool:
     """Whether this adversary maintains its invariant from this start."""
-    return adversary.invariant(cfg)
+    return adversary.invariant(cfg.multiplicities())
 
 
 class _States:
@@ -545,7 +546,13 @@ def check_adaptive_soundness(
     occur, so the adversary must keep every single one from producing a
     dispersed successor. With ``neutral_required`` the successor must also
     keep the adversary's invariant, such as the 3-ring's pair/single/hole.
+
+    The adversary is asked once per labelled intent vector, and its
+    dynamism is checked against ``mode`` and applied; the verdict reads
+    only the successor's node counts (``moved_counts``). A scenario the
+    adversary refuses raises ``ScenarioError`` before any vector is tried.
     """
+    adversary.check_scenario(cfg.n, mode)
     problems = []
     labels = cfg.labels()
     for combo in itertools.product(
@@ -554,12 +561,11 @@ def check_adaptive_soundness(
         ctx = AdversaryContext(cfg, mode, None, intents)
         dynamism = adversary.choose(ctx)
         dynamism.check_mode(mode)
-        shaped = dynamism.apply(cfg)
-        successor = resolve_moves(shaped, intents)
-        if classify(successor).dispersed:
+        counts = moved_counts(dynamism.apply(cfg), intents)
+        if counts.count(1) == cfg.n:
             outcome = "dispersed"
-        elif neutral_required and not adversary.invariant(successor):
-            outcome = f"left shape {successor.multiplicities()}"
+        elif neutral_required and not adversary.invariant(counts):
+            outcome = f"left shape {counts}"
         else:
             continue
         described = ",".join(a.short for a in combo)

@@ -347,6 +347,49 @@ def test_soundness_helper_agrees_on_known_good_cases():
     assert report == []
 
 
+@pytest.mark.parametrize("adversary_id,slots,mode,refusal", [
+    ("vp-killer", ((1, 2), (3,), ()), Mode.VP, "needs n >= 4"),
+    ("1i-killer", ((1, 2, 3), (), (4,), ()), Mode.VP, "needs a mode with edge removal"),
+])
+def test_soundness_refuses_a_scenario_the_adversary_refuses(adversary_id, slots, mode,
+                                                            refusal):
+    """A check the adversary cannot play is refused before any vector, not
+    read as sound, nor refused only once some vector draws a counter."""
+    with pytest.raises(ScenarioError, match=refusal):
+        check_adaptive_soundness(get_adversary(adversary_id), ring_from_slots(slots), mode)
+
+
+@pytest.mark.parametrize("adversary_id,slots,mode", [
+    ("vp-killer-n3", ((1, 2), (3,), ()), Mode.VP),
+    ("vp-killer", ((1, 2), (3,), (4,), ()), Mode.VP),
+    ("1i-killer", ((1, 2, 3), (), (4,), ()), Mode.ONE_INTERVAL),
+])
+def test_soundness_asks_the_adversary_once_per_labelled_vector(adversary_id, slots, mode):
+    """Wrapped on the instance, as the benchmark's tracer wraps it, ``choose``
+    is called once for each of the 3^n labelled intent vectors, and every
+    ``counter`` gets the ring ``resolve_moves`` builds from the same intents."""
+    adversary = type(get_adversary(adversary_id))()
+    cfg = ring_from_slots(slots)
+    chosen, countered = [], []
+    choose, counter = adversary.choose, adversary.counter
+
+    def counting_choose(ctx):
+        chosen.append(ctx.predicted_intents)
+        return choose(ctx)
+
+    def recording_counter(ring, intents, successor):
+        countered.append((ring, intents, successor))
+        return counter(ring, intents, successor)
+
+    adversary.choose, adversary.counter = counting_choose, recording_counter
+    assert check_adaptive_soundness(adversary, cfg, mode) == []
+    assert len(chosen) == 3 ** cfg.n
+    assert len({tuple(intents.values()) for intents in chosen}) == 3 ** cfg.n
+    assert countered
+    for ring, intents, successor in countered:
+        assert ring == cfg and successor == resolve_moves(cfg, intents)
+
+
 class _IdleEdgeBlocker(EdgeBlocker):
     """The 1i-killer with no counter: it keeps every edge whatever comes."""
 

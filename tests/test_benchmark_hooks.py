@@ -21,8 +21,8 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 # The imports no module reads: the tracer wraps each by its name in the
 # importing module, so they stay until the benchmark stops wrapping them.
-BENCHMARK_ONLY_IMPORTS = {"scheduler.resolve_moves", "verifier.predict_intents",
-                          "policies.classify"}
+BENCHMARK_ONLY_IMPORTS = {"scheduler.resolve_moves", "verifier.resolve_moves",
+                          "verifier.predict_intents", "policies.classify"}
 
 
 def _load_tracing():

@@ -25,6 +25,7 @@ from dynring import (
     convert_frame,
     crossing_edge,
     find_chains,
+    moved_counts,
     reflect,
     resolve_moves,
     ring_from_multiplicities,
@@ -148,13 +149,16 @@ def test_crossing_edges_on_two_ring():
 
 
 def test_resolve_requires_exactly_one_intent_per_robot():
+    """A short map, a stranger label and an extra label are refused, and
+    ``moved_counts`` refuses each with the same message."""
     cfg = ring_from_slots(((1,), (2,)))
-    with pytest.raises(ValueError):
-        resolve_moves(cfg, {1: Action.STAY})
-    with pytest.raises(ValueError):
-        resolve_moves(cfg, {1: Action.STAY, 5: Action.STAY})
-    with pytest.raises(ValueError):
-        resolve_moves(cfg, {1: Action.STAY, 2: Action.STAY, 3: Action.STAY})
+    for intents in ({1: Action.STAY}, {1: Action.STAY, 5: Action.STAY},
+                    {1: Action.STAY, 2: Action.STAY, 3: Action.STAY}):
+        with pytest.raises(ValueError) as resolved:
+            resolve_moves(cfg, intents)
+        with pytest.raises(ValueError) as counted:
+            moved_counts(cfg, intents)
+        assert str(counted.value) == str(resolved.value), intents
 
 
 def _assert_resolves_as_the_oracle(cfg, intents):
@@ -179,6 +183,23 @@ def test_resolve_matches_the_dense_oracle_on_every_small_ring(n):
             cfg = ring_from_slots(slots, edge)
             for actions in itertools.product(Action, repeat=n):
                 _assert_resolves_as_the_oracle(cfg, dict(zip(range(1, n + 1), actions)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_moved_counts_are_the_resolved_rings_counts(n):
+    """Every occupancy vector, every removed edge or none, and every intent
+    vector: ``moved_counts`` reads the node counts of the ring
+    ``resolve_moves`` builds."""
+    for counts in itertools.product(range(n + 1), repeat=n):
+        if sum(counts) != n:
+            continue
+        slots = ring_from_multiplicities(counts).slots
+        for edge in (None, *range(n)):
+            cfg = RingConfiguration(n, slots, edge)
+            for actions in itertools.product(Action, repeat=n):
+                intents = dict(zip(range(1, n + 1), actions))
+                assert moved_counts(cfg, intents) == \
+                    resolve_moves(cfg, intents).multiplicities(), (cfg, actions)
 
 
 @settings(max_examples=300, deadline=None)

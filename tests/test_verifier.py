@@ -390,9 +390,9 @@ def test_search_defaults_to_the_policy_roots():
 ])
 def test_start_filter_is_the_adversary_invariant(adversary_id, sizes):
     """At the sizes of the impossibility criterion, every absolute occupancy
-    vector passes the start filter exactly when the written-out invariant
-    holds: pair, single and hole for the 3-ring permuter, otherwise not
-    dispersed."""
+    vector passes the start filter, and the adversary's invariant on its
+    counts, exactly when the written-out invariant holds: pair, single and
+    hole for the 3-ring permuter, otherwise not dispersed."""
     adversary = get_adversary(adversary_id)
     for n in sizes:
         for counts in itertools.product(range(n + 1), repeat=n):
@@ -402,6 +402,7 @@ def test_start_filter_is_the_adversary_invariant(adversary_id, sizes):
                 expected = sorted(counts) == [0, 1, 2]
             else:
                 expected = counts != (1,) * n
+            assert adversary.invariant(counts) == expected, counts
             cfg = ring_from_multiplicities(counts)
             assert adversary_start_filter(adversary, cfg) == expected, counts
 
