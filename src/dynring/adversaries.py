@@ -207,11 +207,13 @@ class AdaptiveAdversary(Adversary):
         cfg, intents = ctx.cfg, ctx.predicted_intents
         if intents is None:
             raise ScenarioError("adaptive adversary needs predicted robot intents")
-        if set(intents) != set(range(1, cfg.n + 1)):
-            raise ScenarioError("predicted intents must cover every robot exactly once")
+        try:
+            counts = moved_counts(cfg, intents)
+        except ValueError:
+            raise ScenarioError("predicted intents must cover every robot exactly once") from None
         if not self.invariant(cfg.multiplicities()):
             raise ScenarioError(f"{self.adversary_id} cannot keep its invariant from {cfg}")
-        if self.invariant(moved_counts(cfg, intents)):
+        if self.invariant(counts):
             return self.neutral(cfg)
         return self.counter(cfg, intents, resolve_moves(cfg, intents))
 

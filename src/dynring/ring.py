@@ -439,6 +439,10 @@ class ChainAnalysis:
     a zero-visibility table reads only its own node and never pays for
     ``find_chains``, while a full-visibility rule reads chains on every
     decision that has a multinode.
+
+    Only ``cfg`` holds labels. The census, the chains, ``by_anchor``,
+    ``by_singleton`` and the views read the node counts and the removed
+    edge alone, so ``bound_to`` lends them to any ring that has the same.
     """
 
     def __init__(self, cfg: RingConfiguration, chains: bool = True):
@@ -455,6 +459,16 @@ class ChainAnalysis:
             for pos in chain.singletons:
                 # A singleton node belongs to at most one chain overall.
                 self.by_singleton[pos] = chain
+
+    def bound_to(self, cfg: RingConfiguration) -> "ChainAnalysis":
+        """This analysis read on ``cfg``, a ring with the same node counts
+        and removed edge. The census and the chain index read no label, so
+        the two share them, chain views included; only ``cfg``, where
+        snapshots and ``Policy.actors`` read labels, is ``cfg``'s own."""
+        look = object.__new__(type(self))
+        look.__dict__ = self.__dict__.copy()
+        look.cfg = cfg
+        return look
 
     def chain_view(self, chain: Chain, sign: int, with_other: bool) -> ChainView:
         """``chain`` in the frame of a robot whose hand has ``sign``, with the

@@ -101,12 +101,25 @@ def predict_intents(policy: Policy, cfg: RingConfiguration, robots) -> dict[int,
     return _decide(policy, ChainAnalysis(cfg, chains=policy.full_visibility), robots)[0]
 
 
+def _look(looks: dict, cfg: RingConfiguration, chains: bool) -> ChainAnalysis:
+    """The analysis of ``cfg`` from the look table ``looks``, which maps a
+    ring's node counts and removed edge to the analysis first built for
+    them: built and stored on a miss, bound to ``cfg`` on a hit."""
+    key = cfg.multiplicities(), cfg.missing_edge
+    look = looks.get(key)
+    if look is None:
+        look = looks[key] = ChainAnalysis(cfg, chains=chains)
+        return look
+    return look.bound_to(cfg)
+
+
 def step(
     policy: Policy,
     cfg: RingConfiguration,
     robots: tuple[RobotState, ...],
     dynamism: Dynamism,
     predicted: dict[int, Action] | None = None,
+    looks: dict | None = None,
 ) -> tuple[RingConfiguration, tuple[RobotState, ...], RoundTrace]:
     """Run one round and return the intact next configuration.
 
@@ -117,11 +130,19 @@ def step(
     round on. ``robots`` must be in label order (``validate_scenario``
     checks it). ``predicted`` intents, if given, must be exactly the
     robots' decisions.
+
+    ``looks``, if given, is a look table that the caller keeps over rounds
+    of this one rule (see ``_look``): a round builds a ``ChainAnalysis``
+    only for node counts and a removed edge the table has not met. Without
+    it every round builds its own.
     """
     if cfg.missing_edge is not None:
         raise ValueError("a round must start from an intact ring")
     cfg_seen = dynamism.apply(cfg)
-    analysis = ChainAnalysis(cfg_seen, chains=policy.full_visibility)
+    if looks is None:
+        analysis = ChainAnalysis(cfg_seen, chains=policy.full_visibility)
+    else:
+        analysis = _look(looks, cfg_seen, policy.full_visibility)
     guarantees = policy.round_guarantees(analysis, robots)
     intents, decided, movers = _decide(policy, analysis, robots)
     if predicted is not None and predicted != intents:

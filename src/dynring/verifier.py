@@ -42,6 +42,16 @@ Without permutations the arrangement is real state, and flipping hands
 without reflecting it would be unsound, so modes ``none`` and ``1i`` keep
 the plain rotation key.
 
+A search also keeps a look table for its own length: every round it
+plays passes it to ``step``, which builds a ``ChainAnalysis`` only for a
+seen ring whose node counts and removed edge the table lacks, and lends
+the stored one to the ring at hand otherwise (``ChainAnalysis.bound_to``).
+The census, chains and chain views read no label, and the labels the
+robots read come from the ring at hand, so every decision is the one a
+fresh analysis gives. The table holds at most C(2n-1, n)*(n+1) entries
+(175 at n=4, 13,728 at n=7). Runs and impossibility sweeps pass none:
+large rings do not repeat, and a zero-visibility table builds no chains.
+
 The module also enumerates starting configurations, certifies per-round
 guarantees along every explored edge, checks the adaptive adversaries
 against every possible intent vector, and runs the zero-visibility rule
@@ -164,6 +174,11 @@ class WorstCaseSearcher:
     flipped, by keying with the hands in which robot 1 reads ``A``; the
     module docstring shows that twins have one value. The memo holds only
     values.
+    ``looks`` is the search's look table, keyed by a seen ring's node
+    counts and removed edge (``scheduler._look``): the chain index reads
+    no label, so one per occupancy and edge serves every ring with the
+    same, at most C(2n-1, n)*(n+1) of them. It goes with the searcher, as
+    the memo does.
     A best branch found in one frame of a state need not be best in
     another, so ``witness`` picks its branch afresh in the frame it is
     replaying.
@@ -173,6 +188,7 @@ class WorstCaseSearcher:
         self.policy = policy
         self.mode = mode
         self.memo: dict = {}
+        self.looks: dict = {}
         self.lemma_violations: list = []
         self.cycle_hit = False
 
@@ -202,7 +218,8 @@ class WorstCaseSearcher:
         self.memo[key] = _PENDING
         best = -1.0
         for dynamism in exhaustive_branches(cfg, self.mode):
-            next_cfg, next_robots, trace = step(self.policy, cfg, robots, dynamism)
+            next_cfg, next_robots, trace = step(self.policy, cfg, robots, dynamism,
+                                                 looks=self.looks)
             for violation in trace.violations:
                 self.lemma_violations.append((key, dynamism, violation))
             rest = 0 if trace.metrics_after.dispersed else self._value(next_cfg, next_robots)
@@ -230,7 +247,8 @@ class WorstCaseSearcher:
         value = self._settled_value(cfg, robots)
         while value not in (0, math.inf):
             for dynamism in exhaustive_branches(cfg, self.mode):
-                next_cfg, next_robots, trace = step(self.policy, cfg, robots, dynamism)
+                next_cfg, next_robots, trace = step(self.policy, cfg, robots, dynamism,
+                                                     looks=self.looks)
                 settled = self._settled_value(next_cfg, next_robots, trace.metrics_after.dispersed)
                 if settled == value - 1:
                     break

@@ -24,8 +24,8 @@ def recorded_decisions():
     points: dict = {}
     real = dynring.verifier.step
 
-    def recording(policy, cfg, robots, dynamism, *rest):
-        result = real(policy, cfg, robots, dynamism, *rest)
+    def recording(policy, cfg, robots, dynamism, *rest, **options):
+        result = real(policy, cfg, robots, dynamism, *rest, **options)
         trace = result[2]
         seen = trace.config_seen
         points.setdefault((seen.slots, seen.missing_edge, _aux(robots)),

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+from decisions import recorded_decisions
 from dynring import Mode, Orientation, all_on_one, get_adversary, get_policy, initial_robots
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,6 +59,10 @@ def test_tracer_installs_on_the_program_and_uninstalls_cleanly():
             composed, get_adversary("benign"), all_on_one(4), Mode.COMBINED,
             robots=initial_robots(all_on_one(4), hands))
         metrics = tracer.summarize()
+        tracer.reset()
+        with recorded_decisions() as points:
+            bound = dr.verifier.verify_worst_case(get_policy("vp-chain"), 4, Mode.VP)
+        searched = tracer.summarize()
     finally:
         tracer.uninstall()
 
@@ -69,6 +74,11 @@ def test_tracer_installs_on_the_program_and_uninstalls_cleanly():
     assert metrics["verifier.proven_stalls"] == report.proven_infinite
     # The post-move hook is still wrapped on the rule that flips in it.
     assert metrics["policies.after_move_s"] > 0
+    # A search builds its chain indexes through the wrapped name: one per
+    # (node counts, removed edge) of the rings its robots see.
+    seen = {(tuple(map(len, slots)), edge) for slots, edge, _ in points}
+    assert bound.holds and searched["verifier.states"] == bound.states_explored
+    assert searched["ring.chain_analyses"] == len(seen) < searched["scheduler.steps"]
     for (module, attr), original in originals.items():
         assert getattr(getattr(dr, module), attr) is original, (module, attr)
     for (cls, attr), original in methods.items():

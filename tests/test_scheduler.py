@@ -1,6 +1,9 @@
 """Unit and property tests for the round engine."""
 from __future__ import annotations
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +16,7 @@ from dynring import (
     Dynamism,
     Mode,
     Orientation,
+    POLICIES,
     PREPROCESS_DONE,
     Policy,
     RobotState,
@@ -26,11 +30,13 @@ from dynring import (
     holes_filled_count,
     initial_robots,
     predict_intents,
+    ring_from_multiplicities,
     ring_from_slots,
     run_simulation,
     step,
     validate_scenario,
 )
+from dynring.verifier import _compositions
 
 CW, ACW, STAY = Action.CLOCKWISE, Action.ANTICLOCKWISE, Action.STAY
 
@@ -304,6 +310,52 @@ def test_deciding_only_the_listed_actors_changes_nothing(scenario):
                                    *policy.after_move(robot, memory, mates[robot.label]))
         if robot.label not in listed:
             assert after is robot
+
+
+def _decision(policy, analysis, robots):
+    """``_decide``'s intents, decided and movers, or the message of the
+    rule's refusal."""
+    try:
+        return dynring.scheduler._decide(policy, analysis, robots)
+    except ScenarioError as refusal:
+        return str(refusal)
+
+
+def test_a_look_the_table_lends_decides_as_a_fresh_one():
+    """A look table keys an analysis by the seen ring's node counts and
+    removed edge, and lends it to every later ring that has the same. On
+    every occupancy at n <= 4 with every hand assignment, and at n = 5 with
+    aligned hands, under two labellings and every removed edge, every
+    full-visibility rule the ring admits, agreed or not, decides on the
+    lent look exactly as on a fresh ``ChainAnalysis`` of its own ring."""
+    compared = 0
+    for n in range(1, 6):
+        hand_sets = (itertools.product(tuple(Orientation), repeat=n) if n <= 4
+                     else [(Orientation.ALIGNED,) * n])
+        teams = [tuple(RobotState(label, hand, memory)
+                       for label, hand in enumerate(hands, start=1))
+                 for hands in hand_sets for memory in (None, PREPROCESS_DONE)]
+        looks = {}
+        for counts in _compositions(n, n):
+            dealt = ring_from_multiplicities(counts).slots
+            for edge in (None, *range(n)):
+                first = ring_from_slots(dealt, edge)
+                second = ring_from_slots([[n + 1 - label for label in slot] for slot in dealt],
+                                         edge)
+                dynring.scheduler._look(looks, first, True)
+                lent = dynring.scheduler._look(looks, second, True)
+                fresh = ChainAnalysis(second)
+                for policy in POLICIES.values():
+                    for robots in teams:
+                        try:
+                            policy.check_scenario(n, Mode.NONE, second, robots)
+                        except ScenarioError:
+                            continue
+                        assert (_decision(policy, lent, robots)
+                                == _decision(policy, fresh, robots)), (policy, second, robots)
+                        compared += 1
+        assert len(looks) == math.comb(2 * n - 1, n) * (n + 1)
+    assert compared == 20_424
 
 
 def test_a_gathered_vp_1i_run_decides_only_for_its_actors(monkeypatch):

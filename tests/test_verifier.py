@@ -335,6 +335,34 @@ def test_search_agrees_with_independent_transcription():
     assert points and mismatches(points, naive_intents("vp-1i")) == []
 
 
+def test_a_search_builds_one_chain_index_per_seen_occupancy_and_edge(monkeypatch):
+    """The search keeps a look table for its own length: ``even4`` at n=4
+    plays 1,541 rounds over 50 (node counts, removed edge) pairs of the
+    rings its robots see, and builds one ``ChainAnalysis`` per pair. The
+    table goes with the search, so a second search builds them afresh."""
+    built, dynamisms = [], []
+    real_analysis, real_step = dynring.scheduler.ChainAnalysis, dynring.verifier.step
+
+    def analysis(cfg, chains=True):
+        built.append((cfg.multiplicities(), cfg.missing_edge))
+        return real_analysis(cfg, chains=chains)
+
+    def counted_step(*args, **options):
+        dynamisms.append(args[3])
+        return real_step(*args, **options)
+
+    # Plain functions, as the benchmark's tracer installs them.
+    monkeypatch.setattr(dynring.scheduler, "ChainAnalysis", analysis)
+    monkeypatch.setattr(dynring.verifier, "step", counted_step)
+    policy = get_policy("even4")
+    first = verify_worst_case(policy, 4, Mode.COMBINED)
+    assert first.holds and len(dynamisms) == 1541
+    assert len(built) == len(set(built)) == 50
+    second = verify_worst_case(policy, 4, Mode.COMBINED)
+    assert second == first and len(dynamisms) == 2 * 1541
+    assert len(built) == 100 and built[50:] == built[:50]
+
+
 def test_a_stalling_rule_reports_a_cycle():
     """Robots that always stay never disperse a start that is not dispersed:
     the search meets its own state again, and reports an infinite worst case
