@@ -15,8 +15,6 @@ from .ring import (
     ScenarioError,
     Snapshot,
     all_on_one,
-    apply_edge_removal,
-    apply_vertex_permutation,
     canonical_rotation,
     classify,
     convert_frame,

@@ -23,8 +23,7 @@ from .ring import (
     Mode,
     RingConfiguration,
     ScenarioError,
-    apply_edge_removal,
-    apply_vertex_permutation,
+    check_edge,
     classify,
     crossing_edge,
     moved_counts,
@@ -40,12 +39,27 @@ class Dynamism:
     edge_removal: int | None = None
 
     def apply(self, cfg: RingConfiguration) -> RingConfiguration:
-        out = cfg
+        """The ring the robots see. ``permutation[i]`` is the new position of
+        the node at i, whose occupants travel with it; it clears any removed
+        edge, since edge removal is decided after the shuffle. Then
+        ``edge_removal`` is out for the round; at most one edge may be."""
+        if self.permutation is None and self.edge_removal is None:
+            return cfg
+        n, slots, edge = cfg.n, cfg.slots, cfg.missing_edge
         if self.permutation is not None:
-            out = apply_vertex_permutation(out, self.permutation)
+            perm = tuple(self.permutation)
+            if sorted(perm) != list(range(n)):
+                raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
+            shuffled = [()] * n
+            for old, new in enumerate(perm):
+                shuffled[new] = slots[old]
+            slots, edge = tuple(shuffled), None
         if self.edge_removal is not None:
-            out = apply_edge_removal(out, self.edge_removal)
-        return out
+            if edge is not None:
+                raise ValueError("an edge is already removed this round")
+            check_edge(self.edge_removal, n)
+            edge = self.edge_removal
+        return RingConfiguration._trusted(n, slots, edge)
 
     def check_mode(self, mode: Mode) -> None:
         if self.permutation is not None and not mode.allows_permutation:

@@ -10,7 +10,7 @@ import json
 import random
 import sys
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .adversaries import ADVERSARIES, Dynamism, get_adversary
 from .policies import POLICIES, get_policy
@@ -217,15 +217,19 @@ def _parse_json(text: str, where: str):
 
 
 def cmd_run(args) -> int:
+    # ``run``'s scenario flags are the spec's fields and default to None, so
+    # a flag given is one that is not None; the spec owns the defaults.
+    given = {field.name: getattr(args, field.name) for field in fields(ExperimentSpec)
+             if getattr(args, field.name) is not None}
     if args.spec is not None:
+        if given:
+            flags = ", ".join(f"--{name.replace('_', '-')}" for name in given)
+            raise ScenarioError(f"run --spec does not read {flags}")
         spec = ExperimentSpec.from_json(_read_text(args.spec))
     else:
         if args.n is None or args.policy is None:
             raise ScenarioError("run needs --n and --policy (or --spec)")
-        spec = ExperimentSpec(
-            n=args.n, policy=args.policy, adversary=args.adversary, mode=args.mode,
-            k=args.k, config=args.config, orientations=args.orientations,
-            seed=args.seed, max_rounds=args.max_rounds)
+        spec = ExperimentSpec(**given)
     initial, result = execute(spec)
     writer = write_jsonl if args.format == "jsonl" else write_run_csv
     if args.out:
@@ -454,16 +458,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--policy",
                        help=f"decision rule: one of {', '.join(sorted(POLICIES))}, "
                             "or k0:<6 letters over s/c/a> for zero-visibility tables")
-        p.add_argument("--adversary", default="benign", choices=sorted(ADVERSARIES))
-        p.add_argument("--mode", default="none",
-                       choices=[m.value for m in Mode])
-        p.add_argument("--k", type=int, default=None, help="visibility radius")
-        p.add_argument("--config", default="all-on-one",
-                       help="'all-on-one', 'random', or per-node counts like 2,1,0")
-        p.add_argument("--orientations", default=None,
-                       help="one letter (A/R) per label, or 'random'")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--max-rounds", type=int, default=None)
+        p.add_argument("--adversary", choices=sorted(ADVERSARIES))
+        p.add_argument("--mode", choices=[m.value for m in Mode])
+        p.add_argument("--k", type=int, help="visibility radius")
+        p.add_argument("--config", help="'all-on-one', 'random', or per-node counts like 2,1,0")
+        p.add_argument("--orientations", help="one letter (A/R) per label, or 'random'")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--max-rounds", type=int)
 
     run = sub.add_parser("run", help="run one scenario and write its trace")
     scenario_flags(run)

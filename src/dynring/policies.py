@@ -217,14 +217,14 @@ class Policy:
             raise ScenarioError(
                 f"policy {self.policy_id} needs all robots to share one orientation")
 
-    def actors(self, analysis: ChainAnalysis, robots) -> list[tuple[int, int]]:
-        """The ``(node, label)`` of every robot that decides on the ring
-        ``analysis`` describes; ``robots`` are in label order. A robot left
-        out stays and keeps its hand and memory, so a rule may leave out only
-        a robot whose ``decide`` would return ``STAY`` with the memory it
-        holds and whose ``after_move`` would then keep both. The base lists
-        every robot."""
-        return [(node, label) for node, slot in enumerate(analysis.cfg.slots) for label in slot]
+    def actors(self, analysis: ChainAnalysis, slots, robots) -> list[tuple[int, int]]:
+        """The ``(node, label)`` of every robot that decides on the ring with
+        ``slots`` and the look ``analysis``; ``robots`` are in label order.
+        A robot left out stays and keeps its hand and memory, so a rule may
+        leave out only a robot whose ``decide`` would return ``STAY`` with
+        the memory it holds and whose ``after_move`` would then keep both.
+        The base lists every robot."""
+        return [(node, label) for node, slot in enumerate(slots) for label in slot]
 
     def decide(self, snap: Snapshot, robot: RobotState) -> tuple[Action, object]:
         raise NotImplementedError
@@ -252,8 +252,7 @@ class ChainRule(Policy):
     that anchors a chain its least robot, and on a singleton node of a
     chain its one robot. Everyone else stays and keeps its memory."""
 
-    def actors(self, analysis, robots):
-        slots = analysis.cfg.slots
+    def actors(self, analysis, slots, robots):
         # A chain's singleton nodes are never a multinode, so no node repeats.
         return [(node, slots[node][0])
                 for node in (*analysis.by_anchor, *analysis.by_singleton)]
@@ -318,14 +317,14 @@ class PreprocessPolicy(ChainRule):
                 f"policy {self.policy_id} must start with all robots on one node")
         return self.before_agreement(snap), None
 
-    def actors(self, analysis, robots):
+    def actors(self, analysis, slots, robots):
         # The robots' memories agree (``round_guarantees`` checks it). Before
         # agreement every robot of a whole pile steps, and a rule that needs
         # a gathered start has every robot refuse any other ring.
         if robots[0].memory is None and (self.gathered_start
-                                         or analysis.metrics.holes == analysis.cfg.n - 1):
-            return Policy.actors(self, analysis, robots)
-        return super().actors(analysis, robots)
+                                         or analysis.metrics.holes == analysis.n - 1):
+            return Policy.actors(self, analysis, slots, robots)
+        return super().actors(analysis, slots, robots)
 
     def after_move(self, robot, memory, mates):
         if memory in (None, PREPROCESS_DONE):
@@ -342,7 +341,7 @@ class PreprocessPolicy(ChainRule):
             return (holes_strictly_decrease,)
         if memories != {None}:
             raise ValueError(f"robots disagree on whether they agreed on a hand: {memories}")
-        return () if analysis.metrics.holes == analysis.cfg.n - 1 else self.guarantees
+        return () if analysis.metrics.holes == analysis.n - 1 else self.guarantees
 
 
 class NoChiralityOneIntervalPolicy(PreprocessPolicy):

@@ -219,31 +219,6 @@ def crossing_edge(pos: int, action: Action, n: int) -> int | None:
     return (pos - 1) % n
 
 
-def apply_vertex_permutation(cfg: RingConfiguration, perm) -> RingConfiguration:
-    """Shuffle node positions; occupants travel with their node.
-
-    ``perm[i]`` is the new position of the node currently at i. Any removed
-    edge is cleared, since edge removal is decided after the shuffle.
-    """
-    perm = tuple(perm)
-    if sorted(perm) != list(range(cfg.n)):
-        raise ValueError(f"not a permutation of 0..{cfg.n - 1}: {perm}")
-    slots = [()] * cfg.n
-    for old, new in enumerate(perm):
-        slots[new] = cfg.slots[old]
-    return RingConfiguration._trusted(cfg.n, tuple(slots), None)
-
-
-def apply_edge_removal(cfg: RingConfiguration, edge: int | None) -> RingConfiguration:
-    """Mark one edge as absent for the round. At most one edge may be out."""
-    if edge is None:
-        return cfg
-    if cfg.missing_edge is not None:
-        raise ValueError("an edge is already removed this round")
-    check_edge(edge, cfg.n)
-    return RingConfiguration._trusted(cfg.n, cfg.slots, edge)
-
-
 def resolve_moves(cfg: RingConfiguration, intents: dict[int, Action]) -> RingConfiguration:
     """Apply every robot's global-frame action at once; crossing the removed
     edge is a no-op. ``intents`` maps label to action and must name exactly
@@ -377,15 +352,15 @@ def find_chains(cfg: RingConfiguration) -> tuple[Chain, ...]:
     the first node that is not a singleton. It yields a chain only when
     that node is a hole.
     """
-    return _chains(cfg, cfg.multiplicities())
+    return _chains(cfg.multiplicities(), cfg.missing_edge)
 
 
 # The two walk directions, with their clockwise position steps.
 _WALKS = ((Action.CLOCKWISE, 1), (Action.ANTICLOCKWISE, -1))
 
 
-def _chains(cfg: RingConfiguration, mult: tuple[int, ...]) -> tuple[Chain, ...]:
-    n, cut = cfg.n, cfg.missing_edge
+def _chains(mult: tuple[int, ...], cut: int | None) -> tuple[Chain, ...]:
+    n = len(mult)
     chains = []
     for anchor in range(n):
         if mult[anchor] < 2:
@@ -431,44 +406,53 @@ class ChainView(object):
         return self.direction_own.inverse()
 
 
+class _BuiltOnRead:
+    """A chain index attribute of a look, ``by_anchor`` or ``by_singleton``.
+    The first read of either builds both, with the view cache, as plain
+    attributes of the look, which hide this descriptor from then on. A
+    descriptor, not ``__getattr__``: that would slow every attribute read
+    of a look."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, look, owner=None):
+        if look is None:
+            return self
+        look._build_index()
+        return getattr(look, self.name)
+
+
 class ChainAnalysis:
-    """Per-configuration census and chain index shared by every robot's snapshot.
+    """The census and chain index of a ring's node counts and removed edge,
+    shared by every robot's snapshot. It holds no label, so one look serves
+    every ring with the same counts and edge: ``Snapshot`` and
+    ``Policy.actors`` take the seen ring's slots beside it.
 
-    With ``chains`` false the index is not built, so reading a chain fails.
-    ``step`` and ``predict_intents`` pass the rule's ``full_visibility``:
-    a zero-visibility table reads only its own node and never pays for
-    ``find_chains``, while a full-visibility rule reads chains on every
-    decision that has a multinode.
-
-    Only ``cfg`` holds labels. The census, the chains, ``by_anchor``,
-    ``by_singleton`` and the views read the node counts and the removed
-    edge alone, so ``bound_to`` lends them to any ring that has the same.
+    The index, ``by_anchor``, ``by_singleton`` and the chain views, is built
+    the first time a rule reads it: a zero-visibility table reads only its
+    own node and never pays for ``find_chains``.
     """
 
-    def __init__(self, cfg: RingConfiguration, chains: bool = True):
-        self.cfg = cfg
+    by_anchor: dict[int, list[Chain]] = _BuiltOnRead()
+    by_singleton: dict[int, Chain] = _BuiltOnRead()
+
+    def __init__(self, cfg: RingConfiguration):
+        self.n = cfg.n
+        self.missing_edge = cfg.missing_edge
         self.mult = cfg.multiplicities()
         self.metrics = _census(self.mult)
-        if not chains:
-            return
-        self.by_singleton: dict[int, Chain] = {}
-        self.by_anchor: dict[int, list[Chain]] = {}
-        self._views: dict[tuple, ChainView] = {}
-        for chain in _chains(cfg, self.mult):
-            self.by_anchor.setdefault(chain.multinode, []).append(chain)
+
+    def _build_index(self) -> None:
+        by_anchor, by_singleton = {}, {}
+        for chain in _chains(self.mult, self.missing_edge):
+            by_anchor.setdefault(chain.multinode, []).append(chain)
             for pos in chain.singletons:
                 # A singleton node belongs to at most one chain overall.
-                self.by_singleton[pos] = chain
-
-    def bound_to(self, cfg: RingConfiguration) -> "ChainAnalysis":
-        """This analysis read on ``cfg``, a ring with the same node counts
-        and removed edge. The census and the chain index read no label, so
-        the two share them, chain views included; only ``cfg``, where
-        snapshots and ``Policy.actors`` read labels, is ``cfg``'s own."""
-        look = object.__new__(type(self))
-        look.__dict__ = self.__dict__.copy()
-        look.cfg = cfg
-        return look
+                by_singleton[pos] = chain
+        self.by_anchor, self.by_singleton = by_anchor, by_singleton
+        # Chain views are asked for only after a chain was read.
+        self._views: dict[tuple, ChainView] = {}
 
     def chain_view(self, chain: Chain, sign: int, with_other: bool) -> ChainView:
         """``chain`` in the frame of a robot whose hand has ``sign``, with the
@@ -493,18 +477,19 @@ class Snapshot:
 
     Decision rules receive only this object, never absolute positions, so
     node anonymity and (for orientation-free rules) reflection symmetry
-    are enforced at the interface.
+    are enforced at the interface. ``slots`` are the seen ring's, whose
+    node counts and removed edge ``analysis`` describes.
     """
 
     __slots__ = ("_analysis", "_pos", "_sign", "n", "own_labels", "own_count",
                  "least_label", "is_least", "has_multinode")
 
-    def __init__(self, analysis: ChainAnalysis, node: int, robot: RobotState):
+    def __init__(self, analysis: ChainAnalysis, slots, node: int, robot: RobotState):
         self._analysis = analysis
         self._pos = node
         self._sign = robot.orientation.sign
-        self.n = analysis.cfg.n
-        self.own_labels = analysis.cfg.slots[node]
+        self.n = analysis.n
+        self.own_labels = slots[node]
         self.own_count = len(self.own_labels)
         self.least_label = self.own_labels[0]
         self.is_least = robot.label == self.least_label

@@ -77,18 +77,18 @@ def _all_stay(n: int) -> dict[int, Action]:
     return dict.fromkeys(range(1, n + 1), _STAY)
 
 
-def _decide(policy: Policy, analysis: ChainAnalysis, robots):
+def _decide(policy: Policy, analysis: ChainAnalysis, slots, robots):
     """Each robot's global-frame action, by label in label order; the node
     and the memory of each robot the rule lists in ``Policy.actors``, by
     label; and the ``(label, node, global action)`` of each listed robot
-    that does not stay. ``robots`` must be in label order; a robot not
-    listed stays."""
+    that does not stay. ``slots`` are the seen ring's, ``analysis`` its
+    look; ``robots`` must be in label order; a robot not listed stays."""
     intents = _all_stay(len(robots)).copy()
     decided = {}
     movers = []
-    for node, label in policy.actors(analysis, robots):
+    for node, label in policy.actors(analysis, slots, robots):
         robot = robots[label - 1]
-        own_action, memory = policy.decide(Snapshot(analysis, node, robot), robot)
+        own_action, memory = policy.decide(Snapshot(analysis, slots, node, robot), robot)
         decided[label] = node, memory
         if own_action is not _STAY:
             intents[label] = action = convert_frame(own_action, robot.orientation)
@@ -98,19 +98,17 @@ def _decide(policy: Policy, analysis: ChainAnalysis, robots):
 
 def predict_intents(policy: Policy, cfg: RingConfiguration, robots) -> dict[int, Action]:
     """Global-frame actions the robots would take on this configuration."""
-    return _decide(policy, ChainAnalysis(cfg, chains=policy.full_visibility), robots)[0]
+    return _decide(policy, ChainAnalysis(cfg), cfg.slots, robots)[0]
 
 
-def _look(looks: dict, cfg: RingConfiguration, chains: bool) -> ChainAnalysis:
-    """The analysis of ``cfg`` from the look table ``looks``, which maps a
-    ring's node counts and removed edge to the analysis first built for
-    them: built and stored on a miss, bound to ``cfg`` on a hit."""
+def _look(looks: dict, cfg: RingConfiguration) -> ChainAnalysis:
+    """The look at ``cfg`` from the look table ``looks``, which maps a
+    ring's node counts and removed edge to the look first built for them."""
     key = cfg.multiplicities(), cfg.missing_edge
     look = looks.get(key)
     if look is None:
-        look = looks[key] = ChainAnalysis(cfg, chains=chains)
-        return look
-    return look.bound_to(cfg)
+        look = looks[key] = ChainAnalysis(cfg)
+    return look
 
 
 def step(
@@ -118,7 +116,6 @@ def step(
     cfg: RingConfiguration,
     robots: tuple[RobotState, ...],
     dynamism: Dynamism,
-    predicted: dict[int, Action] | None = None,
     looks: dict | None = None,
 ) -> tuple[RingConfiguration, tuple[RobotState, ...], RoundTrace]:
     """Run one round and return the intact next configuration.
@@ -128,26 +125,18 @@ def step(
     over as it is. A robot that decided settles with the hand and memory
     ``Policy.after_move`` gives it from the labels on the node it ended the
     round on. ``robots`` must be in label order (``validate_scenario``
-    checks it). ``predicted`` intents, if given, must be exactly the
-    robots' decisions.
+    checks it).
 
     ``looks``, if given, is a look table that the caller keeps over rounds
-    of this one rule (see ``_look``): a round builds a ``ChainAnalysis``
-    only for node counts and a removed edge the table has not met. Without
-    it every round builds its own.
+    of this one rule (see ``_look``); without it every round builds its
+    own look. A look holds no label, so a stored one serves as a fresh one.
     """
     if cfg.missing_edge is not None:
         raise ValueError("a round must start from an intact ring")
     cfg_seen = dynamism.apply(cfg)
-    if looks is None:
-        analysis = ChainAnalysis(cfg_seen, chains=policy.full_visibility)
-    else:
-        analysis = _look(looks, cfg_seen, policy.full_visibility)
+    analysis = ChainAnalysis(cfg_seen) if looks is None else _look(looks, cfg_seen)
     guarantees = policy.round_guarantees(analysis, robots)
-    intents, decided, movers = _decide(policy, analysis, robots)
-    if predicted is not None and predicted != intents:
-        wrong = sorted(label for label in intents if predicted.get(label) is not intents[label])
-        raise RuntimeError(f"predicted intents differ from the decisions of robots {wrong}")
+    intents, decided, movers = _decide(policy, analysis, cfg_seen.slots, robots)
 
     cfg_after = move_robots(cfg_seen, movers)
     metrics_after = classify(cfg_after)
@@ -213,11 +202,16 @@ def play_round(policy: Policy, adversary: Adversary, cfg: RingConfiguration, mod
                robots, rng: random.Random | None = None):
     """One round of a run from ``cfg``, which must not be dispersed: the
     adversary's choice, then ``step``. An adaptive adversary reads the
-    robots' intents first; ``step`` checks them."""
+    robots' predicted intents first, and the round must play exactly them."""
     predicted = predict_intents(policy, cfg, robots) if adversary.adaptive else None
     dynamism = adversary.choose(AdversaryContext(cfg, mode, rng, predicted))
     dynamism.check_mode(mode)
-    return step(policy, cfg, robots, dynamism, predicted)
+    cfg, robots, trace = step(policy, cfg, robots, dynamism)
+    intents = trace.intents
+    if predicted is not None and predicted != intents:
+        wrong = sorted(label for label in intents if predicted.get(label) is not intents[label])
+        raise RuntimeError(f"predicted intents differ from the decisions of robots {wrong}")
+    return cfg, robots, trace
 
 
 def run_simulation(

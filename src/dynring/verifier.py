@@ -44,13 +44,10 @@ the plain rotation key.
 
 A search also keeps a look table for its own length: every round it
 plays passes it to ``step``, which builds a ``ChainAnalysis`` only for a
-seen ring whose node counts and removed edge the table lacks, and lends
-the stored one to the ring at hand otherwise (``ChainAnalysis.bound_to``).
-The census, chains and chain views read no label, and the labels the
-robots read come from the ring at hand, so every decision is the one a
-fresh analysis gives. The table holds at most C(2n-1, n)*(n+1) entries
-(175 at n=4, 13,728 at n=7). Runs and impossibility sweeps pass none:
-large rings do not repeat, and a zero-visibility table builds no chains.
+seen ring whose node counts and removed edge the table lacks and reuses
+the stored one otherwise; a look holds no label. The table holds at most
+C(2n-1, n)*(n+1) entries (175 at n=4, 13,728 at n=7). Runs and
+impossibility sweeps pass none: large rings do not repeat.
 
 The module also enumerates starting configurations, certifies per-round
 guarantees along every explored edge, checks the adaptive adversaries
@@ -174,11 +171,9 @@ class WorstCaseSearcher:
     flipped, by keying with the hands in which robot 1 reads ``A``; the
     module docstring shows that twins have one value. The memo holds only
     values.
-    ``looks`` is the search's look table, keyed by a seen ring's node
-    counts and removed edge (``scheduler._look``): the chain index reads
-    no label, so one per occupancy and edge serves every ring with the
-    same, at most C(2n-1, n)*(n+1) of them. It goes with the searcher, as
-    the memo does.
+    ``looks`` is the search's look table, one label-free look per seen
+    ring's node counts and removed edge (``scheduler._look``). It goes
+    with the searcher, as the memo does.
     A best branch found in one frame of a state need not be best in
     another, so ``witness`` picks its branch afresh in the frame it is
     replaying.
@@ -406,11 +401,11 @@ def _orbit_fate(policy: NoVisibilityPolicy, adversary: Adversary, start: int, ro
     ``states``. The memo maps a state's id and the table's ``letters`` for
     the state's classes to the successor's id. A round it lacks is played
     by ``play_round``, the only place that decides (it predicts, and
-    ``step`` checks the prediction, only against an adaptive adversary),
-    and its successor is interned there; a round the memo holds decides
-    nothing. The walk knows a state it plays is not dispersed, so it takes
-    no census before a round. Every state has the call's ``robots``; a
-    played round that returns other robots raises ``RuntimeError``.
+    checks the prediction, only against an adaptive adversary), and its
+    successor is interned there; a round the memo holds decides nothing.
+    The walk knows a state it plays is not dispersed, so it takes no
+    census before a round. Every state has the call's ``robots``; a played
+    round that returns other robots raises ``RuntimeError``.
     """
     rows = states.rows
     letters = policy.letters
@@ -486,8 +481,8 @@ def verify_impossibility(
     - the adversary reads only the ring, the mode and the intents;
     - dynamism moves whole slots, so no robot's class changes before it
       decides, and the decisions on the reshaped ring are the intents
-      ``play_round`` predicts. ``step`` checks this on every round it plays
-      against an adaptive adversary; against any other adversary
+      ``play_round`` predicts. ``play_round`` checks this on every round it
+      plays against an adaptive adversary; against any other adversary
       ``play_round`` predicts nothing, and the letters key rests on
       ``test_a_tables_letters_on_a_state_fix_its_intents``, not on a
       check at run time;

@@ -89,7 +89,7 @@ def _two_ring_round(cfg, dynamism, actions, hands: str):
     after, landed = ChainAnalysis(trace.config_after), trace.config_after.positions()
     observations = tuple(
         (robot.memory,
-         snapshot_facts(Snapshot(after, landed[robot.label], robot)),
+         snapshot_facts(Snapshot(after, trace.config_after.slots, landed[robot.label], robot)),
          compute_view(trace.config_seen, robot, 2),
          compute_view(trace.config_after, robot, 2))
         for robot in settled)

@@ -17,7 +17,6 @@ from dynring import (
     ScenarioError,
     all_on_one,
     canonical_rotation,
-    apply_vertex_permutation,
     check_adaptive_soundness,
     classify,
     enumerate_initial_configs,
@@ -128,9 +127,9 @@ def test_permutation_classes_are_canonical_distinct_and_complete(cfg):
     """The kept permutations hit each rotation class exactly once and are
     pre-rotated so their result is the canonical representative."""
     classes = permutation_classes(cfg)
-    reached = {canonical_rotation(apply_vertex_permutation(cfg, p)).slots
+    reached = {canonical_rotation(Dynamism(p).apply(cfg)).slots
                for p in itertools.permutations(range(cfg.n))}
-    results = [apply_vertex_permutation(cfg, p) for p in classes]
+    results = [Dynamism(p).apply(cfg) for p in classes]
     assert {r.slots for r in results} == reached
     for result in results:
         assert canonical_rotation(result).slots == result.slots
@@ -142,7 +141,7 @@ def walked_arrangements(cfg):
     n = cfg.n
     reached = set()
     for perm in itertools.permutations(range(n)):
-        arrangement = apply_vertex_permutation(cfg, perm).slots
+        arrangement = Dynamism(perm).apply(cfg).slots
         reached.add(min(arrangement[r:] + arrangement[:r] for r in range(n)))
     return sorted(reached)
 
@@ -155,7 +154,7 @@ def test_permutation_classes_match_the_full_walk():
         for start in enumerate_initial_configs(n, up_to_reflection=False):
             for shift in range(n):
                 cfg = rotate(start, shift)
-                reached = [apply_vertex_permutation(cfg, p).slots
+                reached = [Dynamism(p).apply(cfg).slots
                            for p in permutation_classes(cfg)]
                 assert reached == walked_arrangements(cfg), cfg
 

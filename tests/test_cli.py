@@ -86,6 +86,22 @@ def test_run_accepts_a_spec_file(tmp_path):
     assert summary["spec"]["policy"] == "even4" and summary["spec"]["seed"] == 3
 
 
+def test_run_refuses_scenario_flags_beside_a_spec(tmp_path, capsys):
+    """A spec file is the whole scenario: a scenario flag given beside it,
+    even at its default, is refused by name rather than silently ignored,
+    while ``--out`` and ``--format`` still apply."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(ExperimentSpec(n=4, policy="vp-1i", seed=3).to_json())
+    capsys.readouterr()
+    assert run_cli("run", "--spec", str(spec_path), "--n", "9", "--policy", "vp-chain",
+                   "--seed", "11", "--adversary", "benign") == 1
+    assert capsys.readouterr().err == \
+        "error: run --spec does not read --n, --policy, --adversary, --seed\n"
+    out = tmp_path / "run.csv"
+    assert run_cli("run", "--spec", str(spec_path), "--format", "csv", "--out", str(out)) == 0
+    assert out.read_text().splitlines()[1].startswith("0,,,,")
+
+
 def test_run_csv_format(tmp_path):
     out = tmp_path / "run.csv"
     assert run_cli("run", "--n", "4", "--policy", "vp-chain", "--seed", "1",
@@ -310,6 +326,9 @@ TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
     lambda tmp_path: _tampered_trace(tmp_path, lambda r: r.update(outcome="banana"),
                                      *ONE_ROUND_RUN, round_index=-1),
     lambda tmp_path: _edited_trace(tmp_path, lambda lines: lines.pop(), *ONE_ROUND_RUN),
+    lambda tmp_path: _spec_file(tmp_path) + ["--n", "9"],
+    lambda tmp_path: _spec_file(tmp_path) + ["--seed", "11"],
+    lambda tmp_path: _spec_file(tmp_path) + ["--mode", "none"],
 ], ids=["run-n-0", "run-n-negative", "sweep-n-not-a-number", "sweep-n-empty-range",
         "config-not-a-number", "config-wrong-total", "spec-unknown-key", "spec-unknown-mode",
         "replay-missing-perm", "run-max-rounds-negative", "verify-bound-n-0",
@@ -334,7 +353,8 @@ TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
         "run-without-n", "run-without-policy", "run-orientations-bad-letters",
         "replay-first-line-not-round-0", "replay-line-not-an-object",
         "replay-summary-without-outcome", "replay-summary-before-a-round",
-        "replay-second-summary", "replay-summary-outcome-unknown", "replay-summary-missing"])
+        "replay-second-summary", "replay-summary-outcome-unknown", "replay-summary-missing",
+        "run-spec-with-n", "run-spec-with-seed", "run-spec-with-default-mode"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     capsys.readouterr()

@@ -317,13 +317,13 @@ def test_mirrored_world_gives_identical_snapshots(scenario):
     """A robot cannot tell the world from its mirror image once its hand is
     flipped too: every snapshot fact, chain order included, is the same."""
     cfg, robots = scenario
-    direct = ChainAnalysis(cfg)
-    mirror = ChainAnalysis(reflect(cfg, 0))
+    mirrored = reflect(cfg, 0)
+    direct, mirror = ChainAnalysis(cfg), ChainAnalysis(mirrored)
     at = cfg.positions()
     for r in robots:
         flipped = RobotState(r.label, r.orientation.flipped(), r.memory)
-        assert (snapshot_facts(Snapshot(mirror, -at[r.label] % cfg.n, flipped))
-                == snapshot_facts(Snapshot(direct, at[r.label], r)))
+        assert (snapshot_facts(Snapshot(mirror, mirrored.slots, -at[r.label] % cfg.n, flipped))
+                == snapshot_facts(Snapshot(direct, cfg.slots, at[r.label], r)))
 
 
 @settings(max_examples=120, deadline=None)
@@ -337,7 +337,7 @@ def test_plain_rules_keep_memory(scenario, policy_id, data):
     if policy_id == "even4" and len(cfg.slots[node]) == cfg.n:
         # The gathered pile triggers the one remembering round instead.
         return
-    _, memory = policy.decide(Snapshot(analysis, node, robot), robot)
+    _, memory = policy.decide(Snapshot(analysis, cfg.slots, node, robot), robot)
     assert memory is robot.memory
     orientation, kept = policy.after_move(robot, memory, cfg.slots[node])
     assert orientation is robot.orientation and kept is memory

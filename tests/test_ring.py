@@ -13,13 +13,12 @@ from views import compute_view
 from dynring import (
     Action,
     ChainAnalysis,
+    Dynamism,
     Orientation,
     RingConfiguration,
     RobotState,
     Snapshot,
     all_on_one,
-    apply_edge_removal,
-    apply_vertex_permutation,
     canonical_rotation,
     classify,
     convert_frame,
@@ -63,8 +62,8 @@ def test_edge_index_validated():
     for edge in (1.5, True):
         with pytest.raises(ValueError):
             RingConfiguration(3, cfg.slots, edge)
-        with pytest.raises(ValueError):
-            apply_edge_removal(cfg, edge)
+        with pytest.raises(ValueError, match=rf"edge {edge!r} is not an edge index in 0..2"):
+            Dynamism(None, edge).apply(cfg)
 
 
 def test_ring_from_multiplicities_deals_labels_clockwise():
@@ -85,8 +84,8 @@ def test_derived_configurations_pass_full_validation(cfg, data):
     intents = {label: actions[label - 1] for label in order}
     derived = (
         resolve_moves(cfg, intents),
-        apply_vertex_permutation(cfg, data.draw(st.permutations(range(n)))),
-        apply_edge_removal(RingConfiguration(n, cfg.slots), data.draw(st.integers(0, n - 1))),
+        Dynamism(tuple(data.draw(st.permutations(range(n))))).apply(cfg),
+        Dynamism(None, data.draw(st.integers(0, n - 1))).apply(RingConfiguration(n, cfg.slots)),
         rotate(cfg, data.draw(st.integers(-n, 2 * n))),
         reflect(cfg, data.draw(st.integers(0, n - 1))),
     )
@@ -114,26 +113,26 @@ def test_all_on_one_and_positions():
 
 def test_permutation_moves_contents_and_clears_edge():
     cfg = ring_from_slots(((1, 2), (3,), ()), missing_edge=1)
-    out = apply_vertex_permutation(cfg, (2, 0, 1))
+    out = Dynamism((2, 0, 1)).apply(cfg)
     assert out.slots == ((3,), (), (1, 2))
     assert out.missing_edge is None
 
 
 def test_permutation_must_be_valid():
     cfg = all_on_one(3)
-    with pytest.raises(ValueError):
-        apply_vertex_permutation(cfg, (0, 0, 1))
+    with pytest.raises(ValueError, match=r"^not a permutation of 0\.\.2: \(0, 0, 1\)$"):
+        Dynamism((0, 0, 1)).apply(cfg)
 
 
 def test_edge_removal_rules():
     cfg = all_on_one(3)
-    removed = apply_edge_removal(cfg, 2)
+    removed = Dynamism(None, 2).apply(cfg)
     assert removed.missing_edge == 2
-    with pytest.raises(ValueError):
-        apply_edge_removal(removed, 0)
-    with pytest.raises(ValueError):
-        apply_edge_removal(cfg, 3)
-    assert apply_edge_removal(cfg, None) is cfg
+    with pytest.raises(ValueError, match="^an edge is already removed this round$"):
+        Dynamism(None, 0).apply(removed)
+    with pytest.raises(ValueError, match=r"^edge 3 is not an edge index in 0\.\.2$"):
+        Dynamism(None, 3).apply(cfg)
+    assert Dynamism().apply(cfg) is cfg
 
 
 def test_crossing_edges_on_two_ring():
@@ -294,7 +293,7 @@ def test_census_is_position_free(cfg, data):
     """Node shuffles, rotations and reflections never change the census."""
     perm = data.draw(st.permutations(range(cfg.n)))
     base = classify(cfg)
-    for other in (apply_vertex_permutation(cfg, perm),
+    for other in (Dynamism(tuple(perm)).apply(cfg),
                   rotate(cfg, data.draw(st.integers(0, cfg.n - 1))),
                   reflect(cfg, data.draw(st.integers(0, cfg.n - 1)))):
         got = classify(other)
@@ -371,17 +370,17 @@ def test_chain_goodness_tracks_removed_edge():
 @given(ring_configs())
 def test_chain_index_files_every_chain(cfg):
     """The index files each chain of ``find_chains`` under its multinode, in
-    order, and under each of its singleton nodes; without chains it is not
-    built, while the census is the same."""
+    order, and under each of its singleton nodes. It is built on its first
+    read, not with the census."""
     by_anchor, by_singleton = {}, {}
     for chain in find_chains(cfg):
         by_anchor.setdefault(chain.multinode, []).append(chain)
         by_singleton.update(dict.fromkeys(chain.singletons, chain))
-    analysis, census_only = ChainAnalysis(cfg), ChainAnalysis(cfg, chains=False)
+    analysis = ChainAnalysis(cfg)
+    assert "by_anchor" not in vars(analysis) and "by_singleton" not in vars(analysis)
+    assert (analysis.mult, analysis.metrics) == (cfg.multiplicities(), classify(cfg))
     assert analysis.by_singleton == by_singleton
     assert analysis.by_anchor == by_anchor
-    assert "by_anchor" not in vars(census_only) and "by_singleton" not in vars(census_only)
-    assert (census_only.mult, census_only.metrics) == (analysis.mult, analysis.metrics)
 
 
 # --------------------------------------------------------------- symmetries
@@ -501,6 +500,6 @@ def test_view_at_half_ring_does_not_determine_the_snapshot():
     second = ring_from_slots(((1,), (), (2,), (3,), (), (4, 5, 6), (7,)))
     robot = RobotState(1, Orientation.ALIGNED, None)
     assert compute_view(first, robot, 4) == compute_view(second, robot, 4)
-    snaps = [Snapshot(ChainAnalysis(cfg), 0, robot) for cfg in (first, second)]
+    snaps = [Snapshot(ChainAnalysis(cfg), cfg.slots, 0, robot) for cfg in (first, second)]
     assert [snap.own_chain().length for snap in snaps] == [1, 2]
     assert snapshot_facts(snaps[0]) != snapshot_facts(snaps[1])

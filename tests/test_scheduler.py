@@ -29,6 +29,7 @@ from dynring import (
     get_policy,
     holes_filled_count,
     initial_robots,
+    play_round,
     predict_intents,
     ring_from_multiplicities,
     ring_from_slots,
@@ -93,7 +94,8 @@ def test_blocked_intent_is_visible_in_the_trace():
 
 def test_only_rules_that_read_chains_build_the_chain_index(monkeypatch):
     """A zero-visibility table decides from its own node alone, so the chain
-    index of the ring it looks at is never built; a chain rule builds it."""
+    index of the ring it looks at is never built; a chain rule reads it, so
+    its look builds it."""
     analyses = []
 
     class Recorded(ChainAnalysis):
@@ -113,16 +115,21 @@ def test_only_rules_that_read_chains_build_the_chain_index(monkeypatch):
     assert "by_anchor" in vars(chain_rule) and "by_singleton" in vars(chain_rule)
 
 
-def test_prediction_mismatch_is_an_error():
-    policy = get_policy("vp-chain")
-    cfg = ring_from_slots(((1, 2), (3,), (), (4,)))
+def test_prediction_mismatch_is_an_error(monkeypatch):
+    """``play_round`` shows an adaptive adversary the predicted intents and
+    refuses a round whose decisions differ from them, naming the robots."""
+    policy, adversary = get_policy("k0:cacacs"), get_adversary("1i-killer")
+    cfg = ring_from_multiplicities((2, 1, 0))
     robots = initial_robots(cfg)
     right = predict_intents(policy, cfg, robots)
-    step(policy, cfg, robots, Dynamism(), predicted=right)
-    wrong = dict(right)
-    wrong[1] = ACW
-    with pytest.raises(RuntimeError):
-        step(policy, cfg, robots, Dynamism(), predicted=wrong)
+    assert right == {1: ACW, 2: CW, 3: CW}
+    _, _, trace = play_round(policy, adversary, cfg, Mode.ONE_INTERVAL, robots)
+    assert trace.intents == right
+    wrong = {**right, 1: STAY}
+    monkeypatch.setattr(dynring.scheduler, "predict_intents", lambda *args: wrong)
+    with pytest.raises(RuntimeError,
+                       match=r"^predicted intents differ from the decisions of robots \[1\]$"):
+        play_round(policy, adversary, cfg, Mode.ONE_INTERVAL, robots)
 
 
 def test_preprocess_round_aligns_every_orientation():
@@ -218,12 +225,13 @@ def test_settled_robots_and_shared_views_match_fresh_ones(scenario):
     seen, landed = trace.config_seen, trace.config_after
     at = seen.positions()
     mates = {label: slot for slot in landed.slots for label in slot}
-    shared = ChainAnalysis(seen, chains=policy.full_visibility)
+    shared = ChainAnalysis(seen)
     fresh = []
     for robot in robots:
-        own = Snapshot(ChainAnalysis(seen, chains=policy.full_visibility), at[robot.label], robot)
+        own = Snapshot(ChainAnalysis(seen), seen.slots, at[robot.label], robot)
         if policy.full_visibility:
-            assert snapshot_facts(Snapshot(shared, at[robot.label], robot)) == snapshot_facts(own)
+            assert (snapshot_facts(Snapshot(shared, seen.slots, at[robot.label], robot))
+                    == snapshot_facts(own))
         action, memory = policy.decide(own, robot)
         assert trace.intents[robot.label] is convert_frame(action, robot.orientation)
         fresh.append(RobotState(robot.label, *policy.after_move(robot, memory,
@@ -258,13 +266,15 @@ def ungathered_rounds(draw):
     return policy, cfg, robots, Dynamism(None, edge)
 
 
-def _decide_everyone(policy, analysis, robots):
+def _decide_everyone(policy, seen, robots):
     """The reference: every robot's global action and memory through
-    ``policy.decide``, by label."""
-    at = analysis.cfg.positions()
+    ``policy.decide`` on the ring ``seen``, by label."""
+    at = seen.positions()
+    analysis = ChainAnalysis(seen)
     decisions = {}
     for robot in robots:
-        action, memory = policy.decide(Snapshot(analysis, at[robot.label], robot), robot)
+        action, memory = policy.decide(Snapshot(analysis, seen.slots, at[robot.label], robot),
+                                       robot)
         decisions[robot.label] = (convert_frame(action, robot.orientation), memory)
     return decisions
 
@@ -278,20 +288,21 @@ def test_deciding_only_the_listed_actors_changes_nothing(scenario):
     robot left out would have stayed with the memory it holds, and is
     carried over as it is. A ring a rule refuses is refused alike."""
     policy, cfg, robots, dynamism = scenario
-    analysis = ChainAnalysis(dynamism.apply(cfg), chains=policy.full_visibility)
+    seen = dynamism.apply(cfg)
+    analysis = ChainAnalysis(seen)
     try:
-        everyone = _decide_everyone(policy, analysis, robots)
+        everyone = _decide_everyone(policy, seen, robots)
     except ScenarioError as refusal:
         with pytest.raises(ScenarioError) as raised:
             step(policy, cfg, robots, dynamism)
         assert str(raised.value) == str(refusal)
         return
-    intents, decided, movers = dynring.scheduler._decide(policy, analysis, robots)
+    intents, decided, movers = dynring.scheduler._decide(policy, analysis, seen.slots, robots)
     assert list(intents) == list(cfg.labels())
     assert intents == {label: action for label, (action, _) in everyone.items()}
-    listed = {label for _, label in policy.actors(analysis, robots)}
+    listed = {label for _, label in policy.actors(analysis, seen.slots, robots)}
     assert decided.keys() == listed
-    at = analysis.cfg.positions()
+    at = seen.positions()
     assert sorted(movers) == [(label, at[label], action) for label, action in intents.items()
                               if action is not STAY]
     for robot in robots:
@@ -312,18 +323,18 @@ def test_deciding_only_the_listed_actors_changes_nothing(scenario):
             assert after is robot
 
 
-def _decision(policy, analysis, robots):
+def _decision(policy, analysis, slots, robots):
     """``_decide``'s intents, decided and movers, or the message of the
     rule's refusal."""
     try:
-        return dynring.scheduler._decide(policy, analysis, robots)
+        return dynring.scheduler._decide(policy, analysis, slots, robots)
     except ScenarioError as refusal:
         return str(refusal)
 
 
 def test_a_look_the_table_lends_decides_as_a_fresh_one():
-    """A look table keys an analysis by the seen ring's node counts and
-    removed edge, and lends it to every later ring that has the same. On
+    """A look table keys a look by the seen ring's node counts and removed
+    edge, and hands it to every later ring that has the same. On
     every occupancy at n <= 4 with every hand assignment, and at n = 5 with
     aligned hands, under two labellings and every removed edge, every
     full-visibility rule the ring admits, agreed or not, decides on the
@@ -342,8 +353,8 @@ def test_a_look_the_table_lends_decides_as_a_fresh_one():
                 first = ring_from_slots(dealt, edge)
                 second = ring_from_slots([[n + 1 - label for label in slot] for slot in dealt],
                                          edge)
-                dynring.scheduler._look(looks, first, True)
-                lent = dynring.scheduler._look(looks, second, True)
+                dynring.scheduler._look(looks, first)
+                lent = dynring.scheduler._look(looks, second)
                 fresh = ChainAnalysis(second)
                 for policy in POLICIES.values():
                     for robots in teams:
@@ -351,8 +362,9 @@ def test_a_look_the_table_lends_decides_as_a_fresh_one():
                             policy.check_scenario(n, Mode.NONE, second, robots)
                         except ScenarioError:
                             continue
-                        assert (_decision(policy, lent, robots)
-                                == _decision(policy, fresh, robots)), (policy, second, robots)
+                        assert (_decision(policy, lent, second.slots, robots)
+                                == _decision(policy, fresh, second.slots, robots)), \
+                            (policy, second, robots)
                         compared += 1
         assert len(looks) == math.comb(2 * n - 1, n) * (n + 1)
     assert compared == 20_424
@@ -366,8 +378,8 @@ def test_a_gathered_vp_1i_run_decides_only_for_its_actors(monkeypatch):
     rounds = []
     listing, deciding = policy.actors, policy.decide
 
-    def actors(analysis, robots):
-        listed = listing(analysis, robots)
+    def actors(analysis, slots, robots):
+        listed = listing(analysis, slots, robots)
         rounds.append([len(listed), 0])
         return listed
 

@@ -7,6 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dynring.ring
 import dynring.scheduler
 import dynring.verifier
 from decisions import mismatches, recorded_decisions
@@ -14,6 +15,7 @@ from naive_policies import naive_intents
 from dynring import (
     Action,
     ChainAnalysis,
+    Dynamism,
     ImpossibilityReport,
     Mode,
     NO_VISIBILITY_DOMAIN,
@@ -26,7 +28,6 @@ from dynring import (
     adversary_start_filter,
     all_no_visibility_policies,
     all_on_one,
-    apply_vertex_permutation,
     canonical_rotation,
     classify,
     convert_frame,
@@ -259,7 +260,7 @@ def _arrangements(cfg):
     """Every arrangement of ``cfg``'s slots: one permutation per class from
     ``permutation_classes``, turned to every rotation."""
     for perm in permutation_classes(cfg):
-        shuffled = apply_vertex_permutation(cfg, perm)
+        shuffled = Dynamism(perm).apply(cfg)
         for shift in range(cfg.n):
             yield rotate(shuffled, shift)
 
@@ -343,9 +344,9 @@ def test_a_search_builds_one_chain_index_per_seen_occupancy_and_edge(monkeypatch
     built, dynamisms = [], []
     real_analysis, real_step = dynring.scheduler.ChainAnalysis, dynring.verifier.step
 
-    def analysis(cfg, chains=True):
+    def analysis(cfg):
         built.append((cfg.multiplicities(), cfg.missing_edge))
-        return real_analysis(cfg, chains=chains)
+        return real_analysis(cfg)
 
     def counted_step(*args, **options):
         dynamisms.append(args[3])
@@ -361,6 +362,30 @@ def test_a_search_builds_one_chain_index_per_seen_occupancy_and_edge(monkeypatch
     second = verify_worst_case(policy, 4, Mode.COMBINED)
     assert second == first and len(dynamisms) == 2 * 1541
     assert len(built) == 100 and built[50:] == built[:50]
+
+
+@pytest.mark.parametrize("policy_id", ["no-chir-1i", "even4"])
+def test_a_search_walks_the_chains_once_per_stored_look(monkeypatch, policy_id):
+    """A look builds its chain index the first time a rule reads it, and the
+    search's look table hands a stored look back as it is, so the index is
+    never built twice: at n=4 in mode ``combined`` each rule stores 50
+    looks and runs ``_chains`` 50 times, once per stored look."""
+    looks, walks = [], []
+    real_analysis, real_chains = dynring.scheduler.ChainAnalysis, dynring.ring._chains
+
+    def analysis(cfg):
+        looks.append((cfg.multiplicities(), cfg.missing_edge))
+        return real_analysis(cfg)
+
+    def chains(mult, cut):
+        walks.append((mult, cut))
+        return real_chains(mult, cut)
+
+    monkeypatch.setattr(dynring.scheduler, "ChainAnalysis", analysis)
+    monkeypatch.setattr(dynring.ring, "_chains", chains)
+    assert verify_worst_case(get_policy(policy_id), 4, Mode.COMBINED).holds
+    assert len(looks) == len(set(looks)) == 50
+    assert len(walks) == len(set(walks)) == 50 and set(walks) == set(looks)
 
 
 def test_a_stalling_rule_reports_a_cycle():
@@ -664,8 +689,8 @@ def test_the_tables_of_a_sweep_share_each_round(monkeypatch):
     for module in (dynring.scheduler, dynring.verifier):
         _recorded(monkeypatch, module, "predict_intents", lambda args, intents: predicted.append(
             (args[1].slots, _aux(args[2]), tuple(intents.items()))))
-    _recorded(monkeypatch, dynring.scheduler, "step", lambda args, _: played.append(
-        (args[1].slots, _aux(args[2]), tuple(args[4].items()))))
+    _recorded(monkeypatch, dynring.scheduler, "step", lambda args, result: played.append(
+        (args[1].slots, _aux(args[2]), tuple(result[2].intents.items()))))
     _recorded(monkeypatch, dynring.scheduler, "_decide", lambda args, _: decisions.append(args))
     _recorded(monkeypatch, dynring.scheduler, "classify", lambda args, _: censuses.append(args))
     report = verify_impossibility(get_adversary("1i-killer"), 3, Mode.ONE_INTERVAL)
@@ -784,10 +809,10 @@ def test_a_table_reads_nothing_of_its_table_but_its_actions():
     for cfg in enumerate_initial_configs(3, up_to_reflection=False):
         robots = tuple(RobotState(label, hand, memory)
                        for label, hand in zip(cfg.labels(), itertools.cycle(Orientation)))
-        analysis = ChainAnalysis(cfg, chains=False)
+        analysis = ChainAnalysis(cfg)
         for policy in ALL_TABLES:
             assert set(vars(policy)) == {"table", "policy_id"}
-            _, decided, _ = dynring.scheduler._decide(policy, analysis, robots)
+            _, decided, _ = dynring.scheduler._decide(policy, analysis, cfg.slots, robots)
             assert sorted(decided) == list(cfg.labels())
             assert all(m is memory for _, m in decided.values()), (policy.policy_id, cfg)
 
