@@ -15,6 +15,7 @@ intents are therefore exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -68,7 +69,7 @@ class Dynamism:
             raise ScenarioError(f"mode {mode.value} does not allow edge removal")
 
 
-@dataclass
+@dataclass(slots=True)
 class AdversaryContext:
     """Everything an adversary may consult for one round."""
 
@@ -76,6 +77,16 @@ class AdversaryContext:
     mode: Mode
     rng: object = None
     predicted_intents: dict[int, Action] | None = None
+
+
+# Answers made once and shared, as dynamisms are frozen.
+_NO_DYNAMISM = Dynamism(None, None)
+
+
+@functools.cache
+def _identity(n: int) -> Dynamism:
+    """The identity permutation of an n-ring, with no edge removed."""
+    return Dynamism(tuple(range(n)), None)
 
 
 class Adversary:
@@ -101,8 +112,7 @@ class BenignAdversary(Adversary):
     adversary_id = "benign"
 
     def choose(self, ctx):
-        perm = tuple(range(ctx.cfg.n)) if ctx.mode.allows_permutation else None
-        return Dynamism(perm, None)
+        return _identity(ctx.cfg.n) if ctx.mode.allows_permutation else _NO_DYNAMISM
 
 
 class RandomAdversary(Adversary):
@@ -263,7 +273,7 @@ class ThreeRingPermuter(AdaptiveAdversary):
         return sorted(counts) == [0, 1, 2]
 
     def neutral(self, cfg):
-        return Dynamism(tuple(range(3)), None)
+        return _identity(3)
 
     def counter(self, cfg, intents, successor):
         # From a pair, a single and a hole the moves lead to that shape
@@ -298,7 +308,7 @@ class GeneralPermuter(AdaptiveAdversary):
             raise ScenarioError(f"{self.adversary_id} needs a mode with vertex permutations")
 
     def neutral(self, cfg):
-        return Dynamism(tuple(range(cfg.n)), None)
+        return _identity(cfg.n)
 
     def counter(self, cfg, intents, successor):
         n = cfg.n
@@ -380,7 +390,7 @@ class EdgeBlocker(AdaptiveAdversary):
             raise ScenarioError(f"{self.adversary_id} needs a mode with edge removal")
 
     def neutral(self, cfg):
-        return Dynamism(None, None)
+        return _NO_DYNAMISM
 
     def counter(self, cfg, intents, successor):
         mult = cfg.multiplicities()

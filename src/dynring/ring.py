@@ -42,13 +42,10 @@ class Mode(Enum):
     ONE_INTERVAL = "1i"
     COMBINED = "combined"
 
-    @property
-    def allows_permutation(self) -> bool:
-        return self in (Mode.VP, Mode.COMBINED)
-
-    @property
-    def allows_edge_removal(self) -> bool:
-        return self in (Mode.ONE_INTERVAL, Mode.COMBINED)
+    def __init__(self, text: str):
+        # Plain attributes, as every ``check_mode`` and ``choose`` reads them.
+        self.allows_permutation = text in ("vp", "combined")
+        self.allows_edge_removal = text in ("1i", "combined")
 
     @classmethod
     def from_string(cls, text: str) -> "Mode":
@@ -285,14 +282,14 @@ def moved_counts(cfg: RingConfiguration, intents: dict[int, Action]) -> tuple[in
     n, cut = cfg.n, cfg.missing_edge
     if len(intents) != n:
         raise _misnamed(intents, n)
-    stay = Action.STAY
     counts = list(map(len, cfg.slots))
     try:
         for pos, slot in enumerate(cfg.slots):
             for label in slot:
                 action = intents[label]
-                # Crossing the removed edge is a no-op, as in ``move_robots``.
-                if action is not stay and (pos if action > 0 else (pos - 1) % n) != cut:
+                # STAY is 0. Crossing the removed edge is a no-op, as in
+                # ``move_robots``.
+                if action and (cut is None or (pos if action > 0 else (pos - 1) % n) != cut):
                     counts[pos] -= 1
                     counts[(pos + action) % n] += 1
     except KeyError:

@@ -560,21 +560,32 @@ def check_adaptive_soundness(
     dispersed successor. With ``neutral_required`` the successor must also
     keep the adversary's invariant, such as the 3-ring's pair/single/hole.
 
-    The adversary is asked once per labelled intent vector, and its
-    dynamism is checked against ``mode`` and applied; the verdict reads
-    only the successor's node counts (``moved_counts``). A scenario the
-    adversary refuses raises ``ScenarioError`` before any vector is tried.
+    The adversary is asked once per labelled intent vector. Each distinct
+    dynamism it answers is checked against ``mode`` and applied once per
+    call, and every vector is judged by its own successor's node counts
+    (``moved_counts``) on the ring its answer shapes. A scenario the
+    adversary refuses, and a ring with a removed edge, from which no round
+    starts, raise ``ScenarioError`` before any vector is tried.
     """
     adversary.check_scenario(cfg.n, mode)
+    if cfg.missing_edge is not None:
+        raise ScenarioError(f"a round starts from a ring with no removed edge, not {cfg}")
     problems = []
     labels = cfg.labels()
+    shaped: dict = {}
     for combo in itertools.product(
             (Action.STAY, Action.CLOCKWISE, Action.ANTICLOCKWISE), repeat=cfg.n):
         intents = dict(zip(labels, combo))
-        ctx = AdversaryContext(cfg, mode, None, intents)
-        dynamism = adversary.choose(ctx)
-        dynamism.check_mode(mode)
-        counts = moved_counts(dynamism.apply(cfg), intents)
+        dynamism = adversary.choose(AdversaryContext(cfg, mode, None, intents))
+        perm, edge = dynamism.permutation, dynamism.edge_removal
+        # A list and a tuple of one permutation shape one ring. The edge's
+        # type is in the key, as True equals 1 but is refused as an edge.
+        key = (None if perm is None else tuple(perm), edge, type(edge))
+        ring = shaped.get(key)
+        if ring is None:
+            dynamism.check_mode(mode)
+            ring = shaped[key] = dynamism.apply(cfg)
+        counts = moved_counts(ring, intents)
         if counts.count(1) == cfg.n:
             outcome = "dispersed"
         elif neutral_required and not adversary.invariant(counts):

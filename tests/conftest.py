@@ -3,7 +3,16 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from dynring import Orientation, RingConfiguration, RobotState
+from dynring import Mode, Orientation, RingConfiguration, RobotState
+
+# (adversary, n, mode, neutral_required): criterion 8's adaptive-soundness
+# checks, each run from every start the adversary's invariant admits.
+KILLER_SOUNDNESS_CASES = (
+    ("vp-killer-n3", 3, Mode.VP, True),
+    ("vp-killer", 4, Mode.VP, False),
+    ("vp-killer", 5, Mode.VP, False),
+    *(("1i-killer", n, Mode.ONE_INTERVAL, False) for n in (2, 3, 4, 5)),
+)
 
 
 @st.composite

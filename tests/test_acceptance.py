@@ -40,7 +40,7 @@ from dynring import (
     verify_worst_case,
 )
 from dynring import cli
-from conftest import snapshot_facts
+from conftest import KILLER_SOUNDNESS_CASES, snapshot_facts
 from decisions import mismatches, recorded_decisions
 from naive_policies import naive_intents
 from views import compute_view
@@ -281,13 +281,9 @@ def impossibility_sweep():
 
 @pytest.fixture(scope="module")
 def killer_soundness():
-    cases = [("vp-killer-n3", 3, Mode.VP, True),
-             ("vp-killer", 4, Mode.VP, False),
-             ("vp-killer", 5, Mode.VP, False)]
-    cases += [("1i-killer", n, Mode.ONE_INTERVAL, False) for n in (2, 3, 4, 5)]
     problems = []
     starts_checked = 0
-    for adversary_id, n, mode, neutral in cases:
+    for adversary_id, n, mode, neutral in KILLER_SOUNDNESS_CASES:
         adversary = get_adversary(adversary_id)
         for cfg in enumerate_initial_configs(n, up_to_reflection=False):
             if not adversary_start_filter(adversary, cfg):

@@ -2,19 +2,21 @@
 adversaries that starve zero-visibility rules."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ring_configs
+from conftest import KILLER_SOUNDNESS_CASES, ring_configs
 from dynring import (
     Action,
     AdversaryContext,
     Dynamism,
     Mode,
     ScenarioError,
+    adversary_start_filter,
     all_on_one,
     canonical_rotation,
     check_adaptive_soundness,
@@ -22,12 +24,13 @@ from dynring import (
     enumerate_initial_configs,
     exhaustive_branches,
     get_adversary,
+    moved_counts,
     permutation_classes,
     resolve_moves,
     ring_from_slots,
     rotate,
 )
-from dynring.adversaries import EdgeBlocker, ThreeRingPermuter
+from dynring.adversaries import EdgeBlocker, GeneralPermuter, ThreeRingPermuter
 
 CW, ACW, STAY = Action.CLOCKWISE, Action.ANTICLOCKWISE, Action.STAY
 
@@ -424,3 +427,159 @@ def test_soundness_reports_each_vector_that_leaves_the_shape():
     assert len(left) == 3 and len(problems) == 9
     dispersed = check_adaptive_soundness(_IdlePermuter(), PAIR_SINGLE_HOLE, Mode.VP)
     assert dispersed == [problem for problem in problems if problem not in left]
+
+
+@pytest.mark.parametrize("adversary_id,mode", [
+    ("vp-killer", Mode.VP),
+    ("1i-killer", Mode.ONE_INTERVAL),
+])
+def test_soundness_refuses_a_ring_with_a_removed_edge(adversary_id, mode):
+    """No round starts from a ring with a removed edge, so the check refuses
+    one before it asks about any vector. Without the refusal ``vp-killer``'s
+    permutation cleared the edge and the ring read as sound, and
+    ``1i-killer``'s first cut raised a bare ``ValueError`` partway through."""
+    adversary = type(get_adversary(adversary_id))()
+    asked = []
+    choose = adversary.choose
+    adversary.choose = lambda ctx: asked.append(ctx) or choose(ctx)
+    cut = ring_from_slots(((1, 2, 3), (), (4,), ()), missing_edge=1)
+    with pytest.raises(ScenarioError, match="no removed edge"):
+        check_adaptive_soundness(adversary, cut, mode)
+    assert asked == []
+
+
+def per_vector_soundness(adversary, cfg, mode, neutral_required=False) -> list[str]:
+    """The plain soundness check: every vector's answer is checked against
+    ``mode`` and applied on its own. The reference for
+    ``check_adaptive_soundness``, which shapes each distinct answer once."""
+    adversary.check_scenario(cfg.n, mode)
+    problems = []
+    labels = cfg.labels()
+    for combo in itertools.product((STAY, CW, ACW), repeat=cfg.n):
+        intents = dict(zip(labels, combo))
+        dynamism = adversary.choose(AdversaryContext(cfg, mode, None, intents))
+        dynamism.check_mode(mode)
+        counts = moved_counts(dynamism.apply(cfg), intents)
+        if counts.count(1) == cfg.n:
+            outcome = "dispersed"
+        elif neutral_required and not adversary.invariant(counts):
+            outcome = f"left shape {counts}"
+        else:
+            continue
+        described = ",".join(a.short for a in combo)
+        problems.append(f"intents [{described}] from {cfg} {outcome} via {dynamism}")
+    return problems
+
+
+def admitted_rings(adversary, n: int):
+    """Every rotation of every start the adversary's invariant admits."""
+    rings = {}
+    for cfg in enumerate_initial_configs(n, up_to_reflection=False):
+        if adversary_start_filter(adversary, cfg):
+            for shift in range(n):
+                turned = rotate(cfg, shift)
+                rings[turned.slots] = turned
+    return list(rings.values())
+
+
+@pytest.mark.parametrize("adversary_id,n,mode,neutral", KILLER_SOUNDNESS_CASES)
+def test_soundness_matches_the_per_vector_check_from_every_rotation(adversary_id, n, mode,
+                                                                    neutral):
+    adversary = get_adversary(adversary_id)
+    rings = admitted_rings(adversary, n)
+    assert rings
+    for cfg in rings:
+        expected = per_vector_soundness(adversary, cfg, mode, neutral)
+        assert check_adaptive_soundness(adversary, cfg, mode, neutral) == expected
+
+
+@pytest.mark.parametrize("adversary,mode", [
+    (_IdleEdgeBlocker(), Mode.ONE_INTERVAL),
+    (_IdlePermuter(), Mode.VP),
+])
+@pytest.mark.parametrize("neutral", [False, True])
+def test_soundness_matches_the_per_vector_check_for_idle_adversaries(adversary, mode,
+                                                                     neutral):
+    """Adversaries that never counter leave problems, so the lists compared
+    are not empty."""
+    reported = 0
+    for cfg in admitted_rings(adversary, 3):
+        expected = per_vector_soundness(adversary, cfg, mode, neutral)
+        assert check_adaptive_soundness(adversary, cfg, mode, neutral) == expected
+        reported += len(expected)
+    assert reported
+
+
+class _PermutingOnceEdgeBlocker(EdgeBlocker):
+    """The 1i-killer, but it answers the every-robot-clockwise vector with
+    the identity permutation, which mode ``1i`` forbids."""
+
+    def choose(self, ctx):
+        if all(action is CW for action in ctx.predicted_intents.values()):
+            return Dynamism(tuple(range(ctx.cfg.n)), None)
+        return super().choose(ctx)
+
+
+def test_soundness_checks_the_mode_of_an_answer_given_for_one_vector():
+    adversary = _PermutingOnceEdgeBlocker()
+    cfg = ring_from_slots(((1, 2), (3,), ()))
+    for check in (per_vector_soundness, check_adaptive_soundness):
+        with pytest.raises(ScenarioError, match="mode 1i does not allow vertex permutations"):
+            check(adversary, cfg, Mode.ONE_INTERVAL)
+
+
+class _ListOrTuplePermuter(GeneralPermuter):
+    """Always swaps nodes 0 and 1 and never counters; the swap comes as a
+    list when robot 1 stays and as a tuple otherwise."""
+
+    def choose(self, ctx):
+        swap = (1, 0) + tuple(range(2, ctx.cfg.n))
+        return Dynamism(list(swap) if ctx.predicted_intents[1] is STAY else swap, None)
+
+
+def test_soundness_judges_a_list_and_a_tuple_of_one_permutation_alike():
+    """Both forms shape one ring, and each problem names its own vector's
+    answer."""
+    adversary = _ListOrTuplePermuter()
+    cfg = ring_from_slots(((1, 2), (3,), (4,), ()))
+    problems = check_adaptive_soundness(adversary, cfg, Mode.VP)
+    assert problems == per_vector_soundness(adversary, cfg, Mode.VP)
+    assert any("permutation=[1, 0, 2, 3]" in problem for problem in problems)
+    assert any("permutation=(1, 0, 2, 3)" in problem for problem in problems)
+
+
+class _BoolEdgeBlocker(EdgeBlocker):
+    """Cuts edge 1 for every vector, but names it ``True`` when every robot
+    goes clockwise; ``True == 1``, yet it is no edge index."""
+
+    def choose(self, ctx):
+        if all(action is CW for action in ctx.predicted_intents.values()):
+            return Dynamism(None, True)
+        return Dynamism(None, 1)
+
+
+def test_soundness_refuses_a_bool_edge_after_the_same_int_edge():
+    cfg = ring_from_slots(((1, 2), (3,), ()))
+    for check in (per_vector_soundness, check_adaptive_soundness):
+        with pytest.raises(ValueError, match="edge True is not an edge index"):
+            check(_BoolEdgeBlocker(), cfg, Mode.ONE_INTERVAL)
+
+
+@pytest.mark.parametrize("adversary_id,n", [
+    ("vp-killer-n3", 3), ("vp-killer", 4), ("vp-killer", 5),
+    ("1i-killer", 2), ("1i-killer", 3), ("1i-killer", 5),
+])
+def test_neutral_answers_are_shared_frozen_objects(adversary_id, n):
+    """An adaptive adversary's neutral answer is one frozen object per n:
+    the identity permutation when it permutes, no dynamism when it cuts.
+    The benign adversary answers with the same objects."""
+    adversary = get_adversary(adversary_id)
+    first, second = admitted_rings(adversary, n)[:2]
+    neutral = adversary.neutral(first)
+    assert adversary.neutral(second) is neutral
+    mode = Mode.VP if adversary_id.startswith("vp") else Mode.ONE_INTERVAL
+    permutation = tuple(range(n)) if mode is Mode.VP else None
+    assert neutral == Dynamism(permutation, None)
+    assert get_adversary("benign").choose(ctx_for(first, mode)) is neutral
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        neutral.edge_removal = 0

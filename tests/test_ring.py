@@ -14,6 +14,7 @@ from dynring import (
     Action,
     ChainAnalysis,
     Dynamism,
+    Mode,
     Orientation,
     RingConfiguration,
     RobotState,
@@ -503,3 +504,22 @@ def test_view_at_half_ring_does_not_determine_the_snapshot():
     snaps = [Snapshot(ChainAnalysis(cfg), cfg.slots, 0, robot) for cfg in (first, second)]
     assert [snap.own_chain().length for snap in snaps] == [1, 2]
     assert snapshot_facts(snaps[0]) != snapshot_facts(snaps[1])
+
+
+@pytest.mark.parametrize("mode,permutes,removes", [
+    (Mode.NONE, False, False),
+    (Mode.VP, True, False),
+    (Mode.ONE_INTERVAL, False, True),
+    (Mode.COMBINED, True, True),
+])
+def test_mode_flags_and_lookups(mode, permutes, removes):
+    assert (mode.allows_permutation, mode.allows_edge_removal) == (permutes, removes)
+    assert Mode(mode.value) is mode
+    assert Mode.from_string(mode.value) is mode
+
+
+def test_unknown_mode_is_refused():
+    with pytest.raises(ValueError, match="unknown mode 'both'"):
+        Mode.from_string("both")
+    with pytest.raises(ValueError, match="'both' is not a valid Mode"):
+        Mode("both")
