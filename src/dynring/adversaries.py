@@ -31,6 +31,10 @@ from .ring import (
     resolve_moves,
 )
 
+# The types a permutation's entries may have: a bool or a float equal to
+# an index passes a sort against ``range(n)``.
+_INT = frozenset({int})
+
 
 @dataclass(frozen=True, slots=True)
 class Dynamism:
@@ -49,7 +53,7 @@ class Dynamism:
         n, slots, edge = cfg.n, cfg.slots, cfg.missing_edge
         if self.permutation is not None:
             perm = tuple(self.permutation)
-            if sorted(perm) != list(range(n)):
+            if not set(map(type, perm)) <= _INT or sorted(perm) != list(range(n)):
                 raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
             shuffled = [()] * n
             for old, new in enumerate(perm):

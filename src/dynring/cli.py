@@ -321,40 +321,52 @@ def cmd_verify(args) -> int:
 _ROUND_FIELDS = ("round", "perm", "edge", "intents", "config", "holes", "multinodes")
 
 
-def _read_trace(path: str) -> tuple[list[dict], dict]:
-    """The round records and the summary of a JSONL trace, each checked for
-    its fields. Records must be numbered 0, 1, 2, ... and their round, holes
-    and multinodes must be plain integers, as ``run`` writes them; the one
-    summary is the last line."""
-    lines = [_parse_json(text, f"trace line {number}") for number, text
-             in enumerate(filter(str.strip, _read_text(path).split("\n")), start=1)]
-    if not lines or not isinstance(lines[0], dict) or lines[0].get("round") != 0:
-        raise ScenarioError("trace must start with a round 0 record")
-    *rounds, summary = lines
-    records = []
-    for number, line in enumerate(rounds, start=1):
-        if not isinstance(line, dict):
-            raise ScenarioError(f"trace line {number} is not a JSON object")
-        if line.get("summary"):
-            raise ScenarioError(f"trace line {number} is a summary, but not the last line")
-        missing = [name for name in _ROUND_FIELDS if name not in line]
-        if missing:
-            raise ScenarioError(f"trace line {number} lacks {', '.join(missing)}")
-        for name in ("round", "holes", "multinodes"):
-            if type(line[name]) is not int:
-                raise ScenarioError(f"trace line {number}: {name} {line[name]!r} is not an int")
-        if line["round"] != len(records):
-            raise ScenarioError(
-                f"trace line {number} is round {line['round']}, expected {len(records)}")
-        records.append(line)
-    if not (isinstance(summary, dict) and summary.get("summary")):
-        raise ScenarioError(f"trace line {len(lines)} is not a summary; a trace ends with one")
-    if summary.get("outcome") not in ("dispersed", "round-limit"):
-        raise ScenarioError(f"trace summary: outcome {summary.get('outcome')!r} is not "
+def _trace_lines(path: str):
+    """Each non-blank line of a JSONL trace, parsed, with its number among
+    the non-blank lines from 1. A line read is dropped once it is parsed.
+    A byte that is not UTF-8 anywhere in the file is reported before a line
+    that is not JSON, so after a bad line the rest of the file is decoded."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for number, text in enumerate(filter(str.strip, fh), start=1):
+                try:
+                    line = _parse_json(text.removesuffix("\n"), f"trace line {number}")
+                except ScenarioError:
+                    for _ in fh:
+                        pass
+                    raise
+                yield number, line
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
+def _check_record(number: int, line, index: int) -> None:
+    """That trace line ``number``, which is not the last line, is the record
+    of round ``index``: its round, holes and multinodes are plain integers,
+    as ``run`` writes them."""
+    if not isinstance(line, dict):
+        raise ScenarioError(f"trace line {number} is not a JSON object")
+    if line.get("summary"):
+        raise ScenarioError(f"trace line {number} is a summary, but not the last line")
+    missing = [name for name in _ROUND_FIELDS if name not in line]
+    if missing:
+        raise ScenarioError(f"trace line {number} lacks {', '.join(missing)}")
+    for name in ("round", "holes", "multinodes"):
+        if type(line[name]) is not int:
+            raise ScenarioError(f"trace line {number}: {name} {line[name]!r} is not an int")
+    if line["round"] != index:
+        raise ScenarioError(f"trace line {number} is round {line['round']}, expected {index}")
+
+
+def _check_summary(number: int, line) -> None:
+    """That trace line ``number``, the last line, is the run's one summary."""
+    if not (isinstance(line, dict) and line.get("summary")):
+        raise ScenarioError(f"trace line {number} is not a summary; a trace ends with one")
+    if line.get("outcome") not in ("dispersed", "round-limit"):
+        raise ScenarioError(f"trace summary: outcome {line.get('outcome')!r} is not "
                             "dispersed or round-limit")
-    if type(summary.get("rounds")) is not int:
-        raise ScenarioError(f"trace summary: rounds {summary.get('rounds')!r} is not an int")
-    return records, summary
+    if type(line.get("rounds")) is not int:
+        raise ScenarioError(f"trace summary: rounds {line.get('rounds')!r} is not an int")
 
 
 def _only_ints(values) -> bool:
@@ -405,37 +417,83 @@ def _replay_round(cfg: RingConfiguration, record: dict):
         raise ScenarioError(f"round {record['round']} cannot be replayed: {exc!r}") from None
 
 
+class _Mismatch(Exception):
+    """A trace that replays, but not to the rings and outcome it records."""
+
+
+def _replay_record(cfg: RingConfiguration | None, record: dict) -> RingConfiguration:
+    """The ring after ``record``'s round, replayed from ``cfg``. Round 0 is
+    the start itself, with no round played."""
+    if record["round"]:
+        landed, expected = _replay_round(cfg, record)
+    else:
+        for name in ("perm", "edge", "intents"):
+            if record[name] is not None:
+                raise ScenarioError(f"round 0 {name} must be null, got {record[name]!r}")
+        try:
+            landed = ring_from_slots(_record_slots(record["config"]))
+        except ValueError as exc:
+            raise ScenarioError(f"round 0 config is not a valid ring: {exc}") from None
+        expected = landed.slots
+    metrics = classify(landed)
+    if (landed.slots != expected or metrics.holes != record["holes"]
+            or metrics.multinodes != record["multinodes"]):
+        raise _Mismatch(f"replay mismatch at round {record['round']}: "
+                        f"reconstructed {landed.slots}, trace says {expected}")
+    # ``landed`` came from a checked ring by a checked permutation, a
+    # checked edge and an exact intent map.
+    return RingConfiguration._trusted(landed.n, landed.slots, None)
+
+
 def cmd_replay(args) -> int:
-    records, summary = _read_trace(args.trace)
-    for name in ("perm", "edge", "intents"):  # round 0 is the start, with no round played
-        if records[0][name] is not None:
-            raise ScenarioError(f"round 0 {name} must be null, got {records[0][name]!r}")
+    """Replay a trace as it is read, holding only the current record, the
+    line after it (the last line is the summary) and the ring. Every line
+    is read and checked. A defect ends the replay but not the reading, as
+    the report is the first of, in this order: a byte that is not UTF-8 or
+    a line that is not JSON; a first line that is no round 0 record; a
+    record of the wrong shape; a bad summary; the first round that cannot
+    be replayed (exit 1) or replays to another ring (exit 2); a round count
+    or outcome the summary gets wrong (exit 2)."""
+    lines = _trace_lines(args.trace)
+    pending = next(lines, None)
+    if pending is None or not isinstance(pending[1], dict) or pending[1].get("round") != 0:
+        for _ in lines:  # a line that is not JSON is reported first
+            pass
+        raise ScenarioError("trace must start with a round 0 record")
+    failure = cfg = None
+    count = 0  # round records read, round 0 included
+    for line in lines:
+        (number, record), pending = pending, line
+        try:
+            _check_record(number, record, count)
+        except ScenarioError:
+            for _ in lines:
+                pass
+            raise
+        count += 1
+        if failure is None:
+            try:
+                cfg = _replay_record(cfg, record)
+            except (ScenarioError, _Mismatch) as exc:
+                failure = exc
+    number, summary = pending
+    _check_summary(number, summary)
+    if not count:  # the one line is a summary
+        raise ScenarioError("trace must start with a round 0 record")
     try:
-        cfg = ring_from_slots(_record_slots(records[0]["config"]))
-    except ValueError as exc:
-        raise ScenarioError(f"round 0 config is not a valid ring: {exc}") from None
-    for record in records:
-        # Round 0 is the start itself; every later round is re-derived.
-        landed, expected = _replay_round(cfg, record) if record["round"] else (cfg, cfg.slots)
-        metrics = classify(landed)
-        if (landed.slots != expected or metrics.holes != record["holes"]
-                or metrics.multinodes != record["multinodes"]):
-            print(f"replay mismatch at round {record['round']}: "
-                  f"reconstructed {landed.slots}, trace says {expected}")
-            return EXIT_FAIL
-        # ``landed`` came from a checked ring by a checked permutation, a
-        # checked edge and an exact intent map.
-        cfg = RingConfiguration._trusted(landed.n, landed.slots, None)
-    if summary["rounds"] != len(records) - 1:
-        print(f"replay mismatch: trace has {len(records) - 1} rounds after round 0, "
-              f"summary says {summary['rounds']}")
+        if failure is not None:
+            raise failure
+        if summary["rounds"] != count - 1:
+            raise _Mismatch(f"replay mismatch: trace has {count - 1} rounds after round 0, "
+                            f"summary says {summary['rounds']}")
+        dispersed = classify(cfg).dispersed
+        if dispersed != (summary["outcome"] == "dispersed"):
+            raise _Mismatch(f"replay mismatch: final config dispersed={dispersed}, "
+                            f"summary says {summary['outcome']}")
+    except _Mismatch as exc:
+        print(exc)
         return EXIT_FAIL
-    dispersed = classify(cfg).dispersed
-    if dispersed != (summary["outcome"] == "dispersed"):
-        print(f"replay mismatch: final config dispersed={dispersed}, "
-              f"summary says {summary['outcome']}")
-        return EXIT_FAIL
-    print(f"replayed {len(records) - 1} rounds, consistent")
+    print(f"replayed {count - 1} rounds, consistent")
     return EXIT_OK
 
 

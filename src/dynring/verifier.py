@@ -578,9 +578,10 @@ def check_adaptive_soundness(
         intents = dict(zip(labels, combo))
         dynamism = adversary.choose(AdversaryContext(cfg, mode, None, intents))
         perm, edge = dynamism.permutation, dynamism.edge_removal
-        # A list and a tuple of one permutation shape one ring. The edge's
-        # type is in the key, as True equals 1 but is refused as an edge.
-        key = (None if perm is None else tuple(perm), edge, type(edge))
+        # A list and a tuple of one permutation shape one ring. The types of
+        # its entries and of the edge are in the key, as True and 1.0 equal
+        # 1 but are refused.
+        key = (None if perm is None else (*perm, *map(type, perm)), edge, type(edge))
         ring = shaped.get(key)
         if ring is None:
             dynamism.check_mode(mode)

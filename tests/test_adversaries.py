@@ -565,6 +565,25 @@ def test_soundness_refuses_a_bool_edge_after_the_same_int_edge():
             check(_BoolEdgeBlocker(), cfg, Mode.ONE_INTERVAL)
 
 
+class _FloatPermuter(GeneralPermuter):
+    """Always swaps nodes 0 and 1 and never counters; the swap's 0 is
+    written ``0.0`` for the every-robot-clockwise vector, which comes after
+    vectors answered with ints."""
+
+    def choose(self, ctx):
+        zero = 0.0 if all(action is CW for action in ctx.predicted_intents.values()) else 0
+        return Dynamism((1, zero) + tuple(range(2, ctx.cfg.n)), None)
+
+
+def test_soundness_refuses_a_float_permutation_after_the_same_int_permutation():
+    """``(1, 0.0, 2, 3)`` equals ``(1, 0, 2, 3)``, so a check that keyed
+    answers by the permutation alone reused the int answer's ring for it."""
+    cfg = ring_from_slots(((1, 2), (3,), (4,), ()))
+    for check in (per_vector_soundness, check_adaptive_soundness):
+        with pytest.raises(ValueError, match=r"not a permutation of 0\.\.3: \(1, 0\.0, 2, 3\)"):
+            check(_FloatPermuter(), cfg, Mode.VP)
+
+
 @pytest.mark.parametrize("adversary_id,n", [
     ("vp-killer-n3", 3), ("vp-killer", 4), ("vp-killer", 5),
     ("1i-killer", 2), ("1i-killer", 3), ("1i-killer", 5),

@@ -125,6 +125,16 @@ def test_permutation_must_be_valid():
         Dynamism((0, 0, 1)).apply(cfg)
 
 
+@pytest.mark.parametrize("perm", [(True, 0, 2), (1.0, 0, 2), ("1", 0, 2)])
+def test_permutation_entries_must_be_plain_ints(perm):
+    """``True`` and ``1.0`` equal 1, so they pass a sort against
+    ``range(n)``: a bool entry shaped a ring, and a float one raised a bare
+    ``TypeError`` from the list index."""
+    cfg = ring_from_slots(((1, 2), (3,), ()))
+    with pytest.raises(ValueError, match=r"^not a permutation of 0\.\.2: "):
+        Dynamism(perm).apply(cfg)
+
+
 def test_edge_removal_rules():
     cfg = all_on_one(3)
     removed = Dynamism(None, 2).apply(cfg)
