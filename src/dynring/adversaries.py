@@ -43,34 +43,33 @@ class Dynamism:
     permutation: tuple[int, ...] | None = None
     edge_removal: int | None = None
 
+    def check(self, n: int, mode: Mode) -> None:
+        """Refuse an n-ring's dynamism from outside: one ``mode`` forbids, a
+        permutation not of the plain ints 0..n-1, or an edge ``check_edge`` refuses."""
+        perm, edge = self.permutation, self.edge_removal
+        if perm is not None and not mode.allows_permutation:
+            raise ScenarioError(f"mode {mode.value} does not allow vertex permutations")
+        if edge is not None and not mode.allows_edge_removal:
+            raise ScenarioError(f"mode {mode.value} does not allow edge removal")
+        if perm is not None and (not set(map(type, perm)) <= _INT
+                                 or sorted(perm) != list(range(n))):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {tuple(perm)}")
+        if edge is not None:
+            check_edge(edge, n)
+
     def apply(self, cfg: RingConfiguration) -> RingConfiguration:
-        """The ring the robots see. ``permutation[i]`` is the new position of
-        the node at i, whose occupants travel with it; it clears any removed
-        edge, since edge removal is decided after the shuffle. Then
-        ``edge_removal`` is out for the round; at most one edge may be."""
+        """The ring the robots see, from the intact ring ``cfg``: node i moves
+        to ``permutation[i]`` with its occupants, then ``edge_removal`` is
+        out for the round. The dynamism is trusted (see ``check``)."""
         if self.permutation is None and self.edge_removal is None:
             return cfg
-        n, slots, edge = cfg.n, cfg.slots, cfg.missing_edge
+        slots = cfg.slots
         if self.permutation is not None:
-            perm = tuple(self.permutation)
-            if not set(map(type, perm)) <= _INT or sorted(perm) != list(range(n)):
-                raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
-            shuffled = [()] * n
-            for old, new in enumerate(perm):
+            shuffled = [()] * cfg.n
+            for old, new in enumerate(self.permutation):
                 shuffled[new] = slots[old]
-            slots, edge = tuple(shuffled), None
-        if self.edge_removal is not None:
-            if edge is not None:
-                raise ValueError("an edge is already removed this round")
-            check_edge(self.edge_removal, n)
-            edge = self.edge_removal
-        return RingConfiguration._trusted(n, slots, edge)
-
-    def check_mode(self, mode: Mode) -> None:
-        if self.permutation is not None and not mode.allows_permutation:
-            raise ScenarioError(f"mode {mode.value} does not allow vertex permutations")
-        if self.edge_removal is not None and not mode.allows_edge_removal:
-            raise ScenarioError(f"mode {mode.value} does not allow edge removal")
+            slots = tuple(shuffled)
+        return RingConfiguration._trusted(cfg.n, slots, self.edge_removal)
 
 
 @dataclass(slots=True)

@@ -397,7 +397,9 @@ def _replay_round(cfg: RingConfiguration, record: dict):
             raise ValueError(f"intents must be an object, got {labels!r}")
         if perm is not None and not _only_ints(perm):
             raise ValueError(f"permutation {perm!r} must hold integers")
-        shaped = Dynamism(None if perm is None else tuple(perm), edge).apply(cfg)
+        dynamism = Dynamism(None if perm is None else tuple(perm), edge)
+        dynamism.check(cfg.n, Mode.COMBINED)  # replay reads no mode from the trace
+        shaped = dynamism.apply(cfg)
         # Plain decimal labels only: int() also reads "+1", " 4 ", "1_0" and
         # other scripts' digits.
         if not (all(map(str.isdigit, labels)) and "".join(labels).isascii()):

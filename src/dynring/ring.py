@@ -43,7 +43,7 @@ class Mode(Enum):
     COMBINED = "combined"
 
     def __init__(self, text: str):
-        # Plain attributes, as every ``check_mode`` and ``choose`` reads them.
+        # Plain attributes, as every ``Dynamism.check`` and ``choose`` reads them.
         self.allows_permutation = text in ("vp", "combined")
         self.allows_edge_removal = text in ("1i", "combined")
 
@@ -174,6 +174,12 @@ def check_edge(edge, n: int) -> None:
     """A removed edge must be a plain int (a bool is not one) in 0..n-1."""
     if type(edge) is not int or not 0 <= edge < n:
         raise ValueError(f"edge {edge!r} is not an edge index in 0..{n - 1}")
+
+
+def check_intact(cfg: RingConfiguration) -> None:
+    """A round starts from a ring with every edge present."""
+    if cfg.missing_edge is not None:
+        raise ScenarioError(f"a round starts from a ring with no removed edge, not {cfg}")
 
 
 def ring_from_slots(slots, missing_edge: int | None = None) -> RingConfiguration:

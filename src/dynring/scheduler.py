@@ -30,6 +30,7 @@ from .ring import (
     RobotState,
     ScenarioError,
     Snapshot,
+    check_intact,
     classify,
     convert_frame,
     move_robots,
@@ -124,15 +125,14 @@ def step(
     ``Policy.actors`` lists decide; every other robot stays and is carried
     over as it is. A robot that decided settles with the hand and memory
     ``Policy.after_move`` gives it from the labels on the node it ended the
-    round on. ``robots`` must be in label order (``validate_scenario``
-    checks it).
+    round on. ``robots`` must be in label order and ``cfg`` intact
+    (``validate_scenario`` checks both), and ``dynamism`` valid
+    (``Dynamism.check``); ``step`` trusts them.
 
     ``looks``, if given, is a look table that the caller keeps over rounds
     of this one rule (see ``_look``); without it every round builds its
     own look. A look holds no label, so a stored one serves as a fresh one.
     """
-    if cfg.missing_edge is not None:
-        raise ValueError("a round must start from an intact ring")
     cfg_seen = dynamism.apply(cfg)
     analysis = ChainAnalysis(cfg_seen) if looks is None else _look(looks, cfg_seen)
     guarantees = policy.round_guarantees(analysis, robots)
@@ -186,6 +186,7 @@ def validate_scenario(
     mode: Mode,
 ) -> None:
     n = cfg.n
+    check_intact(cfg)
     policy.check_scenario(n, mode, cfg, robots)
     if adversary is not None:
         adversary.check_scenario(n, mode)
@@ -205,7 +206,7 @@ def play_round(policy: Policy, adversary: Adversary, cfg: RingConfiguration, mod
     robots' predicted intents first, and the round must play exactly them."""
     predicted = predict_intents(policy, cfg, robots) if adversary.adaptive else None
     dynamism = adversary.choose(AdversaryContext(cfg, mode, rng, predicted))
-    dynamism.check_mode(mode)
+    dynamism.check(cfg.n, mode)
     cfg, robots, trace = step(policy, cfg, robots, dynamism)
     intents = trace.intents
     if predicted is not None and predicted != intents:

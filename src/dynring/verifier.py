@@ -75,6 +75,7 @@ from .ring import (
     ScenarioError,
     all_on_one,
     canonical_rotation,
+    check_intact,
     classify,
     moved_counts,
     resolve_moves,  # unused here; perfbench/tracing.py wraps verifier.resolve_moves by name
@@ -185,7 +186,6 @@ class WorstCaseSearcher:
         self.memo: dict = {}
         self.looks: dict = {}
         self.lemma_violations: list = []
-        self.cycle_hit = False
 
     def _key(self, cfg: RingConfiguration, robots) -> tuple:
         aux = _aux(robots)
@@ -206,7 +206,6 @@ class WorstCaseSearcher:
         key = self._key(cfg, robots)
         entry = self.memo.get(key)
         if entry is _PENDING:
-            self.cycle_hit = True
             return math.inf
         if entry is not None:
             return entry
@@ -297,6 +296,11 @@ def verify_worst_case(
         bound = policy.proven_bound(n)
     if bound is not None and bound < 0:
         raise ScenarioError(f"bound must be at least 0 rounds, got {bound}")
+    starts = tuple(starts)  # read twice: checked, then searched
+    if not starts:
+        raise ScenarioError(f"no start to check for policy {policy.policy_id} on n={n}")
+    if any(start.n != n for start in starts):
+        raise ScenarioError(f"every start of a bound search must have n={n} nodes")
 
     searcher = WorstCaseSearcher(policy, mode)
     root_values = {}
@@ -330,7 +334,7 @@ def verify_worst_case(
         worst_root=None if worst_root is None else worst_root[0].slots,
         witness=witness,
         lemma_violations=tuple(searcher.lemma_violations),
-        has_cycle=searcher.cycle_hit,
+        has_cycle=worst == math.inf,  # only a cycle makes a value infinite
     )
 
 
@@ -513,6 +517,8 @@ def verify_impossibility(
         raise ScenarioError(f"no start to check for adversary {adversary.adversary_id} on n={n}")
     if any(start.n != n for start in starts):
         raise ScenarioError(f"every start of an impossibility run must have n={n} nodes")
+    for start in starts:
+        check_intact(start)
     for policy in policies:
         if type(policy) is not NoVisibilityPolicy:
             raise ScenarioError(f"impossibility runs are for zero-visibility tables, "
@@ -561,15 +567,14 @@ def check_adaptive_soundness(
     keep the adversary's invariant, such as the 3-ring's pair/single/hole.
 
     The adversary is asked once per labelled intent vector. Each distinct
-    dynamism it answers is checked against ``mode`` and applied once per
+    dynamism it answers is checked (``Dynamism.check``) and applied once per
     call, and every vector is judged by its own successor's node counts
     (``moved_counts``) on the ring its answer shapes. A scenario the
     adversary refuses, and a ring with a removed edge, from which no round
     starts, raise ``ScenarioError`` before any vector is tried.
     """
     adversary.check_scenario(cfg.n, mode)
-    if cfg.missing_edge is not None:
-        raise ScenarioError(f"a round starts from a ring with no removed edge, not {cfg}")
+    check_intact(cfg)
     problems = []
     labels = cfg.labels()
     shaped: dict = {}
@@ -584,7 +589,7 @@ def check_adaptive_soundness(
         key = (None if perm is None else (*perm, *map(type, perm)), edge, type(edge))
         ring = shaped.get(key)
         if ring is None:
-            dynamism.check_mode(mode)
+            dynamism.check(cfg.n, mode)
             ring = shaped[key] = dynamism.apply(cfg)
         counts = moved_counts(ring, intents)
         if counts.count(1) == cfg.n:

@@ -52,13 +52,20 @@ def test_dynamism_applies_permutation_then_edge():
 
 
 def test_dynamism_respects_mode():
-    Dynamism((1, 0), None).check_mode(Mode.VP)
-    Dynamism(None, 0).check_mode(Mode.ONE_INTERVAL)
-    with pytest.raises(ScenarioError):
-        Dynamism((1, 0), None).check_mode(Mode.ONE_INTERVAL)
-    with pytest.raises(ScenarioError):
-        Dynamism(None, 0).check_mode(Mode.VP)
-    Dynamism((1, 0), 1).check_mode(Mode.COMBINED)
+    Dynamism((1, 0), None).check(2, Mode.VP)
+    Dynamism(None, 0).check(2, Mode.ONE_INTERVAL)
+    with pytest.raises(ScenarioError, match="^mode 1i does not allow vertex permutations$"):
+        Dynamism((1, 0), None).check(2, Mode.ONE_INTERVAL)
+    with pytest.raises(ScenarioError, match="^mode vp does not allow edge removal$"):
+        Dynamism(None, 0).check(2, Mode.VP)
+    Dynamism((1, 0), 1).check(2, Mode.COMBINED)
+    # A forbidden part is refused before a malformed one.
+    with pytest.raises(ScenarioError, match="^mode none does not allow edge removal$"):
+        Dynamism(None, 7).check(3, Mode.NONE)
+    with pytest.raises(ScenarioError, match="^mode 1i does not allow vertex permutations$"):
+        Dynamism((0, 0, 1), 7).check(3, Mode.ONE_INTERVAL)
+    with pytest.raises(ValueError, match=r"^not a permutation of 0\.\.2: \(0, 0, 1\)$"):
+        Dynamism((0, 0, 1), 7).check(3, Mode.COMBINED)
 
 
 def test_benign_adversary_changes_nothing():
@@ -449,8 +456,8 @@ def test_soundness_refuses_a_ring_with_a_removed_edge(adversary_id, mode):
 
 
 def per_vector_soundness(adversary, cfg, mode, neutral_required=False) -> list[str]:
-    """The plain soundness check: every vector's answer is checked against
-    ``mode`` and applied on its own. The reference for
+    """The plain soundness check: every vector's answer is checked
+    (``Dynamism.check``) and applied on its own. The reference for
     ``check_adaptive_soundness``, which shapes each distinct answer once."""
     adversary.check_scenario(cfg.n, mode)
     problems = []
@@ -458,7 +465,7 @@ def per_vector_soundness(adversary, cfg, mode, neutral_required=False) -> list[s
     for combo in itertools.product((STAY, CW, ACW), repeat=cfg.n):
         intents = dict(zip(labels, combo))
         dynamism = adversary.choose(AdversaryContext(cfg, mode, None, intents))
-        dynamism.check_mode(mode)
+        dynamism.check(cfg.n, mode)
         counts = moved_counts(dynamism.apply(cfg), intents)
         if counts.count(1) == cfg.n:
             outcome = "dispersed"

@@ -64,7 +64,7 @@ def test_edge_index_validated():
         with pytest.raises(ValueError):
             RingConfiguration(3, cfg.slots, edge)
         with pytest.raises(ValueError, match=rf"edge {edge!r} is not an edge index in 0..2"):
-            Dynamism(None, edge).apply(cfg)
+            Dynamism(None, edge).check(cfg.n, Mode.COMBINED)
 
 
 def test_ring_from_multiplicities_deals_labels_clockwise():
@@ -120,9 +120,8 @@ def test_permutation_moves_contents_and_clears_edge():
 
 
 def test_permutation_must_be_valid():
-    cfg = all_on_one(3)
     with pytest.raises(ValueError, match=r"^not a permutation of 0\.\.2: \(0, 0, 1\)$"):
-        Dynamism((0, 0, 1)).apply(cfg)
+        Dynamism((0, 0, 1)).check(3, Mode.VP)
 
 
 @pytest.mark.parametrize("perm", [(True, 0, 2), (1.0, 0, 2), ("1", 0, 2)])
@@ -130,19 +129,16 @@ def test_permutation_entries_must_be_plain_ints(perm):
     """``True`` and ``1.0`` equal 1, so they pass a sort against
     ``range(n)``: a bool entry shaped a ring, and a float one raised a bare
     ``TypeError`` from the list index."""
-    cfg = ring_from_slots(((1, 2), (3,), ()))
     with pytest.raises(ValueError, match=r"^not a permutation of 0\.\.2: "):
-        Dynamism(perm).apply(cfg)
+        Dynamism(perm).check(3, Mode.VP)
 
 
 def test_edge_removal_rules():
     cfg = all_on_one(3)
     removed = Dynamism(None, 2).apply(cfg)
     assert removed.missing_edge == 2
-    with pytest.raises(ValueError, match="^an edge is already removed this round$"):
-        Dynamism(None, 0).apply(removed)
     with pytest.raises(ValueError, match=r"^edge 3 is not an edge index in 0\.\.2$"):
-        Dynamism(None, 3).apply(cfg)
+        Dynamism(None, 3).check(cfg.n, Mode.ONE_INTERVAL)
     assert Dynamism().apply(cfg) is cfg
 
 

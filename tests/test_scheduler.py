@@ -68,12 +68,16 @@ def test_step_applies_dynamism_before_the_look():
     assert trace.config_seen.slots == ((), (4,), (1, 2), (3,))
 
 
-def test_step_demands_an_intact_start_and_clears_the_edge():
+def test_a_round_needs_an_intact_start_and_step_clears_the_edge():
+    """A start with a removed edge is refused where it enters, so ``step``
+    trusts its ring; the edge a round removes is gone from the next ring."""
     policy = get_policy("vp-1i")
     cfg = ring_from_slots(((1, 2), (3,), (), (4,)))
     robots = initial_robots(cfg)
-    with pytest.raises(ValueError):
-        step(policy, cfg.__class__(cfg.n, cfg.slots, 0), robots, Dynamism())
+    cut = cfg.__class__(cfg.n, cfg.slots, 0)
+    with pytest.raises(ScenarioError, match=r"^a round starts from a ring with no removed "
+                                            r"edge, not <ring 1,2 3 \. 4 !e0>$"):
+        validate_scenario(policy, None, cut, robots, Mode.COMBINED)
     nxt, _, trace = step(policy, cfg, robots, Dynamism(None, 2))
     assert trace.config_seen.missing_edge == 2
     assert trace.config_after.missing_edge == 2
@@ -438,6 +442,45 @@ def test_a_negative_round_budget_is_refused_and_zero_plays_no_round():
     result = run_simulation(policy, get_adversary("benign"), cfg, Mode.NONE, max_rounds=0)
     assert (result.outcome, result.rounds, result.traces) == ("round-limit", 0, ())
     assert result.final_config == cfg
+
+
+class _Answer:
+    """An adversary that plays one fixed dynamism every round."""
+
+    adaptive = False
+
+    def __init__(self, dynamism):
+        self.dynamism = dynamism
+
+    def choose(self, ctx):
+        return self.dynamism
+
+
+@pytest.mark.parametrize("dynamism,mode,error,message", [
+    (Dynamism(None, 0), Mode.VP, ScenarioError, r"^mode vp does not allow edge removal$"),
+    (Dynamism((0, 1, 2), None), Mode.ONE_INTERVAL, ScenarioError,
+     r"^mode 1i does not allow vertex permutations$"),
+    (Dynamism((True, 0, 2), None), Mode.VP, ValueError,
+     r"^not a permutation of 0\.\.2: \(True, 0, 2\)$"),
+    (Dynamism((0, 0, 1), None), Mode.VP, ValueError,
+     r"^not a permutation of 0\.\.2: \(0, 0, 1\)$"),
+    (Dynamism(None, 3), Mode.ONE_INTERVAL, ValueError,
+     r"^edge 3 is not an edge index in 0\.\.2$"),
+])
+def test_a_round_checks_the_adversarys_answer(dynamism, mode, error, message):
+    """An adversary's answer enters from outside, so ``play_round`` checks it
+    (``Dynamism.check``) before ``step`` applies it."""
+    cfg = ring_from_slots(((1, 2), (3,), ()))
+    with pytest.raises(error, match=message):
+        play_round(get_policy("k0:ccssss"), _Answer(dynamism), cfg, mode,
+                   initial_robots(cfg))
+
+
+def test_a_run_refuses_a_start_with_a_removed_edge():
+    cut = ring_from_slots(((1, 2), (3,), ()), missing_edge=1)
+    with pytest.raises(ScenarioError, match=r"^a round starts from a ring with no removed "
+                                            r"edge, not <ring 1,2 3 \. !e1>$"):
+        run_simulation(get_policy("vp-chain"), get_adversary("benign"), cut, Mode.VP)
 
 
 def test_adaptive_run_uses_exact_predictions():

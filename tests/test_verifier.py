@@ -388,6 +388,49 @@ def test_a_search_walks_the_chains_once_per_stored_look(monkeypatch, policy_id):
     assert len(walks) == len(set(walks)) == 50 and set(walks) == set(looks)
 
 
+def test_a_bound_search_never_checks_its_own_branches(monkeypatch):
+    """``exhaustive_branches`` builds every dynamism the search plays, so
+    none of them goes through ``Dynamism.check``."""
+    def refuse(self, n, mode):
+        raise AssertionError(f"a search branch was checked: {self}")
+
+    monkeypatch.setattr(Dynamism, "check", refuse)
+    assert verify_worst_case(get_policy("vp-chain"), 4, Mode.VP).holds
+
+
+def test_a_bound_search_with_no_start_is_refused():
+    """A search over no root reported ``holds`` with worst 0."""
+    with pytest.raises(ScenarioError, match="^no start to check for policy vp-chain on n=4$"):
+        verify_worst_case(get_policy("vp-chain"), 4, Mode.VP, starts=[],
+                          orientations="aligned")
+
+
+def test_a_bound_search_start_of_another_size_is_refused():
+    """A 3-ring start in an n=4 search was searched as a 3-ring and judged
+    against the n=4 bound."""
+    with pytest.raises(ScenarioError, match="^every start of a bound search must have n=4 "):
+        verify_worst_case(get_policy("vp-chain"), 4, Mode.NONE, starts=[all_on_one(3)],
+                          orientations="aligned")
+    # The starts are read twice, so a one-shot iterable is searched in full.
+    starts = enumerate_initial_configs(3)
+    assert (verify_worst_case(get_policy("vp-chain"), 3, Mode.VP, starts=iter(starts),
+                              orientations="aligned")
+            == verify_worst_case(get_policy("vp-chain"), 3, Mode.VP, starts=starts,
+                                 orientations="aligned"))
+
+
+def test_a_search_and_a_sweep_refuse_a_start_with_a_removed_edge():
+    """No round starts from a ring with a removed edge, so each entry point
+    refuses one before any round is played."""
+    cut = ring_from_slots(((1, 2), (3,), ()), missing_edge=1)
+    message = r"^a round starts from a ring with no removed edge, not <ring 1,2 3 \. !e1>$"
+    with pytest.raises(ScenarioError, match=message):
+        verify_worst_case(get_policy("vp-chain"), 3, Mode.VP, starts=[cut],
+                          orientations="aligned")
+    with pytest.raises(ScenarioError, match=message):
+        verify_impossibility(get_adversary("vp-killer-n3"), 3, Mode.VP, starts=[cut])
+
+
 def test_a_stalling_rule_reports_a_cycle():
     """Robots that always stay never disperse a start that is not dispersed:
     the search meets its own state again, and reports an infinite worst case
