@@ -28,7 +28,7 @@ from .ring import (
     ring_from_multiplicities,
     ring_from_slots,
 )
-from .scheduler import initial_robots, run_simulation
+from .scheduler import RoundTrace, initial_robots, run_simulation
 from .verifier import DEFAULT_HORIZON, verify_impossibility, verify_worst_case
 
 EXIT_OK = 0
@@ -119,7 +119,9 @@ def build_orientations(spec: ExperimentSpec, rng: random.Random) -> dict[int, Or
     return {label: Orientation(text[label - 1]) for label in range(1, spec.n + 1)}
 
 
-def execute(spec: ExperimentSpec):
+def execute(spec: ExperimentSpec, on_round=None):
+    """Run ``spec``: its start and its ``RunResult``. ``on_round`` gets each
+    round's trace as the round is played (see ``run_simulation``)."""
     try:
         mode = Mode.from_string(spec.mode)
     except ValueError as exc:
@@ -137,66 +139,57 @@ def execute(spec: ExperimentSpec):
             raise ScenarioError(f"policy {policy.policy_id} needs visibility k >= {needed} "
                                 f"on n={n}, got k={spec.k}")
     result = run_simulation(
-        policy, adversary, cfg, mode,
-        robots=robots, seed=rng.randrange(2 ** 32), max_rounds=spec.max_rounds)
+        policy, adversary, cfg, mode, robots=robots, seed=rng.randrange(2 ** 32),
+        max_rounds=spec.max_rounds, on_round=on_round)
     return cfg, result
 
 
-def trace_records(initial: RingConfiguration, result):
-    """The round records of a run's trace. A config is its slot tuples,
-    which ``json`` writes as it writes lists."""
-    start = classify(initial)
-    yield {
-        "round": 0,
-        "perm": None,
-        "edge": None,
-        "intents": None,
-        "config": initial.slots,
-        "holes": start.holes,
-        "multinodes": start.multinodes,
+# The fields of a round record, in the order a CSV trace gives them.
+_ROUND_FIELDS = ("round", "perm", "edge", "intents", "config", "holes", "multinodes")
+
+
+def trace_record(index: int, played: RingConfiguration | RoundTrace) -> dict:
+    """The trace record of round ``index``: round 0's is the start ring, a
+    later round's is its trace. A config is its slot tuples, which ``json``
+    writes as it writes lists."""
+    if isinstance(played, RingConfiguration):
+        metrics = classify(played)
+        return {"round": index, "perm": None, "edge": None, "intents": None,
+                "config": played.slots, "holes": metrics.holes,
+                "multinodes": metrics.multinodes}
+    perm = played.dynamism.permutation
+    intents = played.intents
+    return {
+        "round": index,
+        "perm": None if perm is None else list(perm),
+        "edge": played.dynamism.edge_removal,
+        "intents": dict(zip(map(str, intents), map(_SHORT.__getitem__, intents.values()))),
+        "config": played.config_after.slots,
+        "holes": played.metrics_after.holes,
+        "multinodes": played.metrics_after.multinodes,
     }
-    short = _SHORT.__getitem__
-    for index, trace in enumerate(result.traces, 1):
-        perm = trace.dynamism.permutation
-        intents = trace.intents
-        yield {
-            "round": index,
-            "perm": None if perm is None else list(perm),
-            "edge": trace.dynamism.edge_removal,
-            "intents": dict(zip(map(str, intents), map(short, intents.values()))),
-            "config": trace.config_after.slots,
-            "holes": trace.metrics_after.holes,
-            "multinodes": trace.metrics_after.multinodes,
-        }
 
 
-def write_jsonl(spec: ExperimentSpec, initial, result, fh) -> None:
-    for record in trace_records(initial, result):
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
-    summary = {
-        "summary": True,
-        "outcome": result.outcome,
-        "rounds": result.rounds,
-        "violations": len(result.violations),
-        "spec": asdict(spec),
-    }
-    fh.write(json.dumps(summary, sort_keys=True) + "\n")
+def write_jsonl(record: dict, fh) -> None:
+    """One line of a JSONL trace: a round record or the summary."""
+    fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def write_run_csv(spec: ExperimentSpec, initial, result, fh) -> None:
+def write_run_csv(record: dict, fh) -> None:
+    """One row of a CSV trace, after the header for round 0."""
     writer = csv.writer(fh)
-    writer.writerow(["round", "perm", "edge", "intents", "config", "holes", "multinodes"])
-    for record in trace_records(initial, result):
-        intents = record["intents"]
-        writer.writerow([
-            record["round"],
-            "" if record["perm"] is None else ";".join(map(str, record["perm"])),
-            "" if record["edge"] is None else record["edge"],
-            "" if intents is None else "|".join(f"{k}:{v}" for k, v in sorted(intents.items())),
-            "|".join(",".join(map(str, cell)) if cell else "." for cell in record["config"]),
-            record["holes"],
-            record["multinodes"],
-        ])
+    if record["round"] == 0:
+        writer.writerow(_ROUND_FIELDS)
+    intents = record["intents"]
+    writer.writerow([
+        record["round"],
+        "" if record["perm"] is None else ";".join(map(str, record["perm"])),
+        "" if record["edge"] is None else record["edge"],
+        "" if intents is None else "|".join(f"{k}:{v}" for k, v in sorted(intents.items())),
+        "|".join(",".join(map(str, cell)) if cell else "." for cell in record["config"]),
+        record["holes"],
+        record["multinodes"],
+    ])
 
 
 def _read_text(path: str) -> str:
@@ -230,18 +223,48 @@ def cmd_run(args) -> int:
         if args.n is None or args.policy is None:
             raise ScenarioError("run needs --n and --policy (or --spec)")
         spec = ExperimentSpec(**given)
-    initial, result = execute(spec)
-    writer = write_jsonl if args.format == "jsonl" else write_run_csv
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer(spec, initial, result, fh)
-    else:
-        writer(spec, initial, result, sys.stdout)
+    write = write_jsonl if args.format == "jsonl" else write_run_csv
+    sink = None
+    index = itertools.count(1)
+
+    def emit(record: dict) -> None:
+        nonlocal sink
+        if sink is None:
+            sink = open(args.out, "w", encoding="utf-8", newline="") if args.out \
+                else sys.stdout
+        write(record, sink)
+
+    def on_round(trace: RoundTrace) -> None:
+        # The output is opened for round 0's record once round 1 has been
+        # played, so a start refused in round 1 prints nothing and touches
+        # no file.
+        if sink is None:
+            emit(trace_record(0, _played_from(trace)))
+        emit(trace_record(next(index), trace))
+
+    try:
+        initial, result = execute(spec, on_round)
+        if sink is None:  # the run played no round
+            emit(trace_record(0, initial))
+        if args.format == "jsonl":
+            emit({"summary": True, "outcome": result.outcome, "rounds": result.rounds,
+                  "violations": len(result.violations), "spec": asdict(spec)})
+    finally:
+        if sink is not None and sink is not sys.stdout:
+            sink.close()
     if result.violations:
         print(f"error: {len(result.violations)} per-round guarantee violations",
               file=sys.stderr)
         return EXIT_ERROR
     return EXIT_OK if result.dispersed else EXIT_FAIL
+
+
+def _played_from(trace: RoundTrace) -> RingConfiguration:
+    """The intact ring a round was played from: the ring its robots saw,
+    with the permutation undone and the edge back."""
+    seen, perm = trace.config_seen, trace.dynamism.permutation
+    slots = seen.slots if perm is None else tuple(seen.slots[new] for new in perm)
+    return RingConfiguration._trusted(seen.n, slots, None)
 
 
 def _sweep_cell(args, n: int, seed: int) -> tuple:
@@ -316,9 +339,6 @@ def cmd_verify(args) -> int:
     for item in report.dispersals[:5]:
         print(f"  escaped: policy={item.policy_id} start={item.start} round={item.round_index}")
     return EXIT_OK if report.all_blocked else EXIT_FAIL
-
-
-_ROUND_FIELDS = ("round", "perm", "edge", "intents", "config", "holes", "multinodes")
 
 
 def _trace_lines(path: str):

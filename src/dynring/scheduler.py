@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .adversaries import Adversary, AdversaryContext, Dynamism
@@ -53,20 +54,17 @@ class RoundTrace:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of a full run."""
+    """Outcome of a full run: its rounds went to the run's consumer as they
+    were played, and only their guarantee violations are kept."""
 
     outcome: str
     rounds: int
     final_config: RingConfiguration
-    traces: tuple[RoundTrace, ...]
+    violations: tuple[LemmaViolation, ...]
 
     @property
     def dispersed(self) -> bool:
         return self.outcome == "dispersed"
-
-    @property
-    def violations(self) -> tuple[LemmaViolation, ...]:
-        return tuple(v for t in self.traces for v in t.violations)
 
 
 _STAY = Action.STAY  # a module constant: enum member lookups are slow
@@ -223,8 +221,13 @@ def run_simulation(
     robots=None,
     seed: int | None = None,
     max_rounds: int | None = None,
+    on_round: Callable[[RoundTrace], object] | None = None,
 ) -> RunResult:
-    """Drive rounds until one robot per node or the round budget runs out."""
+    """Drive rounds until one robot per node or the round budget runs out.
+
+    This is the one run loop. It hands each round's trace to ``on_round``
+    as the round is played and keeps none, so a run holds one round
+    whatever its length."""
     if robots is None:
         robots = initial_robots(cfg)
     robots = tuple(robots)
@@ -235,11 +238,15 @@ def run_simulation(
         raise ValueError(f"max_rounds must be a non-negative integer, got {max_rounds!r}")
 
     rng = random.Random(seed)
-    traces = []
+    rounds = 0
+    violations = []
     dispersed = classify(cfg).dispersed
-    while not dispersed and len(traces) < max_rounds:
+    while not dispersed and rounds < max_rounds:
         cfg, robots, trace = play_round(policy, adversary, cfg, mode, robots, rng)
-        traces.append(trace)
+        rounds += 1
+        violations += trace.violations
+        if on_round is not None:
+            on_round(trace)
         dispersed = trace.metrics_after.dispersed
     outcome = "dispersed" if dispersed else "round-limit"
-    return RunResult(outcome, len(traces), cfg, tuple(traces))
+    return RunResult(outcome, rounds, cfg, tuple(violations))

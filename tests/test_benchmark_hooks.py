@@ -114,3 +114,21 @@ def test_no_module_imports_a_name_it_does_not_read_but_for_the_benchmark():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unread |= {f"{path.stem}.{name}" for name in imported - read}
     assert unread == BENCHMARK_ONLY_IMPORTS
+
+
+def test_only_the_run_and_the_orbit_walk_play_rounds():
+    """The tracer counts a simulated round as a ``step`` under a
+    ``run_simulation`` call, so every run plays its rounds inside
+    ``scheduler.run_simulation``; a second loop over ``play_round`` would
+    lose them from that count."""
+    callers = []
+    for path in sorted((ROOT / "src" / "dynring").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scope = {}  # node -> name of the innermost function holding it
+        for function in ast.walk(tree):  # outer functions come first
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update(dict.fromkeys(ast.walk(function), function.name))
+        callers += [f"{path.stem}.{scope.get(node, '<module>')}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and "play_round" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert sorted(callers) == ["scheduler.run_simulation", "verifier._orbit_fate"]

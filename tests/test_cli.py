@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -150,6 +152,79 @@ def test_replay_refuses_a_truncated_trace(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("replay", str(out)) == 2
     assert capsys.readouterr().out.startswith("replay mismatch")
+
+
+@pytest.mark.parametrize("flags,error", [
+    (("--n", "4", "--policy", "no-chir-1i", "--config", "2,2,0,0"),
+     "error: policy no-chir-1i must start with all robots on one node\n"),
+    (("--n", "3", "--policy", "k0:ssssss", "--adversary", "vp-killer-n3", "--mode", "vp"),
+     "error: vp-killer-n3 cannot keep its invariant from <ring 1,2,3 . .>\n"),
+], ids=["preprocess-start", "killer-invariant"])
+def test_a_start_refused_in_round_1_writes_nothing(tmp_path, capsys, flags, error):
+    """These starts pass every check made before the run and are refused
+    while round 1 is played: ``run`` prints only the error, creates no file
+    and leaves a file already at ``--out`` as it was."""
+    fresh, kept = tmp_path / "fresh.jsonl", tmp_path / "kept.jsonl"
+    kept.write_bytes(b"earlier bytes\n")
+    for out in (None, fresh, kept):
+        argv = ("run", *flags) if out is None else ("run", *flags, "--out", str(out))
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr() == ("", error)
+    assert not fresh.exists()
+    assert kept.read_bytes() == b"earlier bytes\n"
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("flags,shown", [
+    (("--n", "5", "--policy", "vp-chain", "--mode", "vp", "--adversary", "random",
+      "--seed", "2"), "perm"),
+    (("--n", "6", "--policy", "vp-1i", "--mode", "1i", "--adversary", "random",
+      "--config", "random", "--seed", "3"), "edge"),
+    (("--n", "4", "--policy", "k0:ssssss", "--config", "random", "--seed", "1",
+      "--max-rounds", "4"), "round-limit"),
+])
+def test_run_writes_the_same_bytes_to_stdout_and_to_out(tmp_path, capsys, flags, shown, fmt):
+    out = tmp_path / f"run.{fmt}"
+    code = run_cli("run", *flags, "--format", fmt)
+    printed = capsys.readouterr()
+    assert run_cli("run", *flags, "--format", fmt, "--out", str(out)) == code
+    assert printed.err == "" and printed.out.encode() == out.read_bytes()
+    # Each run shows what it stands for: a permutation, a removed edge, or
+    # a summary of a run that used up its rounds.
+    run_cli("run", *flags, "--format", "jsonl", "--out", str(tmp_path / "check.jsonl"))
+    lines = [json.loads(line) for line in (tmp_path / "check.jsonl").read_text().splitlines()]
+    if shown == "round-limit":
+        assert code == 2 and lines[-1]["outcome"] == "round-limit"
+    else:
+        assert code == 0 and any(line.get(shown) is not None for line in lines[1:-1])
+
+
+def _run_peak(argv) -> int:
+    """Peak bytes allocated by Python while ``dynring`` runs ``argv``. The
+    cycle collector is off meanwhile: when it happens to run moves the peak
+    by a third, and garbage a round left in cycles would count as kept."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def test_run_memory_does_not_grow_with_the_round_count(tmp_path):
+    """``run`` writes each round's record as the round is played and keeps
+    no round after it."""
+    def argv(rounds):
+        return ["run", "--policy", "k0:ssssss", "--adversary", "benign", "--mode", "none",
+                "--config", "random", "--n", "64", "--seed", "1",
+                "--max-rounds", str(rounds), "--out", str(tmp_path / f"{rounds}.jsonl")]
+    _run_peak(argv(40))  # first calls fill caches that later runs share
+    short, long = _run_peak(argv(40)), _run_peak(argv(400))
+    assert (tmp_path / "400.jsonl").stat().st_size > 9 * (tmp_path / "40.jsonl").stat().st_size
+    assert long < 1.5 * short, (short, long)
 
 
 # ------------------------------------------------------------------- sweeps

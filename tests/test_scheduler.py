@@ -1,8 +1,11 @@
 """Unit and property tests for the round engine."""
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +34,7 @@ from dynring import (
     initial_robots,
     play_round,
     predict_intents,
+    random_configuration,
     ring_from_multiplicities,
     ring_from_slots,
     run_simulation,
@@ -406,9 +410,11 @@ def test_a_gathered_vp_1i_run_decides_only_for_its_actors(monkeypatch):
 def test_clockwise_chain_run_disperses_benignly():
     policy = get_policy("vp-chain")
     cfg = all_on_one(5)
-    result = run_simulation(policy, get_adversary("benign"), cfg, Mode.NONE)
+    traces = []
+    result = run_simulation(policy, get_adversary("benign"), cfg, Mode.NONE,
+                            on_round=traces.append)
     assert result.outcome == "dispersed" and result.dispersed
-    assert result.rounds == len(result.traces) == 4
+    assert result.rounds == len(traces) == 4
     assert classify(result.final_config).dispersed
     assert result.violations == ()
 
@@ -416,9 +422,12 @@ def test_clockwise_chain_run_disperses_benignly():
 def test_runs_are_reproducible_by_seed():
     policy = get_policy("vp-1i")
     cfg = all_on_one(6)
-    first = run_simulation(policy, get_adversary("random"), cfg, Mode.COMBINED, seed=77)
-    second = run_simulation(policy, get_adversary("random"), cfg, Mode.COMBINED, seed=77)
-    assert [t.dynamism for t in first.traces] == [t.dynamism for t in second.traces]
+    first_traces, second_traces = [], []
+    first = run_simulation(policy, get_adversary("random"), cfg, Mode.COMBINED, seed=77,
+                           on_round=first_traces.append)
+    second = run_simulation(policy, get_adversary("random"), cfg, Mode.COMBINED, seed=77,
+                            on_round=second_traces.append)
+    assert [t.dynamism for t in first_traces] == [t.dynamism for t in second_traces]
     assert first.final_config == second.final_config
     assert first.outcome == second.outcome
 
@@ -434,13 +443,39 @@ def test_round_budget_is_honoured():
     assert not result.dispersed
 
 
+def test_run_memory_does_not_grow_with_the_round_count():
+    """A run hands each round to its consumer and keeps none of them."""
+    cfg = random_configuration(64, random.Random(1))
+
+    def peak(rounds: int) -> int:
+        # With the cycle collector off, garbage a round left in cycles
+        # counts as kept, and the peak does not move with its timing.
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            result = run_simulation(get_policy("k0:ssssss"), get_adversary("benign"), cfg,
+                                    Mode.NONE, seed=1, max_rounds=rounds)
+            assert (result.outcome, result.rounds) == ("round-limit", rounds)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+
+    peak(40)  # first calls fill caches that later runs share
+    short, long = peak(40), peak(400)
+    assert long < 1.5 * short, (short, long)
+
+
 def test_a_negative_round_budget_is_refused_and_zero_plays_no_round():
     policy = get_policy("k0:ssssss")
     cfg = all_on_one(3)
     with pytest.raises(ValueError):
         run_simulation(policy, get_adversary("benign"), cfg, Mode.NONE, max_rounds=-1)
-    result = run_simulation(policy, get_adversary("benign"), cfg, Mode.NONE, max_rounds=0)
-    assert (result.outcome, result.rounds, result.traces) == ("round-limit", 0, ())
+    traces = []
+    result = run_simulation(policy, get_adversary("benign"), cfg, Mode.NONE, max_rounds=0,
+                            on_round=traces.append)
+    assert (result.outcome, result.rounds, traces) == ("round-limit", 0, [])
     assert result.final_config == cfg
 
 
@@ -486,11 +521,12 @@ def test_a_run_refuses_a_start_with_a_removed_edge():
 def test_adaptive_run_uses_exact_predictions():
     policy = get_policy("k0:sccsss")
     cfg = ring_from_slots(((1, 2), (3,), ()))
+    traces = []
     result = run_simulation(policy, get_adversary("vp-killer-n3"), cfg, Mode.VP,
-                            max_rounds=25)
+                            max_rounds=25, on_round=traces.append)
     assert result.outcome == "round-limit"
     assert all(sorted(t.config_after.multiplicities()) == [0, 1, 2]
-               for t in result.traces)
+               for t in traces)
 
 
 # --------------------------------------------------------------- validation
