@@ -99,6 +99,10 @@ class Adversary:
     def check_scenario(self, n: int, mode: Mode) -> None:
         pass
 
+    def check_start(self, cfg: RingConfiguration) -> None:
+        """Refuse an intact start this adversary cannot play from; one that
+        counters nothing, as this base, plays from any."""
+
     def invariant(self, counts: tuple[int, ...]) -> bool:
         """Whether a ring with these per-node robot counts is one this
         adversary can keep the robots in, round after round; here, any ring
@@ -230,6 +234,12 @@ class AdaptiveAdversary(Adversary):
 
     adaptive = True
 
+    def check_start(self, cfg):
+        """Refuse a ring outside ``invariant``, which ``choose`` trusts; each
+        round from inside ends inside (``check_adaptive_soundness``)."""
+        if not self.invariant(cfg.multiplicities()):
+            raise ScenarioError(f"{self.adversary_id} cannot keep its invariant from {cfg}")
+
     def choose(self, ctx):
         cfg, intents = ctx.cfg, ctx.predicted_intents
         if intents is None:
@@ -238,8 +248,6 @@ class AdaptiveAdversary(Adversary):
             counts = moved_counts(cfg, intents)
         except ValueError:
             raise ScenarioError("predicted intents must cover every robot exactly once") from None
-        if not self.invariant(cfg.multiplicities()):
-            raise ScenarioError(f"{self.adversary_id} cannot keep its invariant from {cfg}")
         if self.invariant(counts):
             return self.neutral(cfg)
         return self.counter(cfg, intents, resolve_moves(cfg, intents))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -28,7 +29,7 @@ from .ring import (
     ring_from_multiplicities,
     ring_from_slots,
 )
-from .scheduler import RoundTrace, initial_robots, run_simulation
+from .scheduler import RoundTrace, RunResult, initial_robots, run_simulation
 from .verifier import DEFAULT_HORIZON, verify_impossibility, verify_worst_case
 
 EXIT_OK = 0
@@ -119,9 +120,9 @@ def build_orientations(spec: ExperimentSpec, rng: random.Random) -> dict[int, Or
     return {label: Orientation(text[label - 1]) for label in range(1, spec.n + 1)}
 
 
-def execute(spec: ExperimentSpec, on_round=None):
-    """Run ``spec``: its start and its ``RunResult``. ``on_round`` gets each
-    round's trace as the round is played (see ``run_simulation``)."""
+def execute(spec: ExperimentSpec, on_round=None) -> RunResult:
+    """Run ``spec``. ``on_round`` gets the checked start, then each round's
+    trace as the round is played (see ``run_simulation``)."""
     try:
         mode = Mode.from_string(spec.mode)
     except ValueError as exc:
@@ -138,10 +139,9 @@ def execute(spec: ExperimentSpec, on_round=None):
         if spec.k < needed:
             raise ScenarioError(f"policy {policy.policy_id} needs visibility k >= {needed} "
                                 f"on n={n}, got k={spec.k}")
-    result = run_simulation(
+    return run_simulation(
         policy, adversary, cfg, mode, robots=robots, seed=rng.randrange(2 ** 32),
         max_rounds=spec.max_rounds, on_round=on_round)
-    return cfg, result
 
 
 # The fields of a round record, in the order a CSV trace gives them.
@@ -225,30 +225,22 @@ def cmd_run(args) -> int:
         spec = ExperimentSpec(**given)
     write = write_jsonl if args.format == "jsonl" else write_run_csv
     sink = None
-    index = itertools.count(1)
+    index = itertools.count()
 
-    def emit(record: dict) -> None:
+    def on_round(played: RingConfiguration | RoundTrace) -> None:
+        # The output is opened for the start's record, handed on once the
+        # start is checked, so a refused start prints nothing, opens no file.
         nonlocal sink
         if sink is None:
             sink = open(args.out, "w", encoding="utf-8", newline="") if args.out \
                 else sys.stdout
-        write(record, sink)
-
-    def on_round(trace: RoundTrace) -> None:
-        # The output is opened for round 0's record once round 1 has been
-        # played, so a start refused in round 1 prints nothing and touches
-        # no file.
-        if sink is None:
-            emit(trace_record(0, _played_from(trace)))
-        emit(trace_record(next(index), trace))
+        write(trace_record(next(index), played), sink)
 
     try:
-        initial, result = execute(spec, on_round)
-        if sink is None:  # the run played no round
-            emit(trace_record(0, initial))
+        result = execute(spec, on_round)
         if args.format == "jsonl":
-            emit({"summary": True, "outcome": result.outcome, "rounds": result.rounds,
-                  "violations": len(result.violations), "spec": asdict(spec)})
+            write({"summary": True, "outcome": result.outcome, "rounds": result.rounds,
+                   "violations": len(result.violations), "spec": asdict(spec)}, sink)
     finally:
         if sink is not None and sink is not sys.stdout:
             sink.close()
@@ -259,20 +251,12 @@ def cmd_run(args) -> int:
     return EXIT_OK if result.dispersed else EXIT_FAIL
 
 
-def _played_from(trace: RoundTrace) -> RingConfiguration:
-    """The intact ring a round was played from: the ring its robots saw,
-    with the permutation undone and the edge back."""
-    seen, perm = trace.config_seen, trace.dynamism.permutation
-    slots = seen.slots if perm is None else tuple(seen.slots[new] for new in perm)
-    return RingConfiguration._trusted(seen.n, slots, None)
-
-
 def _sweep_cell(args, n: int, seed: int) -> tuple:
     spec = ExperimentSpec(
         n=n, policy=args.policy, adversary=args.adversary, mode=args.mode,
         config=args.config, seed=seed, max_rounds=args.max_rounds)
     bound = get_policy(args.policy).proven_bound(n)
-    _, result = execute(spec)
+    result = execute(spec)
     budget = bound if bound is not None else (args.max_rounds or 4 * n)
     passed = result.dispersed and result.rounds <= budget and not result.violations
     return (n, args.policy, args.adversary, seed, result.rounds,
@@ -415,8 +399,6 @@ def _replay_round(cfg: RingConfiguration, record: dict):
         expected = _record_slots(record["config"])
         if not isinstance(labels, dict):
             raise ValueError(f"intents must be an object, got {labels!r}")
-        if perm is not None and not _only_ints(perm):
-            raise ValueError(f"permutation {perm!r} must hold integers")
         dynamism = Dynamism(None if perm is None else tuple(perm), edge)
         dynamism.check(cfg.n, Mode.COMBINED)  # replay reads no mode from the trace
         shaped = dynamism.apply(cfg)
@@ -527,6 +509,7 @@ class _Parser(argparse.ArgumentParser):
         raise ScenarioError(message)
 
 
+@functools.cache  # one parser per process: each build leaves reference cycles
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="dynring",
@@ -551,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--spec", default=None, help="JSON experiment spec file")
     run.add_argument("--out", default=None)
     run.add_argument("--format", default="jsonl", choices=["jsonl", "csv"])
-    run.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser("sweep", help="run many seeds across ring sizes")
     sweep.add_argument("--n", required=True,
@@ -564,7 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--max-rounds", type=int, default=None)
     sweep.add_argument("--out", default=None)
     sweep.add_argument("--format", default="csv", choices=["csv"])
-    sweep.set_defaults(func=cmd_sweep)
 
     verify = sub.add_parser("verify", help="exhaustive bound or impossibility check")
     verify.add_argument("--check", required=True, choices=["bound", "impossibility"])
@@ -576,18 +557,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the bound to check against")
     verify.add_argument("--horizon", type=int, default=None,
                         help=f"rounds a run may take (default {DEFAULT_HORIZON})")
-    verify.set_defaults(func=cmd_verify)
 
     replay = sub.add_parser("replay", help="re-derive every round of a saved trace")
     replay.add_argument("trace", help="JSONL trace produced by run")
-    replay.set_defaults(func=cmd_replay)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # Looked up at each call, not kept in the cached parser: the
+        # benchmark's tracer wraps ``cmd_run`` and ``cmd_replay`` by name.
+        return globals()[f"cmd_{args.command}"](args)
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

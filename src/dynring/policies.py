@@ -307,22 +307,27 @@ class PreprocessPolicy(ChainRule):
     follows still disperses n=2 within its budget (criterion 4).
     """
 
+    def check_scenario(self, n, mode, cfg, robots):
+        # All robots have agreed on a hand or none has, and a gathered start
+        # if needed (a dispersed one plays no round); rounds keep both.
+        super().check_scenario(n, mode, cfg, robots)
+        memories = {r.memory for r in robots}
+        if memories not in ({None}, {PREPROCESS_DONE}):
+            raise ScenarioError(f"robots disagree on whether they agreed on a hand: {memories}")
+        if self.gathered_start and memories == {None} and 1 < max(cfg.multiplicities()) < n:
+            raise ScenarioError(
+                f"policy {self.policy_id} must start with all robots on one node")
+
     def decide(self, snap, robot):
         if robot.memory is not None:
             return vp_one_interval_decide(snap), robot.memory
         if snap.own_count == snap.n:
             return _CW, ("moved", snap.least_label)
-        if self.gathered_start:
-            raise ScenarioError(
-                f"policy {self.policy_id} must start with all robots on one node")
         return self.before_agreement(snap), None
 
     def actors(self, analysis, slots, robots):
-        # The robots' memories agree (``round_guarantees`` checks it). Before
-        # agreement every robot of a whole pile steps, and a rule that needs
-        # a gathered start has every robot refuse any other ring.
-        if robots[0].memory is None and (self.gathered_start
-                                         or analysis.metrics.holes == analysis.n - 1):
+        # Before agreement (the robots' memories agree) a whole pile steps.
+        if robots[0].memory is None and analysis.metrics.holes == analysis.n - 1:
             return Policy.actors(self, analysis, slots, robots)
         return super().actors(analysis, slots, robots)
 
@@ -336,11 +341,8 @@ class PreprocessPolicy(ChainRule):
     def round_guarantees(self, analysis, robots):
         # After agreement the good-chain rule fills a hole every round; the
         # preprocessing round claims nothing.
-        memories = {r.memory for r in robots}
-        if memories == {PREPROCESS_DONE}:
+        if robots[0].memory is not None:
             return (holes_strictly_decrease,)
-        if memories != {None}:
-            raise ValueError(f"robots disagree on whether they agreed on a hand: {memories}")
         return () if analysis.metrics.holes == analysis.n - 1 else self.guarantees
 
 

@@ -123,9 +123,9 @@ def step(
     ``Policy.actors`` lists decide; every other robot stays and is carried
     over as it is. A robot that decided settles with the hand and memory
     ``Policy.after_move`` gives it from the labels on the node it ended the
-    round on. ``robots`` must be in label order and ``cfg`` intact
-    (``validate_scenario`` checks both), and ``dynamism`` valid
-    (``Dynamism.check``); ``step`` trusts them.
+    round on. ``step`` trusts a start that ``validate_scenario`` accepts, as
+    rounds keep it: ``robots`` in label order on an intact ``cfg`` the rule
+    admits. It trusts ``dynamism`` to be valid (``Dynamism.check``).
 
     ``looks``, if given, is a look table that the caller keeps over rounds
     of this one rule (see ``_look``); without it every round builds its
@@ -185,6 +185,9 @@ def validate_scenario(
 ) -> None:
     n = cfg.n
     check_intact(cfg)
+    # A round reads robot ``label`` at index ``label - 1``.
+    if [robot.label for robot in robots] != list(range(1, n + 1)):
+        raise ScenarioError(f"robots must carry exactly the labels 1..{n}, in label order")
     policy.check_scenario(n, mode, cfg, robots)
     if adversary is not None:
         adversary.check_scenario(n, mode)
@@ -192,9 +195,8 @@ def validate_scenario(
             raise ScenarioError(
                 f"adversary {adversary.adversary_id} counters zero-visibility rules; "
                 f"policy {policy.policy_id} sees the whole ring")
-    # A round reads robot ``label`` at index ``label - 1``.
-    if [robot.label for robot in robots] != list(range(1, n + 1)):
-        raise ScenarioError(f"robots must carry exactly the labels 1..{n}, in label order")
+        if not classify(cfg).dispersed:  # a dispersed start plays no round
+            adversary.check_start(cfg)
 
 
 def play_round(policy: Policy, adversary: Adversary, cfg: RingConfiguration, mode: Mode,
@@ -221,13 +223,13 @@ def run_simulation(
     robots=None,
     seed: int | None = None,
     max_rounds: int | None = None,
-    on_round: Callable[[RoundTrace], object] | None = None,
+    on_round: Callable[[RingConfiguration | RoundTrace], object] | None = None,
 ) -> RunResult:
     """Drive rounds until one robot per node or the round budget runs out.
 
-    This is the one run loop. It hands each round's trace to ``on_round``
-    as the round is played and keeps none, so a run holds one round
-    whatever its length."""
+    This is the one run loop. It hands ``on_round`` the start once it is
+    checked, then each round's trace as the round is played, and keeps no
+    round, so a run holds one round whatever its length."""
     if robots is None:
         robots = initial_robots(cfg)
     robots = tuple(robots)
@@ -237,6 +239,8 @@ def run_simulation(
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be a non-negative integer, got {max_rounds!r}")
 
+    if on_round is not None:
+        on_round(cfg)
     rng = random.Random(seed)
     rounds = 0
     violations = []

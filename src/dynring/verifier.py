@@ -496,8 +496,9 @@ def verify_impossibility(
 
     Only plain ``NoVisibilityPolicy`` tables are run: a subclass, which may
     decide or settle otherwise, and any other rule are refused before any
-    round is played. ``tests/test_verifier.py`` checks these premises and
-    checks every report against runs that share nothing.
+    round is played, as is a start the adversary cannot play from
+    (``Adversary.check_start``). ``tests/test_verifier.py`` checks these
+    premises and checks every report against runs that share nothing.
 
     A start's run disperses if its orbit does within ``horizon`` rounds,
     and is a proven stall if its orbit first repeats a state before the
@@ -519,6 +520,7 @@ def verify_impossibility(
         raise ScenarioError(f"every start of an impossibility run must have n={n} nodes")
     for start in starts:
         check_intact(start)
+        adversary.check_start(start)
     for policy in policies:
         if type(policy) is not NoVisibilityPolicy:
             raise ScenarioError(f"impossibility runs are for zero-visibility tables, "
@@ -569,12 +571,13 @@ def check_adaptive_soundness(
     The adversary is asked once per labelled intent vector. Each distinct
     dynamism it answers is checked (``Dynamism.check``) and applied once per
     call, and every vector is judged by its own successor's node counts
-    (``moved_counts``) on the ring its answer shapes. A scenario the
-    adversary refuses, and a ring with a removed edge, from which no round
-    starts, raise ``ScenarioError`` before any vector is tried.
+    (``moved_counts``) on the ring its answer shapes. A scenario or start the
+    adversary refuses (``check_start``), and a ring with a removed edge, from
+    which no round starts, raise ``ScenarioError`` before any vector is tried.
     """
     adversary.check_scenario(cfg.n, mode)
     check_intact(cfg)
+    adversary.check_start(cfg)
     problems = []
     labels = cfg.labels()
     shaped: dict = {}

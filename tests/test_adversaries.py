@@ -29,6 +29,7 @@ from dynring import (
     resolve_moves,
     ring_from_slots,
     rotate,
+    verify_impossibility,
 )
 from dynring.adversaries import EdgeBlocker, GeneralPermuter, ThreeRingPermuter
 
@@ -210,8 +211,8 @@ def test_three_ring_permuter_requirements():
         adversary.check_scenario(3, Mode.ONE_INTERVAL)
     with pytest.raises(ScenarioError):
         adversary.choose(ctx_for(ring_from_slots(((1, 2), (3,), ()))))
-    with pytest.raises(ScenarioError):
-        adversary.choose(ctx_for(all_on_one(3), intents={1: STAY, 2: STAY, 3: STAY}))
+    with pytest.raises(ScenarioError, match="cannot keep its invariant"):
+        adversary.check_start(all_on_one(3))
 
 
 @settings(max_examples=30, deadline=None)
@@ -269,8 +270,8 @@ def test_general_permuter_requirements():
     with pytest.raises(ScenarioError):
         adversary.check_scenario(5, Mode.ONE_INTERVAL)
     dispersed = ring_from_slots(((1,), (2,), (3,), (4,)))
-    with pytest.raises(ScenarioError):
-        adversary.choose(ctx_for(dispersed, intents={i: STAY for i in range(1, 5)}))
+    with pytest.raises(ScenarioError, match="cannot keep its invariant"):
+        adversary.check_start(dispersed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -452,6 +453,22 @@ def test_soundness_refuses_a_ring_with_a_removed_edge(adversary_id, mode):
     cut = ring_from_slots(((1, 2, 3), (), (4,), ()), missing_edge=1)
     with pytest.raises(ScenarioError, match="no removed edge"):
         check_adaptive_soundness(adversary, cut, mode)
+    assert asked == []
+
+
+def test_a_start_off_the_invariant_is_refused_before_any_choose():
+    """``choose`` trusts its ring to keep the invariant, so the impossibility
+    sweep and the soundness check refuse a start outside it before they
+    ask the adversary anything."""
+    adversary = type(get_adversary("vp-killer-n3"))()
+    asked = []
+    choose = adversary.choose
+    adversary.choose = lambda ctx: asked.append(ctx) or choose(ctx)
+    refusal = r"^vp-killer-n3 cannot keep its invariant from <ring 1,2,3 \. \.>$"
+    with pytest.raises(ScenarioError, match=refusal):
+        verify_impossibility(adversary, 3, Mode.VP, starts=[all_on_one(3)])
+    with pytest.raises(ScenarioError, match=refusal):
+        check_adaptive_soundness(adversary, all_on_one(3), Mode.VP)
     assert asked == []
 
 

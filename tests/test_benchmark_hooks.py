@@ -116,11 +116,9 @@ def test_no_module_imports_a_name_it_does_not_read_but_for_the_benchmark():
     assert unread == BENCHMARK_ONLY_IMPORTS
 
 
-def test_only_the_run_and_the_orbit_walk_play_rounds():
-    """The tracer counts a simulated round as a ``step`` under a
-    ``run_simulation`` call, so every run plays its rounds inside
-    ``scheduler.run_simulation``; a second loop over ``play_round`` would
-    lose them from that count."""
+def _callers(name: str) -> list[str]:
+    """``module.function`` for every call of ``name`` in the package, with
+    the innermost function that holds the call, sorted."""
     callers = []
     for path in sorted((ROOT / "src" / "dynring").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -129,6 +127,42 @@ def test_only_the_run_and_the_orbit_walk_play_rounds():
             if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scope.update(dict.fromkeys(ast.walk(function), function.name))
         callers += [f"{path.stem}.{scope.get(node, '<module>')}" for node in ast.walk(tree)
-                    if isinstance(node, ast.Call) and "play_round" in (
+                    if isinstance(node, ast.Call) and name in (
                         getattr(node.func, "id", None), getattr(node.func, "attr", None))]
-    assert sorted(callers) == ["scheduler.run_simulation", "verifier._orbit_fate"]
+    return sorted(callers)
+
+
+def test_only_the_run_and_the_orbit_walk_play_rounds():
+    """The tracer counts a simulated round as a ``step`` under a
+    ``run_simulation`` call, so every run plays its rounds inside
+    ``scheduler.run_simulation``; a second loop over ``play_round`` would
+    lose them from that count."""
+    assert _callers("play_round") == ["scheduler.run_simulation", "verifier._orbit_fate"]
+
+
+def test_an_adversary_checks_a_start_only_where_it_enters():
+    """``Adversary.check_start`` runs where a start enters the program, once,
+    and never in the middle of a run."""
+    assert _callers("check_start") == ["scheduler.validate_scenario",
+                                       "verifier.check_adaptive_soundness",
+                                       "verifier.verify_impossibility"]
+
+
+def test_no_rule_raises_in_the_middle_of_a_round():
+    """A rule's start is checked where it enters (``check_scenario``), so no
+    ``decide``, ``actors``, ``round_guarantees`` or ``after_move`` in
+    ``dynring.policies`` raises, module-level ``*_decide`` functions
+    included, but the base ``decide`` that every rule overrides."""
+    tree = ast.parse((ROOT / "src" / "dynring" / "policies.py").read_text(encoding="utf-8"))
+    raising = []
+    for owner in ast.walk(tree):
+        if not isinstance(owner, (ast.Module, ast.ClassDef)):
+            continue
+        for function in owner.body:
+            if isinstance(function, ast.FunctionDef) and (
+                    function.name.endswith("decide")
+                    or function.name in ("actors", "round_guarantees", "after_move")):
+                raising += [(getattr(owner, "name", "<module>"), function.name,
+                             ast.unparse(node.exc))
+                            for node in ast.walk(function) if isinstance(node, ast.Raise)]
+    assert raising == [("Policy", "decide", "NotImplementedError")]

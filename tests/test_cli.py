@@ -161,9 +161,10 @@ def test_replay_refuses_a_truncated_trace(tmp_path, capsys):
      "error: vp-killer-n3 cannot keep its invariant from <ring 1,2,3 . .>\n"),
 ], ids=["preprocess-start", "killer-invariant"])
 def test_a_start_refused_in_round_1_writes_nothing(tmp_path, capsys, flags, error):
-    """These starts pass every check made before the run and are refused
-    while round 1 is played: ``run`` prints only the error, creates no file
-    and leaves a file already at ``--out`` as it was."""
+    """These starts pass every check of the spec, and the run refuses them
+    where the start enters, before it hands on the start's record: ``run``
+    prints only the error, creates no file and leaves a file already at
+    ``--out`` as it was."""
     fresh, kept = tmp_path / "fresh.jsonl", tmp_path / "kept.jsonl"
     kept.write_bytes(b"earlier bytes\n")
     for out in (None, fresh, kept):
@@ -225,6 +226,22 @@ def test_run_memory_does_not_grow_with_the_round_count(tmp_path):
     short, long = _run_peak(argv(40)), _run_peak(argv(400))
     assert (tmp_path / "400.jsonl").stat().st_size > 9 * (tmp_path / "40.jsonl").stat().st_size
     assert long < 1.5 * short, (short, long)
+
+
+def test_a_run_leaves_no_garbage_for_the_cycle_collector(tmp_path):
+    """A second in-process ``run`` frees all it made by reference counting:
+    the parser is built once, not once per call, since an ``argparse``
+    parser holds reference cycles."""
+    argv = ["run", "--n", "8", "--policy", "vp-chain", "--mode", "vp", "--adversary", "random",
+            "--seed", "3", "--out", str(tmp_path / "run.jsonl")]
+    assert main(argv) == 0  # first calls fill caches that later runs share
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------------- sweeps

@@ -17,7 +17,6 @@ from dynring import (
     Orientation,
     PREPROCESS_DONE,
     RobotState,
-    RoundTrace,
     ScenarioError,
     Snapshot,
     all_no_visibility_policies,
@@ -33,6 +32,7 @@ from dynring import (
     ring_from_slots,
     rotate,
     step,
+    validate_scenario,
 )
 from dynring.policies import (
     four_node_state,
@@ -191,10 +191,17 @@ def test_gathered_start_preprocess_and_flip():
 
 
 def test_gathered_start_required_when_memory_fresh():
+    """Before its robots agree, ``no-chir-1i`` is refused a start that is no
+    pile where the start enters; once they agree, any start will do."""
     policy = get_policy("no-chir-1i")
     cfg = ring_from_slots(((1, 2), (3,), ()))
-    with pytest.raises(ScenarioError):
-        predict_intents(policy, cfg, initial_robots(cfg))
+    with pytest.raises(ScenarioError, match="^policy no-chir-1i must start with all robots "
+                                            "on one node$"):
+        validate_scenario(policy, None, cfg, initial_robots(cfg), Mode.NONE)
+    validate_scenario(policy, None, all_on_one(3), initial_robots(all_on_one(3)), Mode.NONE)
+    agreed = tuple(RobotState(r.label, r.orientation, PREPROCESS_DONE)
+                   for r in initial_robots(cfg))
+    validate_scenario(policy, None, cfg, agreed, Mode.NONE)
 
 
 def test_four_ring_rule_uses_chain_phase_after_gathering():
@@ -215,12 +222,12 @@ def test_four_ring_rule_uses_chain_phase_after_gathering():
 @pytest.mark.parametrize("cfg", [ring_from_slots(((1, 2), (3,), (), (4,))), all_on_one(4)],
                          ids=["chains", "gathered"])
 def test_preprocess_rules_refuse_robots_that_disagree(policy_id, cfg):
-    """A round in which some robots have agreed on a hand and others have
-    not is refused before any robot decides, on a gathered pile too."""
+    """A start on which some robots have agreed on a hand and others have
+    not is refused where it enters, on a gathered pile too."""
     robots = tuple(RobotState(r.label, r.orientation, PREPROCESS_DONE if r.label == 2 else None)
                    for r in initial_robots(cfg))
-    with pytest.raises(ValueError, match="^robots disagree on"):
-        step(get_policy(policy_id), cfg, robots, Dynamism())
+    with pytest.raises(ScenarioError, match="^robots disagree on"):
+        validate_scenario(get_policy(policy_id), None, cfg, robots, Mode.NONE)
 
 
 # --------------------------------------------------------------- symmetries
@@ -268,14 +275,6 @@ def test_mirrored_world_mirrors_decisions(scenario, policy_id):
     assert through_mirror == {label: act.inverse() for label, act in direct.items()}
 
 
-def _round(policy, cfg, robots, dynamism):
-    """``step``'s result, or the refusal it raised."""
-    try:
-        return step(policy, cfg, robots, dynamism)
-    except (ScenarioError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
 @pytest.mark.parametrize("policy_id", PLAIN_RULES + ("no-chir-1i",))
 @settings(max_examples=150, deadline=None)
 @given(configured_scenarios(min_n=2, max_n=7, allow_edge=False), st.data())
@@ -283,25 +282,24 @@ def test_mirrored_world_mirrors_whole_rounds(policy_id, scenario, data):
     """A round in the mirror world, the ring reflected with every hand
     flipped and the removed edge reflected too, ends in the mirror of the
     round's successor, memory and ``after_move`` included. The worst-case
-    search merges each state with this twin."""
+    search merges each state with this twin. The robots all have agreed on
+    a hand or none has, and a rule that needs a gathered start gets one
+    before they agree: the starts ``check_scenario`` accepts."""
     cfg, robots = scenario
     n = cfg.n
-    if data.draw(st.booleans()):  # a gathered pile starts the preprocessing round
+    policy = get_policy(policy_id)
+    memory = data.draw(st.sampled_from((None, PREPROCESS_DONE)))
+    # A gathered pile starts the preprocessing round.
+    if (policy.gathered_start and memory is None) or data.draw(st.booleans()):
         node = data.draw(st.integers(0, n - 1))
         cfg = ring_from_slots([cfg.labels() if i == node else () for i in range(n)])
-    memory = data.draw(st.sampled_from(
-        (None, ("moved", data.draw(st.integers(1, n))), PREPROCESS_DONE)))
     robots = tuple(RobotState(r.label, r.orientation, memory) for r in robots)
     edge = data.draw(st.none() | st.integers(0, n - 1))
-    policy = get_policy(policy_id)
 
-    direct = _round(policy, cfg, robots, Dynamism(None, edge))
-    mirrored = _round(policy, reflect(cfg, 0), _flipped(robots),
-                      Dynamism(None, None if edge is None else (-edge - 1) % n))
-    if not isinstance(direct[-1], RoundTrace):
-        assert mirrored == direct  # both worlds refuse the round alike
-        return
-    (next_cfg, settled, trace), (twin_cfg, twin_settled, twin_trace) = direct, mirrored
+    next_cfg, settled, trace = step(policy, cfg, robots, Dynamism(None, edge))
+    twin_cfg, twin_settled, twin_trace = step(
+        policy, reflect(cfg, 0), _flipped(robots),
+        Dynamism(None, None if edge is None else (-edge - 1) % n))
     assert twin_cfg == reflect(next_cfg, 0)
     assert twin_settled == _flipped(settled)
     assert twin_trace.intents == {label: act.inverse() for label, act in trace.intents.items()}

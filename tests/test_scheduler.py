@@ -261,19 +261,6 @@ def test_a_round_moves_its_robots_as_the_dense_resolution(scenario):
     assert nxt.slots == trace.config_after.slots and nxt.missing_edge is None
 
 
-@st.composite
-def ungathered_rounds(draw):
-    """A ``no-chir-1i`` round before agreement off a ring that is no pile,
-    which the rule refuses."""
-    policy = get_policy("no-chir-1i")
-    cfg = draw(ring_configs(min_n=2, max_n=8, allow_edge=False).filter(
-        lambda cfg: max(cfg.multiplicities()) < cfg.n))
-    robots = tuple(RobotState(label, draw(st.sampled_from(tuple(Orientation))))
-                   for label in cfg.labels())
-    edge = draw(st.one_of(st.none(), st.integers(0, cfg.n - 1)))
-    return policy, cfg, robots, Dynamism(None, edge)
-
-
 def _decide_everyone(policy, seen, robots):
     """The reference: every robot's global action and memory through
     ``policy.decide`` on the ring ``seen``, by label."""
@@ -288,23 +275,17 @@ def _decide_everyone(policy, seen, robots):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(rule_rounds(), ungathered_rounds()))
+@given(rule_rounds())
 def test_deciding_only_the_listed_actors_changes_nothing(scenario):
     """A round decides only for the robots ``Policy.actors`` lists. For every
-    rule, agreement state, hand mix, memory and removed edge that gives the intents
-    and settled robots of deciding every robot through ``policy.decide``: a
-    robot left out would have stayed with the memory it holds, and is
-    carried over as it is. A ring a rule refuses is refused alike."""
+    rule, agreement state, hand mix, memory and removed edge of a start the
+    rule accepts, that gives the intents and settled robots of deciding
+    every robot through ``policy.decide``: a robot left out would have
+    stayed with the memory it holds, and is carried over as it is."""
     policy, cfg, robots, dynamism = scenario
     seen = dynamism.apply(cfg)
     analysis = ChainAnalysis(seen)
-    try:
-        everyone = _decide_everyone(policy, seen, robots)
-    except ScenarioError as refusal:
-        with pytest.raises(ScenarioError) as raised:
-            step(policy, cfg, robots, dynamism)
-        assert str(raised.value) == str(refusal)
-        return
+    everyone = _decide_everyone(policy, seen, robots)
     intents, decided, movers = dynring.scheduler._decide(policy, analysis, seen.slots, robots)
     assert list(intents) == list(cfg.labels())
     assert intents == {label: action for label, (action, _) in everyone.items()}
@@ -331,22 +312,15 @@ def test_deciding_only_the_listed_actors_changes_nothing(scenario):
             assert after is robot
 
 
-def _decision(policy, analysis, slots, robots):
-    """``_decide``'s intents, decided and movers, or the message of the
-    rule's refusal."""
-    try:
-        return dynring.scheduler._decide(policy, analysis, slots, robots)
-    except ScenarioError as refusal:
-        return str(refusal)
-
-
 def test_a_look_the_table_lends_decides_as_a_fresh_one():
     """A look table keys a look by the seen ring's node counts and removed
     edge, and hands it to every later ring that has the same. On
     every occupancy at n <= 4 with every hand assignment, and at n = 5 with
     aligned hands, under two labellings and every removed edge, every
-    full-visibility rule the ring admits, agreed or not, decides on the
-    lent look exactly as on a fresh ``ChainAnalysis`` of its own ring."""
+    full-visibility rule the ring and its robots admit, agreed or not,
+    decides on the lent look exactly as on a fresh ``ChainAnalysis`` of its
+    own ring."""
+    decide = dynring.scheduler._decide
     compared = 0
     for n in range(1, 6):
         hand_sets = (itertools.product(tuple(Orientation), repeat=n) if n <= 4
@@ -370,12 +344,12 @@ def test_a_look_the_table_lends_decides_as_a_fresh_one():
                             policy.check_scenario(n, Mode.NONE, second, robots)
                         except ScenarioError:
                             continue
-                        assert (_decision(policy, lent, second.slots, robots)
-                                == _decision(policy, fresh, second.slots, robots)), \
+                        assert (decide(policy, lent, second.slots, robots)
+                                == decide(policy, fresh, second.slots, robots)), \
                             (policy, second, robots)
                         compared += 1
         assert len(looks) == math.comb(2 * n - 1, n) * (n + 1)
-    assert compared == 20_424
+    assert compared == 17_112
 
 
 def test_a_gathered_vp_1i_run_decides_only_for_its_actors(monkeypatch):
@@ -413,6 +387,8 @@ def test_clockwise_chain_run_disperses_benignly():
     traces = []
     result = run_simulation(policy, get_adversary("benign"), cfg, Mode.NONE,
                             on_round=traces.append)
+    start, *traces = traces
+    assert start is cfg
     assert result.outcome == "dispersed" and result.dispersed
     assert result.rounds == len(traces) == 4
     assert classify(result.final_config).dispersed
@@ -427,7 +403,8 @@ def test_runs_are_reproducible_by_seed():
                            on_round=first_traces.append)
     second = run_simulation(policy, get_adversary("random"), cfg, Mode.COMBINED, seed=77,
                             on_round=second_traces.append)
-    assert [t.dynamism for t in first_traces] == [t.dynamism for t in second_traces]
+    assert first_traces[0] is second_traces[0] is cfg
+    assert [t.dynamism for t in first_traces[1:]] == [t.dynamism for t in second_traces[1:]]
     assert first.final_config == second.final_config
     assert first.outcome == second.outcome
 
@@ -475,7 +452,7 @@ def test_a_negative_round_budget_is_refused_and_zero_plays_no_round():
     traces = []
     result = run_simulation(policy, get_adversary("benign"), cfg, Mode.NONE, max_rounds=0,
                             on_round=traces.append)
-    assert (result.outcome, result.rounds, traces) == ("round-limit", 0, [])
+    assert (result.outcome, result.rounds, traces) == ("round-limit", 0, [cfg])
     assert result.final_config == cfg
 
 
@@ -518,12 +495,59 @@ def test_a_run_refuses_a_start_with_a_removed_edge():
         run_simulation(get_policy("vp-chain"), get_adversary("benign"), cut, Mode.VP)
 
 
+_DISAGREEING = tuple(RobotState(label, Orientation.ALIGNED,
+                                PREPROCESS_DONE if label == 2 else None)
+                     for label in range(1, 5))
+
+
+@pytest.mark.parametrize("policy_id,adversary_id,mode,cfg,robots,refusal", [
+    ("no-chir-1i", "benign", Mode.NONE, ring_from_multiplicities((2, 2, 0, 0)), None,
+     r"^policy no-chir-1i must start with all robots on one node$"),
+    ("no-chir-1i", "benign", Mode.NONE, all_on_one(4), _DISAGREEING,
+     r"^robots disagree on whether they agreed on a hand: "),
+    ("k0:ssssss", "vp-killer-n3", Mode.VP, all_on_one(3), None,
+     r"^vp-killer-n3 cannot keep its invariant from <ring 1,2,3 \. \.>$"),
+], ids=["ungathered", "disagreeing", "off-invariant"])
+def test_a_run_refuses_a_bad_start_before_its_first_record(monkeypatch, policy_id,
+                                                           adversary_id, mode, cfg, robots,
+                                                           refusal):
+    """A start the rule or the adversary cannot play from is refused where
+    it enters: ``run_simulation`` plays no round and hands its consumer no
+    record, not even the start."""
+    steps, records = [], []
+    real = dynring.scheduler.step
+    monkeypatch.setattr(dynring.scheduler, "step",
+                        lambda *args, **options: steps.append(args) or real(*args, **options))
+    with pytest.raises(ScenarioError, match=refusal):
+        run_simulation(get_policy(policy_id), get_adversary(adversary_id), cfg, mode,
+                       robots=robots, on_round=records.append)
+    assert steps == records == []
+
+
+@pytest.mark.parametrize("policy_id,adversary_id,mode", [
+    ("k0:ssssss", "vp-killer-n3", Mode.VP),
+    ("no-chir-1i", "benign", Mode.NONE),
+])
+def test_a_dispersed_start_plays_no_round_whatever_the_rule_and_adversary(policy_id,
+                                                                          adversary_id, mode):
+    """A dispersed start plays no round, so it is refused neither for the
+    3-ring permuter, whose invariant excludes it, nor for ``no-chir-1i``,
+    which starts any round it plays from a gathered pile."""
+    cfg = ring_from_slots(((1,), (2,), (3,)))
+    records = []
+    result = run_simulation(get_policy(policy_id), get_adversary(adversary_id), cfg, mode,
+                            on_round=records.append)
+    assert (result.outcome, result.rounds, records) == ("dispersed", 0, [cfg])
+
+
 def test_adaptive_run_uses_exact_predictions():
     policy = get_policy("k0:sccsss")
     cfg = ring_from_slots(((1, 2), (3,), ()))
     traces = []
     result = run_simulation(policy, get_adversary("vp-killer-n3"), cfg, Mode.VP,
                             max_rounds=25, on_round=traces.append)
+    start, *traces = traces
+    assert start is cfg and len(traces) == 25
     assert result.outcome == "round-limit"
     assert all(sorted(t.config_after.multiplicities()) == [0, 1, 2]
                for t in traces)

@@ -562,6 +562,20 @@ def test_negative_horizon_is_refused():
         verify_impossibility(get_adversary("1i-killer"), 2, Mode.ONE_INTERVAL, horizon=-1)
 
 
+def test_a_search_refuses_an_ungathered_start_before_any_step(monkeypatch):
+    """A fresh ``no-chir-1i`` root that is no pile is refused where the root
+    enters the search, before ``step`` plays any round from it."""
+    steps = []
+    real = dynring.verifier.step
+    monkeypatch.setattr(dynring.verifier, "step",
+                        lambda *args, **options: steps.append(args) or real(*args, **options))
+    with pytest.raises(ScenarioError, match="^policy no-chir-1i must start with all robots "
+                                            "on one node$"):
+        verify_worst_case(get_policy("no-chir-1i"), 4, Mode.NONE,
+                          starts=(ring_from_multiplicities((2, 2, 0, 0)),))
+    assert steps == []
+
+
 def test_a_check_with_no_start_is_refused():
     """At n=1 every rule is dispersed at round 0, so no start is left to
     block; a check over no start proves nothing."""
