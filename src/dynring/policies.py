@@ -18,7 +18,7 @@ memory. The base lists every robot; the chain rules share
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ring import (
     Action,
@@ -492,8 +492,7 @@ def get_policy(policy_id: str) -> Policy:
         raise ScenarioError(f"unknown policy {policy_id!r} (known: {known}, k0:<table>)") from None
 
 
-@dataclass(frozen=True)
-class LemmaViolation:
+class LemmaViolation(NamedTuple):
     """One broken per-round guarantee, with enough context to replay it."""
 
     guarantee: str

@@ -104,10 +104,10 @@ def convert_frame(action: Action, orientation: Orientation) -> Action:
 _MIRRORED = (Action.STAY, Action.ANTICLOCKWISE, Action.CLOCKWISE)
 
 
-@dataclass(frozen=True, slots=True)
-class RobotState:
+class RobotState(NamedTuple):
     """One robot: unique label, private orientation, memory. Its node is a
-    fact of the ring, read from the configuration."""
+    fact of the ring, read from the configuration. A tuple, as every round
+    that changes a hand or a memory builds one."""
 
     label: int
     orientation: Orientation = Orientation.ALIGNED
@@ -328,13 +328,13 @@ def _census(mult: tuple[int, ...]) -> Metrics:
     return Metrics(holes, singles, n - holes - singles, singles == n)
 
 
-@dataclass(frozen=True)
-class Chain(object):
+class Chain(NamedTuple):
     """A multinode, a run of singleton nodes, then a hole, in one direction.
 
     ``direction`` is the global direction walked from the multinode to the
     hole. ``good`` means no edge along the walk is the removed one. The
-    chain's length is its singleton count.
+    chain's length is its singleton count. A tuple, as every chain index
+    builds one per chain.
     """
 
     direction: Action
@@ -388,15 +388,14 @@ def _chains(mult: tuple[int, ...], cut: int | None) -> tuple[Chain, ...]:
     return tuple(chains)
 
 
-@dataclass(frozen=True)
-class ChainView(object):
+class ChainView(NamedTuple):
     """A chain as seen by a robot standing on it, in the robot's own frame.
 
     ``direction_own`` points from the multinode toward the hole, so it is
     also the robot's step toward the hole. ``other`` is the opposite
     direction chain anchored at the same multinode, when one exists; it is
     populated for singleton-node robots, which consult their chain's
-    multinode.
+    multinode. A tuple, as every look builds one per chain it shows.
     """
 
     direction_own: Action
@@ -545,11 +544,11 @@ def reflect(cfg: RingConfiguration, pivot: int = 0) -> RingConfiguration:
 
 
 def canonical_rotation(cfg: RingConfiguration) -> RingConfiguration:
-    """The lexicographically least rotation; labels stay with their nodes."""
-    best = None
-    for shift in range(cfg.n):
-        cand = rotate(cfg, shift)
-        key = (cand.slots, -1 if cand.missing_edge is None else cand.missing_edge)
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return best[1]
+    """The lexicographically least rotation, by slots and then removed edge
+    (none first); labels stay with their nodes. Only the winner is built."""
+    n, slots, edge = cfg.n, cfg.slots, cfg.missing_edge
+    if edge is None:
+        return RingConfiguration._trusted(n, min([slots[s:] + slots[:s] for s in range(n)]))
+    # Rotating node s to position 0 takes the removed edge e to e - s.
+    best, best_edge = min([(slots[s:] + slots[:s], (edge - s) % n) for s in range(n)])
+    return RingConfiguration._trusted(n, best, best_edge)

@@ -18,6 +18,7 @@ import functools
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .adversaries import Adversary, AdversaryContext, Dynamism
 from .policies import LemmaViolation, Policy, check_round_lemmas, holes_filled_count
@@ -39,10 +40,10 @@ from .ring import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class RoundTrace:
+class RoundTrace(NamedTuple):
     """Everything that happened in one round, sufficient to replay it. Its
-    round number is its place in the run."""
+    round number is its place in the run. A tuple, as every round builds
+    one."""
 
     dynamism: Dynamism
     intents: dict[int, Action]
@@ -76,18 +77,33 @@ def _all_stay(n: int) -> dict[int, Action]:
     return dict.fromkeys(range(1, n + 1), _STAY)
 
 
-def _decide(policy: Policy, analysis: ChainAnalysis, slots, robots):
+def _decide(policy: Policy, analysis: ChainAnalysis, slots, robots, decisions=None):
     """Each robot's global-frame action, by label in label order; the node
     and the memory of each robot the rule lists in ``Policy.actors``, by
     label; and the ``(label, node, global action)`` of each listed robot
     that does not stay. ``slots`` are the seen ring's, ``analysis`` its
-    look; ``robots`` must be in label order; a robot not listed stays."""
+    look; ``robots`` must be in label order; a robot not listed stays.
+
+    ``decisions``, if given, is a decision memo kept beside the look table
+    that ``analysis`` came from (see ``step``): a listed robot whose key it
+    holds takes the stored answer and ``Policy.decide`` is not called."""
     intents = _all_stay(len(robots)).copy()
     decided = {}
     movers = []
     for node, label in policy.actors(analysis, slots, robots):
         robot = robots[label - 1]
-        own_action, memory = policy.decide(Snapshot(analysis, slots, node, robot), robot)
+        if decisions is None:
+            answer = None
+        else:
+            # What a snapshot is built from; the hand by its sign, as Enum
+            # hashing is slow.
+            key = (analysis, node, slots[node], label, robot.orientation.sign, robot.memory)
+            answer = decisions.get(key)
+        if answer is None:
+            answer = policy.decide(Snapshot(analysis, slots, node, robot), robot)
+            if decisions is not None:
+                decisions[key] = answer
+        own_action, memory = answer
         decided[label] = node, memory
         if own_action is not _STAY:
             intents[label] = action = convert_frame(own_action, robot.orientation)
@@ -116,6 +132,7 @@ def step(
     robots: tuple[RobotState, ...],
     dynamism: Dynamism,
     looks: dict | None = None,
+    decisions: dict | None = None,
 ) -> tuple[RingConfiguration, tuple[RobotState, ...], RoundTrace]:
     """Run one round and return the intact next configuration.
 
@@ -130,11 +147,16 @@ def step(
     ``looks``, if given, is a look table that the caller keeps over rounds
     of this one rule (see ``_look``); without it every round builds its
     own look. A look holds no label, so a stored one serves as a fresh one.
+    ``decisions``, if given, is a decision memo that goes with ``looks``:
+    it maps a listed robot's stored look, node, labels on that node, label,
+    hand and memory to what ``Policy.decide`` answered for them (see
+    ``_decide``). Its keys hold the stored looks, so it is kept and dropped
+    with the look table.
     """
     cfg_seen = dynamism.apply(cfg)
     analysis = ChainAnalysis(cfg_seen) if looks is None else _look(looks, cfg_seen)
     guarantees = policy.round_guarantees(analysis, robots)
-    intents, decided, movers = _decide(policy, analysis, cfg_seen.slots, robots)
+    intents, decided, movers = _decide(policy, analysis, cfg_seen.slots, robots, decisions)
 
     cfg_after = move_robots(cfg_seen, movers)
     metrics_after = classify(cfg_after)

@@ -46,8 +46,16 @@ A search also keeps a look table for its own length: every round it
 plays passes it to ``step``, which builds a ``ChainAnalysis`` only for a
 seen ring whose node counts and removed edge the table lacks and reuses
 the stored one otherwise; a look holds no label. The table holds at most
-C(2n-1, n)*(n+1) entries (175 at n=4, 13,728 at n=7). Runs and
-impossibility sweeps pass none: large rings do not repeat.
+C(2n-1, n)*(n+1) entries (175 at n=4, 13,728 at n=7). Beside it the
+search keeps a decision memo, which ``step`` hands to the decision
+helper: a robot the rule lists decides by ``Policy.decide`` only if the
+memo lacks its key, the stored look, its node, the labels on that node,
+its label, hand and memory, and otherwise takes the stored answer. That
+is exact, because a rule reads only its ``Snapshot`` and the robot, and a
+snapshot is built from the look, the node, its labels and the robot; a
+stored look is one object per node counts and removed edge, so the look
+is keyed by identity. Runs and impossibility sweeps pass neither: large
+rings do not repeat.
 
 The module also enumerates starting configurations, certifies per-round
 guarantees along every explored edge, checks the adaptive adversaries
@@ -173,8 +181,9 @@ class WorstCaseSearcher:
     module docstring shows that twins have one value. The memo holds only
     values.
     ``looks`` is the search's look table, one label-free look per seen
-    ring's node counts and removed edge (``scheduler._look``). It goes
-    with the searcher, as the memo does.
+    ring's node counts and removed edge (``scheduler._look``), and
+    ``decisions`` its decision memo, keyed by those stored looks
+    (``scheduler._decide``). Both go with the searcher, as the memo does.
     A best branch found in one frame of a state need not be best in
     another, so ``witness`` picks its branch afresh in the frame it is
     replaying.
@@ -185,6 +194,7 @@ class WorstCaseSearcher:
         self.mode = mode
         self.memo: dict = {}
         self.looks: dict = {}
+        self.decisions: dict = {}
         self.lemma_violations: list = []
 
     def _key(self, cfg: RingConfiguration, robots) -> tuple:
@@ -213,7 +223,7 @@ class WorstCaseSearcher:
         best = -1.0
         for dynamism in exhaustive_branches(cfg, self.mode):
             next_cfg, next_robots, trace = step(self.policy, cfg, robots, dynamism,
-                                                 looks=self.looks)
+                                                 self.looks, self.decisions)
             for violation in trace.violations:
                 self.lemma_violations.append((key, dynamism, violation))
             rest = 0 if trace.metrics_after.dispersed else self._value(next_cfg, next_robots)
@@ -242,7 +252,7 @@ class WorstCaseSearcher:
         while value not in (0, math.inf):
             for dynamism in exhaustive_branches(cfg, self.mode):
                 next_cfg, next_robots, trace = step(self.policy, cfg, robots, dynamism,
-                                                     looks=self.looks)
+                                                     self.looks, self.decisions)
                 settled = self._settled_value(next_cfg, next_robots, trace.metrics_after.dispersed)
                 if settled == value - 1:
                     break
@@ -296,26 +306,30 @@ def verify_worst_case(
         bound = policy.proven_bound(n)
     if bound is not None and bound < 0:
         raise ScenarioError(f"bound must be at least 0 rounds, got {bound}")
-    starts = tuple(starts)  # read twice: checked, then searched
+    starts = tuple(starts)  # read twice: checked, then rooted
     if not starts:
         raise ScenarioError(f"no start to check for policy {policy.policy_id} on n={n}")
     if any(start.n != n for start in starts):
         raise ScenarioError(f"every start of a bound search must have n={n} nodes")
 
-    searcher = WorstCaseSearcher(policy, mode)
-    root_values = {}
-    worst = 0.0
-    worst_root = None
+    # Every root is checked before the first is searched.
+    roots = []
     for cfg in starts:
         for orients in _orientation_assignments(n, orientations):
             robots = initial_robots(cfg, dict(enumerate(orients, start=1)))
             validate_scenario(policy, None, cfg, robots, mode)
-            value = searcher.value(cfg, robots)
-            root_key = (cfg.slots, "".join(o.value for o in orients))
-            root_values[root_key] = value
-            if value > worst:
-                worst = value
-                worst_root = (cfg, robots)
+            roots.append((cfg, robots, (cfg.slots, "".join(o.value for o in orients))))
+
+    searcher = WorstCaseSearcher(policy, mode)
+    root_values = {}
+    worst = 0.0
+    worst_root = None
+    for cfg, robots, root_key in roots:
+        value = searcher.value(cfg, robots)
+        root_values[root_key] = value
+        if value > worst:
+            worst = value
+            worst_root = (cfg, robots)
 
     witness = ()
     if worst_root is not None and worst != math.inf:

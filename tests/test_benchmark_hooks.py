@@ -140,6 +140,12 @@ def test_only_the_run_and_the_orbit_walk_play_rounds():
     assert _callers("play_round") == ["scheduler.run_simulation", "verifier._orbit_fate"]
 
 
+def test_only_the_decision_helper_calls_a_rules_decide():
+    """The bound search's decision memo sits in ``scheduler._decide``, so no
+    other code of the package calls ``decide`` and bypasses it."""
+    assert _callers("decide") == ["scheduler._decide"]
+
+
 def test_an_adversary_checks_a_start_only_where_it_enters():
     """``Adversary.check_start`` runs where a start enters the program, once,
     and never in the middle of a run."""

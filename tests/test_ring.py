@@ -432,6 +432,31 @@ def test_canonical_rotation_picks_one_representative(cfg, shift):
     assert any(rotate(cfg, r) == canon for r in range(cfg.n))
 
 
+def _built_canonical_rotation(cfg):
+    """The definition ``canonical_rotation`` replaced: build every rotation
+    and keep the least by slots, then removed edge, none first."""
+    rotations = [rotate(cfg, shift) for shift in range(cfg.n)]
+    return min(rotations, key=lambda cand: (
+        cand.slots, -1 if cand.missing_edge is None else cand.missing_edge))
+
+
+def test_canonical_rotation_is_the_least_built_rotation():
+    """Every occupancy vector at n <= 6, with every removed edge or none:
+    4,216 rings."""
+    rings = 0
+    for n in range(1, 7):
+        for counts in itertools.product(range(n + 1), repeat=n):
+            if sum(counts) != n:
+                continue
+            for edge in (None, *range(n)):
+                cfg = ring_from_slots(ring_from_multiplicities(counts).slots, edge)
+                canon = canonical_rotation(cfg)
+                assert canon == _built_canonical_rotation(cfg), cfg
+                assert type(canon.slots) is tuple
+                rings += 1
+    assert rings == 4216
+
+
 # -------------------------------------------------------------------- views
 
 

@@ -562,18 +562,92 @@ def test_negative_horizon_is_refused():
         verify_impossibility(get_adversary("1i-killer"), 2, Mode.ONE_INTERVAL, horizon=-1)
 
 
-def test_a_search_refuses_an_ungathered_start_before_any_step(monkeypatch):
-    """A fresh ``no-chir-1i`` root that is no pile is refused where the root
-    enters the search, before ``step`` plays any round from it."""
+def _steps_before_refusal(monkeypatch, mode, starts) -> list:
+    """The ``step`` calls a ``no-chir-1i`` n=4 search over ``starts`` makes
+    before it refuses a root that is no pile."""
     steps = []
     real = dynring.verifier.step
     monkeypatch.setattr(dynring.verifier, "step",
                         lambda *args, **options: steps.append(args) or real(*args, **options))
     with pytest.raises(ScenarioError, match="^policy no-chir-1i must start with all robots "
                                             "on one node$"):
-        verify_worst_case(get_policy("no-chir-1i"), 4, Mode.NONE,
-                          starts=(ring_from_multiplicities((2, 2, 0, 0)),))
-    assert steps == []
+        verify_worst_case(get_policy("no-chir-1i"), 4, mode, starts=starts)
+    return steps
+
+
+def test_a_search_refuses_an_ungathered_start_before_any_step(monkeypatch):
+    """A fresh ``no-chir-1i`` root that is no pile is refused where the root
+    enters the search, before ``step`` plays any round from it."""
+    assert _steps_before_refusal(
+        monkeypatch, Mode.NONE, (ring_from_multiplicities((2, 2, 0, 0)),)) == []
+
+
+def test_a_search_checks_every_root_before_searching_any(monkeypatch):
+    """A bad root listed after a good one is refused before the good one is
+    searched: no ``step`` is played (330 were, when each root was checked
+    just before its own search)."""
+    assert _steps_before_refusal(
+        monkeypatch, Mode.COMBINED,
+        (all_on_one(4), ring_from_multiplicities((2, 2, 0, 0)))) == []
+
+
+class _NeverStores(dict):
+    """A decision memo that keeps no answer, so every listed robot decides."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _forget_decisions(monkeypatch) -> None:
+    """Give every search from here on a decision memo that never stores."""
+    real_init = WorstCaseSearcher.__init__
+
+    def forgetful(self, *args):
+        real_init(self, *args)
+        self.decisions = _NeverStores()
+
+    monkeypatch.setattr(WorstCaseSearcher, "__init__", forgetful)
+
+
+@pytest.mark.parametrize("policy_id,n,mode", [
+    ("vp-chain", 5, Mode.VP),
+    ("even4", 4, Mode.COMBINED),
+    ("no-chir-1i", 5, Mode.COMBINED),
+    ("achiral-odd", 5, Mode.ONE_INTERVAL),
+    ("vp-1i", 5, Mode.NONE),
+])
+def test_the_decision_memo_is_exact(monkeypatch, policy_id, n, mode):
+    """A search hands a listed robot the stored answer of any robot with its
+    key (stored look, node, labels on it, label, hand, memory): its report
+    equals that of a search in which every listed robot decides afresh."""
+    policy = get_policy(policy_id)
+    memoized = verify_worst_case(policy, n, mode)
+    _forget_decisions(monkeypatch)
+    assert verify_worst_case(policy, n, mode) == memoized
+
+
+def test_a_search_decides_once_per_memo_key(monkeypatch):
+    """``even4`` at n=4 in mode ``combined`` lists robots 4,245 times over its
+    rounds at 825 distinct keys, and ``decide`` runs once per key. A look
+    is stored once per node counts and removed edge, so those stand for it
+    here."""
+    policy = get_policy("even4")
+    calls = []
+    real = policy.decide
+
+    def decide(snap, robot):
+        look = snap._analysis
+        calls.append(((look.mult, look.missing_edge), snap._pos, snap.own_labels, robot))
+        return real(snap, robot)
+
+    monkeypatch.setattr(policy, "decide", decide)
+    memoized = verify_worst_case(policy, 4, Mode.COMBINED)
+    keys = set(calls)
+    assert memoized.holds and len(calls) == len(keys) == 825
+    calls.clear()
+    _forget_decisions(monkeypatch)
+    verify_worst_case(policy, 4, Mode.COMBINED)
+    assert len(calls) == 4245 and set(calls) == keys
 
 
 def test_a_check_with_no_start_is_refused():
