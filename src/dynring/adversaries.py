@@ -32,8 +32,14 @@ from .ring import (
 )
 
 # The types a permutation's entries may have: a bool or a float equal to
-# an index passes a sort against ``range(n)``.
+# an index passes a set comparison against ``range(n)``.
 _INT = frozenset({int})
+
+
+@functools.cache
+def _indices(n: int) -> frozenset:
+    """The node indices 0..n-1 of an n-ring, which a permutation must list."""
+    return frozenset(range(n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,8 +57,9 @@ class Dynamism:
             raise ScenarioError(f"mode {mode.value} does not allow vertex permutations")
         if edge is not None and not mode.allows_edge_removal:
             raise ScenarioError(f"mode {mode.value} does not allow edge removal")
-        if perm is not None and (not set(map(type, perm)) <= _INT
-                                 or sorted(perm) != list(range(n))):
+        # n plain ints that make up the set 0..n-1 are each of them once.
+        if perm is not None and (not set(map(type, perm)) <= _INT or len(perm) != n
+                                 or set(perm) != _indices(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {tuple(perm)}")
         if edge is not None:
             check_edge(edge, n)

@@ -148,6 +148,12 @@ def execute(spec: ExperimentSpec, on_round=None) -> RunResult:
 _ROUND_FIELDS = ("round", "perm", "edge", "intents", "config", "holes", "multinodes")
 
 
+@functools.cache
+def _label_keys(n: int) -> tuple[str, ...]:
+    """The labels 1..n as the decimal keys of a record's intents."""
+    return tuple(map(str, range(1, n + 1)))
+
+
 def trace_record(index: int, played: RingConfiguration | RoundTrace) -> dict:
     """The trace record of round ``index``: round 0's is the start ring, a
     later round's is its trace. A config is its slot tuples, which ``json``
@@ -158,21 +164,27 @@ def trace_record(index: int, played: RingConfiguration | RoundTrace) -> dict:
                 "config": played.slots, "holes": metrics.holes,
                 "multinodes": metrics.multinodes}
     perm = played.dynamism.permutation
-    intents = played.intents
+    intents = played.intents  # every label, in label order
     return {
         "round": index,
         "perm": None if perm is None else list(perm),
         "edge": played.dynamism.edge_removal,
-        "intents": dict(zip(map(str, intents), map(_SHORT.__getitem__, intents.values()))),
+        "intents": dict(zip(_label_keys(len(intents)),
+                            map(_SHORT.__getitem__, intents.values()))),
         "config": played.config_after.slots,
         "holes": played.metrics_after.holes,
         "multinodes": played.metrics_after.multinodes,
     }
 
 
+# ``json.dumps(record, sort_keys=True)``'s encoder, built once. A record is
+# a tree the program builds, so it holds no cycle to look for.
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+
 def write_jsonl(record: dict, fh) -> None:
     """One line of a JSONL trace: a round record or the summary."""
-    fh.write(json.dumps(record, sort_keys=True) + "\n")
+    fh.write(_ENCODER.encode(record) + "\n")
 
 
 def write_run_csv(record: dict, fh) -> None:
@@ -381,7 +393,7 @@ def _only_ints(values) -> bool:
 
 def _record_slots(config) -> tuple:
     """A record's config, an array of arrays of int labels, as slot tuples."""
-    if not (isinstance(config, list) and all(isinstance(slot, list) for slot in config)):
+    if not (isinstance(config, list) and set(map(type, config)) <= {list}):
         raise ValueError(f"config must be an array of arrays, got {config!r}")
     slots = tuple(map(tuple, config))
     if not _only_ints(itertools.chain.from_iterable(slots)):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .adversaries import Adversary, AdversaryContext, Dynamism
-from .policies import LemmaViolation, Policy, check_round_lemmas, holes_filled_count
+from .policies import LemmaViolation, Policy, check_round_lemmas
 from .ring import (
     Action,
     ChainAnalysis,
@@ -177,6 +177,15 @@ def step(
         if hand is not robot.orientation or memory is not robot.memory:
             settled[label - 1] = RobotState(label, hand, memory)
 
+    # The holes filled (``holes_filled_count``): only a mover's destination
+    # can turn from empty to occupied, and it counts once.
+    seen = analysis.mult
+    filled = set()
+    for _, node, action in movers:
+        new = (node + action) % cfg.n
+        if not seen[new] and landed[new]:
+            filled.add(new)
+
     trace = RoundTrace(
         dynamism=dynamism,
         intents=intents,
@@ -184,7 +193,7 @@ def step(
         config_after=cfg_after,
         metrics_after=metrics_after,
         violations=tuple(check_round_lemmas(guarantees, analysis.metrics, metrics_after,
-                                            holes_filled_count(cfg_seen, cfg_after))),
+                                            len(filled))),
     )
     next_cfg = RingConfiguration._trusted(cfg.n, cfg_after.slots, None)
     return next_cfg, tuple(settled), trace

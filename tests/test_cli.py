@@ -3,12 +3,22 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import json
 import tracemalloc
+from dataclasses import asdict
 
 import pytest
 
-from dynring.cli import ExperimentSpec, main, parse_int_range
+from dynring import Dynamism, get_policy, initial_robots, ring_from_slots, step
+from dynring.cli import (
+    ExperimentSpec,
+    _record_slots,
+    main,
+    parse_int_range,
+    trace_record,
+    write_jsonl,
+)
 
 
 def run_cli(*argv):
@@ -51,6 +61,30 @@ def test_run_writes_a_replayable_trace(tmp_path, capsys):
 
     assert run_cli("replay", str(out)) == 0
     assert "consistent" in capsys.readouterr().out
+
+
+def test_a_jsonl_line_is_what_json_dumps_writes():
+    """``write_jsonl`` keeps one encoder that skips the cycle check, and
+    writes each record as ``json.dumps(record, sort_keys=True)`` does."""
+    cfg = ring_from_slots(((1, 2), (3,), (), (4,)))
+    _, _, trace = step(get_policy("vp-1i"), cfg, initial_robots(cfg), Dynamism((2, 3, 0, 1), 0))
+    played = trace_record(1, trace)
+    assert played["perm"] == [2, 3, 0, 1] and played["edge"] == 0
+    assert set(played["intents"].values()) == {"stay", "cw"}
+    spec = ExperimentSpec(n=4, policy="vp-1i", adversary="random", mode="combined", seed=7)
+    summary = {"summary": True, "outcome": "dispersed", "rounds": 1, "violations": 0,
+               "spec": asdict(spec)}
+    for record in (trace_record(0, cfg), played, summary):
+        line = io.StringIO()
+        write_jsonl(record, line)
+        assert line.getvalue() == json.dumps(record, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("config", [None, [1, 2], [[1], "x"], [[1], {}]])
+def test_a_record_config_must_be_an_array_of_arrays(config):
+    with pytest.raises(ValueError) as refused:
+        _record_slots(config)
+    assert str(refused.value) == f"config must be an array of arrays, got {config!r}"
 
 
 def test_run_is_byte_deterministic(tmp_path):
@@ -257,6 +291,17 @@ def test_sweep_reports_every_cell(tmp_path):
     assert {r["n"] for r in rows} == {"3", "4"}
     assert all(r["pass"] == "yes" for r in rows)
     assert all(int(r["rounds"]) <= int(r["bound"]) for r in rows)
+
+
+def test_sweep_writes_the_same_csv_to_stdout_and_to_out(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ("sweep", "--n", "3,4", "--policy", "vp-1i", "--mode", "combined", "--trials", "2")
+    assert run_cli(*argv) == 0
+    shown = capsys.readouterr().out
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert capsys.readouterr().out == ""
+    assert shown.splitlines()[0] == "n,policy,adversary,seed,rounds,bound,pass"
+    assert shown.encode() == out.read_bytes()
 
 
 # ---------------------------------------------------------------- bad input

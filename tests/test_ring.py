@@ -43,6 +43,13 @@ def test_slots_are_normalised_sorted():
     assert cfg.slots == ((1, 3), (), (2,))
 
 
+def test_a_ring_has_a_node_and_one_slot_per_node():
+    with pytest.raises(ValueError, match="^ring needs at least one node$"):
+        RingConfiguration(0, ())
+    with pytest.raises(ValueError, match="^expected 3 slots, got 2$"):
+        RingConfiguration(3, ((1,), (2, 3)))
+
+
 def test_labels_must_be_exactly_one_to_n():
     with pytest.raises(ValueError):
         RingConfiguration(3, ((1, 2), (), (4,)), None)
@@ -131,6 +138,50 @@ def test_permutation_entries_must_be_plain_ints(perm):
     ``TypeError`` from the list index."""
     with pytest.raises(ValueError, match=r"^not a permutation of 0\.\.2: "):
         Dynamism(perm).check(3, Mode.VP)
+
+
+def _sort_refuses(perm, n: int) -> bool:
+    """The permutation test ``Dynamism.check`` made by sorting."""
+    return not set(map(type, perm)) <= {int} or sorted(perm) != list(range(n))
+
+
+@st.composite
+def near_permutations(draw):
+    """A permutation of 0..n-1, as a list or a tuple, with at most one flaw:
+    an entry replaced by any index (perhaps a duplicate), by one out of
+    range or by ``True``, ``False`` or a float; an entry dropped; or one
+    inserted."""
+    n = draw(st.integers(1, 12))
+    perm = list(draw(st.permutations(range(n))))
+    i = draw(st.integers(0, n - 1))
+    flaw = draw(st.sampled_from(("none", "index", "out of range", "bool or float",
+                                 "dropped", "inserted")))
+    if flaw == "index":
+        perm[i] = draw(st.integers(0, n - 1))
+    elif flaw == "out of range":
+        perm[i] = draw(st.one_of(st.integers(-n, -1), st.integers(n, 2 * n)))
+    elif flaw == "bool or float":
+        perm[i] = draw(st.sampled_from((True, False, float(perm[i]))))
+    elif flaw == "dropped":
+        del perm[i]
+    elif flaw == "inserted":
+        perm.insert(i, draw(st.integers(-1, n)))
+    return n, perm if draw(st.booleans()) else tuple(perm)
+
+
+@settings(max_examples=500, deadline=None)
+@given(near_permutations())
+def test_a_permutation_is_refused_as_sorting_refused_it(case):
+    """``Dynamism.check`` compares a permutation's length and set with the
+    n indices instead of sorting it, and refuses exactly what the sort
+    refused, with the same message."""
+    n, perm = case
+    if _sort_refuses(perm, n):
+        with pytest.raises(ValueError) as refused:
+            Dynamism(perm).check(n, Mode.VP)
+        assert str(refused.value) == f"not a permutation of 0..{n - 1}: {tuple(perm)}"
+    else:
+        Dynamism(perm).check(n, Mode.VP)
 
 
 def test_edge_removal_rules():

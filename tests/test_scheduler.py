@@ -8,10 +8,10 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dynring.scheduler
-from conftest import ring_configs, snapshot_facts
+from conftest import placed_robots, ring_configs, snapshot_facts
 from moves import dense_resolve_moves
 from dynring import (
     Action,
@@ -259,6 +259,62 @@ def test_a_round_moves_its_robots_as_the_dense_resolution(scenario):
     nxt, _, trace = step(policy, cfg, robots, dynamism)
     assert trace.config_after == dense_resolve_moves(trace.config_seen, trace.intents)
     assert nxt.slots == trace.config_after.slots and nxt.missing_edge is None
+
+
+class _DrawnMoves(Policy):
+    """Robot ``label`` takes the own-frame action ``actions[label - 1]``."""
+
+    policy_id = "drawn-moves"
+
+    def __init__(self, actions):
+        self.actions = actions
+
+    def decide(self, snap, robot):
+        return self.actions[robot.label - 1], robot.memory
+
+
+@st.composite
+def drawn_rounds(draw):
+    """A ring of 2..64 nodes, its robots with any hands, a dynamism one mode
+    allows and an own-frame action for every robot."""
+    cfg = draw(ring_configs(min_n=2, max_n=64, allow_edge=False))
+    n = cfg.n
+    mode = draw(st.sampled_from(Mode))
+    perm = edge = None
+    if mode.allows_permutation:
+        perm = draw(st.one_of(st.none(), st.permutations(range(n)).map(tuple)))
+    if mode.allows_edge_removal:
+        edge = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    robots = draw(placed_robots(cfg))
+    actions = draw(st.lists(st.sampled_from((STAY, CW, ACW)), min_size=n, max_size=n))
+    return cfg, robots, Dynamism(perm, edge), actions
+
+
+# Robots 1 and 2 both step into hole 1, which counts once; robot 3's step
+# across the removed edge 3 is blocked, so hole 4 stays empty.
+_TWO_INTO_ONE_HOLE = (ring_from_slots(((1,), (), (2,), (3, 4, 5), ())),
+                      tuple(RobotState(label) for label in range(1, 6)),
+                      Dynamism(None, 3), (CW, ACW, CW, STAY, STAY))
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_rounds())
+@example(_TWO_INTO_ONE_HOLE)
+def test_a_round_counts_the_holes_it_fills(scenario):
+    """The filled-hole count ``step`` hands the lemma checks, taken over the
+    movers alone, is ``holes_filled_count`` of the seen and landed rings."""
+    cfg, robots, dynamism, actions = scenario
+    counts = []
+    real = dynring.scheduler.check_round_lemmas
+
+    def recording(guarantees, m1, m2, filled):
+        counts.append(filled)
+        return real(guarantees, m1, m2, filled)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynring.scheduler, "check_round_lemmas", recording)
+        _, _, trace = step(_DrawnMoves(actions), cfg, robots, dynamism)
+    assert counts == [holes_filled_count(trace.config_seen, trace.config_after)]
 
 
 def _decide_everyone(policy, seen, robots):

@@ -562,6 +562,15 @@ def test_negative_horizon_is_refused():
         verify_impossibility(get_adversary("1i-killer"), 2, Mode.ONE_INTERVAL, horizon=-1)
 
 
+def test_an_unknown_orientation_spec_is_refused_before_any_step(monkeypatch):
+    steps = []
+    monkeypatch.setattr(dynring.verifier, "step", lambda *args: steps.append(args))
+    with pytest.raises(ScenarioError,
+                       match="^orientations must be 'aligned' or 'all', got 'bogus'$"):
+        verify_worst_case(get_policy("vp-chain"), 3, Mode.VP, orientations="bogus")
+    assert steps == []
+
+
 def _steps_before_refusal(monkeypatch, mode, starts) -> list:
     """The ``step`` calls a ``no-chir-1i`` n=4 search over ``starts`` makes
     before it refuses a root that is no pile."""
