@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import operator
+from typing import NamedTuple
 
 from .ring import (
     Action,
@@ -36,15 +37,15 @@ from .ring import (
 _INT = frozenset({int})
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)  # the last few ring sizes: a sweep plays many
 def _indices(n: int) -> frozenset:
     """The node indices 0..n-1 of an n-ring, which a permutation must list."""
     return frozenset(range(n))
 
 
-@dataclass(frozen=True, slots=True)
-class Dynamism:
-    """One round's adversarial reshaping: permutation first, then edge."""
+class Dynamism(NamedTuple):
+    """One round's adversarial reshaping: permutation first, then edge. A
+    tuple, as every branch of the bound search builds one."""
 
     permutation: tuple[int, ...] | None = None
     edge_removal: int | None = None
@@ -52,7 +53,7 @@ class Dynamism:
     def check(self, n: int, mode: Mode) -> None:
         """Refuse an n-ring's dynamism from outside: one ``mode`` forbids, a
         permutation not of the plain ints 0..n-1, or an edge ``check_edge`` refuses."""
-        perm, edge = self.permutation, self.edge_removal
+        perm, edge = self
         if perm is not None and not mode.allows_permutation:
             raise ScenarioError(f"mode {mode.value} does not allow vertex permutations")
         if edge is not None and not mode.allows_edge_removal:
@@ -68,32 +69,37 @@ class Dynamism:
         """The ring the robots see, from the intact ring ``cfg``: node i moves
         to ``permutation[i]`` with its occupants, then ``edge_removal`` is
         out for the round. The dynamism is trusted (see ``check``)."""
-        if self.permutation is None and self.edge_removal is None:
+        perm, edge = self
+        if perm is None and edge is None:
             return cfg
-        slots = cfg.slots
-        if self.permutation is not None:
-            shuffled = [()] * cfg.n
-            for old, new in enumerate(self.permutation):
+        n, slots, _ = cfg
+        if perm is not None:
+            shuffled = [()] * n
+            for old, new in enumerate(perm):
                 shuffled[new] = slots[old]
             slots = tuple(shuffled)
-        return RingConfiguration._trusted(cfg.n, slots, self.edge_removal)
+        return RingConfiguration(n, slots, edge)
 
 
-@dataclass(slots=True)
 class AdversaryContext:
-    """Everything an adversary may consult for one round."""
+    """Everything an adversary may consult for one round. A slots class, as
+    it builds faster than a tuple and every round of a run builds one."""
 
-    cfg: RingConfiguration
-    mode: Mode
-    rng: object = None
-    predicted_intents: dict[int, Action] | None = None
+    __slots__ = ("cfg", "mode", "rng", "predicted_intents")
+
+    def __init__(self, cfg: RingConfiguration, mode: Mode, rng=None,
+                 predicted_intents: dict[int, Action] | None = None):
+        self.cfg = cfg
+        self.mode = mode
+        self.rng = rng
+        self.predicted_intents = predicted_intents
 
 
 # Answers made once and shared, as dynamisms are frozen.
 _NO_DYNAMISM = Dynamism(None, None)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)  # the last few ring sizes: a sweep plays many
 def _identity(n: int) -> Dynamism:
     """The identity permutation of an n-ring, with no edge removed."""
     return Dynamism(tuple(range(n)), None)
@@ -163,6 +169,34 @@ class RandomAdversary(Adversary):
 EXHAUSTIVE_PERMUTATION_LIMIT = 7
 
 
+@functools.cache  # one entry per (n, occupied), n <= EXHAUSTIVE_PERMUTATION_LIMIT
+def _arrangement_patterns(n: int, occupied: int) -> tuple[tuple[int, ...], ...]:
+    """Every arrangement of ``occupied`` distinct slots and ``n - occupied``
+    holes on an n-ring, one per rotation class, as a rank pattern at its
+    least rotation: 0 for a hole, r for the r-th least slot. The patterns
+    come sorted, and each is given by its places: the nodes of its holes,
+    clockwise, then the nodes of ranks 1, 2, ...
+
+    Pinning rank 1 to node 0 and placing the other ranks every distinct
+    way meets each class exactly once, as no rotation fixes an arrangement
+    of distinct ranks: (n-1)!/e! classes for e holes, each of which a walk
+    over all n! permutations would meet n*e! times.
+    """
+    empties = n - occupied
+    least = 0 if empties else 1  # where a least rotation can start
+    patterns = []
+    for holes in itertools.combinations(range(1, n), empties):
+        free = [p for p in range(1, n) if p not in holes]
+        for order in itertools.permutations(range(2, occupied + 1)):
+            pattern = [0] * n
+            pattern[0] = 1
+            for p, rank in zip(free, order):
+                pattern[p] = rank
+            patterns.append(min(tuple(pattern[r:] + pattern[:r])
+                                for r in range(n) if pattern[r] == least))
+    return tuple(tuple(sorted(range(n), key=pattern.__getitem__)) for pattern in sorted(patterns))
+
+
 def permutation_classes(cfg: RingConfiguration) -> list[tuple[int, ...]]:
     """One permutation per distinct rearrangement, up to rotation.
 
@@ -172,50 +206,42 @@ def permutation_classes(cfg: RingConfiguration) -> list[tuple[int, ...]]:
     the least rotation of its class, with the empty nodes in their order,
     and the classes come in the order of those representatives.
 
-    Labels are unique, so only empty slots repeat and no rotation fixes an
-    arrangement. Pinning the least occupied slot to node 0 and placing the
-    others every distinct way therefore meets each class exactly once:
-    (n-1)!/e! classes for e empty slots, each of which a walk over all n!
-    permutations would meet n*e! times.
+    The classes are those of the ring's shape, its size and occupied slot
+    count (``_arrangement_patterns``), with the r-th least slot in rank r.
+    That is exact: a hole compares below every slot, and labels are
+    unique, so two distinct slots compare as their ranks do. A pattern's
+    least rotation, and the order of the patterns, are therefore those of
+    the arrangements. Each slot goes to its rank's node and the holes go
+    to the pattern's holes in clockwise order.
     """
     n = cfg.n
     if n > EXHAUSTIVE_PERMUTATION_LIMIT:
         raise ScenarioError(
             f"exhaustive permutation branching is limited to n <= "
             f"{EXHAUSTIVE_PERMUTATION_LIMIT}, got n={n}")
+    if n == 1:  # an itemgetter of one index returns the item, not a tuple
+        return [(0,)]
     base = cfg.slots
-    pinned, *others = sorted(slot for slot in base if slot)
-    empties = n - 1 - len(others)
-    least = () if empties else pinned  # where a least rotation can start
-    found = []
-    for holes in itertools.combinations(range(1, n), empties):
-        free = [p for p in range(1, n) if p not in holes]
-        for order in itertools.permutations(others):
-            arrangement = [()] * n
-            arrangement[0] = pinned
-            for p, slot in zip(free, order):
-                arrangement[p] = slot
-            found.append(min(tuple(arrangement[r:] + arrangement[:r])
-                             for r in range(n) if arrangement[r] == least))
-    perms = []
-    for target in sorted(found):
-        at = {slot: p for p, slot in enumerate(target) if slot}
-        gaps = iter(p for p, slot in enumerate(target) if not slot)
-        perms.append(tuple(at[slot] if slot else next(gaps) for slot in base))
-    return perms
+    ranked = sorted(slot for slot in base if slot)
+    empties = n - len(ranked)
+    # A slot's index in the places: holes in base order, then the ranks.
+    index = dict(zip(ranked, range(empties, n)))
+    holes = iter(range(empties))
+    take = operator.itemgetter(*[index[slot] if slot else next(holes) for slot in base])
+    return [take(places) for places in _arrangement_patterns(n, len(ranked))]
 
 
 def exhaustive_branches(cfg: RingConfiguration, mode: Mode) -> tuple[Dynamism, ...]:
     """Every materially distinct dynamism choice for one round."""
     perms: list[tuple[int, ...] | None]
     if mode.allows_permutation:
-        perms = list(permutation_classes(cfg))
+        perms = permutation_classes(cfg)
     else:
         perms = [None]
     edges: list[int | None] = [None]
     if mode.allows_edge_removal:
         edges.extend(range(cfg.n))
-    return tuple(Dynamism(p, e) for p in perms for e in edges)
+    return tuple([Dynamism(p, e) for p in perms for e in edges])
 
 
 def _swap(n: int, a: int, b: int) -> tuple[int, ...]:

@@ -148,7 +148,7 @@ def execute(spec: ExperimentSpec, on_round=None) -> RunResult:
 _ROUND_FIELDS = ("round", "perm", "edge", "intents", "config", "holes", "multinodes")
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)  # the last few ring sizes: a sweep plays many
 def _label_keys(n: int) -> tuple[str, ...]:
     """The labels 1..n as the decimal keys of a record's intents."""
     return tuple(map(str, range(1, n + 1)))
@@ -458,7 +458,7 @@ def _replay_record(cfg: RingConfiguration | None, record: dict) -> RingConfigura
                         f"reconstructed {landed.slots}, trace says {expected}")
     # ``landed`` came from a checked ring by a checked permutation, a
     # checked edge and an exact intent map.
-    return RingConfiguration._trusted(landed.n, landed.slots, None)
+    return RingConfiguration(landed.n, landed.slots, None)
 
 
 def cmd_replay(args) -> int:

@@ -25,7 +25,6 @@ by a move is always determined by the move's direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import NamedTuple
 
@@ -114,27 +113,34 @@ class RobotState(NamedTuple):
     memory: object = None
 
 
-@dataclass(frozen=True, slots=True)
-class RingConfiguration:
+class RingConfiguration(NamedTuple):
     """Occupancy of the ring plus the (at most one) removed edge.
 
     ``slots[i]`` holds the sorted labels at clockwise position i. The total
     robot count must equal n and the labels must be exactly 1..n.
     ``missing_edge = e`` means the edge between positions e and e+1 (mod n)
     is absent for the current round; None means the ring is intact.
+
+    The constructor trusts its input, as every ring the program derives
+    from a valid one is valid. A ring that enters from outside is built by
+    ``ring_from_slots`` or ``ring_from_multiplicities``, which check it
+    (``__post_init__``). A tuple, as every round and every branch of the
+    bound search builds several.
     """
 
     n: int
     slots: tuple[tuple[int, ...], ...]
     missing_edge: int | None = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> "RingConfiguration":
+        """This ring with every slot sorted, if it is valid; else
+        ``ValueError``. The check of a ring that enters from outside, under
+        the name ``perfbench/tracing.py`` counts it by."""
         if self.n < 1:
             raise ValueError("ring needs at least one node")
         if len(self.slots) != self.n:
             raise ValueError(f"expected {self.n} slots, got {len(self.slots)}")
         normal = tuple(tuple(sorted(slot)) for slot in self.slots)
-        object.__setattr__(self, "slots", normal)
         labels = [lab for slot in normal for lab in slot]
         if len(labels) != self.n:
             raise ValueError(f"expected {self.n} robots, found {len(labels)}")
@@ -143,17 +149,7 @@ class RingConfiguration:
             raise ValueError(f"robot labels must be exactly the integers 1..{self.n}")
         if self.missing_edge is not None:
             check_edge(self.missing_edge, self.n)
-
-    @classmethod
-    def _trusted(cls, n: int, slots, missing_edge: int | None = None) -> "RingConfiguration":
-        """A configuration derived from a valid one by moving whole slots or
-        robots. ``slots`` must be a tuple of sorted tuples; the label, count
-        and edge checks are skipped."""
-        cfg = object.__new__(cls)
-        object.__setattr__(cfg, "n", n)
-        object.__setattr__(cfg, "slots", slots)
-        object.__setattr__(cfg, "missing_edge", missing_edge)
-        return cfg
+        return RingConfiguration(self.n, normal, self.missing_edge)
 
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(map(len, self.slots))
@@ -183,8 +179,10 @@ def check_intact(cfg: RingConfiguration) -> None:
 
 
 def ring_from_slots(slots, missing_edge: int | None = None) -> RingConfiguration:
+    """A checked ring from each node's labels, clockwise from position 0:
+    the way to build a ring that enters from outside."""
     slots = tuple(tuple(slot) for slot in slots)
-    return RingConfiguration(len(slots), slots, missing_edge)
+    return RingConfiguration(len(slots), slots, missing_edge).__post_init__()
 
 
 def ring_from_multiplicities(mults) -> RingConfiguration:
@@ -199,7 +197,7 @@ def ring_from_multiplicities(mults) -> RingConfiguration:
     for count in mults:
         slots.append(tuple(range(nxt, nxt + count)))
         nxt += count
-    return RingConfiguration(len(mults), tuple(slots))
+    return RingConfiguration(len(mults), tuple(slots)).__post_init__()
 
 
 def all_on_one(n: int) -> RingConfiguration:
@@ -278,19 +276,19 @@ def move_robots(cfg: RingConfiguration, movers) -> RingConfiguration:
         return cfg
     for pos in touched:
         slots[pos] = tuple(sorted(slots[pos]))
-    return RingConfiguration._trusted(n, tuple(slots), cut)
+    return RingConfiguration(n, tuple(slots), cut)
 
 
 def moved_counts(cfg: RingConfiguration, intents: dict[int, Action]) -> tuple[int, ...]:
     """Each node's robot count after ``resolve_moves(cfg, intents)``, with
     its checks, without building the ring: for a caller that reads only
     the successor's census."""
-    n, cut = cfg.n, cfg.missing_edge
+    n, slots, cut = cfg
     if len(intents) != n:
         raise _misnamed(intents, n)
-    counts = list(map(len, cfg.slots))
+    counts = list(map(len, slots))
     try:
-        for pos, slot in enumerate(cfg.slots):
+        for pos, slot in enumerate(slots):
             for label in slot:
                 action = intents[label]
                 # STAY is 0. Crossing the removed edge is a no-op, as in
@@ -528,7 +526,7 @@ def rotate(cfg: RingConfiguration, shift: int) -> RingConfiguration:
     for old in range(n):
         slots[(old + shift) % n] = cfg.slots[old]
     edge = None if cfg.missing_edge is None else (cfg.missing_edge + shift) % n
-    return RingConfiguration._trusted(n, tuple(slots), edge)
+    return RingConfiguration(n, tuple(slots), edge)
 
 
 def reflect(cfg: RingConfiguration, pivot: int = 0) -> RingConfiguration:
@@ -540,7 +538,7 @@ def reflect(cfg: RingConfiguration, pivot: int = 0) -> RingConfiguration:
     edge = None
     if cfg.missing_edge is not None:
         edge = (2 * pivot - cfg.missing_edge - 1) % n
-    return RingConfiguration._trusted(n, tuple(slots), edge)
+    return RingConfiguration(n, tuple(slots), edge)
 
 
 def canonical_rotation(cfg: RingConfiguration) -> RingConfiguration:
@@ -548,7 +546,7 @@ def canonical_rotation(cfg: RingConfiguration) -> RingConfiguration:
     (none first); labels stay with their nodes. Only the winner is built."""
     n, slots, edge = cfg.n, cfg.slots, cfg.missing_edge
     if edge is None:
-        return RingConfiguration._trusted(n, min([slots[s:] + slots[:s] for s in range(n)]))
+        return RingConfiguration(n, min([slots[s:] + slots[:s] for s in range(n)]))
     # Rotating node s to position 0 takes the removed edge e to e - s.
     best, best_edge = min([(slots[s:] + slots[:s], (edge - s) % n) for s in range(n)])
-    return RingConfiguration._trusted(n, best, best_edge)
+    return RingConfiguration(n, best, best_edge)

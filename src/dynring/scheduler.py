@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .adversaries import Adversary, AdversaryContext, Dynamism
@@ -53,8 +52,7 @@ class RoundTrace(NamedTuple):
     violations: tuple[LemmaViolation, ...]
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """Outcome of a full run: its rounds went to the run's consumer as they
     were played, and only their guarantee violations are kept."""
 
@@ -71,7 +69,7 @@ class RunResult:
 _STAY = Action.STAY  # a module constant: enum member lookups are slow
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)  # the last few ring sizes: a sweep plays many
 def _all_stay(n: int) -> dict[int, Action]:
     """Every label 1..n staying, in label order; callers copy it."""
     return dict.fromkeys(range(1, n + 1), _STAY)
@@ -153,6 +151,7 @@ def step(
     ``_decide``). Its keys hold the stored looks, so it is kept and dropped
     with the look table.
     """
+    n = cfg.n
     cfg_seen = dynamism.apply(cfg)
     analysis = ChainAnalysis(cfg_seen) if looks is None else _look(looks, cfg_seen)
     guarantees = policy.round_guarantees(analysis, robots)
@@ -169,7 +168,7 @@ def step(
         hand = robot.orientation
         if landing:
             # A robot is on its node unless it moved one step.
-            mates = landed[(node + intents[label]) % cfg.n]
+            mates = landed[(node + intents[label]) % n]
             if label not in mates:
                 mates = landed[node]
             hand, memory = policy.after_move(robot, memory, mates)
@@ -182,7 +181,7 @@ def step(
     seen = analysis.mult
     filled = set()
     for _, node, action in movers:
-        new = (node + action) % cfg.n
+        new = (node + action) % n
         if not seen[new] and landed[new]:
             filled.add(new)
 
@@ -195,7 +194,7 @@ def step(
         violations=tuple(check_round_lemmas(guarantees, analysis.metrics, metrics_after,
                                             len(filled))),
     )
-    next_cfg = RingConfiguration._trusted(cfg.n, cfg_after.slots, None)
+    next_cfg = RingConfiguration(n, landed, None)
     return next_cfg, tuple(settled), trace
 
 

@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .adversaries import (
     Adversary,
@@ -150,8 +150,7 @@ _FLIP = {"A": "R", "R": "A"}
 _PENDING = object()
 
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of an exhaustive worst-case search for one policy."""
 
     policy_id: str
@@ -352,8 +351,7 @@ def verify_worst_case(
     )
 
 
-@dataclass(frozen=True)
-class Dispersal:
+class Dispersal(NamedTuple):
     """A zero-visibility rule that escaped an adversary, with the run."""
 
     policy_id: str
@@ -361,8 +359,7 @@ class Dispersal:
     round_index: int
 
 
-@dataclass
-class ImpossibilityReport:
+class ImpossibilityReport(NamedTuple):
     """Result of running a rule class against an adaptive adversary."""
 
     adversary_id: str
@@ -593,23 +590,24 @@ def check_adaptive_soundness(
     check_intact(cfg)
     adversary.check_start(cfg)
     problems = []
+    n = cfg.n
     labels = cfg.labels()
     shaped: dict = {}
     for combo in itertools.product(
-            (Action.STAY, Action.CLOCKWISE, Action.ANTICLOCKWISE), repeat=cfg.n):
+            (Action.STAY, Action.CLOCKWISE, Action.ANTICLOCKWISE), repeat=n):
         intents = dict(zip(labels, combo))
         dynamism = adversary.choose(AdversaryContext(cfg, mode, None, intents))
-        perm, edge = dynamism.permutation, dynamism.edge_removal
+        perm, edge = dynamism
         # A list and a tuple of one permutation shape one ring. The types of
         # its entries and of the edge are in the key, as True and 1.0 equal
         # 1 but are refused.
         key = (None if perm is None else (*perm, *map(type, perm)), edge, type(edge))
         ring = shaped.get(key)
         if ring is None:
-            dynamism.check(cfg.n, mode)
+            dynamism.check(n, mode)
             ring = shaped[key] = dynamism.apply(cfg)
         counts = moved_counts(ring, intents)
-        if counts.count(1) == cfg.n:
+        if counts.count(1) == n:
             outcome = "dispersed"
         elif neutral_required and not adversary.invariant(counts):
             outcome = f"left shape {counts}"

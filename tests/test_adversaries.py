@@ -2,7 +2,6 @@
 adversaries that starve zero-visibility rules."""
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 
@@ -168,6 +167,55 @@ def test_permutation_classes_match_the_full_walk():
                 reached = [Dynamism(p).apply(cfg).slots
                            for p in permutation_classes(cfg)]
                 assert reached == walked_arrangements(cfg), cfg
+
+
+def per_state_permutation_classes(cfg):
+    """``permutation_classes`` as it was before the arrangements were built
+    once per ring shape: every arrangement of this ring's own slots, with
+    the least slot pinned to node 0, turned to its least rotation; then one
+    permutation per arrangement in order, with the ring's holes sent to the
+    arrangement's holes in clockwise order."""
+    n = cfg.n
+    base = cfg.slots
+    pinned, *others = sorted(slot for slot in base if slot)
+    empties = n - 1 - len(others)
+    least = () if empties else pinned
+    found = []
+    for holes in itertools.combinations(range(1, n), empties):
+        free = [p for p in range(1, n) if p not in holes]
+        for order in itertools.permutations(others):
+            arrangement = [()] * n
+            arrangement[0] = pinned
+            for p, slot in zip(free, order):
+                arrangement[p] = slot
+            found.append(min(tuple(arrangement[r:] + arrangement[:r])
+                             for r in range(n) if arrangement[r] == least))
+    perms = []
+    for target in sorted(found):
+        at = {slot: p for p, slot in enumerate(target) if slot}
+        gaps = iter(p for p, slot in enumerate(target) if not slot)
+        perms.append(tuple(at[slot] if slot else next(gaps) for slot in base))
+    return perms
+
+
+def test_permutation_classes_are_the_per_state_walks():
+    """A branch records its permutation, which witnesses and lemma-violation
+    records hold, so the classes built from the shape's patterns are the
+    per-state walk's exact tuples, in its order, from every rotation of
+    every start profile up to n=6."""
+    for n in range(1, 7):
+        for start in enumerate_initial_configs(n, up_to_reflection=False):
+            for shift in range(n):
+                cfg = rotate(start, shift)
+                assert permutation_classes(cfg) == per_state_permutation_classes(cfg), cfg
+
+
+@settings(max_examples=50, deadline=None)
+@given(ring_configs(min_n=7, max_n=7, allow_edge=False))
+def test_permutation_classes_are_the_per_state_walks_at_the_limit(cfg):
+    """The same on labelled rings of the largest size the search branches
+    on, where labels are not dealt in node order."""
+    assert permutation_classes(cfg) == per_state_permutation_classes(cfg)
 
 
 # ------------------------------------------------------- three-node permuter
@@ -624,5 +672,5 @@ def test_neutral_answers_are_shared_frozen_objects(adversary_id, n):
     permutation = tuple(range(n)) if mode is Mode.VP else None
     assert neutral == Dynamism(permutation, None)
     assert get_adversary("benign").choose(ctx_for(first, mode)) is neutral
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):  # a tuple's field cannot be set
         neutral.edge_removal = 0

@@ -172,3 +172,22 @@ def test_no_rule_raises_in_the_middle_of_a_round():
                              ast.unparse(node.exc))
                             for node in ast.walk(function) if isinstance(node, ast.Raise)]
     assert raising == [("Policy", "decide", "NotImplementedError")]
+
+
+def test_only_the_spec_is_a_dataclass_and_a_ring_has_one_constructor():
+    """Every ``@dataclass`` costs code generation at each import of the
+    package, which the benchmark's set-up times, so only the spec file's
+    trust boundary, ``cli.ExperimentSpec``, is one. A ring has one
+    constructor, which trusts its input: no ``_trusted`` second one."""
+    dataclasses, trusted = [], []
+    for path in sorted((ROOT / "src" / "dynring").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(decorator) for decorator in node.decorator_list):
+                dataclasses.append(f"{path.stem}.{node.name}")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                    node.name == "_trusted":
+                trusted.append(f"{path.stem}.{node.name}")
+    assert dataclasses == ["cli.ExperimentSpec"]
+    assert trusted == []

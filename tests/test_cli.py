@@ -10,15 +10,18 @@ from dataclasses import asdict
 
 import pytest
 
-from dynring import Dynamism, get_policy, initial_robots, ring_from_slots, step
+from dynring import Dynamism, Mode, get_policy, initial_robots, ring_from_slots, step
+from dynring.adversaries import _identity, _indices
 from dynring.cli import (
     ExperimentSpec,
+    _label_keys,
     _record_slots,
     main,
     parse_int_range,
     trace_record,
     write_jsonl,
 )
+from dynring.scheduler import _all_stay
 
 
 def run_cli(*argv):
@@ -302,6 +305,31 @@ def test_sweep_writes_the_same_csv_to_stdout_and_to_out(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert shown.splitlines()[0] == "n,policy,adversary,seed,rounds,bound,pass"
     assert shown.encode() == out.read_bytes()
+
+
+def _size_caches_retain(sizes) -> int:
+    """Bytes the per-ring-size caches hold, from empty, once a process has
+    played rings of ``sizes`` in turn: a round's all-stay intents, the
+    identity answer, a permutation check's node set and a record's keys."""
+    for cache in (_all_stay, _identity, _indices, _label_keys):
+        cache.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for n in sizes:
+            _all_stay(n), _identity(n), _label_keys(n)
+            Dynamism(tuple(range(n))).check(n, Mode.VP)  # reads _indices(n)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_sweep_over_many_sizes_keeps_only_the_last_sizes_cached():
+    """The sizes of ``sweep --n 8..1024:8`` leave the caches holding no more
+    than the last eight of them alone do; unbounded caches held all 128."""
+    sizes = range(8, 1025, 8)
+    last, every = _size_caches_retain(sizes[-8:]), _size_caches_retain(sizes)
+    assert every < 1.25 * last, (every, last)
 
 
 # ---------------------------------------------------------------- bad input

@@ -38,38 +38,47 @@ from dynring.ring import move_robots
 # ---------------------------------------------------------------- construction
 
 
+def checked(n, slots, edge=None):
+    """A ring as it enters from outside: the constructor trusts its input,
+    and ``__post_init__`` is the check that ``ring_from_slots`` and
+    ``ring_from_multiplicities`` run."""
+    return RingConfiguration(n, slots, edge).__post_init__()
+
+
 def test_slots_are_normalised_sorted():
-    cfg = RingConfiguration(3, ((3, 1), (), (2,)), None)
-    assert cfg.slots == ((1, 3), (), (2,))
+    assert checked(3, ((3, 1), (), (2,))).slots == ((1, 3), (), (2,))
+    assert ring_from_slots(((3, 1), (), (2,))).slots == ((1, 3), (), (2,))
 
 
 def test_a_ring_has_a_node_and_one_slot_per_node():
     with pytest.raises(ValueError, match="^ring needs at least one node$"):
-        RingConfiguration(0, ())
+        checked(0, ())
+    with pytest.raises(ValueError, match="^ring needs at least one node$"):
+        ring_from_slots(())
     with pytest.raises(ValueError, match="^expected 3 slots, got 2$"):
-        RingConfiguration(3, ((1,), (2, 3)))
+        checked(3, ((1,), (2, 3)))
 
 
 def test_labels_must_be_exactly_one_to_n():
     with pytest.raises(ValueError):
-        RingConfiguration(3, ((1, 2), (), (4,)), None)
+        checked(3, ((1, 2), (), (4,)))
     with pytest.raises(ValueError):
-        RingConfiguration(3, ((1, 1), (), (2,)), None)
+        ring_from_slots(((1, 1), (), (2,)))
     # A label is a plain int: 1.0 and True would pass for robot 1.
     for label in (1.0, True):
         with pytest.raises(ValueError):
-            RingConfiguration(2, ((label,), (2,)))
+            checked(2, ((label,), (2,)))
 
 
 def test_edge_index_validated():
     with pytest.raises(ValueError):
-        RingConfiguration(2, ((1,), (2,)), 5)
+        ring_from_slots(((1,), (2,)), 5)
     # A removed edge is a plain int: 1.5 would be an edge no move crosses,
     # and True would pass for edge 1.
     cfg = ring_from_slots(((1, 2), (3,), ()))
     for edge in (1.5, True):
         with pytest.raises(ValueError):
-            RingConfiguration(3, cfg.slots, edge)
+            checked(3, cfg.slots, edge)
         with pytest.raises(ValueError, match=rf"edge {edge!r} is not an edge index in 0..2"):
             Dynamism(None, edge).check(cfg.n, Mode.COMBINED)
 
@@ -84,8 +93,8 @@ def test_ring_from_multiplicities_deals_labels_clockwise():
 @settings(max_examples=200, deadline=None)
 @given(ring_configs(), st.data())
 def test_derived_configurations_pass_full_validation(cfg, data):
-    """Configurations derived from a valid one skip validation, so each
-    must equal its fully validated rebuild; invalid input still raises."""
+    """Configurations derived from a valid one are not checked, so each
+    must pass the entry check unchanged; invalid input still raises."""
     n = cfg.n
     order = data.draw(st.permutations(cfg.labels()))
     actions = data.draw(st.lists(st.sampled_from(list(Action)), min_size=n, max_size=n))
@@ -98,7 +107,7 @@ def test_derived_configurations_pass_full_validation(cfg, data):
         reflect(cfg, data.draw(st.integers(0, n - 1))),
     )
     for out in derived:
-        assert out == RingConfiguration(out.n, out.slots, out.missing_edge)
+        assert checked(out.n, out.slots, out.missing_edge) == out
 
     missing = tuple(tuple(lab for lab in slot if lab != order[0]) for slot in cfg.slots)
     extra = ((n + 1,) + cfg.slots[0],) + cfg.slots[1:]
@@ -106,7 +115,7 @@ def test_derived_configurations_pass_full_validation(cfg, data):
     for slots, edge in ((missing, None), (extra, None), (duplicate, None),
                         (cfg.slots, n), (cfg.slots, -1)):
         with pytest.raises(ValueError):
-            RingConfiguration(n, slots, edge)
+            checked(n, slots, edge)
 
 
 def test_all_on_one_and_positions():

@@ -256,6 +256,25 @@ def test_non_permuting_modes_keep_the_rotation_key(policy_id, mode):
     assert len(searcher.memo) == len(rotation.memo)
 
 
+@pytest.mark.parametrize("policy_id,n,mode,worst,states", [
+    *[("vp-1i", n, Mode.ONE_INTERVAL, n - 1, states)
+      for n, states in ((4, 14), (5, 40), (6, 172))],
+    *[("no-chir-1i", n, Mode.ONE_INTERVAL, n, states)
+      for n, states in ((4, 90), (5, 330), (6, 1_246))],
+    ("even4", 4, Mode.ONE_INTERVAL, 6, 258),
+    ("achiral-odd", 5, Mode.ONE_INTERVAL, 5, 1_424),
+    ("achiral-odd", 5, Mode.NONE, 4, 768),
+    ("vp-chain", 5, Mode.NONE, 4, 31),
+])
+def test_worst_cases_in_the_rotation_keyed_modes(policy_id, n, mode, worst, states):
+    """Modes ``none`` and ``1i`` key the memo by rotation class and branch
+    without permutations; these searches pin their worst values and state
+    counts from the default roots."""
+    report = verify_worst_case(get_policy(policy_id), n, mode)
+    assert report.holds
+    assert (report.worst_rounds, report.states_explored) == (worst, states)
+
+
 def _arrangements(cfg):
     """Every arrangement of ``cfg``'s slots: one permutation per class from
     ``permutation_classes``, turned to every rotation."""

@@ -79,7 +79,7 @@ def _replay(path: str) -> int:
             print(f"replay mismatch at round {record['round']}: "
                   f"reconstructed {landed.slots}, trace says {expected}")
             return EXIT_FAIL
-        cfg = RingConfiguration._trusted(landed.n, landed.slots, None)
+        cfg = RingConfiguration(landed.n, landed.slots, None)
     if summary["rounds"] != len(records) - 1:
         print(f"replay mismatch: trace has {len(records) - 1} rounds after round 0, "
               f"summary says {summary['rounds']}")
