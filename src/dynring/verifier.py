@@ -74,7 +74,8 @@ from .adversaries import (
     AdversaryContext,
     exhaustive_branches,
 )
-from .policies import NoVisibilityPolicy, Policy, all_no_visibility_policies, census_classes
+from .policies import NO_VISIBILITY_DOMAIN, NoVisibilityPolicy, Policy
+from .policies import all_no_visibility_policies, census_classes
 from .ring import (
     Action,
     Mode,
@@ -384,8 +385,8 @@ def adversary_start_filter(adversary: Adversary, cfg: RingConfiguration) -> bool
 class _States:
     """The states one ``verify_impossibility`` call meets, each interned once:
     ``ids`` maps a state, its ``cfg.slots``, to a small int, and ``rows[id]``
-    is its ``(cfg, dispersed, classes)``, where ``classes`` are its
-    ``census_classes``."""
+    is its ``(cfg, dispersed, classes, present)``: its ``census_classes``
+    and the same classes as bits."""
 
     def __init__(self):
         self.ids: dict = {}
@@ -395,63 +396,65 @@ class _States:
         sid = self.ids.get(cfg.slots)
         if sid is None:
             sid = self.ids[cfg.slots] = len(self.rows)
-            self.rows.append((cfg, dispersed, census_classes(cfg)))
+            classes = census_classes(cfg)
+            self.rows.append((cfg, dispersed, classes, sum(1 << c for c in classes)))
         return sid
 
 
-def _orbit_fate(policy: NoVisibilityPolicy, adversary: Adversary, start: int, robots,
-                mode: Mode, horizon: int, fates: dict, memo: dict, states: _States):
-    """``(disperses, rounds)`` of the run from the state with id ``start``,
-    or None if it hits the horizon.
+def _letter_tree(policies: tuple, by_letter: list, adversary: Adversary, start: int, robots,
+                 mode: Mode, horizon: int, memo: dict, states: _States):
+    """``(stalls, hits, escapes)`` of every table's run from the state with id
+    ``start``, where ``escapes`` holds ``(tables, round)`` per dispersal.
 
-    ``rounds`` counts until the orbit disperses or first repeats a state.
-    The run stops at the first state ``fates`` holds. Unless it hit the
-    horizon, each state it walked enters ``fates``: after ``m`` rounds,
-    walked state ``k`` gets ``m + rest - min(k, cap)``. A join into a known
-    ``(d, rest)`` has ``cap = m``; a repeat of walked state ``i`` has
-    ``rest = 0`` and ``cap = i``, as the states from ``i`` on form a cycle
-    ``m - i`` long; a dispersal has ``rest = 0`` and ``cap = m``.
-
-    ``fates``, the walk and the round memo ``memo`` are keyed by the ids of
-    ``states``. The memo maps a state's id and the table's ``letters`` for
-    the state's classes to the successor's id. A round it lacks is played
-    by ``play_round``, the only place that decides (it predicts, and
-    checks the prediction, only against an adaptive adversary), and its
-    successor is interned there; a round the memo holds decides nothing.
-    The walk knows a state it plays is not dispersed, so it takes no
-    census before a round. Every state has the call's ``robots``; a played
-    round that returns other robots raises ``RuntimeError``.
+    A branch holds the tables that agree on every letter read so far, as a
+    bit mask over ``policies``, and the classes it has fixed, as bits. Where
+    a state has a class the branch has not fixed, it splits by that class's
+    letter into the non-empty masks of ``by_letter``. A branch ends where
+    each of its tables' runs would: at dispersal, at a repeat of a state of
+    its walk, or at the horizon. The walk (ids to rounds) is undone on
+    backtrack, so each leaf holds its cycle.
+    ``memo`` maps a state's id and the branch's letters for its classes to
+    the successor's id; a round it lacks is played by ``play_round`` with
+    the branch's least table, which must return ``robots`` unchanged.
     """
     rows = states.rows
-    letters = policy.letters
-    sid = start
-    walk: dict = {}
-    while True:
-        m = len(walk)
-        if sid in fates:
-            disperses, rest = fates[sid]
-            cap = m
-            break
-        if sid in walk:
-            disperses, rest, cap = False, 0, walk[sid]
-            break
-        cfg, dispersed, classes = rows[sid]
-        if dispersed:
-            disperses, rest, cap = True, 0, m
-            break
-        if m >= horizon:
-            return None
-        walk[sid] = m
-        key = (sid, letters(classes))
-        sid = memo.get(key)
-        if sid is None:
-            cfg, settled, trace = play_round(policy, adversary, cfg, mode, robots)
-            if settled != robots:
-                raise RuntimeError(f"{policy.policy_id} changed a robot's hand or memory")
-            sid = memo[key] = states.intern(cfg, trace.metrics_after.dispersed)
-    for k, walked in enumerate(walk):
-        fates[walked] = (disperses, m + rest - min(k, cap))
-    return disperses, m + rest
+    stalls = hits = 0
+    escapes = []
+    walk: dict = {}  # the branch's walk: id -> round, in round order
+    branches = [(start, 0, (1 << len(policies)) - 1, 0)]
+    while branches:
+        sid, m, tables, fixed = branches.pop()
+        while len(walk) > m:
+            walk.popitem()
+        while True:
+            cfg, dispersed, classes, present = rows[sid]
+            if dispersed:
+                escapes.append((tables, m))
+                break
+            if m >= horizon:
+                hits += tables.bit_count()
+                break
+            if sid in walk:
+                stalls += tables.bit_count()
+                break
+            opened = present & ~fixed
+            if opened:
+                c = opened.bit_length() - 1
+                for letter_tables in by_letter[c]:
+                    if tables & letter_tables:
+                        branches.append((sid, m, tables & letter_tables, fixed | 1 << c))
+                break
+            walk[sid] = m
+            policy = policies[(tables & -tables).bit_length() - 1]
+            key = (sid, policy.letters(classes))
+            sid = memo.get(key)
+            if sid is None:
+                cfg, settled, trace = play_round(policy, adversary, cfg, mode, robots)
+                if settled != robots:
+                    raise RuntimeError(f"{policy.policy_id} changed a robot's hand or memory")
+                sid = memo[key] = states.intern(cfg, trace.metrics_after.dispersed)
+            m += 1
+    return stalls, hits, escapes
 
 
 def verify_impossibility(
@@ -466,29 +469,20 @@ def verify_impossibility(
 
     A state is the ring's slots: every run starts with ``initial_robots``,
     and a plain table never changes a robot (its ``decide`` keeps the
-    memory and its ``after_move`` is ``Policy``'s), which ``_orbit_fate``
+    memory and its ``after_move`` is ``Policy``'s), which ``_letter_tree``
     checks on every round it plays. The rule and the adversary are
     deterministic functions of the state, so a state has one orbit per
-    table. A repeated state therefore proves an infinite stall, and a run
-    that reaches a state an earlier start of the same table resolved shares
-    that state's fate from there on: it is read off ``fates`` instead of
-    being run again (see ``_orbit_fate``). Each table gets a fresh
-    ``fates``, as another table gives the state another orbit.
-
-    The call interns every state it meets once (``_States``): a state gets
-    a small int id and one row, its configuration, whether it is dispersed
-    and its census classes (``census_classes``). Each start's row is built
-    once per call, and a played round's successor is interned when the
-    round is played. ``fates``, the walk and the round memo hold ids.
+    table, and a repeated state proves an infinite stall. Each start is
+    walked once for all tables (``_letter_tree``), a walk splitting by a
+    class's letter where it first meets the class; states are interned.
 
     One round memo serves every table of the call: a round is played once
     per (state, letters), whichever table reaches it, where ``letters`` are
     the table's letters for the state's census classes
     (``NoVisibilityPolicy.letters``), and the memo maps the state's id and
-    those letters to the successor's id. Each later table that reaches the
-    round reads the successor off the memo and decides nothing. This is
-    sound because, against a deterministic adversary, a table's round is a
-    function of the state and those letters:
+    those letters to the successor's id. This is sound because, against a
+    deterministic adversary, a table's round is a function of the state and
+    those letters:
 
     - a robot decides its class's letter in its own frame, and the state
       and the call's robots fix every robot's class and hand, so the state
@@ -511,22 +505,23 @@ def verify_impossibility(
     (``Adversary.check_start``). ``tests/test_verifier.py`` checks these
     premises and checks every report against runs that share nothing.
 
-    A start's run disperses if its orbit does within ``horizon`` rounds,
-    and is a proven stall if its orbit first repeats a state before the
-    ``horizon``-th round; anything else is a horizon hit. What matters is
-    that no run ever reaches one robot per node, so an empty set of starts
-    is refused.
+    A run disperses if it does within ``horizon`` rounds, is a proven stall
+    if it first repeats a state before the ``horizon``-th round, and is a
+    horizon hit otherwise; dispersals are listed by table, then by start.
+    A sweep over no start or no table proves nothing, so either is refused.
     """
-    if policies is None:
-        policies = list(all_no_visibility_policies())
+    policies = tuple(all_no_visibility_policies() if policies is None else policies)
     if starts is None:
         starts = [cfg for cfg in enumerate_initial_configs(n, up_to_reflection=False)
                   if adversary_start_filter(adversary, cfg)]
+    starts = tuple(starts)
     adversary.check_scenario(n, mode)
-    if horizon < 0:
-        raise ScenarioError(f"horizon must be at least 0 rounds, got {horizon}")
+    if type(horizon) is not int or horizon < 0:
+        raise ScenarioError(f"horizon must be an int of at least 0 rounds, got {horizon!r}")
     if not starts:
         raise ScenarioError(f"no start to check for adversary {adversary.adversary_id} on n={n}")
+    if not policies:
+        raise ScenarioError(f"no table to check against adversary {adversary.adversary_id}")
     if any(start.n != n for start in starts):
         raise ScenarioError(f"every start of an impossibility run must have n={n} nodes")
     for start in starts:
@@ -537,30 +532,35 @@ def verify_impossibility(
             raise ScenarioError(f"impossibility runs are for zero-visibility tables, "
                                 f"not {type(policy).__name__} {policy.policy_id!r}")
 
+    # by_letter[c]: per letter the tables give class c, the mask of those tables.
+    by_letter = []
+    every_class = tuple(range(len(NO_VISIBILITY_DOMAIN)))
+    for column in zip(*[policy.letters(every_class) for policy in policies]):
+        masks: dict = {}
+        for bit, letter in enumerate(column):
+            masks[letter] = masks.get(letter, 0) | 1 << bit
+        by_letter.append(tuple(masks.values()))
     states = _States()
     robots = initial_robots(starts[0])
-    start_ids = [states.intern(start, classify(start).dispersed) for start in starts]
-    dispersals = []
-    proven_infinite = 0
-    horizon_hits = 0
     memo: dict = {}
-    for policy in policies:
-        fates: dict = {}
-        for start, sid in zip(starts, start_ids):
-            match _orbit_fate(policy, adversary, sid, robots, mode, horizon, fates, memo, states):
-                case (True, rounds) if rounds <= horizon:
-                    dispersals.append(Dispersal(policy.policy_id, start.slots, rounds))
-                case (False, rounds) if rounds < horizon:
-                    proven_infinite += 1
-                case _:
-                    horizon_hits += 1
+    dispersals = []
+    proven_infinite = horizon_hits = 0
+    start_ids = [states.intern(start, classify(start).dispersed) for start in starts]
+    for index, sid in enumerate(start_ids):
+        stalls, hits, escapes = _letter_tree(policies, by_letter, adversary, sid, robots,
+                                             mode, horizon, memo, states)
+        proven_infinite += stalls
+        horizon_hits += hits
+        dispersals += [(table, index, rounds) for tables, rounds in escapes
+                       for table in range(tables.bit_length()) if tables >> table & 1]
     return ImpossibilityReport(
         adversary_id=adversary.adversary_id,
         n=n,
         mode=mode,
         policies_checked=len(policies),
         starts_checked=len(starts),
-        dispersals=tuple(dispersals),
+        dispersals=tuple(Dispersal(policies[table].policy_id, starts[index].slots, rounds)
+                         for table, index, rounds in sorted(dispersals)),
         proven_infinite=proven_infinite,
         horizon_hits=horizon_hits,
     )

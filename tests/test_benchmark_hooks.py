@@ -137,7 +137,7 @@ def test_only_the_run_and_the_orbit_walk_play_rounds():
     ``run_simulation`` call, so every run plays its rounds inside
     ``scheduler.run_simulation``; a second loop over ``play_round`` would
     lose them from that count."""
-    assert _callers("play_round") == ["scheduler.run_simulation", "verifier._orbit_fate"]
+    assert _callers("play_round") == ["scheduler.run_simulation", "verifier._letter_tree"]
 
 
 def test_only_the_decision_helper_calls_a_rules_decide():

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -581,6 +582,32 @@ def test_negative_horizon_is_refused():
         verify_impossibility(get_adversary("1i-killer"), 2, Mode.ONE_INTERVAL, horizon=-1)
 
 
+@pytest.mark.parametrize("horizon", [2.5, True, "5"])
+def test_a_horizon_that_is_no_plain_int_is_refused(horizon):
+    """A horizon counts rounds, so a float, a bool or a string is refused
+    with one line, not taken for the number it compares to."""
+    with pytest.raises(ScenarioError, match="^horizon must be an int of at least 0 rounds, got "):
+        verify_impossibility(get_adversary("1i-killer"), 2, Mode.ONE_INTERVAL, horizon=horizon)
+
+
+def test_an_empty_table_list_is_refused():
+    """A sweep over no table proves nothing, as one over no start does."""
+    with pytest.raises(ScenarioError, match="^no table to check against adversary 1i-killer$"):
+        verify_impossibility(get_adversary("1i-killer"), 3, Mode.ONE_INTERVAL, policies=[])
+
+
+def test_tables_and_starts_may_come_from_any_iterable():
+    """Tables and starts are each read more than once, so a sweep takes them
+    as tuples where they enter: one-shot iterators give the report the lists
+    give."""
+    adversary = get_adversary("1i-killer")
+    tables, starts = ALL_TABLES[::7], filtered_starts(adversary, 3)
+    report = verify_impossibility(adversary, 3, Mode.ONE_INTERVAL, list(tables), starts)
+    assert report.policies_checked == len(tables) and report.starts_checked == len(starts)
+    assert verify_impossibility(adversary, 3, Mode.ONE_INTERVAL, iter(tables),
+                                iter(starts)) == report
+
+
 def test_an_unknown_orientation_spec_is_refused_before_any_step(monkeypatch):
     steps = []
     monkeypatch.setattr(dynring.verifier, "step", lambda *args: steps.append(args))
@@ -779,23 +806,62 @@ ALL_TABLES = tuple(all_no_visibility_policies())
     ("benign", 3, Mode.ONE_INTERVAL, 1),
 ])
 def test_orbit_memo_matches_the_plain_runs(adversary_id, n, mode, stride):
-    """Reading a start's fate off the orbits of earlier starts, and a round
-    off the round memo, gives the report, dispersal rounds included, that
-    running every start of every table alone gives. Each plain run is made
-    once, to the largest horizon, and cut at each smaller one. At n=4 every
-    ``stride``-th table is run, to keep the plain runs short."""
+    """Walking each start once for every table, split by letters, and reading
+    a round off the round memo gives the report, dispersal rounds included,
+    that running every start of every table alone gives. Each plain run is
+    made once, to the largest horizon, and cut at each smaller one. At n=4
+    every ``stride``-th table is run, to keep the plain runs short."""
     adversary, tables = get_adversary(adversary_id), list(ALL_TABLES[::stride])
+    _matches_the_plain_runs(adversary, n, mode, tables)
+
+
+def _matches_the_plain_runs(adversary, n, mode, tables) -> ImpossibilityReport:
+    """The sweep's report at each of ``ORACLE_HORIZONS`` equals the plain
+    runs'; the last one is returned."""
     starts = filtered_starts(adversary, n)
     runs = plain_runs(adversary, mode, tables, starts, max(ORACLE_HORIZONS))
     for horizon in ORACLE_HORIZONS:
-        assert verify_impossibility(adversary, n, mode, tables, horizon=horizon) == \
-            plain_report(adversary, n, mode, tables, starts, runs, horizon), horizon
+        report = verify_impossibility(adversary, n, mode, tables, horizon=horizon)
+        assert report == plain_report(adversary, n, mode, tables, starts, runs, horizon), horizon
+    return report
+
+
+# Table lists whose bits in a sweep's masks are not the tables' own order:
+# a shuffle, overlapping strides that list many tables twice, and one table.
+TABLE_LISTS = {
+    "shuffled": random.Random(33).sample(ALL_TABLES, len(ALL_TABLES)),
+    "repeated": [*ALL_TABLES[::5], *ALL_TABLES[::3], ALL_TABLES[0]],
+    "single-stall": [get_policy("k0:cacacs")],
+    "single-escape": [get_policy("k0:scssss")],
+}
+
+
+@pytest.mark.parametrize("adversary_id,n,mode,listed", [
+    ("1i-killer", 3, Mode.ONE_INTERVAL, "shuffled"),
+    ("vp-killer-n3", 3, Mode.VP, "repeated"),
+    ("1i-killer", 3, Mode.ONE_INTERVAL, "single-stall"),
+    ("benign", 3, Mode.NONE, "shuffled"),
+    ("benign", 3, Mode.ONE_INTERVAL, "repeated"),
+    ("benign", 3, Mode.NONE, "single-escape"),
+])
+def test_the_letter_tree_matches_the_plain_runs_where_branches_split_and_meet(
+        adversary_id, n, mode, listed):
+    """Tables in any order, a table listed twice and a lone table give the
+    plain runs' report at every horizon. In the benign cases tables escape
+    from more than one start, so the dispersals' order (by table as listed,
+    then by start) and their rounds are pinned too."""
+    report = _matches_the_plain_runs(get_adversary(adversary_id), n, mode, TABLE_LISTS[listed])
+    if adversary_id == "benign":
+        escaped = [item.policy_id for item in report.dispersals]
+        assert any(escaped.count(policy_id) > 1 for policy_id in escaped)
 
 
 def test_a_start_on_a_walked_state_joins_its_orbit(monkeypatch):
     """With the third robot of a pile stepping clockwise, the gathered start's
-    first round lands on the second start exactly, so the second start's fate
-    is read off the first run (a join at round 0) and the runs agree anyway."""
+    first round lands on the second start exactly. The second start's walk
+    then plays no round of its own: every round it needs is in the round
+    memo, played by the gathered start's walk. The reports agree with the
+    plain runs anyway."""
     gathered, pair = ring_from_multiplicities((3, 0, 0)), ring_from_multiplicities((2, 1, 0))
     policies = [get_policy("k0:" + head + "ssc")
                 for head in map("".join, itertools.product("sca", repeat=3))]
