@@ -334,7 +334,9 @@ def cmd_verify(args) -> int:
           f"dispersals={len(report.dispersals)}")
     for item in report.dispersals[:5]:
         print(f"  escaped: policy={item.policy_id} start={item.start} round={item.round_index}")
-    return EXIT_OK if report.all_blocked else EXIT_FAIL
+    if report.horizon_hits:
+        print(f"  undecided: horizon-hits={report.horizon_hits} horizon={horizon}")
+    return EXIT_OK if report.all_blocked and not report.horizon_hits else EXIT_FAIL
 
 
 def _trace_lines(path: str):

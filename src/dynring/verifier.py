@@ -65,8 +65,10 @@ class against those adversaries.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .adversaries import (
@@ -385,8 +387,8 @@ def adversary_start_filter(adversary: Adversary, cfg: RingConfiguration) -> bool
 class _States:
     """The states one ``verify_impossibility`` call meets, each interned once:
     ``ids`` maps a state, its ``cfg.slots``, to a small int, and ``rows[id]``
-    is its ``(cfg, dispersed, classes, present)``: its ``census_classes``
-    and the same classes as bits."""
+    is its ``(cfg, dispersed, mask)``: ``mask`` sets two bits per class of its
+    ``census_classes``, the class's field in a letter code."""
 
     def __init__(self):
         self.ids: dict = {}
@@ -396,8 +398,7 @@ class _States:
         sid = self.ids.get(cfg.slots)
         if sid is None:
             sid = self.ids[cfg.slots] = len(self.rows)
-            classes = census_classes(cfg)
-            self.rows.append((cfg, dispersed, classes, sum(1 << c for c in classes)))
+            self.rows.append((cfg, dispersed, sum(3 << 2 * c for c in census_classes(cfg))))
         return sid
 
 
@@ -407,27 +408,27 @@ def _letter_tree(policies: tuple, by_letter: list, adversary: Adversary, start: 
     ``start``, where ``escapes`` holds ``(tables, round)`` per dispersal.
 
     A branch holds the tables that agree on every letter read so far, as a
-    bit mask over ``policies``, and the classes it has fixed, as bits. Where
-    a state has a class the branch has not fixed, it splits by that class's
-    letter into the non-empty masks of ``by_letter``. A branch ends where
-    each of its tables' runs would: at dispersal, at a repeat of a state of
-    its walk, or at the horizon. The walk (ids to rounds) is undone on
-    backtrack, so each leaf holds its cycle.
-    ``memo`` maps a state's id and the branch's letters for its classes to
-    the successor's id; a round it lacks is played by ``play_round`` with
-    the branch's least table, which must return ``robots`` unchanged.
+    bit mask over ``policies``, and the letters it has fixed as ``code``:
+    bits 2c and 2c + 1 hold class c's letter, its index in ``by_letter[c]``,
+    and are set in ``fixed``. Where the state's ``mask`` has a class not in
+    ``fixed``, the branch splits by its letter into the non-empty masks of
+    ``by_letter``. A branch ends where each of its tables' runs would: at
+    dispersal, at a repeat of a state of its walk (ids to rounds, undone on
+    backtrack, so each leaf holds its cycle), or at the horizon. ``memo``
+    maps (id, ``code & mask``) to the successor's id; a round it lacks is
+    played by ``play_round`` with the least table, which must keep ``robots``.
     """
     rows = states.rows
     stalls = hits = 0
     escapes = []
     walk: dict = {}  # the branch's walk: id -> round, in round order
-    branches = [(start, 0, (1 << len(policies)) - 1, 0)]
+    branches = [(start, 0, (1 << len(policies)) - 1, 0, 0)]
     while branches:
-        sid, m, tables, fixed = branches.pop()
+        sid, m, tables, fixed, code = branches.pop()
         while len(walk) > m:
             walk.popitem()
         while True:
-            cfg, dispersed, classes, present = rows[sid]
+            cfg, dispersed, mask = rows[sid]
             if dispersed:
                 escapes.append((tables, m))
                 break
@@ -437,18 +438,19 @@ def _letter_tree(policies: tuple, by_letter: list, adversary: Adversary, start: 
             if sid in walk:
                 stalls += tables.bit_count()
                 break
-            opened = present & ~fixed
+            opened = mask & ~fixed
             if opened:
-                c = opened.bit_length() - 1
-                for letter_tables in by_letter[c]:
-                    if tables & letter_tables:
-                        branches.append((sid, m, tables & letter_tables, fixed | 1 << c))
+                c = opened.bit_length() - 2  # bits c and c + 1: the last class not fixed
+                for letter, agree in enumerate(by_letter[c >> 1]):
+                    if tables & agree:
+                        branches.append((sid, m, tables & agree, fixed | 3 << c,
+                                         code | letter << c))
                 break
             walk[sid] = m
-            policy = policies[(tables & -tables).bit_length() - 1]
-            key = (sid, policy.letters(classes))
+            key = (sid, code & mask)
             sid = memo.get(key)
             if sid is None:
+                policy = policies[(tables & -tables).bit_length() - 1]
                 cfg, settled, trace = play_round(policy, adversary, cfg, mode, robots)
                 if settled != robots:
                     raise RuntimeError(f"{policy.policy_id} changed a robot's hand or memory")
@@ -478,11 +480,11 @@ def verify_impossibility(
 
     One round memo serves every table of the call: a round is played once
     per (state, letters), whichever table reaches it, where ``letters`` are
-    the table's letters for the state's census classes
-    (``NoVisibilityPolicy.letters``), and the memo maps the state's id and
-    those letters to the successor's id. This is sound because, against a
-    deterministic adversary, a table's round is a function of the state and
-    those letters:
+    the table's letters for the state's census classes, coded as indices in
+    ``by_letter`` (built from ``NoVisibilityPolicy.letters``), and the memo
+    maps the state's id and that code to the successor's id. This is sound
+    because, against a deterministic adversary, a table's round is a
+    function of the state and those letters:
 
     - a robot decides its class's letter in its own frame, and the state
       and the call's robots fix every robot's class and hand, so the state
@@ -532,7 +534,7 @@ def verify_impossibility(
             raise ScenarioError(f"impossibility runs are for zero-visibility tables, "
                                 f"not {type(policy).__name__} {policy.policy_id!r}")
 
-    # by_letter[c]: per letter the tables give class c, the mask of those tables.
+    # by_letter[c]: the tables' mask per letter of class c; a letter's code is its index.
     by_letter = []
     every_class = tuple(range(len(NO_VISIBILITY_DOMAIN)))
     for column in zip(*[policy.letters(every_class) for policy in policies]):
@@ -566,6 +568,13 @@ def verify_impossibility(
     )
 
 
+@functools.lru_cache(maxsize=8)  # the last few ring sizes, as every per-size cache
+def _intent_vectors(n: int) -> tuple:
+    """``(combo, read-only map of labels 1..n to it)`` per intent vector."""
+    combos = itertools.product((Action.STAY, Action.CLOCKWISE, Action.ANTICLOCKWISE), repeat=n)
+    return tuple([(combo, MappingProxyType(dict(enumerate(combo, 1)))) for combo in combos])
+
+
 def check_adaptive_soundness(
     adversary: Adversary,
     cfg: RingConfiguration,
@@ -579,23 +588,22 @@ def check_adaptive_soundness(
     dispersed successor. With ``neutral_required`` the successor must also
     keep the adversary's invariant, such as the 3-ring's pair/single/hole.
 
-    The adversary is asked once per labelled intent vector. Each distinct
-    dynamism it answers is checked (``Dynamism.check``) and applied once per
-    call, and every vector is judged by its own successor's node counts
-    (``moved_counts``) on the ring its answer shapes. A scenario or start the
-    adversary refuses (``check_start``), and a ring with a removed edge, from
-    which no round starts, raise ``ScenarioError`` before any vector is tried.
+    The adversary is asked once per labelled intent vector, by a read-only
+    map of labels 1..n (those of every ring that enters the program) shared
+    by every call at one size, so it cannot rewrite the vector it is judged
+    by. Each distinct dynamism it answers is checked (``Dynamism.check``) and
+    applied once per call, and every vector is judged by its own successor's
+    node counts (``moved_counts``) on the ring its answer shapes. A scenario
+    or start the adversary refuses (``check_start``), or a removed edge,
+    raises ``ScenarioError`` before any vector is tried.
     """
     adversary.check_scenario(cfg.n, mode)
     check_intact(cfg)
     adversary.check_start(cfg)
     problems = []
     n = cfg.n
-    labels = cfg.labels()
     shaped: dict = {}
-    for combo in itertools.product(
-            (Action.STAY, Action.CLOCKWISE, Action.ANTICLOCKWISE), repeat=n):
-        intents = dict(zip(labels, combo))
+    for combo, intents in _intent_vectors(n):
         dynamism = adversary.choose(AdversaryContext(cfg, mode, None, intents))
         perm, edge = dynamism
         # A list and a tuple of one permutation shape one ring. The types of

@@ -436,14 +436,16 @@ def test_criterion_08_zero_visibility_impossibility(impossibility_sweep,
     short = [(r.adversary_id, r.n) for r in reports if r.policies_checked != 729]
     stalled = sum(r.proven_infinite for r in reports)
     hits = sum(r.horizon_hits for r in reports)
-    ok = not leaks and not short and not problems
+    # A horizon hit is a run left undecided: it proves no stall.
+    ok = not leaks and not short and not problems and hits == 0
     scorecard(capsys, 8, ok,
               f"{len(reports)} sweeps x 729 tables: {stalled} proven stalls, "
-              f"{hits} horizon hits, 0 dispersals; {starts_checked} starts x 3^n "
-              f"intent vectors sound, {elapsed:.0f}s")
+              f"{hits} horizon hits, {sum(len(r.dispersals) for r in reports)} dispersals; "
+              f"{starts_checked} starts x 3^n intent vectors sound, {elapsed:.0f}s")
     assert not leaks, leaks
     assert not short, short
     assert not problems, problems[:5]
+    assert hits == 0, [(r.adversary_id, r.n, r.horizon_hits) for r in reports if r.horizon_hits]
     assert (stalled, hits) == (53_946, 0)
 
 

@@ -474,6 +474,24 @@ def test_soundness_reports_each_vector_that_disperses():
     assert all(f" from {PAIR_SINGLE_HOLE} dispersed via " in problem for problem in problems)
 
 
+class _RewritingEdgeBlocker(_IdleEdgeBlocker):
+    """The idle 1i-killer, but it first rewrites the vector it is asked
+    about to every robot staying, which disperses no one."""
+
+    def choose(self, ctx):
+        for label in ctx.predicted_intents:
+            ctx.predicted_intents[label] = STAY
+        return super().choose(ctx)
+
+
+def test_an_adversary_cannot_rewrite_the_vector_it_is_judged_by():
+    """Each vector is judged as it was asked. Had the rewrite gone through,
+    the idle blocker's 6 dispersing vectors would read as none: the map it
+    is handed refuses the write instead."""
+    with pytest.raises(TypeError):
+        check_adaptive_soundness(_RewritingEdgeBlocker(), PAIR_SINGLE_HOLE, Mode.ONE_INTERVAL)
+
+
 def test_soundness_reports_each_vector_that_leaves_the_shape():
     """With its shape required, the idle 3-ring permuter is also reported
     for the 3 intent vectors that gather the robots."""
@@ -674,3 +692,22 @@ def test_neutral_answers_are_shared_frozen_objects(adversary_id, n):
     assert get_adversary("benign").choose(ctx_for(first, mode)) is neutral
     with pytest.raises(AttributeError):  # a tuple's field cannot be set
         neutral.edge_removal = 0
+
+
+def test_intent_vectors_are_shared_read_only_maps():
+    """Two soundness checks at one ring size hand ``choose`` the same map
+    objects, one per vector, in product order, and none can be written."""
+    adversary = type(get_adversary("1i-killer"))()
+    asked = []
+    choose = adversary.choose
+    adversary.choose = lambda ctx: asked.append(ctx.predicted_intents) or choose(ctx)
+    first, second = admitted_rings(adversary, 3)[:2]
+    check_adaptive_soundness(adversary, first, Mode.ONE_INTERVAL)
+    check_adaptive_soundness(adversary, second, Mode.ONE_INTERVAL)
+    assert len(asked) == 2 * 27 and len({id(intents) for intents in asked}) == 27
+    assert all(once is again for once, again in zip(asked[:27], asked[27:]))
+    assert [tuple(intents.items()) for intents in asked[:27]] == [
+        tuple(enumerate(combo, 1)) for combo in itertools.product((STAY, CW, ACW), repeat=3)]
+    with pytest.raises(TypeError):
+        asked[0][1] = CW
+    assert asked[0][1] is STAY

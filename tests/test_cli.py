@@ -633,6 +633,23 @@ def test_verify_impossibility_subcommand(capsys):
     assert "dispersals=0" in out and "horizon-hits=0" in out
 
 
+def test_verify_impossibility_exits_2_while_runs_are_undecided(capsys):
+    """A run that reaches the horizon is neither a dispersal nor a proven
+    stall, so the check proves nothing and fails; one line counts such runs.
+    With the default horizon every 1i-killer run at n=3 is a proven stall."""
+    verify = ("verify", "--check", "impossibility", "--n", "3", "--adversary", "1i-killer",
+              "--mode", "1i")
+    assert run_cli(*verify, "--horizon", "1") == 2
+    out = capsys.readouterr().out
+    assert "stalled-forever=0 horizon-hits=2187 dispersals=0\n" in out
+    assert out.endswith("\n  undecided: horizon-hits=2187 horizon=1\n")
+    assert run_cli(*verify, "--horizon", "2") == 2
+    assert "stalled-forever=189 horizon-hits=1998 dispersals=0\n" in capsys.readouterr().out
+    assert run_cli(*verify) == 0
+    out = capsys.readouterr().out
+    assert "stalled-forever=2187 horizon-hits=0 dispersals=0\n" in out and "undecided" not in out
+
+
 def test_verify_requires_matching_flags(capsys):
     assert run_cli("verify", "--check", "bound", "--n", "3") == 1
     assert run_cli("verify", "--check", "impossibility", "--n", "3") == 1

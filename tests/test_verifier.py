@@ -910,6 +910,20 @@ def test_the_tables_of_a_sweep_share_each_round(monkeypatch):
     decides nothing. A played round takes one census, of the ring it lands
     on: the walk knows every state it plays is not dispersed, so it plays the
     round with ``play_round`` and takes no census before it."""
+    _assert_rounds_played(monkeypatch, "1i-killer", Mode.ONE_INTERVAL, (3, 2187), 567)
+
+
+def test_the_tables_of_a_permuted_sweep_share_each_round(monkeypatch):
+    """The 729-table vp-killer-n3 sweep at n=3, the benchmark's other sweep,
+    plays 200 distinct rounds. Its states all hold a pair, a single and a
+    hole, so every round it plays reads the same three census classes."""
+    _assert_rounds_played(monkeypatch, "vp-killer-n3", Mode.VP, (2, 1458), 200)
+
+
+def _assert_rounds_played(monkeypatch, adversary_id, mode, starts_and_stalls, rounds):
+    """The 729-table sweep at n=3 blocks every run, with ``starts_and_stalls``
+    as its start and stall counts, and plays ``rounds`` distinct rounds, each
+    predicted, decided twice and censused once."""
     predicted, played, decisions, censuses = [], [], [], []
     for module in (dynring.scheduler, dynring.verifier):
         _recorded(monkeypatch, module, "predict_intents", lambda args, intents: predicted.append(
@@ -918,13 +932,13 @@ def test_the_tables_of_a_sweep_share_each_round(monkeypatch):
         (args[1].slots, _aux(args[2]), tuple(result[2].intents.items()))))
     _recorded(monkeypatch, dynring.scheduler, "_decide", lambda args, _: decisions.append(args))
     _recorded(monkeypatch, dynring.scheduler, "classify", lambda args, _: censuses.append(args))
-    report = verify_impossibility(get_adversary("1i-killer"), 3, Mode.ONE_INTERVAL)
+    report = verify_impossibility(get_adversary(adversary_id), 3, mode)
     assert (report.policies_checked, report.starts_checked, report.proven_infinite,
-            report.horizon_hits, report.dispersals) == (729, 3, 2187, 0, ())
-    assert len(played) == len(set(played)) == 567
+            report.horizon_hits, report.dispersals) == (729, *starts_and_stalls, 0, ())
+    assert len(played) == len(set(played)) == rounds
     assert predicted == played
-    assert len(decisions) == 2 * 567
-    assert len(censuses) == 567
+    assert len(decisions) == 2 * rounds
+    assert len(censuses) == rounds
 
 
 def test_a_sweep_interns_each_state_once(monkeypatch):
