@@ -324,8 +324,6 @@ def cmd_verify(args) -> int:
     if args.adversary is None:
         raise ScenarioError("verify --check impossibility needs --adversary")
     horizon = DEFAULT_HORIZON if args.horizon is None else args.horizon
-    if horizon < 1:
-        raise ScenarioError(f"--horizon must be at least 1 round, got {horizon}")
     adversary = get_adversary(args.adversary)
     report = verify_impossibility(adversary, args.n, mode, horizon=horizon)
     print(f"impossibility adversary={report.adversary_id} n={report.n} mode={mode.value} "

@@ -439,13 +439,6 @@ class NoVisibilityPolicy(Policy):
         classes = _NODE_CLASSES[min(snap.own_count, 3)]
         return _ACTION_CODE[self.table[classes[min(rank, 2)]]], robot.memory
 
-    def letters(self, classes: tuple[int, ...]) -> str:
-        """The table's letters for ``classes``, the ``census_classes`` of a
-        ring. Every robot decides the letter of its own class, so with the
-        labels and hands on the ring they fix every decision."""
-        table = self.table
-        return "".join([table[i] for i in classes])
-
 
 def census_classes(cfg: RingConfiguration) -> tuple[int, ...]:
     """The indices into NO_VISIBILITY_DOMAIN of the census classes present

@@ -3,7 +3,13 @@
 The adversary is treated as a player that, each round, picks any allowed
 permutation class and edge removal. The value of a configuration is the
 number of rounds the adversary can force before every node holds exactly
-one robot; a reachable cycle means it can stall forever.
+one robot: the least fixpoint, over 0..inf, of v(s) = 0 for a dispersed
+state and v(s) = 1 + max v(t) over the successors t of any other. It is
+inf exactly where a cycle is reachable, as the adversary can then stall
+forever. The search settles it backward from dispersal, as retrograde
+analysis does (K. Thompson, ICCA Journal 9(3), 1986), by the attractor of
+W. Zielonka (TCS 200, 1998): a state is valued once all its successors
+are, and a state never valued reaches a cycle.
 
 The search memoizes values on states up to symmetry. Without vertex
 permutations (modes ``none`` and ``1i``) the key is the rotation class,
@@ -65,6 +71,7 @@ class against those adversaries.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -76,7 +83,7 @@ from .adversaries import (
     AdversaryContext,
     exhaustive_branches,
 )
-from .policies import NO_VISIBILITY_DOMAIN, NoVisibilityPolicy, Policy
+from .policies import NoVisibilityPolicy, Policy
 from .policies import all_no_visibility_policies, census_classes
 from .ring import (
     Action,
@@ -150,7 +157,6 @@ def _aux(robots) -> tuple:
 
 
 _FLIP = {"A": "R", "R": "A"}
-_PENDING = object()
 
 
 class BoundReport(NamedTuple):
@@ -171,7 +177,9 @@ class BoundReport(NamedTuple):
 
 
 class WorstCaseSearcher:
-    """Depth-first game evaluation with memoization up to symmetry.
+    """Game evaluation settled backward from dispersal, memoized up to
+    symmetry. ``value`` solves (``_solve``) each state the memo lacks, and
+    the solve values every state that state reaches.
 
     ``_key`` is a state's rotation class, or its slot multiset when the
     mode permutes vertices. The coarser key is sound: every arrangement of
@@ -181,7 +189,7 @@ class WorstCaseSearcher:
     a state with its mirror twin, the ring reflected and every hand
     flipped, by keying with the hands in which robot 1 reads ``A``; the
     module docstring shows that twins have one value. The memo holds only
-    values.
+    settled values.
     ``looks`` is the search's look table, one label-free look per seen
     ring's node counts and removed edge (``scheduler._look``), and
     ``decisions`` its decision memo, keyed by those stored looks
@@ -210,36 +218,60 @@ class WorstCaseSearcher:
 
     def value(self, cfg: RingConfiguration, robots) -> float:
         """Rounds the adversary can force from here; inf if it can stall."""
-        return 0 if classify(cfg).dispersed else self._value(cfg, robots)
-
-    def _value(self, cfg: RingConfiguration, robots) -> float:
-        """``value`` of a state that is not dispersed. A successor's census
-        is read from the round's trace."""
+        if classify(cfg).dispersed:
+            return 0
         key = self._key(cfg, robots)
-        entry = self.memo.get(key)
-        if entry is _PENDING:
-            return math.inf
-        if entry is not None:
-            return entry
-        self.memo[key] = _PENDING
-        best = -1.0
-        for dynamism in exhaustive_branches(cfg, self.mode):
-            next_cfg, next_robots, trace = step(self.policy, cfg, robots, dynamism,
-                                                 self.looks, self.decisions)
-            for violation in trace.violations:
-                self.lemma_violations.append((key, dynamism, violation))
-            rest = 0 if trace.metrics_after.dispersed else self._value(next_cfg, next_robots)
-            best = max(best, 1 + rest)
-        self.memo[key] = best
-        return best
+        return self.memo.get(key) or self._solve(cfg, robots, key)  # a stored value is >= 1
 
-    def _settled_value(self, cfg: RingConfiguration, robots,
-                       dispersed: bool | None = None) -> float:
-        """The memoized value of an explored state; 0 once dispersed, which
-        is read from ``cfg`` unless the caller knows it."""
-        if dispersed is None:
-            dispersed = classify(cfg).dispersed
-        return 0 if dispersed else self.memo[self._key(cfg, robots)]
+    def _solve(self, cfg: RingConfiguration, robots, root) -> float:
+        """The value of the unvalued state ``root``, having valued every
+        unvalued state it reaches.
+
+        The forward pass steps each new state along every branch once, in
+        FIFO order, numbering the successors that are neither dispersed nor
+        valued and keeping each one's predecessors, once per branch. The
+        backward pass counts each state's branches to those successors
+        down, and values a state at 1 plus the largest value among its
+        successors (0 for a dispersed one) once each has one, so it is
+        linear in edges. A state it never values has a successor it never
+        values, so it reaches a cycle and is inf.
+        """
+        # ``best`` holds, per id, the largest value among the state's valued
+        # successors (0 if none), and once the state is valued, its value.
+        ids, best = {root: 0}, []
+        preds = collections.defaultdict(list)  # per id: its predecessors' ids, once per branch
+        queue = collections.deque([(cfg, robots, root)])
+        while queue:
+            cfg, robots, key = queue.popleft()
+            here, known = len(best), 0
+            for dynamism in exhaustive_branches(cfg, self.mode):
+                next_cfg, next_robots, trace = step(self.policy, cfg, robots, dynamism,
+                                                     self.looks, self.decisions)
+                for violation in trace.violations:
+                    self.lemma_violations.append((key, dynamism, violation))
+                if trace.metrics_after.dispersed:
+                    continue
+                next_key = self._key(next_cfg, next_robots)
+                next_id = ids.get(next_key)
+                if next_id is None:
+                    if next_key in self.memo:
+                        known = max(known, self.memo[next_key])
+                        continue
+                    next_id = ids[next_key] = len(ids)
+                    queue.append((next_cfg, next_robots, next_key))
+                preds[next_id].append(here)
+            best.append(known)
+        waiting = collections.Counter(itertools.chain.from_iterable(preds.values()))
+        ready = [state for state in range(len(best)) if not waiting[state]]
+        for state in ready:  # grows as states are valued
+            best[state] += 1
+            for pred in preds[state]:
+                best[pred] = max(best[pred], best[state])
+                waiting[pred] -= 1
+                if not waiting[pred]:
+                    ready.append(pred)
+        self.memo.update(zip(ids, [math.inf if waiting[s] else v for s, v in enumerate(best)]))
+        return self.memo[root]
 
     def witness(self, cfg: RingConfiguration, robots) -> tuple[RoundTrace, ...]:
         """One adversary line realising the memoized value of this state.
@@ -250,13 +282,12 @@ class WorstCaseSearcher:
         arrangement of its slots when the mode permutes vertices.
         """
         traces = []
-        value = self._settled_value(cfg, robots)
+        value = self.value(cfg, robots)
         while value not in (0, math.inf):
             for dynamism in exhaustive_branches(cfg, self.mode):
                 next_cfg, next_robots, trace = step(self.policy, cfg, robots, dynamism,
                                                      self.looks, self.decisions)
-                settled = self._settled_value(next_cfg, next_robots, trace.metrics_after.dispersed)
-                if settled == value - 1:
+                if self.value(next_cfg, next_robots) == value - 1:
                     break
             else:
                 raise RuntimeError(f"no branch from {cfg} lowers the value {value}")
@@ -481,7 +512,7 @@ def verify_impossibility(
     One round memo serves every table of the call: a round is played once
     per (state, letters), whichever table reaches it, where ``letters`` are
     the table's letters for the state's census classes, coded as indices in
-    ``by_letter`` (built from ``NoVisibilityPolicy.letters``), and the memo
+    ``by_letter`` (built from each table's ``table``), and the memo
     maps the state's id and that code to the successor's id. This is sound
     because, against a deterministic adversary, a table's round is a
     function of the state and those letters:
@@ -510,7 +541,8 @@ def verify_impossibility(
     A run disperses if it does within ``horizon`` rounds, is a proven stall
     if it first repeats a state before the ``horizon``-th round, and is a
     horizon hit otherwise; dispersals are listed by table, then by start.
-    A sweep over no start or no table proves nothing, so either is refused.
+    A sweep over no start or no table proves nothing, so either is refused,
+    and so is a horizon below 1 round, at which every start is a hit.
     """
     policies = tuple(all_no_visibility_policies() if policies is None else policies)
     if starts is None:
@@ -518,8 +550,8 @@ def verify_impossibility(
                   if adversary_start_filter(adversary, cfg)]
     starts = tuple(starts)
     adversary.check_scenario(n, mode)
-    if type(horizon) is not int or horizon < 0:
-        raise ScenarioError(f"horizon must be an int of at least 0 rounds, got {horizon!r}")
+    if type(horizon) is not int or horizon < 1:
+        raise ScenarioError(f"horizon must be an int of at least 1 round, got {horizon!r}")
     if not starts:
         raise ScenarioError(f"no start to check for adversary {adversary.adversary_id} on n={n}")
     if not policies:
@@ -536,8 +568,7 @@ def verify_impossibility(
 
     # by_letter[c]: the tables' mask per letter of class c; a letter's code is its index.
     by_letter = []
-    every_class = tuple(range(len(NO_VISIBILITY_DOMAIN)))
-    for column in zip(*[policy.letters(every_class) for policy in policies]):
+    for column in zip(*[policy.table for policy in policies]):
         masks: dict = {}
         for bit, letter in enumerate(column):
             masks[letter] = masks.get(letter, 0) | 1 << bit

@@ -1,9 +1,12 @@
 """Unit and property tests for enumeration and the exhaustive checkers."""
 from __future__ import annotations
 
+import ast
 import itertools
 import math
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,7 @@ import dynring.scheduler
 import dynring.verifier
 from decisions import mismatches, recorded_decisions
 from naive_policies import naive_intents
+from recursive_search import RecursiveSearcher
 from dynring import (
     Action,
     ChainAnalysis,
@@ -313,11 +317,11 @@ def test_witness_is_optimal_from_every_rotation(policy_id, n, mode):
             robots = root_robots
             witness = searcher.witness(cfg, robots)
             assert len(witness) == report.worst_rounds
-            value = searcher._settled_value(cfg, robots)
+            value = searcher.value(cfg, robots)
             for trace in witness:
                 cfg, robots, _ = step(policy, cfg, robots, trace.dynamism)
                 assert cfg.slots == trace.config_after.slots
-                assert searcher._settled_value(cfg, robots) == value - 1
+                assert searcher.value(cfg, robots) == value - 1
                 value -= 1
             assert value == 0
 
@@ -460,6 +464,63 @@ def test_a_stalling_rule_reports_a_cycle():
     assert not report.holds and report.witness == ()
 
 
+@pytest.mark.parametrize("policy_id,states", [("k0:cascas", 3_992), ("k0:acacac", 3_818)])
+def test_a_stall_deeper_than_the_recursion_limit_is_settled(policy_id, states):
+    """From the gathered 6-ring with aligned hands, these tables wander
+    through thousands of states before their cycles close, on paths
+    longer than Python's recursion limit; the search still values every
+    state and reports the stall."""
+    report = verify_worst_case(get_policy(policy_id), 6, Mode.ONE_INTERVAL,
+                               starts=(all_on_one(6),), orientations="aligned")
+    assert report.worst_rounds == math.inf and report.has_cycle
+    assert report.states_explored == states
+
+
+def test_no_method_of_the_searcher_calls_itself():
+    """The search settles values without recursion, so no path length can
+    exhaust the stack."""
+    tree = ast.parse(Path(dynring.verifier.__file__).read_text(encoding="utf-8"))
+    searcher = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == "WorstCaseSearcher")
+    for method in searcher.body:
+        if isinstance(method, ast.FunctionDef):
+            called = {node.func.attr for node in ast.walk(method) if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and isinstance(node.func.value, ast.Name) and node.func.value.id == "self"}
+            assert method.name not in called
+
+
+@pytest.mark.parametrize("policy_id,n,mode,violations", [
+    *[(policy_id, n, mode, 0)
+      for policy_id, n in (("vp-chain", 4), ("vp-1i", 4), ("no-chir-1i", 4), ("even4", 4),
+                           ("achiral-odd", 3), ("achiral-odd", 5))
+      for mode in Mode if mode in get_policy(policy_id).allowed_modes],
+    ("k0:cccccc", 4, Mode.ONE_INTERVAL, 28),
+    ("k0:cascas", 4, Mode.COMBINED, 24),
+    ("k0:acacac", 5, Mode.NONE, 7),
+])
+def test_the_settled_values_match_the_recursive_search(monkeypatch, policy_id, n, mode,
+                                                       violations):
+    """From the default roots the search reports what the depth-first
+    search (``tests/recursive_search.py``) does: the same values, states,
+    worst root, cycle flag and witness, and the same broken guarantees per
+    state. Only the order of the violations and the frame of each one's
+    dynamism may differ, as each state is expanded in the arrangement its
+    search meets first."""
+    policy = get_policy(policy_id)
+    settled = verify_worst_case(policy, n, mode)
+    monkeypatch.setattr(dynring.verifier, "WorstCaseSearcher", RecursiveSearcher)
+    recursive = verify_worst_case(policy, n, mode)
+    assert settled._replace(lemma_violations=()) == recursive._replace(lemma_violations=())
+
+    def broken(report):
+        return Counter((key, violation.guarantee, violation.detail)
+                       for key, _, violation in report.lemma_violations)
+
+    assert len(settled.lemma_violations) == len(recursive.lemma_violations) == violations
+    assert broken(settled) == broken(recursive)
+
+
 class _ClaimingTable(NoVisibilityPolicy):
     """A table of robots that always stay, claiming every round fills a
     hole."""
@@ -582,11 +643,18 @@ def test_negative_horizon_is_refused():
         verify_impossibility(get_adversary("1i-killer"), 2, Mode.ONE_INTERVAL, horizon=-1)
 
 
+def test_a_horizon_of_no_round_is_refused():
+    """At horizon 0 every start that is not dispersed is a hit, and nothing
+    is proved."""
+    with pytest.raises(ScenarioError, match="^horizon must be an int of at least 1 round, got 0$"):
+        verify_impossibility(get_adversary("1i-killer"), 2, Mode.ONE_INTERVAL, horizon=0)
+
+
 @pytest.mark.parametrize("horizon", [2.5, True, "5"])
 def test_a_horizon_that_is_no_plain_int_is_refused(horizon):
     """A horizon counts rounds, so a float, a bool or a string is refused
     with one line, not taken for the number it compares to."""
-    with pytest.raises(ScenarioError, match="^horizon must be an int of at least 0 rounds, got "):
+    with pytest.raises(ScenarioError, match="^horizon must be an int of at least 1 round, got "):
         verify_impossibility(get_adversary("1i-killer"), 2, Mode.ONE_INTERVAL, horizon=horizon)
 
 
@@ -790,7 +858,7 @@ def plain_impossibility(adversary, n, mode, policies=None, starts=None, horizon=
     return plain_report(adversary, n, mode, policies, starts, runs, horizon)
 
 
-ORACLE_HORIZONS = (*range(9), 200)
+ORACLE_HORIZONS = (*range(1, 9), 200)  # a sweep refuses a horizon below 1
 ALL_TABLES = tuple(all_no_visibility_policies())
 
 
@@ -980,9 +1048,9 @@ def test_a_tables_letters_on_a_state_fix_its_intents(n):
     """The round memo's key. On every placement of the robots (one per
     rotation class, as a table reads no position) with every hand
     assignment, under every table, each robot's intent is its class's letter
-    turned by its hand, and ``letters`` lists the letters of the classes
-    present, in domain order. So tables whose letters agree on a state
-    predict the same intents."""
+    turned by its hand, and the table's letters for ``census_classes`` are
+    those of the classes present, in domain order. So tables whose letters
+    agree on a state predict the same intents."""
     for cfg in labeled_initial_configs(n):
         labels = cfg.labels()
         classes = [_census_class(cfg, label) for label in labels]
@@ -993,7 +1061,7 @@ def test_a_tables_letters_on_a_state_fix_its_intents(n):
                        for letter, action in _LETTER_ACTIONS.items()} for hand in hands]
             by_letters = {}
             for policy in ALL_TABLES:
-                letters = policy.letters(census_classes(cfg))
+                letters = "".join([policy.table[i] for i in census_classes(cfg)])
                 intents = predict_intents(policy, cfg, robots)
                 if letters not in by_letters:
                     # Checked once per letters: the rest must equal this.
