@@ -81,18 +81,38 @@ class Dynamism(NamedTuple):
         return RingConfiguration(n, slots, edge)
 
 
+def refuse_uncovered(count, *args):
+    """``count(*args)``, with the ``ValueError`` of ``moved_counts`` or
+    ``moved_counts_table`` for intents or a ring that do not name robots
+    1..n exactly raised as a scenario's refusal."""
+    try:
+        return count(*args)
+    except ValueError:
+        raise ScenarioError("predicted intents must cover every robot exactly once") from None
+
+
 class AdversaryContext:
     """Everything an adversary may consult for one round. A slots class, as
-    it builds faster than a tuple and every round of a run builds one."""
+    it builds faster than a tuple and every round of a run builds one.
 
-    __slots__ = ("cfg", "mode", "rng", "predicted_intents")
+    ``predicted_counts`` are the node counts the predicted intents lead to.
+    A caller that gives intents without them gets them from ``moved_counts``,
+    and intents that do not name exactly the ring's robots are refused
+    (``refuse_uncovered``); the soundness check, which has every vector's
+    counts at hand, passes them."""
+
+    __slots__ = ("cfg", "mode", "rng", "predicted_intents", "predicted_counts")
 
     def __init__(self, cfg: RingConfiguration, mode: Mode, rng=None,
-                 predicted_intents: dict[int, Action] | None = None):
+                 predicted_intents: dict[int, Action] | None = None,
+                 predicted_counts: tuple[int, ...] | None = None):
         self.cfg = cfg
         self.mode = mode
         self.rng = rng
         self.predicted_intents = predicted_intents
+        if predicted_counts is None and predicted_intents is not None:
+            predicted_counts = refuse_uncovered(moved_counts, cfg, predicted_intents)
+        self.predicted_counts = predicted_counts
 
 
 # Answers made once and shared, as dynamisms are frozen.
@@ -277,11 +297,7 @@ class AdaptiveAdversary(Adversary):
         cfg, intents = ctx.cfg, ctx.predicted_intents
         if intents is None:
             raise ScenarioError("adaptive adversary needs predicted robot intents")
-        try:
-            counts = moved_counts(cfg, intents)
-        except ValueError:
-            raise ScenarioError("predicted intents must cover every robot exactly once") from None
-        if self.invariant(counts):
+        if self.invariant(ctx.predicted_counts):
             return self.neutral(cfg)
         return self.counter(cfg, intents, resolve_moves(cfg, intents))
 

@@ -25,6 +25,7 @@ by a move is always determined by the move's direction.
 
 from __future__ import annotations
 
+import functools
 from enum import Enum, IntEnum
 from typing import NamedTuple
 
@@ -299,6 +300,38 @@ def moved_counts(cfg: RingConfiguration, intents: dict[int, Action]) -> tuple[in
     except KeyError:
         raise _misnamed(intents, n) from None
     return tuple(counts)
+
+
+def moved_counts_table(cfg: RingConfiguration) -> list[tuple[int, ...]]:
+    """``moved_counts(cfg, intents)`` for every intent vector of labels 1..n,
+    in product order over labels 1..n of (STAY, CLOCKWISE, ANTICLOCKWISE),
+    the order of ``verifier._intent_vectors``; a ring whose labels are not
+    1..n is refused with ``moved_counts``' message.
+
+    Node counts are packed into an int, ``width`` bits a node, so a vector's
+    counts are the start's plus one delta per robot, and a move across the
+    removed edge (``crossing_edge``) adds nothing. Each distinct sum is
+    decoded once per ring size (``_decoded``)."""
+    n, slots, cut = cfg
+    labels = cfg.labels()
+    if labels != tuple(range(1, n + 1)):
+        raise _misnamed(labels, n)
+    width = n.bit_length()
+    sums = [sum(len(slot) << width * pos for pos, slot in enumerate(slots))]
+    for pos in map(cfg.positions().__getitem__, labels):
+        leave = 1 << width * pos
+        cw = 0 if cut == pos else (1 << width * ((pos + 1) % n)) - leave
+        acw = 0 if cut == (pos - 1) % n else (1 << width * ((pos - 1) % n)) - leave
+        sums = [total + delta for total in sums for delta in (0, cw, acw)]
+    decoded, mask = _decoded(n), (1 << width) - 1
+    for total in set(sums).difference(decoded):
+        decoded[total] = tuple([total >> width * pos & mask for pos in range(n)])
+    return list(map(decoded.__getitem__, sums))
+
+
+# The node counts of each packed sum ``moved_counts_table`` decoded at n, for
+# the last few ring sizes, as every per-size cache.
+_decoded = functools.lru_cache(maxsize=8)(lambda n: {})
 
 
 def _misnamed(intents, n: int) -> ValueError:

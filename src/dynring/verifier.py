@@ -82,6 +82,7 @@ from .adversaries import (
     Adversary,
     AdversaryContext,
     exhaustive_branches,
+    refuse_uncovered,
 )
 from .policies import NoVisibilityPolicy, Policy
 from .policies import all_no_visibility_policies, census_classes
@@ -95,7 +96,7 @@ from .ring import (
     canonical_rotation,
     check_intact,
     classify,
-    moved_counts,
+    moved_counts_table,
     resolve_moves,  # unused here; perfbench/tracing.py wraps verifier.resolve_moves by name
     ring_from_multiplicities,
 )
@@ -622,30 +623,33 @@ def check_adaptive_soundness(
     The adversary is asked once per labelled intent vector, by a read-only
     map of labels 1..n (those of every ring that enters the program) shared
     by every call at one size, so it cannot rewrite the vector it is judged
-    by. Each distinct dynamism it answers is checked (``Dynamism.check``) and
-    applied once per call, and every vector is judged by its own successor's
-    node counts (``moved_counts``) on the ring its answer shapes. A scenario
-    or start the adversary refuses (``check_start``), or a removed edge,
+    by, and is shown the vector's node counts from the start's
+    ``moved_counts_table``. Each distinct dynamism it answers is checked
+    (``Dynamism.check``), applied and tabled once per call, and vector i is
+    judged by entry i of its answer's table: its successor's node counts on
+    the ring the answer shapes. A scenario or start the adversary refuses
+    (``check_start``), a removed edge, or a ring whose labels are not 1..n
     raises ``ScenarioError`` before any vector is tried.
     """
     adversary.check_scenario(cfg.n, mode)
     check_intact(cfg)
     adversary.check_start(cfg)
+    start = refuse_uncovered(moved_counts_table, cfg)
     problems = []
     n = cfg.n
     shaped: dict = {}
-    for combo, intents in _intent_vectors(n):
-        dynamism = adversary.choose(AdversaryContext(cfg, mode, None, intents))
+    for i, (combo, intents) in enumerate(_intent_vectors(n)):
+        dynamism = adversary.choose(AdversaryContext(cfg, mode, None, intents, start[i]))
         perm, edge = dynamism
         # A list and a tuple of one permutation shape one ring. The types of
         # its entries and of the edge are in the key, as True and 1.0 equal
         # 1 but are refused.
         key = (None if perm is None else (*perm, *map(type, perm)), edge, type(edge))
-        ring = shaped.get(key)
-        if ring is None:
+        table = shaped.get(key)
+        if table is None:
             dynamism.check(n, mode)
-            ring = shaped[key] = dynamism.apply(cfg)
-        counts = moved_counts(ring, intents)
+            table = shaped[key] = moved_counts_table(dynamism.apply(cfg))
+        counts = table[i]
         if counts.count(1) == n:
             outcome = "dispersed"
         elif neutral_required and not adversary.invariant(counts):

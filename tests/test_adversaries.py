@@ -14,6 +14,7 @@ from dynring import (
     AdversaryContext,
     Dynamism,
     Mode,
+    RingConfiguration,
     ScenarioError,
     adversary_start_filter,
     all_on_one,
@@ -408,13 +409,18 @@ def test_soundness_helper_agrees_on_known_good_cases():
 @pytest.mark.parametrize("adversary_id,slots,mode,refusal", [
     ("vp-killer", ((1, 2), (3,), ()), Mode.VP, "needs n >= 4"),
     ("1i-killer", ((1, 2, 3), (), (4,), ()), Mode.VP, "needs a mode with edge removal"),
+    ("vp-killer-n3", ((1, 2), (5,), ()), Mode.VP,
+     "^predicted intents must cover every robot exactly once$"),
 ])
 def test_soundness_refuses_a_scenario_the_adversary_refuses(adversary_id, slots, mode,
                                                             refusal):
     """A check the adversary cannot play is refused before any vector, not
-    read as sound, nor refused only once some vector draws a counter."""
+    read as sound, nor refused only once some vector draws a counter. A ring
+    whose labels are not 1..n, built past ``ring_from_slots``' check, names
+    robots no intent vector covers."""
+    cfg = RingConfiguration(len(slots), slots)
     with pytest.raises(ScenarioError, match=refusal):
-        check_adaptive_soundness(get_adversary(adversary_id), ring_from_slots(slots), mode)
+        check_adaptive_soundness(get_adversary(adversary_id), cfg, mode)
 
 
 @pytest.mark.parametrize("adversary_id,slots,mode", [
@@ -575,12 +581,25 @@ def admitted_rings(adversary, n: int):
 @pytest.mark.parametrize("adversary_id,n,mode,neutral", KILLER_SOUNDNESS_CASES)
 def test_soundness_matches_the_per_vector_check_from_every_rotation(adversary_id, n, mode,
                                                                     neutral):
-    adversary = get_adversary(adversary_id)
+    """Every ``choose`` is shown the node counts of the vector it is asked
+    about."""
+    adversary = type(get_adversary(adversary_id))()
+    choose = adversary.choose
+    asked = []
+
+    def spying_choose(ctx):
+        counts = moved_counts(ctx.cfg, ctx.predicted_intents)
+        assert ctx.predicted_counts == counts, (ctx.cfg, ctx.predicted_intents)
+        asked.append(ctx)
+        return choose(ctx)
+
+    adversary.choose = spying_choose
     rings = admitted_rings(adversary, n)
     assert rings
     for cfg in rings:
         expected = per_vector_soundness(adversary, cfg, mode, neutral)
         assert check_adaptive_soundness(adversary, cfg, mode, neutral) == expected
+    assert len(asked) == 2 * len(rings) * 3 ** n
 
 
 @pytest.mark.parametrize("adversary,mode", [

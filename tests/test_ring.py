@@ -32,7 +32,8 @@ from dynring import (
     ring_from_slots,
     rotate,
 )
-from dynring.ring import move_robots
+from dynring.ring import move_robots, moved_counts_table
+from dynring.verifier import _intent_vectors
 
 
 # ---------------------------------------------------------------- construction
@@ -251,14 +252,16 @@ def test_resolve_matches_the_dense_oracle_on_every_small_ring(n):
                 _assert_resolves_as_the_oracle(cfg, dict(zip(range(1, n + 1), actions)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
 def test_moved_counts_are_the_resolved_rings_counts(n):
-    """Every occupancy vector, every removed edge or none, and every intent
-    vector: ``moved_counts`` reads the node counts of the ring
-    ``resolve_moves`` builds."""
-    for counts in itertools.product(range(n + 1), repeat=n):
-        if sum(counts) != n:
-            continue
+    """Every occupancy vector (at n=7 one, where a node can reach 7 robots,
+    the most a node's field holds), every removed edge or none, and every
+    intent vector: ``moved_counts`` reads the node counts of the ring
+    ``resolve_moves`` builds, and ``moved_counts_table`` lists them in the
+    soundness check's vector order."""
+    occupancies = [(3, 0, 4, 0, 0, 0, 0)] if n == 7 else [
+        counts for counts in itertools.product(range(n + 1), repeat=n) if sum(counts) == n]
+    for counts in occupancies:
         slots = ring_from_multiplicities(counts).slots
         for edge in (None, *range(n)):
             cfg = RingConfiguration(n, slots, edge)
@@ -266,6 +269,8 @@ def test_moved_counts_are_the_resolved_rings_counts(n):
                 intents = dict(zip(range(1, n + 1), actions))
                 assert moved_counts(cfg, intents) == \
                     resolve_moves(cfg, intents).multiplicities(), (cfg, actions)
+            assert moved_counts_table(cfg) == [
+                moved_counts(cfg, intents) for _, intents in _intent_vectors(n)], cfg
 
 
 @settings(max_examples=300, deadline=None)

@@ -32,6 +32,7 @@ from dynring import (
     get_policy,
     holes_filled_count,
     initial_robots,
+    moved_counts,
     play_round,
     predict_intents,
     random_configuration,
@@ -125,14 +126,20 @@ def test_only_rules_that_read_chains_build_the_chain_index(monkeypatch):
 
 def test_prediction_mismatch_is_an_error(monkeypatch):
     """``play_round`` shows an adaptive adversary the predicted intents and
-    refuses a round whose decisions differ from them, naming the robots."""
-    policy, adversary = get_policy("k0:cacacs"), get_adversary("1i-killer")
+    the node counts they lead to, and refuses a round whose decisions differ
+    from them, naming the robots."""
+    policy, adversary = get_policy("k0:cacacs"), type(get_adversary("1i-killer"))()
     cfg = ring_from_multiplicities((2, 1, 0))
     robots = initial_robots(cfg)
     right = predict_intents(policy, cfg, robots)
     assert right == {1: ACW, 2: CW, 3: CW}
+    shown = []
+    choose = adversary.choose
+    adversary.choose = lambda ctx: shown.append(ctx) or choose(ctx)
     _, _, trace = play_round(policy, adversary, cfg, Mode.ONE_INTERVAL, robots)
     assert trace.intents == right
+    assert [(ctx.predicted_intents, ctx.predicted_counts) for ctx in shown] == [
+        (right, moved_counts(cfg, right))]
     wrong = {**right, 1: STAY}
     monkeypatch.setattr(dynring.scheduler, "predict_intents", lambda *args: wrong)
     with pytest.raises(RuntimeError,
