@@ -77,14 +77,18 @@ class ExperimentSpec:
 
 
 def parse_int_range(text: str) -> list[int]:
-    """Sizes like "4", "2,3,5" or "3..17:2" (inclusive, optional step)."""
+    """Sizes like "4", "2,3,5" or "3..17:2" (inclusive, optional step of at
+    least 1, so a range never counts down past its end)."""
     out = []
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
             span, _, step = part.partition(":")
             lo, hi = span.split("..")
-            out.extend(range(int(lo), int(hi) + 1, int(step) if step else 1))
+            stride = int(step) if step else 1
+            if stride < 1:
+                raise ValueError(f"step {stride} is below 1")
+            out.extend(range(int(lo), int(hi) + 1, stride))
         else:
             out.append(int(part))
     return out

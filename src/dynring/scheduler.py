@@ -109,9 +109,12 @@ def _decide(policy: Policy, analysis: ChainAnalysis, slots, robots, decisions=No
     return intents, decided, movers
 
 
-def predict_intents(policy: Policy, cfg: RingConfiguration, robots) -> dict[int, Action]:
-    """Global-frame actions the robots would take on this configuration."""
-    return _decide(policy, ChainAnalysis(cfg), cfg.slots, robots)[0]
+def predict_intents(policy: Policy, cfg: RingConfiguration, robots,
+                    looks: dict | None = None) -> dict[int, Action]:
+    """Global-frame actions the robots would take on this configuration,
+    from the look stored in the look table ``looks`` if one is given."""
+    analysis = ChainAnalysis(cfg) if looks is None else _look(looks, cfg)
+    return _decide(policy, analysis, cfg.slots, robots)[0]
 
 
 def _look(looks: dict, cfg: RingConfiguration) -> ChainAnalysis:
@@ -230,14 +233,22 @@ def validate_scenario(
 
 
 def play_round(policy: Policy, adversary: Adversary, cfg: RingConfiguration, mode: Mode,
-               robots, rng: random.Random | None = None):
+               robots, rng: random.Random | None = None, looks: dict | None = None):
     """One round of a run from ``cfg``, which must not be dispersed: the
     adversary's choice, then ``step``. An adaptive adversary reads the
-    robots' predicted intents first, and the round must play exactly them."""
-    predicted = predict_intents(policy, cfg, robots) if adversary.adaptive else None
+    robots' predicted intents first, and the round must play exactly them.
+
+    ``looks``, if given, is a look table the caller keeps over its rounds
+    (see ``_look``); the prediction and ``step`` both read it. An
+    impossibility sweep keeps one, as its small rings repeat few looks; a
+    run keeps none, so a run on a large ring holds no table that grows.
+    Every answer is checked (``Dynamism.check``), even a frozen one given
+    before: only ``check_adaptive_soundness`` skips re-keying a repeated
+    frozen answer."""
+    predicted = predict_intents(policy, cfg, robots, looks) if adversary.adaptive else None
     dynamism = adversary.choose(AdversaryContext(cfg, mode, rng, predicted))
     dynamism.check(cfg.n, mode)
-    cfg, robots, trace = step(policy, cfg, robots, dynamism)
+    cfg, robots, trace = step(policy, cfg, robots, dynamism, looks)
     intents = trace.intents
     if predicted is not None and predicted != intents:
         wrong = sorted(label for label in intents if predicted.get(label) is not intents[label])

@@ -60,8 +60,11 @@ its label, hand and memory, and otherwise takes the stored answer. That
 is exact, because a rule reads only its ``Snapshot`` and the robot, and a
 snapshot is built from the look, the node, its labels and the robot; a
 stored look is one object per node counts and removed edge, so the look
-is keyed by identity. Runs and impossibility sweeps pass neither: large
-rings do not repeat.
+is keyed by identity. An impossibility sweep keeps one look table per
+call and no decision memo: ``play_round`` hands the table to each round's
+prediction and ``step``, and the sweep's rings (n <= 4) have few looks. A
+run passes neither, so a run on a large ring, whose rings do not repeat,
+keeps no table that grows.
 
 The module also enumerates starting configurations, certifies per-round
 guarantees along every explored edge, checks the adaptive adversaries
@@ -81,6 +84,7 @@ from typing import NamedTuple
 from .adversaries import (
     Adversary,
     AdversaryContext,
+    Dynamism,
     exhaustive_branches,
     refuse_uncovered,
 )
@@ -435,7 +439,7 @@ class _States:
 
 
 def _letter_tree(policies: tuple, by_letter: list, adversary: Adversary, start: int, robots,
-                 mode: Mode, horizon: int, memo: dict, states: _States):
+                 mode: Mode, horizon: int, memo: dict, states: _States, looks: dict):
     """``(stalls, hits, escapes)`` of every table's run from the state with id
     ``start``, where ``escapes`` holds ``(tables, round)`` per dispersal.
 
@@ -448,7 +452,8 @@ def _letter_tree(policies: tuple, by_letter: list, adversary: Adversary, start: 
     dispersal, at a repeat of a state of its walk (ids to rounds, undone on
     backtrack, so each leaf holds its cycle), or at the horizon. ``memo``
     maps (id, ``code & mask``) to the successor's id; a round it lacks is
-    played by ``play_round`` with the least table, which must keep ``robots``.
+    played by ``play_round`` with the least table, which must keep ``robots``,
+    and the look table ``looks``.
     """
     rows = states.rows
     stalls = hits = 0
@@ -483,7 +488,8 @@ def _letter_tree(policies: tuple, by_letter: list, adversary: Adversary, start: 
             sid = memo.get(key)
             if sid is None:
                 policy = policies[(tables & -tables).bit_length() - 1]
-                cfg, settled, trace = play_round(policy, adversary, cfg, mode, robots)
+                cfg, settled, trace = play_round(policy, adversary, cfg, mode, robots,
+                                                 looks=looks)
                 if settled != robots:
                     raise RuntimeError(f"{policy.policy_id} changed a robot's hand or memory")
                 sid = memo[key] = states.intern(cfg, trace.metrics_after.dispersed)
@@ -508,7 +514,8 @@ def verify_impossibility(
     deterministic functions of the state, so a state has one orbit per
     table, and a repeated state proves an infinite stall. Each start is
     walked once for all tables (``_letter_tree``), a walk splitting by a
-    class's letter where it first meets the class; states are interned.
+    class's letter where it first meets the class; states are interned,
+    and every round played reads one look table kept for the call.
 
     One round memo serves every table of the call: a round is played once
     per (state, letters), whichever table reaches it, where ``letters`` are
@@ -577,12 +584,13 @@ def verify_impossibility(
     states = _States()
     robots = initial_robots(starts[0])
     memo: dict = {}
+    looks: dict = {}  # at most C(2n-1, n)*(n+1) looks, 40 at n=3
     dispersals = []
     proven_infinite = horizon_hits = 0
     start_ids = [states.intern(start, classify(start).dispersed) for start in starts]
     for index, sid in enumerate(start_ids):
         stalls, hits, escapes = _letter_tree(policies, by_letter, adversary, sid, robots,
-                                             mode, horizon, memo, states)
+                                             mode, horizon, memo, states, looks)
         proven_infinite += stalls
         horizon_hits += hits
         dispersals += [(table, index, rounds) for tables, rounds in escapes
@@ -627,9 +635,14 @@ def check_adaptive_soundness(
     ``moved_counts_table``. Each distinct dynamism it answers is checked
     (``Dynamism.check``), applied and tabled once per call, and vector i is
     judged by entry i of its answer's table: its successor's node counts on
-    the ring the answer shapes. A scenario or start the adversary refuses
-    (``check_start``), a removed edge, or a ring whose labels are not 1..n
-    raises ``ScenarioError`` before any vector is tried.
+    the ring the answer shapes. An answer that is the very object the last
+    vector got, and is frozen, is not keyed again: frozen means a plain
+    ``Dynamism`` (no subclass) whose permutation is a tuple or ``None``, so
+    nothing of it can have changed since its entries and edge were checked.
+    Any other answer, such as a list permutation the adversary may change
+    between calls, is keyed afresh every time. A scenario or start the
+    adversary refuses (``check_start``), a removed edge, or a ring whose
+    labels are not 1..n raises ``ScenarioError`` before any vector is tried.
     """
     adversary.check_scenario(cfg.n, mode)
     check_intact(cfg)
@@ -638,17 +651,23 @@ def check_adaptive_soundness(
     problems = []
     n = cfg.n
     shaped: dict = {}
+    frozen = table = None  # the last answer, if frozen, and its table
     for i, (combo, intents) in enumerate(_intent_vectors(n)):
         dynamism = adversary.choose(AdversaryContext(cfg, mode, None, intents, start[i]))
-        perm, edge = dynamism
-        # A list and a tuple of one permutation shape one ring. The types of
-        # its entries and of the edge are in the key, as True and 1.0 equal
-        # 1 but are refused.
-        key = (None if perm is None else (*perm, *map(type, perm)), edge, type(edge))
-        table = shaped.get(key)
-        if table is None:
-            dynamism.check(n, mode)
-            table = shaped[key] = moved_counts_table(dynamism.apply(cfg))
+        if dynamism is not frozen:
+            perm, edge = dynamism
+            # A list and a tuple of one permutation shape one ring. The types
+            # of its entries and of the edge are in the key, as True and 1.0
+            # equal 1 but are refused.
+            key = (None if perm is None else (*perm, *map(type, perm)), edge, type(edge))
+            table = shaped.get(key)
+            if table is None:
+                dynamism.check(n, mode)
+                table = shaped[key] = moved_counts_table(dynamism.apply(cfg))
+            # The same object next time is this answer unchanged only if it is
+            # frozen: a plain Dynamism whose permutation is a tuple or None.
+            plain = type(dynamism) is Dynamism and (perm is None or type(perm) is tuple)
+            frozen = dynamism if plain else None
         counts = table[i]
         if counts.count(1) == n:
             outcome = "dispersed"

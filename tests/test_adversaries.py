@@ -693,6 +693,65 @@ def test_soundness_refuses_a_float_permutation_after_the_same_int_permutation():
             check(_FloatPermuter(), cfg, Mode.VP)
 
 
+def _swap_when_robot_1_stays(ctx) -> tuple[int, ...]:
+    """The swap of nodes 0 and 1 when robot 1 stays, else the identity."""
+    n = ctx.cfg.n
+    return (1, 0, *range(2, n)) if ctx.predicted_intents[1] is STAY else tuple(range(n))
+
+
+class _OneListAnswerPermuter(GeneralPermuter):
+    """Never counters, and answers every vector with one ``Dynamism``
+    object whose permutation is a list it rewrites before each answer."""
+
+    def __init__(self):
+        self.perm = []
+        self.answer = Dynamism(self.perm, None)
+
+    def choose(self, ctx):
+        self.perm[:] = _swap_when_robot_1_stays(ctx)
+        return self.answer
+
+
+class _ReadDynamism(Dynamism):
+    """A dynamism whose permutation, as unpacking reads it, is ``read``, an
+    attribute its owner sets; the stored field never changes."""
+
+    def __iter__(self):
+        return iter((self.read, self.edge_removal))
+
+
+class _OneSubclassAnswerPermuter(GeneralPermuter):
+    """Never counters, and answers every vector with one ``Dynamism``
+    subclass object, setting the permutation it reads before each answer."""
+
+    def __init__(self):
+        self.answer = None
+
+    def choose(self, ctx):
+        if self.answer is None or len(self.answer.permutation) != ctx.cfg.n:
+            self.answer = _ReadDynamism(tuple(range(ctx.cfg.n)), None)
+        self.answer.read = _swap_when_robot_1_stays(ctx)
+        return self.answer
+
+
+@pytest.mark.parametrize("make_adversary", [_OneListAnswerPermuter, _OneSubclassAnswerPermuter],
+                         ids=["list-permutation", "subclass"])
+def test_soundness_keys_afresh_a_repeated_answer_that_is_not_frozen(make_adversary):
+    """An answer object handed back for the next vector is read off the last
+    answer's table only when nothing of it can have changed. These two hand
+    back one object that shapes the swapped ring for some vectors and the
+    plain ring for others: by a list permutation rewritten in place, and by
+    a subclass that unpacks to what its owner last set. Each vector is
+    judged by the ring its own answer shapes."""
+    adversary = make_adversary()
+    reported = 0
+    for cfg in admitted_rings(adversary, 4):
+        expected = per_vector_soundness(adversary, cfg, Mode.VP)
+        assert check_adaptive_soundness(adversary, cfg, Mode.VP) == expected
+        reported += len(expected)
+    assert reported
+
+
 @pytest.mark.parametrize("adversary_id,n", [
     ("vp-killer-n3", 3), ("vp-killer", 4), ("vp-killer", 5),
     ("1i-killer", 2), ("1i-killer", 3), ("1i-killer", 5),

@@ -116,9 +116,10 @@ def test_no_module_imports_a_name_it_does_not_read_but_for_the_benchmark():
     assert unread == BENCHMARK_ONLY_IMPORTS
 
 
-def _callers(name: str) -> list[str]:
-    """``module.function`` for every call of ``name`` in the package, with
-    the innermost function that holds the call, sorted."""
+def _callers(name: str, passes=lambda call: True) -> list[str]:
+    """``module.function`` for every call of ``name`` in the package for
+    which ``passes(call)`` holds, with the innermost function that holds the
+    call, sorted."""
     callers = []
     for path in sorted((ROOT / "src" / "dynring").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -128,7 +129,8 @@ def _callers(name: str) -> list[str]:
                 scope.update(dict.fromkeys(ast.walk(function), function.name))
         callers += [f"{path.stem}.{scope.get(node, '<module>')}" for node in ast.walk(tree)
                     if isinstance(node, ast.Call) and name in (
-                        getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                    and passes(node)]
     return sorted(callers)
 
 
@@ -138,6 +140,17 @@ def test_only_the_run_and_the_orbit_walk_play_rounds():
     ``scheduler.run_simulation``; a second loop over ``play_round`` would
     lose them from that count."""
     assert _callers("play_round") == ["scheduler.run_simulation", "verifier._letter_tree"]
+
+
+def test_only_the_orbit_walk_hands_its_rounds_a_look_table():
+    """An impossibility sweep keeps one look table per call and hands it to
+    every round it plays; a run keeps none, so a run at n=1024 holds no
+    table that grows with every ring it meets. A call passes a table by
+    ``looks=``, by a seventh positional argument or by unpacking."""
+    def passes_looks(call):
+        return (len(call.args) > 6 or any(isinstance(arg, ast.Starred) for arg in call.args)
+                or any(keyword.arg in ("looks", None) for keyword in call.keywords))
+    assert _callers("play_round", passes_looks) == ["verifier._letter_tree"]
 
 
 def test_only_the_decision_helper_calls_a_rules_decide():

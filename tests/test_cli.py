@@ -42,6 +42,10 @@ def test_size_ranges_parse():
     assert parse_int_range("4") == [4]
     assert parse_int_range("2,3,5") == [2, 3, 5]
     assert parse_int_range("3..9:2") == [3, 5, 7, 9]
+    # A range counts up: one that counts down would stop short of its end.
+    for text in ("17..3:-2", "3..9:0"):
+        with pytest.raises(ValueError, match=r"^step -?\d+ is below 1$"):
+            parse_int_range(text)
     assert parse_int_range("2..4") == [2, 3, 4]
     with pytest.raises(ValueError):
         parse_int_range("x")
@@ -400,6 +404,8 @@ TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
     lambda tmp_path: ["run", "--n", "-2", "--policy", "vp-chain"],
     lambda tmp_path: ["sweep", "--n", "x", "--policy", "vp-1i"],
     lambda tmp_path: ["sweep", "--n", "4..2", "--policy", "vp-1i"],
+    lambda tmp_path: ["sweep", "--n", "17..3:-2", "--policy", "vp-1i"],
+    lambda tmp_path: ["sweep", "--n", "3..9:0", "--policy", "vp-1i"],
     lambda tmp_path: ["run", "--n", "3", "--policy", "vp-chain", "--config", "1,x,1"],
     lambda tmp_path: ["run", "--n", "2", "--policy", "vp-chain", "--config", "2,2"],
     lambda tmp_path: _spec_file(tmp_path, colour="red"),
@@ -495,6 +501,7 @@ TOO_LONG = b'{"round": 0, "n": ' + b"1" * 5000 + b', "policy": "vp-chain"}'
     lambda tmp_path: _spec_file(tmp_path) + ["--seed", "11"],
     lambda tmp_path: _spec_file(tmp_path) + ["--mode", "none"],
 ], ids=["run-n-0", "run-n-negative", "sweep-n-not-a-number", "sweep-n-empty-range",
+        "sweep-n-step-negative", "sweep-n-step-0",
         "config-not-a-number", "config-wrong-total", "spec-unknown-key", "spec-unknown-mode",
         "replay-missing-perm", "run-max-rounds-negative", "verify-bound-n-0",
         "verify-bound-n-negative", "verify-impossibility-n-0", "verify-horizon-negative",

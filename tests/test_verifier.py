@@ -977,22 +977,28 @@ def test_the_tables_of_a_sweep_share_each_round(monkeypatch):
     predicts once and ``step`` decides once, and a round read off the memo
     decides nothing. A played round takes one census, of the ring it lands
     on: the walk knows every state it plays is not dispersed, so it plays the
-    round with ``play_round`` and takes no census before it."""
-    _assert_rounds_played(monkeypatch, "1i-killer", Mode.ONE_INTERVAL, (3, 2187), 567)
+    round with ``play_round`` and takes no census before it. The sweep keeps
+    one look table, which its predictions and rounds share: it builds 24
+    looks for its 567 rounds, where a look per prediction and per round
+    built 1,134."""
+    _assert_rounds_played(monkeypatch, "1i-killer", Mode.ONE_INTERVAL, (3, 2187), 567, 24)
 
 
 def test_the_tables_of_a_permuted_sweep_share_each_round(monkeypatch):
     """The 729-table vp-killer-n3 sweep at n=3, the benchmark's other sweep,
     plays 200 distinct rounds. Its states all hold a pair, a single and a
-    hole, so every round it plays reads the same three census classes."""
-    _assert_rounds_played(monkeypatch, "vp-killer-n3", Mode.VP, (2, 1458), 200)
+    hole, so every round it plays reads the same three census classes, and
+    its rounds see 6 distinct rings' node counts."""
+    _assert_rounds_played(monkeypatch, "vp-killer-n3", Mode.VP, (2, 1458), 200, 6)
 
 
-def _assert_rounds_played(monkeypatch, adversary_id, mode, starts_and_stalls, rounds):
+def _assert_rounds_played(monkeypatch, adversary_id, mode, starts_and_stalls, rounds, looks):
     """The 729-table sweep at n=3 blocks every run, with ``starts_and_stalls``
     as its start and stall counts, and plays ``rounds`` distinct rounds, each
-    predicted, decided twice and censused once."""
-    predicted, played, decisions, censuses = [], [], [], []
+    predicted, decided twice and censused once. It builds ``looks`` looks,
+    one per node counts and removed edge it meets, at most
+    C(2n-1, n)*(n+1) = 40 at n=3."""
+    predicted, played, decisions, censuses, built = [], [], [], [], []
     for module in (dynring.scheduler, dynring.verifier):
         _recorded(monkeypatch, module, "predict_intents", lambda args, intents: predicted.append(
             (args[1].slots, _aux(args[2]), tuple(intents.items()))))
@@ -1000,6 +1006,8 @@ def _assert_rounds_played(monkeypatch, adversary_id, mode, starts_and_stalls, ro
         (args[1].slots, _aux(args[2]), tuple(result[2].intents.items()))))
     _recorded(monkeypatch, dynring.scheduler, "_decide", lambda args, _: decisions.append(args))
     _recorded(monkeypatch, dynring.scheduler, "classify", lambda args, _: censuses.append(args))
+    _recorded(monkeypatch, dynring.scheduler, "ChainAnalysis", lambda args, _: built.append(
+        (args[0].multiplicities(), args[0].missing_edge)))
     report = verify_impossibility(get_adversary(adversary_id), 3, mode)
     assert (report.policies_checked, report.starts_checked, report.proven_infinite,
             report.horizon_hits, report.dispersals) == (729, *starts_and_stalls, 0, ())
@@ -1007,6 +1015,7 @@ def _assert_rounds_played(monkeypatch, adversary_id, mode, starts_and_stalls, ro
     assert predicted == played
     assert len(decisions) == 2 * rounds
     assert len(censuses) == rounds
+    assert len(built) == len(set(built)) == looks <= math.comb(2 * 3 - 1, 3) * (3 + 1)
 
 
 def test_a_sweep_interns_each_state_once(monkeypatch):
