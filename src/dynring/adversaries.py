@@ -10,7 +10,11 @@ reaching one-robot-per-node.
 The adaptive adversaries rely on one observation: a robot that sees only
 its own node makes the same decision before and after any permutation or
 edge removal, because neither touches node contents. Their predicted
-intents are therefore exact.
+intents are therefore exact. They read the intents only as counts: the
+node counts the moves reach and, where they counter, how many robots on
+each node stay, go clockwise and go anticlockwise (``ring.node_moves``).
+No adaptive answer reads a label, so each is the same under every
+relabelling of the robots that carries their intents along.
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ from .ring import (
     RingConfiguration,
     ScenarioError,
     check_edge,
-    classify,
+    classify,  # unused here; perfbench/tracing.py wraps adversaries.classify by name
     crossing_edge,
     moved_counts,
-    resolve_moves,
+    node_moves,
+    resolve_moves,  # unused here; perfbench/tracing.py wraps adversaries.resolve_moves by name
 )
 
 # The types a permutation's entries may have: a bool or a float equal to
@@ -283,7 +288,21 @@ def _arrangement(n: int, leading: list[int]) -> tuple[int, ...]:
 class AdaptiveAdversary(Adversary):
     """Counters the robots' predicted moves. When the node counts they would
     reach keep the invariant it plays ``neutral(cfg)``, and otherwise
-    ``counter(cfg, intents, successor)`` on the ring they would reach."""
+    ``counter(moves, counts)``: each node's move counts (``node_moves``),
+    whose sums are the ring's node counts, and the node counts the moves
+    reach. No counter reads a label, so each answer is the same under every
+    relabelling of the robots that carries their intents along.
+
+    Counts name every robot a counter needs. ``counter`` runs only when the
+    moves would leave the invariant, from a ring inside it; for the base
+    invariant that is a dispersed successor. Then every hole, and every node
+    all of whose robots leave, ends with exactly one robot, and on an
+    intact ring only a robot of a neighbour can step in: the clockwise
+    movers of the node before it and the anticlockwise movers of the node
+    after it, which together number one. So the one neighbour whose count
+    moves into the node is the node the labelled successor's robot there
+    came from, and its direction that robot's move.
+    """
 
     adaptive = True
 
@@ -297,16 +316,27 @@ class AdaptiveAdversary(Adversary):
         cfg, intents = ctx.cfg, ctx.predicted_intents
         if intents is None:
             raise ScenarioError("adaptive adversary needs predicted robot intents")
-        if self.invariant(ctx.predicted_counts):
+        counts = ctx.predicted_counts
+        if self.invariant(counts):
             return self.neutral(cfg)
-        return self.counter(cfg, intents, resolve_moves(cfg, intents))
+        return self.counter(node_moves(cfg, intents), counts)
 
     def neutral(self, cfg: RingConfiguration) -> Dynamism:
         raise NotImplementedError
 
-    def counter(self, cfg: RingConfiguration, intents: dict[int, Action],
-                successor: RingConfiguration) -> Dynamism:
+    def counter(self, moves: tuple[tuple[int, ...], ...], counts: tuple[int, ...]) -> Dynamism:
         raise NotImplementedError
+
+
+def _entrant(moves, node: int) -> tuple[int, Action]:
+    """The node and direction of the one robot that moves into ``node``: the
+    clockwise mover of the node before it, or else the anticlockwise mover
+    of the node after it (see ``AdaptiveAdversary``)."""
+    n = len(moves)
+    before = (node - 1) % n
+    if moves[before][Action.CLOCKWISE]:
+        return before, Action.CLOCKWISE
+    return (node + 1) % n, Action.ANTICLOCKWISE
 
 
 class ThreeRingPermuter(AdaptiveAdversary):
@@ -335,16 +365,16 @@ class ThreeRingPermuter(AdaptiveAdversary):
     def neutral(self, cfg):
         return _identity(3)
 
-    def counter(self, cfg, intents, successor):
+    def counter(self, moves, counts):
+        mult = tuple(map(sum, moves))
         # From a pair, a single and a hole the moves lead to that shape
         # again, to a dispersal or to a gathering.
-        mult = cfg.multiplicities()
         pair = mult.index(2)
         single = mult.index(1)
         hole = mult.index(0)
-        if classify(successor).dispersed:
-            leavers = sum(1 for lab in cfg.slots[pair] if intents[lab] is not Action.STAY)
-            if leavers == 1:
+        if counts.count(1) == 3:
+            _, clockwise, anticlockwise = moves[pair]
+            if clockwise + anticlockwise == 1:
                 return Dynamism(_swap(3, pair, hole), None)
             return Dynamism(_swap(3, single, hole), None)
         return Dynamism(_swap(3, pair, single), None)
@@ -370,9 +400,9 @@ class GeneralPermuter(AdaptiveAdversary):
     def neutral(self, cfg):
         return _identity(cfg.n)
 
-    def counter(self, cfg, intents, successor):
-        n = cfg.n
-        mult = cfg.multiplicities()
+    def counter(self, moves, counts):
+        mult = tuple(map(sum, moves))
+        n = len(mult)
         holes = [p for p in range(n) if mult[p] == 0]
 
         if len(holes) >= 3:
@@ -380,64 +410,49 @@ class GeneralPermuter(AdaptiveAdversary):
             return Dynamism(_arrangement(n, occupied + holes), None)
 
         if len(holes) == 2:
-            triples = [p for p in range(n) if mult[p] == 3]
-            if triples:
-                return Dynamism(self._counter_triple(cfg, triples[0], holes, successor), None)
+            if 3 in mult:
+                return Dynamism(self._counter_triple(mult, mult.index(3), holes, moves), None)
             pairs = [p for p in range(n) if mult[p] == 2]
-            return Dynamism(self._counter_two_pairs(cfg, pairs, holes, intents), None)
+            return Dynamism(self._counter_two_pairs(n, pairs, holes, moves), None)
 
-        return Dynamism(self._counter_single_pair(cfg, mult.index(2), holes[0], intents,
-                                                  successor), None)
+        return Dynamism(self._counter_single_pair(mult.index(2), holes[0], moves), None)
 
-    def _counter_triple(self, cfg, triple, holes, successor):
+    def _counter_triple(self, mult, triple, holes, moves):
         # A perfect spread fills each hole with exactly one robot. Park the
         # triple on a hole fed from a singleton node: the feeder and the
         # triple's staying robot then share that node. If both holes are
         # fed by the triple itself, the triple sits between them; pushing
         # it one step aside reuses its old node as an unreachable gap.
-        positions = cfg.positions()
-        fed_from_singleton = []
-        for hole in holes:
-            feeder = successor.slots[hole][0]
-            if len(cfg.slots[positions[feeder]]) == 1:
-                fed_from_singleton.append(hole)
+        fed_from_singleton = [hole for hole in holes if mult[_entrant(moves, hole)[0]] == 1]
         target = min(fed_from_singleton) if fed_from_singleton else min(holes)
-        return _swap(cfg.n, triple, target)
+        return _swap(len(mult), triple, target)
 
-    def _counter_two_pairs(self, cfg, pairs, holes, intents):
-        n = cfg.n
+    def _counter_two_pairs(self, n, pairs, holes, moves):
         first, second = sorted(pairs)
-
-        def breakup(pos):
-            acts = sorted(intents[lab].value for lab in cfg.slots[pos])
-            return "split" if acts == [-1, 1] else "retain"
-
-        kinds = (breakup(first), breakup(second))
-        if kinds == ("split", "split"):
+        # A pair splits when one robot goes each way and none stays.
+        first_splits, second_splits = (moves[pos] == (0, 1, 1) for pos in (first, second))
+        if first_splits and second_splits:
             # Opposite leavers from both pairs meet in the hole between them.
             return _arrangement(n, [first, min(holes), second])
-        if kinds == ("retain", "retain"):
-            # Send the first pair's mover onto the second pair's stayer.
-            mover = next(a for a in (intents[lab] for lab in cfg.slots[first])
-                         if a is not Action.STAY)
-            order = [first, second] if mover is Action.CLOCKWISE else [second, first]
-            return _arrangement(n, order)
-        splitter = first if kinds[0] == "split" else second
-        retainer = second if splitter == first else first
-        return _arrangement(n, [splitter, retainer])
+        if not first_splits and not second_splits:
+            # Send the first pair's mover onto the second pair's stayer. A
+            # retained pair keeps one robot and moves the other, as two
+            # leaving one way would collide.
+            clockwise = moves[first][Action.CLOCKWISE]
+            return _arrangement(n, [first, second] if clockwise else [second, first])
+        # The splitting pair first, then the retaining one.
+        return _arrangement(n, [first, second] if first_splits else [second, first])
 
-    def _counter_single_pair(self, cfg, pair, hole, intents, successor):
-        n = cfg.n
-        acts = [intents[lab] for lab in cfg.slots[pair]]
-        if Action.STAY in acts:
+    def _counter_single_pair(self, pair, hole, moves):
+        n = len(moves)
+        if moves[pair][Action.STAY]:
             # The staying robot keeps the pair's node occupied; put that
             # node where the hole's feeder expects emptiness.
             return _swap(n, pair, hole)
         # Both robots leave opposite ways, so their node is refilled by a
         # neighbouring donor. Swapping the donor with the hole leaves the
         # vacated node with no reachable replacement.
-        donor = successor.slots[pair][0]
-        return _swap(n, hole, cfg.positions()[donor])
+        return _swap(n, hole, _entrant(moves, pair)[0])
 
 
 class EdgeBlocker(AdaptiveAdversary):
@@ -452,13 +467,9 @@ class EdgeBlocker(AdaptiveAdversary):
     def neutral(self, cfg):
         return _NO_DYNAMISM
 
-    def counter(self, cfg, intents, successor):
-        mult = cfg.multiplicities()
-        hole = next(p for p in range(cfg.n) if mult[p] == 0)
-        entrant = successor.slots[hole][0]
-        origin = cfg.positions()[entrant]
-        edge = crossing_edge(origin, intents[entrant], cfg.n)
-        return Dynamism(None, edge)
+    def counter(self, moves, counts):
+        origin, action = _entrant(moves, moves.index((0, 0, 0)))
+        return Dynamism(None, crossing_edge(origin, action, len(moves)))
 
 
 ADVERSARIES = {

@@ -302,6 +302,27 @@ def moved_counts(cfg: RingConfiguration, intents: dict[int, Action]) -> tuple[in
     return tuple(counts)
 
 
+def node_moves(cfg: RingConfiguration, intents: dict[int, Action]) -> tuple[tuple[int, ...], ...]:
+    """Each node's ``(stay, clockwise, anticlockwise)`` robot counts under
+    ``intents``, which must name exactly the configuration's robots: the
+    label-free summary of a round's intents. A node's count of an action is
+    at index ``action``, as ANTICLOCKWISE is -1. The removed edge is not
+    read: a robot counts under the move it intends."""
+    n, slots, _ = cfg
+    if len(intents) != n:
+        raise _misnamed(intents, n)
+    moves = []
+    try:
+        for slot in slots:
+            tally = [0, 0, 0]
+            for label in slot:
+                tally[intents[label]] += 1
+            moves.append(tuple(tally))
+    except KeyError:
+        raise _misnamed(intents, n) from None
+    return tuple(moves)
+
+
 def moved_counts_table(cfg: RingConfiguration) -> list[tuple[int, ...]]:
     """``moved_counts(cfg, intents)`` for every intent vector of labels 1..n,
     in product order over labels 1..n of (STAY, CLOCKWISE, ANTICLOCKWISE),

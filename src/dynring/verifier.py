@@ -171,7 +171,7 @@ class BoundReport(NamedTuple):
     n: int
     mode: Mode
     bound: int | None
-    worst_rounds: float
+    worst_rounds: float  # an int, or math.inf where a stall is reachable
     holds: bool
     states_explored: int
     root_values: dict
@@ -360,7 +360,7 @@ def verify_worst_case(
 
     searcher = WorstCaseSearcher(policy, mode)
     root_values = {}
-    worst = 0.0
+    worst = 0
     worst_root = None
     for cfg, robots, root_key in roots:
         value = searcher.value(cfg, robots)
@@ -632,13 +632,19 @@ def check_adaptive_soundness(
     map of labels 1..n (those of every ring that enters the program) shared
     by every call at one size, so it cannot rewrite the vector it is judged
     by, and is shown the vector's node counts from the start's
-    ``moved_counts_table``. Each distinct dynamism it answers is checked
-    (``Dynamism.check``), applied and tabled once per call, and vector i is
-    judged by entry i of its answer's table: its successor's node counts on
-    the ring the answer shapes. An answer that is the very object the last
-    vector got, and is frozen, is not keyed again: frozen means a plain
-    ``Dynamism`` (no subclass) whose permutation is a tuple or ``None``, so
-    nothing of it can have changed since its entries and edge were checked.
+    ``moved_counts_table``. An adaptive adversary counters from those counts
+    and the vector's per-node move counts alone (``AdaptiveAdversary``), so
+    relabelling the robots does not change its answer; the check still asks
+    about every labelled vector. Each distinct dynamism it answers is
+    checked (``Dynamism.check``), applied and tabled once per call, and
+    vector i is judged by entry i of its answer's table: its successor's
+    node counts on the ring the answer shapes. An answer that shapes the
+    start ring itself, such as the identity permutation or no dynamism (the
+    adversaries' ``neutral`` answers), reads the start's table, which is
+    not built again. An answer that is the very object the last vector got,
+    and is frozen, is not keyed again: frozen means a plain ``Dynamism``
+    (no subclass) whose permutation is a tuple or ``None``, so nothing of
+    it can have changed since its entries and edge were checked.
     Any other answer, such as a list permutation the adversary may change
     between calls, is keyed afresh every time. A scenario or start the
     adversary refuses (``check_start``), a removed edge, or a ring whose
@@ -663,7 +669,8 @@ def check_adaptive_soundness(
             table = shaped.get(key)
             if table is None:
                 dynamism.check(n, mode)
-                table = shaped[key] = moved_counts_table(dynamism.apply(cfg))
+                ring = dynamism.apply(cfg)
+                table = shaped[key] = start if ring == cfg else moved_counts_table(ring)
             # The same object next time is this answer unchanged only if it is
             # frozen: a plain Dynamism whose permutation is a tuple or None.
             plain = type(dynamism) is Dynamism and (perm is None or type(perm) is tuple)

@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dynring.verifier
 from conftest import KILLER_SOUNDNESS_CASES, ring_configs
 from dynring import (
     Action,
@@ -32,6 +33,9 @@ from dynring import (
     verify_impossibility,
 )
 from dynring.adversaries import EdgeBlocker, GeneralPermuter, ThreeRingPermuter
+from dynring.ring import moved_counts_table, node_moves
+from dynring.verifier import _intent_vectors
+from labelled_counters import labelled_choose
 
 CW, ACW, STAY = Action.CLOCKWISE, Action.ANTICLOCKWISE, Action.STAY
 
@@ -431,7 +435,8 @@ def test_soundness_refuses_a_scenario_the_adversary_refuses(adversary_id, slots,
 def test_soundness_asks_the_adversary_once_per_labelled_vector(adversary_id, slots, mode):
     """Wrapped on the instance, as the benchmark's tracer wraps it, ``choose``
     is called once for each of the 3^n labelled intent vectors, and every
-    ``counter`` gets the ring ``resolve_moves`` builds from the same intents."""
+    ``counter`` gets the per-node move counts of the vector ``choose`` was
+    asked about and the node counts those moves reach."""
     adversary = type(get_adversary(adversary_id))()
     cfg = ring_from_slots(slots)
     chosen, countered = [], []
@@ -441,31 +446,34 @@ def test_soundness_asks_the_adversary_once_per_labelled_vector(adversary_id, slo
         chosen.append(ctx.predicted_intents)
         return choose(ctx)
 
-    def recording_counter(ring, intents, successor):
-        countered.append((ring, intents, successor))
-        return counter(ring, intents, successor)
+    def recording_counter(moves, counts):
+        countered.append((chosen[-1], moves, counts))
+        return counter(moves, counts)
 
     adversary.choose, adversary.counter = counting_choose, recording_counter
     assert check_adaptive_soundness(adversary, cfg, mode) == []
     assert len(chosen) == 3 ** cfg.n
     assert len({tuple(intents.values()) for intents in chosen}) == 3 ** cfg.n
     assert countered
-    for ring, intents, successor in countered:
-        assert ring == cfg and successor == resolve_moves(cfg, intents)
+    for intents, moves, counts in countered:
+        assert moves == node_moves(cfg, intents) and counts == moved_counts(cfg, intents)
 
 
 class _IdleEdgeBlocker(EdgeBlocker):
-    """The 1i-killer with no counter: it keeps every edge whatever comes."""
+    """The 1i-killer with no counter: it keeps every edge whatever comes.
+    Its answer is the shared frozen neutral, so the soundness check judges
+    the vectors that disperse through its repeated-frozen-answer path."""
 
-    def counter(self, cfg, intents, successor):
-        return self.neutral(cfg)
+    def counter(self, moves, counts):
+        return self.neutral(None)
 
 
 class _IdlePermuter(ThreeRingPermuter):
-    """The 3-ring permuter with no counter: it never rearranges the ring."""
+    """The 3-ring permuter with no counter: it never rearranges the ring,
+    answering with the shared frozen neutral as ``_IdleEdgeBlocker`` does."""
 
-    def counter(self, cfg, intents, successor):
-        return self.neutral(cfg)
+    def counter(self, moves, counts):
+        return self.neutral(None)
 
 
 PAIR_SINGLE_HOLE = ring_from_slots(((1, 2), (3,), ()))
@@ -617,6 +625,29 @@ def test_soundness_matches_the_per_vector_check_for_idle_adversaries(adversary, 
         assert check_adaptive_soundness(adversary, cfg, mode, neutral) == expected
         reported += len(expected)
     assert reported
+
+
+@pytest.mark.parametrize("adversary_id,mode", [("vp-killer", Mode.VP),
+                                               ("1i-killer", Mode.ONE_INTERVAL)])
+def test_an_answer_that_shapes_the_start_reads_the_starts_table(adversary_id, mode,
+                                                               monkeypatch):
+    """The identity permutation and no dynamism leave the start as it is, so
+    the check tables the start once and judges their vectors by it: one
+    table for the start, one for each other ring the answers shape."""
+    tabled = []
+    table = dynring.verifier.moved_counts_table
+    monkeypatch.setattr(dynring.verifier, "moved_counts_table",
+                        lambda cfg: tabled.append(cfg) or table(cfg))
+    adversary = type(get_adversary(adversary_id))()
+    answers = []
+    choose = adversary.choose
+    adversary.choose = lambda ctx: answers.append(choose(ctx)) or answers[-1]
+    cfg = ring_from_slots(((1, 2), (3,), (4,), ()))
+    assert check_adaptive_soundness(adversary, cfg, mode) == []
+    assert adversary.neutral(cfg) in answers
+    shaped = {answer.apply(cfg) for answer in answers}
+    assert tabled[0] is cfg and set(tabled) == shaped | {cfg}
+    assert len(tabled) == len(shaped)
 
 
 class _PermutingOnceEdgeBlocker(EdgeBlocker):
@@ -789,3 +820,61 @@ def test_intent_vectors_are_shared_read_only_maps():
     with pytest.raises(TypeError):
         asked[0][1] = CW
     assert asked[0][1] is STAY
+
+
+# ------------------------------------------------------ counters on counts
+
+# (adversary, mode, n): every ring size up to 6 each adaptive adversary plays.
+ADAPTIVE_CASES = (
+    ("vp-killer-n3", Mode.VP, 3),
+    *(("vp-killer", Mode.VP, n) for n in (4, 5, 6)),
+    *(("1i-killer", Mode.ONE_INTERVAL, n) for n in (2, 3, 4, 5, 6)),
+)
+
+
+def _answers(adversary, cfg, mode, vectors):
+    """``choose``'s answer to each intents map of ``vectors`` from ``cfg``."""
+    return [adversary.choose(ctx_for(cfg, mode, intents=intents)) for intents in vectors]
+
+
+@pytest.mark.parametrize("adversary_id,mode,n", ADAPTIVE_CASES)
+def test_counters_answer_as_the_labelled_counters(adversary_id, mode, n):
+    """From every rotation of every start the adversary admits, every intent
+    vector draws the answer of the counter that reads the labelled
+    successor (``tests/labelled_counters.py``)."""
+    adversary = get_adversary(adversary_id)
+    countered = 0
+    for cfg in admitted_rings(adversary, n):
+        for counts, (_, intents) in zip(moved_counts_table(cfg), _intent_vectors(n)):
+            ctx = AdversaryContext(cfg, mode, None, intents, counts)
+            assert adversary.choose(ctx) == labelled_choose(adversary, ctx), (cfg, intents)
+            countered += not adversary.invariant(counts)
+    assert countered
+
+
+def _relabelled(cfg, vectors, relabel):
+    """``cfg`` and each intents map of ``vectors`` with robot l renamed
+    ``relabel[l - 1]``: the intents travel with their robots."""
+    slots = tuple(tuple(sorted(relabel[lab - 1] for lab in slot)) for slot in cfg.slots)
+    moved = [{relabel[lab - 1]: action for lab, action in intents.items()}
+             for intents in vectors]
+    return RingConfiguration(cfg.n, slots), moved
+
+
+@pytest.mark.parametrize("adversary_id,mode,n", ADAPTIVE_CASES)
+def test_adaptive_answers_are_the_same_under_every_relabelling(adversary_id, mode, n):
+    """The label-invariance the impossibility proof needs: each adaptive
+    adversary answers every intent vector from every start it admits as it
+    answers the relabelled vector from the relabelled ring. Every
+    relabelling is tried at n <= 4 and one seeded random one per ring at
+    n = 5 and 6."""
+    adversary = get_adversary(adversary_id)
+    vectors = [intents for _, intents in _intent_vectors(n)]
+    rng = random.Random(n)
+    labels = range(1, n + 1)
+    for cfg in admitted_rings(adversary, n):
+        answers = _answers(adversary, cfg, mode, vectors)
+        relabels = itertools.permutations(labels) if n <= 4 else [rng.sample(labels, n)]
+        for relabel in relabels:
+            ring, moved = _relabelled(cfg, vectors, relabel)
+            assert _answers(adversary, ring, mode, moved) == answers, (cfg, relabel)

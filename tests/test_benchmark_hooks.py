@@ -23,7 +23,8 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 # The imports no module reads: the tracer wraps each by its name in the
 # importing module, so they stay until the benchmark stops wrapping them.
 BENCHMARK_ONLY_IMPORTS = {"scheduler.resolve_moves", "verifier.resolve_moves",
-                          "verifier.predict_intents", "policies.classify"}
+                          "verifier.predict_intents", "policies.classify",
+                          "adversaries.resolve_moves", "adversaries.classify"}
 
 
 def _load_tracing():

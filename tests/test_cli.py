@@ -629,7 +629,7 @@ def test_verify_bound_subcommand(capsys):
     # Zero stays a valid bound: a one-node ring starts dispersed.
     assert run_cli("verify", "--check", "bound", "--policy", "vp-chain",
                    "--n", "1", "--mode", "vp", "--bound", "0") == 0
-    assert "bound=0 worst=0.0 states=0 holds=yes" in capsys.readouterr().out
+    assert "bound=0 worst=0 states=0 holds=yes" in capsys.readouterr().out
 
 
 def test_verify_impossibility_subcommand(capsys):

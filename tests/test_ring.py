@@ -32,7 +32,7 @@ from dynring import (
     ring_from_slots,
     rotate,
 )
-from dynring.ring import move_robots, moved_counts_table
+from dynring.ring import move_robots, moved_counts_table, node_moves
 from dynring.verifier import _intent_vectors
 
 
@@ -217,7 +217,7 @@ def test_crossing_edges_on_two_ring():
 
 def test_resolve_requires_exactly_one_intent_per_robot():
     """A short map, a stranger label and an extra label are refused, and
-    ``moved_counts`` refuses each with the same message."""
+    ``moved_counts`` and ``node_moves`` refuse each with the same message."""
     cfg = ring_from_slots(((1,), (2,)))
     for intents in ({1: Action.STAY}, {1: Action.STAY, 5: Action.STAY},
                     {1: Action.STAY, 2: Action.STAY, 3: Action.STAY}):
@@ -226,6 +226,23 @@ def test_resolve_requires_exactly_one_intent_per_robot():
         with pytest.raises(ValueError) as counted:
             moved_counts(cfg, intents)
         assert str(counted.value) == str(resolved.value), intents
+        with pytest.raises(ValueError) as tallied:
+            node_moves(cfg, intents)
+        assert str(tallied.value) == str(resolved.value), intents
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_configs(min_n=1, max_n=9), st.data())
+def test_node_moves_count_each_nodes_robots_by_intent(cfg, data):
+    """Stay, clockwise, then anticlockwise, each read at the action's index;
+    a move across the removed edge counts as the move it intends."""
+    intents = {label: data.draw(st.sampled_from(list(Action))) for label in cfg.labels()}
+    moves = node_moves(cfg, intents)
+    order = (Action.STAY, Action.CLOCKWISE, Action.ANTICLOCKWISE)
+    assert moves == tuple(tuple(sum(intents[lab] is action for lab in slot) for action in order)
+                          for slot in cfg.slots)
+    assert all(tally[action] == tally[order.index(action)]
+               for tally in moves for action in Action)
 
 
 def _assert_resolves_as_the_oracle(cfg, intents):
